@@ -4,14 +4,20 @@ The Lie superalgebra gl(1|1) has basis N, E (even) and psi+, psi- (odd) with
 nonzero brackets [N, psi+-] = +-psi+- and {psi+, psi-} = E.  This module
 realizes the three standard families of finite-dimensional modules as exact
 rational matrices, forms graded tensor products with Koszul signs, and
-decomposes semisimple-Cartan modules back into the standard families by
-matching exact spectral statistics.  Everything is independent of the label
-arithmetic in :mod:`gl11kl.fusion`, which is the point: it is the cross-check.
+decomposes modules back into the standard families by matching exact spectral
+statistics.
+
+:func:`decompose` takes modules in a weight basis, which is what
+:func:`realize` and :func:`tensor` always produce: N and E diagonal, and psi+-
+moving weight (e, n) to (e, n +- 1).  It rejects any other input with
+:class:`~gl11kl.errors.OracleError`.  In a weight basis every rank it needs is
+the rank of a small block between neighbouring weight spaces, never of a
+full-dimensional matrix.  Everything is independent of the label arithmetic
+in :mod:`gl11kl.fusion`, which is the point: it is the cross-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,10 +65,18 @@ def mat_scale(a: Matrix, s) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt) for row in a
-    )
+    """Product a b, accumulated row by row over the nonzero entries only."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * width
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def is_zero_matrix(a: Matrix) -> bool:
@@ -85,182 +99,11 @@ def mat_rank(a: Matrix) -> int:
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+                rows[r] = [v - f * w if w else v for v, w in zip(rows[r], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
     return rank
-
-
-def nullspace(a: Matrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the kernel, via reduced row echelon form."""
-    rows = [list(r) for r in a]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _columns_rank(a: Matrix, cols: list[tuple[Fraction, ...]]) -> int:
-    """Rank of a restricted to the span of the given column vectors."""
-    if not cols:
-        return 0
-    images = []
-    for v in cols:
-        images.append(tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a))
-    return mat_rank(tuple(images))
-
-
-# eigenvalue extraction ------------------------------------------------------
-
-
-def _is_diagonal(a: Matrix) -> bool:
-    return all(v == 0 for i, row in enumerate(a) for j, v in enumerate(row) if i != j)
-
-
-def _minimal_polynomial(a: Matrix) -> list[Fraction]:
-    """Monic minimal polynomial, low degree first, by Krylov on the matrix."""
-    n = len(a)
-    powers = [eye(n)]
-    flat = [tuple(v for row in powers[0] for v in row)]
-    for _ in range(n):
-        powers.append(mat_mul(powers[-1], a))
-        flat.append(tuple(v for row in powers[-1] for v in row))
-        # look for a dependence c_0 I + ... + c_d M^d = 0 with c_d = 1
-        d = len(flat) - 1
-        rows = [list(flat[i]) for i in range(d)]
-        target = list(flat[d])
-        sol = _solve_exact(rows, target)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [Fraction(1)]
-            return coeffs
-    raise OracleError("minimal polynomial computation failed")
-
-
-def _solve_exact(rows: list[list[Fraction]], target: list[Fraction]):
-    """Solve sum_i x_i rows[i] = target exactly, or return None."""
-    if not rows:
-        return None if any(target) else []
-    m = len(rows[0])
-    aug = [[rows[i][j] for i in range(len(rows))] + [target[j]] for j in range(m)]
-    ncols = len(rows)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [v / pv for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = aug[r][ncols]
-    return sol
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
-
-
-def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
-    """All rational roots (with multiplicity stripped) of a Q-polynomial."""
-    if not poly or all(c == 0 for c in poly):
-        raise ValueError("zero polynomial")
-    denom_lcm = 1
-    for c in poly:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ip = [int(c * denom_lcm) for c in poly]
-    while ip and ip[-1] == 0:
-        ip.pop()
-    roots = []
-    # strip zero roots
-    while ip[0] == 0:
-        roots.append(Fraction(0))
-        ip = ip[1:]
-    if len(ip) == 1:
-        return sorted(set(roots))
-    if abs(ip[0]) > 10**12 or abs(ip[-1]) > 10**12:
-        raise OracleError("spectrum too large for rational root extraction")
-    cands = set()
-    for p in _divisors(ip[0]):
-        for q in _divisors(ip[-1]):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    for r in cands:
-        acc = Fraction(0)
-        for c in reversed(ip):
-            acc = acc * r + c
-        if acc == 0:
-            roots.append(r)
-    return sorted(set(roots))
-
-
-def semisimple_eigenspaces(a: Matrix) -> dict[Fraction, list[tuple[Fraction, ...]]]:
-    """Eigenvalue -> eigenbasis for a matrix required to be semisimple over Q.
-
-    Raises :class:`OracleError` when the matrix is not diagonalizable with
-    rational spectrum.
-    """
-    n = len(a)
-    if _is_diagonal(a):
-        spaces: dict = {}
-        for i in range(n):
-            ev = a[i][i]
-            vec = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-            spaces.setdefault(ev, []).append(vec)
-        return spaces
-    minpoly = _minimal_polynomial(a)
-    roots = _rational_roots(minpoly)
-    if len(roots) != len(minpoly) - 1:
-        raise OracleError("matrix is not semisimple with rational spectrum")
-    spaces = {}
-    total = 0
-    for ev in roots:
-        shifted = mat_sub(a, mat_scale(eye(n), ev))
-        basis = nullspace(shifted)
-        if basis:
-            spaces[ev] = basis
-            total += len(basis)
-    if total != n:
-        raise OracleError("matrix is not semisimple with rational spectrum")
-    return spaces
 
 
 # ---------------------------------------------------------------------------
@@ -564,24 +407,24 @@ def fin_label_of(label) -> FinLabel:
 def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
     """Decompose into Verma / Atypical / Projective labels with multiplicity.
 
-    Requires semisimple N and E.  Splits into E-eigenspaces; on an eigenvalue
-    e != 0 block the N-spectrum is matched greedily into pairs
-    (c + 1/2, c - 1/2) giving Verma multiplicities.  On the e = 0 block the
-    Projective count at n is rank(psi+ psi- | N=n) and the remaining Verma
-    and Atypical multiplicities are solved from the N-spectrum together with
-    the ranks of psi+ and psi- on each N-eigenspace; any statistic mismatch
-    raises :class:`OracleError`.
+    The module must be given in a weight basis: N and E diagonal, so basis
+    vector i has weight (e, n) = (E[i][i], N[i][i]), and every nonzero entry
+    of psi+- maps weight (e, n) into (e, n +- 1).  Anything else raises
+    :class:`OracleError`.  Basis vectors are grouped by e and then by n.  On
+    an e != 0 block the N-spectrum is matched greedily into pairs
+    (c + 1/2, c - 1/2) giving Verma multiplicities.  On the e = 0 block each
+    rank is the rank of a small block between weight spaces: psi+ from n to
+    n+1, psi- from n to n-1, and psi+ psi- on weight n as the product of the
+    psi- block n -> n-1 and the psi+ block n-1 -> n.  The Projective count at
+    n is rank(psi+ psi- | N=n); the Verma and Atypical multiplicities are
+    solved from the N-spectrum and the psi+- ranks, and any statistic
+    mismatch raises :class:`OracleError`.
     """
-    e_spaces = semisimple_eigenspaces(m.E)
+    spaces: dict[Fraction, dict[Fraction, list[int]]] = {}
+    for i, (e_val, n_val) in enumerate(_weights(m)):
+        spaces.setdefault(e_val, {}).setdefault(n_val, []).append(i)
     result: dict[FinLabel, int] = {}
-    for e_val, e_basis in sorted(e_spaces.items()):
-        n_restricted = _restrict(m.N, e_basis)
-        n_spaces = semisimple_eigenspaces(n_restricted)
-        # lift N-eigenvectors back to the ambient space
-        n_bases: dict[Fraction, list[tuple[Fraction, ...]]] = {}
-        for n_val, vecs in n_spaces.items():
-            lifted = [_combine(e_basis, v) for v in vecs]
-            n_bases[n_val] = lifted
+    for e_val, n_bases in sorted(spaces.items()):
         if e_val != 0:
             _decompose_typical_block(e_val, n_bases, result)
         else:
@@ -589,30 +432,22 @@ def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
     return result
 
 
-def _restrict(a: Matrix, basis: list[tuple[Fraction, ...]]) -> Matrix:
-    """Matrix of a on the span of basis, which must be invariant."""
-    images = []
-    for v in basis:
-        img = tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a)
-        images.append(img)
-    # solve img = sum_i c_i basis_i for each image
-    cols = []
-    for img in images:
-        sol = _solve_exact([list(b) for b in basis], list(img))
-        if sol is None:
-            raise OracleError("subspace is not invariant")
-        cols.append(sol)
-    n = len(basis)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
-def _combine(basis: list[tuple[Fraction, ...]], coeffs) -> tuple[Fraction, ...]:
-    dim = len(basis[0])
-    out = [Fraction(0)] * dim
-    for c, b in zip(coeffs, basis):
-        for i in range(dim):
-            out[i] += c * b[i]
-    return tuple(out)
+def _weights(m: Gl11MatrixModule) -> list[tuple[Fraction, Fraction]]:
+    """Weight (e, n) of each basis vector; OracleError unless a weight basis."""
+    for a in (m.N, m.E):
+        for i, row in enumerate(a):
+            if any(row[:i]) or any(row[i + 1 :]):
+                raise OracleError("N and E must be diagonal (a weight basis)")
+    weights = [(m.E[i][i], m.N[i][i]) for i in range(m.dim)]
+    for a, step in ((m.psi_p, 1), (m.psi_m, -1)):
+        for r, row in enumerate(a):
+            if not any(row):
+                continue
+            e_val, n_val = weights[r]
+            for c, v in enumerate(row):
+                if v and weights[c] != (e_val, n_val - step):
+                    raise OracleError("psi+- must map weight (e, n) into (e, n +- 1)")
+    return weights
 
 
 def _decompose_typical_block(e_val, n_bases, result) -> None:
@@ -631,15 +466,19 @@ def _decompose_typical_block(e_val, n_bases, result) -> None:
 
 
 def _decompose_zero_block(m, n_bases, result) -> None:
-    ppm = mat_mul(m.psi_p, m.psi_m)
+    def block(a: Matrix, n_to, n_from) -> Matrix:
+        return tuple(tuple(a[r][c] for c in n_bases[n_from]) for r in n_bases.get(n_to, ()))
+
     mult = {n: len(b) for n, b in n_bases.items()}
     proj = {}
-    for n_val, basis in n_bases.items():
-        r = _columns_rank(ppm, basis)
-        if r:
-            proj[n_val] = r
-    rank_p = {n: _columns_rank(m.psi_p, b) for n, b in n_bases.items()}
-    rank_m = {n: _columns_rank(m.psi_m, b) for n, b in n_bases.items()}
+    for n_val in n_bases:
+        if n_val - 1 in n_bases:
+            ppm = mat_mul(block(m.psi_p, n_val, n_val - 1), block(m.psi_m, n_val - 1, n_val))
+            r = mat_rank(ppm)
+            if r:
+                proj[n_val] = r
+    rank_p = {n: mat_rank(block(m.psi_p, n + 1, n)) for n in n_bases}
+    rank_m = {n: mat_rank(block(m.psi_m, n - 1, n)) for n in n_bases}
     # psi+ ranks are determined by the projective counts alone
     for n_val in set(mult) | set(proj):
         expect = proj.get(n_val, 0) + proj.get(n_val + 1, 0)

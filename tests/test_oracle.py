@@ -7,6 +7,10 @@ import pytest
 
 from gl11kl import oracle as o
 from gl11kl.errors import OracleError
+from gl11kl.fusion import fuse, fuse_formal
+from gl11kl.labels import AtypicalA, FormalSum, ProjectiveP, TypicalV
+
+import _draws
 
 F = Fraction
 
@@ -185,6 +189,132 @@ def test_decompose_rejects_non_semisimple():
         o.decompose(m)
 
 
+def test_decompose_rejects_non_weight_basis():
+    # V(1/2;1) conjugated by S = [[1, 1], [0, 1]]: N stays semisimple with
+    # eigenvalues 1 and 0 and the brackets survive, but N is no longer diagonal
+    s, s_inv = o.mat([[1, 1], [0, 1]]), o.mat([[1, -1], [0, 1]])
+    v = o.realize(o.Verma(F(1, 2), 1))
+    conj = [o.mat_mul(o.mat_mul(s, x), s_inv) for x in (v.N, v.E, v.psi_p, v.psi_m)]
+    m = o.Gl11MatrixModule(2, v.parity, *conj)
+    assert o.mat_sub(o.mat_mul(m.N, m.psi_m), o.mat_mul(m.psi_m, m.N)) == o.mat_scale(m.psi_m, -1)
+    assert o.mat_add(o.mat_mul(m.psi_p, m.psi_m), o.mat_mul(m.psi_m, m.psi_p)) == m.E
+    assert m.N[0][1] != 0
+    with pytest.raises(OracleError):
+        o.decompose(m)
+
+
+def test_decompose_rejects_psi_off_weight_step():
+    # psi+ joins N-weights 0 and 2 (a step of 2, not 1)
+    m = o.Gl11MatrixModule(
+        dim=2,
+        parity=(0, 1),
+        N=o.mat([[0, 0], [0, 2]]),
+        E=o.zeros(2),
+        psi_p=o.mat([[0, 0], [1, 0]]),
+        psi_m=o.zeros(2),
+    )
+    with pytest.raises(OracleError):
+        o.decompose(m)
+
+
+def _fin_triple(rng, kinds):
+    """Labels of the given kinds ("V", "A", "P" at ell = 0) and their fusion."""
+    while True:
+        labels = []
+        for kind in kinds:
+            n = _draws.rational(rng)
+            if kind == "V":
+                labels.append(TypicalV(n, _draws.nonintegral(rng)))
+            else:
+                labels.append(AtypicalA(n, 0) if kind == "A" else ProjectiveP(n, 0))
+        if kinds.count("V") >= 2 and rng.random() < 0.5:
+            # an ehat sum of 0 puts a projective into the product
+            i, j = [k for k, kind in enumerate(kinds) if kind == "V"][:2]
+            labels[j] = TypicalV(labels[j].n, -labels[i].ehat)
+        total = fuse_formal(fuse(labels[0], labels[1]), FormalSum(labels[2]))
+        try:
+            return labels, {o.fin_label_of(lbl): mult for lbl, mult in total.items()}
+        except ValueError:  # an ehat sum hit a nonzero integer: no finite shadow
+            continue
+
+
+def test_decompose_triple_products_match_fusion():
+    rng = Random(41)
+    shapes = ["PPP"] + [rng.choice(("VVV", "VVA", "VAP", "AAP", "VVP", "APP", "VPP", "PPP")) for _ in range(30)]
+    for kinds in shapes:
+        labels, want = _fin_triple(rng, kinds)
+        a, b, c = (o.realize(o.fin_label_of(lbl)) for lbl in labels)
+        got = o.decompose(o.tensor(o.tensor(a, b), c))
+        assert got == want, labels
+
+
+def _direct_sum(parts: dict) -> o.Gl11MatrixModule:
+    mods = [o.realize(lbl) for lbl, mult in parts.items() for _ in range(mult)]
+    dim = sum(x.dim for x in mods)
+
+    def block_diagonal(name):
+        out = [[F(0)] * dim for _ in range(dim)]
+        off = 0
+        for x in mods:
+            for i, row in enumerate(x.action(name)):
+                out[off + i][off : off + x.dim] = row
+            off += x.dim
+        return tuple(tuple(r) for r in out)
+
+    parity = tuple(p for x in mods for p in x.parity)
+    return o.Gl11MatrixModule(dim, parity, *(block_diagonal(x) for x in ("N", "E", "psi+", "psi-")))
+
+
+def _dense_invariants(m, n_values, e_values):
+    """dim, N- and E-spectra, rank psi+, psi- and psi+ psi- of the whole module.
+
+    The spectra are eigenvalue multiplicities dim - rank(X - lam) over the
+    candidate eigenvalues; they add up to dim only if the candidates exhaust
+    a semisimple spectrum.  No weight basis is assumed.
+    """
+    ident = o.eye(m.dim)
+
+    def spectrum(x, candidates):
+        mults = {lam: m.dim - o.mat_rank(o.mat_sub(x, o.mat_scale(ident, lam))) for lam in candidates}
+        return {lam: k for lam, k in mults.items() if k}
+
+    return (
+        m.dim,
+        spectrum(m.N, n_values),
+        spectrum(m.E, e_values),
+        o.mat_rank(m.psi_p),
+        o.mat_rank(m.psi_m),
+        o.mat_rank(o.mat_mul(m.psi_p, m.psi_m)),
+    )
+
+
+def test_decompose_matches_dense_invariants():
+    # full-dimensional dense ranks, independent of the weight-space blocks
+    rng = Random(42)
+    checked = 0
+    while checked < 40:
+        labels = [
+            rng.choice(
+                (
+                    o.Verma(_draws.rational(rng), rng.choice((F(0), _draws.rational(rng)))),
+                    o.Atypical(_draws.rational(rng)),
+                    o.Projective(F(rng.randint(-3, 3))),
+                )
+            )
+            for _ in range(rng.choice((2, 3)))
+        ]
+        module = o.realize(labels[0])
+        for lbl in labels[1:]:
+            module = o.tensor(module, o.realize(lbl))
+        if module.dim > 32:
+            continue
+        ref = _direct_sum(o.decompose(module))
+        n_values = {ref.N[i][i] for i in range(ref.dim)}
+        e_values = {ref.E[i][i] for i in range(ref.dim)}
+        assert _dense_invariants(module, n_values, e_values) == _dense_invariants(ref, n_values, e_values), labels
+        checked += 1
+
+
 def test_l0_scalar_on_verma():
     for k in (F(1), F(2), F(-1, 2)):
         n, e = F(5, 4), F(3, 2)
@@ -225,11 +355,3 @@ def test_l0_commutes_with_cartan():
         l0 = o.l0_top_matrix(m, F(3, 2))
         assert o.mat_mul(l0, m.N) == o.mat_mul(m.N, l0)
         assert o.mat_mul(l0, m.E) == o.mat_mul(m.E, l0)
-
-
-def test_semisimple_eigenspaces_nondiagonal():
-    # symmetric matrix with eigenvalues 3 and -1
-    m = o.mat([[1, 2], [2, 1]])
-    spaces = o.semisimple_eigenspaces(m)
-    assert set(spaces) == {F(3), F(-1)}
-    assert all(len(v) == 1 for v in spaces.values())
