@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import characters, extensions, kz, labels, oracle
-from .errors import Gl11Error, NotDeterminedError
+from .errors import Gl11Error
 from .fusion import fuse
 from .labels import FormalSum, k_decompose, parse_label, render_label
 
@@ -218,9 +218,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload = args.func(args)
-    except NotDeterminedError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
     except Gl11Error as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -127,6 +127,8 @@ def is_local(s: ModuleLabel, ext: ExtensionSpec) -> bool:
 
 def induce(s: ModuleLabel, ext: ExtensionSpec, m_range: int) -> list[ModuleLabel]:
     """Summands of the induction for m = -m_range .. m_range, in order."""
+    if m_range < 0:
+        raise ValueError(f"m_range must be non-negative, got {m_range}")
     ind = InducedModule(strip_parity(s), ext)
     return [ind.summand(m) for m in range(-int(m_range), int(m_range) + 1)]
 

@@ -1,13 +1,14 @@
-"""Exact arithmetic in the two formal parameters Delta, x and the variable z.
+"""Exact rational functions in the formal parameters Delta, x and the variable z.
 
-Layers, bottom up:
-
-* ``ParamPoly`` -- polynomials in (Delta, x) over Q, sparse exponent dict.
-* ``ParamField`` -- the fraction field Q(Delta, x); elements are kept
-  gcd-reduced with the denominator normalized to lex-leading coefficient 1,
-  so equality and hashing are structural.
-* ``RationalFunction`` -- univariate rational functions in z over
-  ``ParamField``, gcd-reduced with monic denominator; supports d/dz.
+A ``RationalFunction`` is an unreduced pair num/den of sparse polynomials in
+(Delta, x, z) over Q, each a dict ``{(i, j, k): Fraction}`` keyed by the
+exponents of Delta, x and z.  Arithmetic works on the pairs directly and
+d/dz uses the quotient rule; no polynomial gcd is ever taken.  Two elements
+are equal when ``a.num * b.den == b.num * a.den``, so equality needs no
+canonical form, and instances are unhashable.  The constructor cancels only
+the common monomial Delta^i x^j z^k of num and den, which keeps a parameter
+that divides both sides (such as x after dividing by x/z) out of the
+denominator, so ``value`` can evaluate there.
 
 All values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.
@@ -16,591 +17,103 @@ function, so instances can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping
 
-Rational = Fraction
-
-_QLike = Union[int, Fraction]
-
-# exponent keys are (degree in Delta, degree in x)
-_Key = tuple
+_ONE = {(0, 0, 0): Fraction(1)}
 
 
-def _q(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _poly(coeffs: Mapping) -> dict:
+    return {tuple(k): Fraction(v) for k, v in coeffs.items() if v}
 
 
-# ---------------------------------------------------------------------------
-# dense univariate helpers over Q (used for the bivariate gcd)
-# ---------------------------------------------------------------------------
-
-
-def _xtrim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _xadd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _xtrim(out)
-
-
-def _xneg(a: list) -> list:
-    return [-c for c in a]
-
-
-def _xmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _xtrim(out)
-
-
-def _xscale(a: list, s: Fraction) -> list:
-    if s == 0:
-        return []
-    return [c * s for c in a]
-
-
-def _xdivmod(a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("univariate division by zero polynomial")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and _xtrim(a):
-        if not a:
-            break
-        d = len(a) - len(b)
-        c = a[-1] * inv
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[i + d] -= c * cb
-        _xtrim(a)
-    return _xtrim(q), a
-
-
-def _xdivexact(a: list, b: list) -> list:
-    q, r = _xdivmod(a, b)
-    if r:
-        raise ArithmeticError("inexact univariate division")
-    return q
-
-
-def _xgcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _xdivmod(a, b)[1]
-    if a:
-        a = _xscale(a, 1 / a[-1])  # monic normal form
-    return a
-
-
-# ---------------------------------------------------------------------------
-# ParamPoly: Q[Delta, x]
-# ---------------------------------------------------------------------------
-
-
-class ParamPoly:
-    """Polynomial in the parameters Delta and x with Fraction coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Mapping[_Key, _QLike] | None = None):
-        c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = _q(v)
-                if v:
-                    c[(int(k[0]), int(k[1]))] = v
-        self.c = c
-
-    # -- constructors
-
-    @classmethod
-    def const(cls, v) -> "ParamPoly":
-        return cls({(0, 0): _q(v)})
-
-    @classmethod
-    def zero(cls) -> "ParamPoly":
-        return cls()
-
-    @classmethod
-    def delta(cls) -> "ParamPoly":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def x(cls) -> "ParamPoly":
-        return cls({(0, 1): 1})
-
-    # -- structure
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.c
-
-    @property
-    def is_const(self) -> bool:
-        return all(k == (0, 0) for k in self.c)
-
-    def const_value(self) -> Fraction:
-        if not self.is_const:
-            raise ValueError("not a constant polynomial")
-        return self.c.get((0, 0), Fraction(0))
-
-    def lex_leading(self) -> tuple[_Key, Fraction]:
-        key = max(self.c)
-        return key, self.c[key]
-
-    # -- arithmetic
-
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        c = dict(self.c)
-        for k, v in other.c.items():
-            s = c.get(k, Fraction(0)) + v
-            if s:
-                c[k] = s
-            else:
-                c.pop(k, None)
-        out = ParamPoly.zero()
-        out.c = c
-        return out
-
-    def __neg__(self) -> "ParamPoly":
-        out = ParamPoly.zero()
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
-
-    def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        c: dict = {}
-        for (i1, j1), v1 in self.c.items():
-            for (i2, j2), v2 in other.c.items():
-                k = (i1 + i2, j1 + j2)
-                s = c.get(k, Fraction(0)) + v1 * v2
-                if s:
-                    c[k] = s
-                else:
-                    c.pop(k, None)
-        out = ParamPoly.zero()
-        out.c = c
-        return out
-
-    def scale(self, s) -> "ParamPoly":
-        s = _q(s)
-        out = ParamPoly.zero()
+def _add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, 0) + sign * v
         if s:
-            out.c = {k: v * s for k, v in self.c.items()}
-        return out
-
-    def __pow__(self, n: int) -> "ParamPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = ParamPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ParamPoly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def subs(self, delta=None, x=None) -> "ParamPoly":
-        """Substitute exact rational values for Delta and/or x."""
-        c: dict = {}
-        for (i, j), v in self.c.items():
-            if delta is not None:
-                v = v * _q(delta) ** i
-                i = 0
-            if x is not None:
-                v = v * _q(x) ** j
-                j = 0
-            k = (i, j)
-            s = c.get(k, Fraction(0)) + v
-            if s:
-                c[k] = s
-            else:
-                c.pop(k, None)
-        out = ParamPoly.zero()
-        out.c = c
-        return out
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.c, reverse=True):
-            v = self.c[(i, j)]
-            mon = "*".join(
-                ([f"Delta**{i}" if i > 1 else "Delta"] if i else [])
-                + ([f"x**{j}" if j > 1 else "x"] if j else [])
-            )
-            parts.append(f"{v}" + (f"*{mon}" if mon else ""))
-        return " + ".join(parts)
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
-# recursive view: list over Delta-degree of dense x-coefficient lists
+def _mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i1, j1, k1), v1 in a.items():
+        for (i2, j2, k2), v2 in b.items():
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            out[key] = out.get(key, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
 
 
-def _as_delta_coeffs(p: ParamPoly) -> list:
-    if p.is_zero:
-        return []
-    dd = max(i for (i, _) in p.c)
-    rows: list = [[] for _ in range(dd + 1)]
-    for (i, j), v in p.c.items():
-        row = rows[i]
-        while len(row) <= j:
-            row.append(Fraction(0))
-        row[j] = v
-    return [_xtrim(r) for r in rows]
+def _dz(a: dict) -> dict:
+    return {(i, j, k - 1): v * k for (i, j, k), v in a.items() if k}
 
 
-def _from_delta_coeffs(rows: list) -> ParamPoly:
-    c = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                c[(i, j)] = v
-    return ParamPoly(c)
+def _subs(a: dict, delta, x) -> dict:
+    out: dict = {}
+    for (i, j, k), v in a.items():
+        if delta is not None:
+            v, i = v * Fraction(delta) ** i, 0
+        if x is not None:
+            v, j = v * Fraction(x) ** j, 0
+        out[(i, j, k)] = out.get((i, j, k), 0) + v
+    return {k: v for k, v in out.items() if v}
 
 
-def _dtrim(rows: list) -> list:
-    while rows and not rows[-1]:
-        rows.pop()
-    return rows
+def _value(a: dict, z, delta, x) -> Fraction:
+    z, delta, x = Fraction(z), Fraction(delta), Fraction(x)
+    return sum((v * delta**i * x**j * z**k for (i, j, k), v in a.items()), Fraction(0))
 
 
-def _dcontent(rows: list) -> list:
-    g: list = []
-    for row in rows:
-        if row:
-            g = _xgcd(g, row)
-    return g
+def _repr(a: dict) -> str:
+    def mono(v, key):
+        powers = [f"{name}**{e}" if e > 1 else name for name, e in zip(("Delta", "x", "z"), key) if e]
+        return "*".join([str(v)] + powers)
+
+    return " + ".join(mono(a[key], key) for key in sorted(a, reverse=True)) or "0"
 
 
-def _dprimitive(rows: list) -> list:
-    g = _dcontent(rows)
-    if not g:
-        return []
-    return [_xdivexact(r, g) if r else [] for r in rows]
-
-
-def _dpseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of a by b, both Delta-coefficient lists over Q[x]."""
-    a = [list(r) for r in a]
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and _dtrim(a):
-        if not a:
-            break
-        da = len(a) - 1
-        la = a[-1]
-        a = [_xmul(r, lb) for r in a]
-        shift = da - db
-        for i, rb in enumerate(b):
-            a[i + shift] = _xadd(a[i + shift], _xneg(_xmul(rb, la)))
-        _dtrim(a)
-    return a
-
-
-def param_poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """gcd in Q[Delta, x], normalized to lex-leading coefficient 1."""
-    if a.is_zero and b.is_zero:
-        return ParamPoly.zero()
-    if a.is_zero or b.is_zero:
-        g = b if a.is_zero else a
-    elif a.is_const or b.is_const:
-        return ParamPoly.const(1)
-    else:
-        ra, rb = _as_delta_coeffs(a), _as_delta_coeffs(b)
-        cont = _xgcd(_dcontent(ra), _dcontent(rb))
-        pa, pb = _dprimitive(ra), _dprimitive(rb)
-        while pb:
-            pr = _dpseudo_rem(pa, pb)
-            pa, pb = pb, _dprimitive(pr)
-        g = _from_delta_coeffs([_xmul(r, cont) for r in pa])
-    if g.is_zero:
-        return g
-    _, lead = g.lex_leading()
-    return g.scale(1 / lead)
-
-
-def _param_poly_divexact(a: ParamPoly, g: ParamPoly) -> ParamPoly:
-    """Exact division a/g in Q[Delta, x]; raises if g does not divide a."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero:
-        return ParamPoly.zero()
-    ra = [list(r) for r in _as_delta_coeffs(a)]
-    rg = _as_delta_coeffs(g)
-    dg = len(rg) - 1
-    out: list = [[] for _ in range(max(0, len(ra) - len(rg) + 1))]
-    while _dtrim(ra):
-        da = len(ra) - 1
-        if da < dg:
-            raise ArithmeticError("inexact bivariate division")
-        qc = _xdivexact(ra[-1], rg[-1])
-        out[da - dg] = qc
-        for i, rgc in enumerate(rg):
-            ra[i + da - dg] = _xadd(ra[i + da - dg], _xneg(_xmul(rgc, qc)))
-    return _from_delta_coeffs(out)
-
-
-# ---------------------------------------------------------------------------
-# ParamField: Q(Delta, x)
-# ---------------------------------------------------------------------------
-
-
-class ParamField:
-    """Element of the field Q(Delta, x) in canonical reduced form.
-
-    The numerator/denominator pair is gcd-reduced and scaled so the
-    denominator has lex-leading coefficient 1 (lex order: Delta before x).
-    Equality and hashing are structural on this normal form.
-    """
+class RationalFunction:
+    """num/den over Q[Delta, x, z], reduced only by their common monomial."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
-        if den is None:
-            den = ParamPoly.const(1)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator in ParamField")
-        if num.is_zero:
-            self.num = ParamPoly.zero()
-            self.den = ParamPoly.const(1)
-            return
-        if not (num.is_const or den.is_const):
-            g = param_poly_gcd(num, den)
-            if not (g.is_const and g.const_value() == 1):
-                num = _param_poly_divexact(num, g)
-                den = _param_poly_divexact(den, g)
-        _, lead = den.lex_leading()
-        if lead != 1:
-            inv = 1 / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
+    __hash__ = None  # equality is by cross-multiplication, not by structure
+
+    def __init__(self, num: Mapping, den: Mapping | None = None):
+        num = _poly(num)
+        den = _poly(den) if den is not None else dict(_ONE)
+        if not den:
+            raise ZeroDivisionError("zero denominator in RationalFunction")
+        if not num:
+            den = dict(_ONE)
+        else:
+            # lowest exponent of Delta, x and z over every term of both sides
+            low = tuple(min(e) for e in zip(*num, *den))
+            if any(low):
+                num = {tuple(e - m for e, m in zip(k, low)): v for k, v in num.items()}
+                den = {tuple(e - m for e, m in zip(k, low)): v for k, v in den.items()}
         self.num = num
         self.den = den
 
     # -- constructors
 
     @classmethod
-    def const(cls, v) -> "ParamField":
-        return cls(ParamPoly.const(v))
-
-    @classmethod
-    def delta(cls) -> "ParamField":
-        return cls(ParamPoly.delta())
-
-    @classmethod
-    def x(cls) -> "ParamField":
-        return cls(ParamPoly.x())
-
-    @staticmethod
-    def _coerce(v) -> "ParamField":
-        if isinstance(v, ParamField):
-            return v
-        if isinstance(v, ParamPoly):
-            return ParamField(v)
-        return ParamField.const(v)
-
-    # -- structure
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def is_const(self) -> bool:
-        return self.num.is_const and self.den.is_const
-
-    def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
-
-    # -- arithmetic
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return ParamField(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamField(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return ParamField(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero in ParamField")
-        return ParamField(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return ParamField.const(1) / self ** (-n)
-        out = ParamField.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamField):
-            if isinstance(other, (int, Fraction)):
-                other = ParamField.const(other)
-            else:
-                return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def subs(self, delta=None, x=None) -> "ParamField":
-        return ParamField(self.num.subs(delta, x), self.den.subs(delta, x))
-
-    def value(self, delta, x) -> Fraction:
-        """Evaluate at exact rational parameter values."""
-        num = self.num.subs(delta, x).const_value()
-        den = self.den.subs(delta, x).const_value()
-        return num / den
-
-    def __repr__(self):
-        if self.den == ParamPoly.const(1):
-            return f"({self.num!r})"
-        return f"({self.num!r})/({self.den!r})"
-
-
-# ---------------------------------------------------------------------------
-# RationalFunction: Q(Delta, x)(z)
-# ---------------------------------------------------------------------------
-
-
-_PF0 = ParamField.const(0)
-_PF1 = ParamField.const(1)
-
-
-def _ztrim(p: list) -> list:
-    while p and p[-1].is_zero:
-        p.pop()
-    return p
-
-
-def _zadd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [_PF0] * n
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _ztrim(out)
-
-
-def _zneg(a: list) -> list:
-    return [-c for c in a]
-
-
-def _zmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [_PF0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca.is_zero:
-            for j, cb in enumerate(b):
-                if not cb.is_zero:
-                    out[i + j] = out[i + j] + ca * cb
-    return _ztrim(out)
-
-
-def _zdivmod(a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial in z")
-    a = list(a)
-    q = [_PF0] * max(0, len(a) - len(b) + 1)
-    inv = _PF1 / b[-1]
-    while len(a) >= len(b) and _ztrim(a):
-        if not a:
-            break
-        d = len(a) - len(b)
-        c = a[-1] * inv
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[i + d] = a[i + d] - c * cb
-        _ztrim(a)
-    return _ztrim(q), a
-
-
-def _zgcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _zdivmod(a, b)[1]
-    if a:
-        inv = _PF1 / a[-1]
-        a = [c * inv for c in a]  # monic
-    return a
-
-
-def _zderiv(a: list) -> list:
-    return _ztrim([a[i] * ParamField.const(i) for i in range(1, len(a))])
-
-
-class RationalFunction:
-    """Rational function of z over Q(Delta, x), gcd-reduced, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Iterable, den: Iterable | None = None):
-        num = _ztrim([ParamField._coerce(c) for c in num])
-        den = _ztrim([ParamField._coerce(c) for c in den]) if den is not None else [_PF1]
-        if not den:
-            raise ZeroDivisionError("zero denominator in RationalFunction")
-        if not num:
-            self.num, self.den = [], [_PF1]
-            return
-        g = _zgcd(num, den)
-        if len(g) > 1:
-            num = _zdivmod(num, g)[0]
-            den = _zdivmod(den, g)[0]
-        inv = _PF1 / den[-1]
-        self.num = [c * inv for c in num]
-        self.den = [c * inv for c in den]
-
-    # -- constructors
-
-    @classmethod
     def const(cls, v) -> "RationalFunction":
-        return cls([ParamField._coerce(v)])
+        return cls({(0, 0, 0): v})
+
+    @classmethod
+    def delta(cls) -> "RationalFunction":
+        return cls({(1, 0, 0): 1})
+
+    @classmethod
+    def x(cls) -> "RationalFunction":
+        return cls({(0, 1, 0): 1})
 
     @classmethod
     def z(cls) -> "RationalFunction":
-        return cls([_PF0, _PF1])
+        return cls({(0, 0, 1): 1})
 
     @staticmethod
     def _coerce(v) -> "RationalFunction":
@@ -619,17 +132,13 @@ class RationalFunction:
     def __add__(self, other):
         other = self._coerce(other)
         return RationalFunction(
-            _zadd(_zmul(self.num, other.den), _zmul(other.num, self.den)),
-            _zmul(self.den, other.den),
+            _add(_mul(self.num, other.den), _mul(other.num, self.den)), _mul(self.den, other.den)
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFunction([])
-        out.num = _zneg(self.num)
-        out.den = list(self.den)
-        return out
+        return RationalFunction({k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -639,7 +148,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return RationalFunction(_zmul(self.num, other.num), _zmul(self.den, other.den))
+        return RationalFunction(_mul(self.num, other.num), _mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -647,7 +156,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(_zmul(self.num, other.den), _zmul(self.den, other.num))
+        return RationalFunction(_mul(self.num, other.den), _mul(self.den, other.num))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -663,57 +172,27 @@ class RationalFunction:
     def differentiate(self) -> "RationalFunction":
         """d/dz by the quotient rule."""
         return RationalFunction(
-            _zadd(_zmul(_zderiv(self.num), self.den), _zneg(_zmul(self.num, _zderiv(self.den)))),
-            _zmul(self.den, self.den),
+            _add(_mul(_dz(self.num), self.den), _mul(self.num, _dz(self.den)), -1),
+            _mul(self.den, self.den),
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
-            if isinstance(other, (int, Fraction, ParamField)):
+            if isinstance(other, (int, Fraction)):
                 other = RationalFunction.const(other)
             else:
                 return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((tuple(self.num), tuple(self.den)))
+        return _mul(self.num, other.den) == _mul(other.num, self.den)
 
     def subs(self, delta=None, x=None) -> "RationalFunction":
         """Substitute rational values for the parameters (z stays formal)."""
-        return RationalFunction(
-            [c.subs(delta, x) for c in self.num], [c.subs(delta, x) for c in self.den]
-        )
+        return RationalFunction(_subs(self.num, delta, x), _subs(self.den, delta, x))
 
     def value(self, z, delta, x) -> Fraction:
         """Evaluate at exact rational (z, Delta, x); raises on a pole."""
-        z = _q(z)
-        num = sum((c.value(delta, x) * z**i for i, c in enumerate(self.num)), Fraction(0))
-        den = sum((c.value(delta, x) * z**i for i, c in enumerate(self.den)), Fraction(0))
-        return num / den
+        return _value(self.num, z, delta, x) / _value(self.den, z, delta, x)
 
     def __repr__(self):
-        def side(p):
-            return " + ".join(f"({c!r})*z**{i}" if i else f"({c!r})" for i, c in enumerate(p)) or "0"
-
-        if self.den == [_PF1]:
-            return side(self.num)
-        return f"[{side(self.num)}] / [{side(self.den)}]"
-
-
-def ratfun_arith(a: RationalFunction, b: RationalFunction | None, op: str) -> RationalFunction:
-    """Dispatch arithmetic on rational functions by operation name.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``, ``div``, ``differentiate``;
-    the last is unary and ignores ``b``.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "differentiate":
-        return a.differentiate()
-    raise ValueError(f"unknown operation {op!r}")
+        if self.den == _ONE:
+            return _repr(self.num)
+        return f"[{_repr(self.num)}] / [{_repr(self.den)}]"

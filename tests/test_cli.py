@@ -131,3 +131,26 @@ def test_output_deterministic(capsys):
     first = run(capsys, "fuse", "P(1/2;1)", "P(-1/2;-1)")
     second = run(capsys, "fuse", "P(1/2;1)", "P(-1/2;-1)")
     assert first == second
+
+
+def test_kz_verify_rejects_bad_tol(capsys):
+    for tol in ("0", "-1", "nan", "inf"):
+        code, out, err = run(capsys, "kz", "verify", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "tol" in json.loads(err)["error"]
+
+
+def test_kz_verify_reports_thresholds(capsys):
+    code, out, _ = run(capsys, "kz", "verify", "--tol", "1e-15")
+    assert code == 0
+    gauss, residual = json.loads(out)["checks"][3:]
+    assert gauss["threshold"] == 1e-8 and gauss["max_abs_error"] < gauss["threshold"]
+    assert set(gauss["worst_at"]) == {"x"}
+    assert residual["threshold"] == 1e-10 and residual["max_residual"] < residual["threshold"]
+    assert set(residual["worst_at"]) == {"x", "Delta", "z"}
+
+
+def test_induce_rejects_negative_m_range(capsys):
+    code, out, err = run(capsys, "induce", "V(1/4;1/2)", "--m-range", "-1")
+    assert (code, out) == (2, "")
+    assert "m_range" in json.loads(err)["error"]

@@ -8,12 +8,12 @@ from random import Random
 import pytest
 
 from gl11kl import kz
-from gl11kl.symbolic import ParamField, RationalFunction
+from gl11kl.symbolic import RationalFunction
 
 F = Fraction
 Z = RationalFunction.z
-D = lambda: RationalFunction.const(ParamField.delta())
-X = lambda: RationalFunction.const(ParamField.x())
+D = RationalFunction.delta
+X = RationalFunction.x
 
 
 # -- first-order system ------------------------------------------------------
