@@ -1,11 +1,16 @@
-"""Jacobi-variable characters: Verma product formula and derived series.
+"""Jacobi-variable characters from the triple-product expansion.
 
-The Verma character is q^Delta y^ehat z^n times a universal three-variable
-product that does not depend on the label, so the product expansion is
-computed once per truncation depth and cached.  Atypical ell = 0 characters
-are alternating telescoping sums of Verma characters; the induced-module
-character identity is verified by expanding both of its sides over a window
-on which both are complete.
+The Verma character is q^Delta y^ehat z^n times a universal product that
+does not depend on the label.  By the Jacobi triple product that product is
+(sum_m z^m q^{m(m+1)/2}) / prod_{j>=1} (1-q^j)^3, so the coefficient of
+q^N z^m is p3(N - m(m+1)/2), where p3 counts 3-coloured partitions; the
+integer offsets (N, m, p3) are computed once per truncation depth and
+cached.  A character is these offsets moved by the label's exponents: each
+distinct exponent is one exact Fraction sum.  Atypical ell = 0 characters
+are alternating telescoping sums of Verma characters, summed on the integer
+offsets before any exponent is formed; the induced-module character
+identity is verified by expanding both of its sides over a window on which
+both are complete.
 
 The z-normalization follows the product formula as printed: the q^0 slice of
 a Verma character is z^n (1 + 1/z).  The internal matrix conventions place
@@ -15,17 +20,14 @@ global factor z^(1/2) and are never mixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotDeterminedError
-from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, ehat
-from .series import JacobiSeries, jacobi_equal_to_cutoff, jacobi_mul
-
-
-def _f(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, ehat
+from .series import JacobiSeries, jacobi_equal_to_cutoff
 
 
 def conformal_weight(n, ehat) -> Fraction:
@@ -66,34 +68,47 @@ class CharacterRequest:
 
 
 @lru_cache(maxsize=None)
-def _universal_product(depth: int) -> JacobiSeries:
-    """Expansion of prod_{i>=0} (1+z q^{i+1})(1+q^i/z) / (1-q^{i+1})^2.
+def _universal_product(depth: int) -> tuple:
+    """Offsets (N, m, c) of prod_{i>=0} (1+z q^{i+1})(1+q^i/z) / (1-q^{i+1})^2.
 
-    Exact integer coefficients up to and including q^depth; exponents are
-    integers (stored as Fractions).  Factors with no support below q^depth
-    are skipped.
+    c is the coefficient of q^N z^m, for every N <= depth.  By the Jacobi
+    triple product the product equals sum_m z^m q^{m(m+1)/2} over
+    prod_{j>=1} (1-q^j)^3, so c = p3(N - m(m+1)/2), where p3 counts
+    3-coloured partitions; m and -m-1 share the value.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    cutoff = Fraction(depth)
-    out = JacobiSeries.monomial(1, 0, 0, 0, q_cutoff=cutoff)
-    for i in range(0, depth + 1):
-        if i >= 1:
-            out = jacobi_mul(
-                out, JacobiSeries({(0, 0, 0): 1, (Fraction(i), Fraction(-1), 0): 1}, cutoff)
-            )
-        if i + 1 <= depth:
-            out = jacobi_mul(
-                out, JacobiSeries({(0, 0, 0): 1, (Fraction(i + 1), Fraction(1), 0): 1}, cutoff)
-            )
-            geom = {
-                (Fraction(m * (i + 1)), Fraction(0), Fraction(0)): m + 1
-                for m in range(0, depth // (i + 1) + 1)
-            }
-            out = jacobi_mul(out, JacobiSeries(geom, cutoff))
-    # the i = 0 factor (1 + 1/z) has no q-power; apply it once
-    out = jacobi_mul(out, JacobiSeries({(0, 0, 0): 1, (0, Fraction(-1), 0): 1}, cutoff))
-    return out
+    # three passes of 1/prod(1-q^j) turn [1, 0, 0, ...] into p3
+    p3 = [1] + [0] * depth
+    for _ in range(3):
+        for part in range(1, depth + 1):
+            for k in range(part, depth + 1):
+                p3[k] += p3[k - part]
+    out = []
+    for big_n in range(depth + 1):
+        m = 0
+        while m * (m + 1) // 2 <= big_n:
+            c = p3[big_n - m * (m + 1) // 2]
+            out.append((big_n, m, c))
+            out.append((big_n, -m - 1, c))
+            m += 1
+    return tuple(out)
+
+
+def _exponents(dq: Fraction, dz: Fraction, depth: int) -> tuple[list, dict]:
+    """q exponents dq + N by N <= depth, z exponents dz + m by offset m.
+
+    The offsets m of the terms up to q-depth ``depth`` lie in [-w-1, w],
+    with w the largest m such that m(m+1)/2 <= depth.
+    """
+    w = (math.isqrt(8 * depth + 1) - 1) // 2
+    return [dq + big_n for big_n in range(depth + 1)], {m: dz + m for m in range(-w - 1, w + 1)}
+
+
+def _terms(offsets: tuple, qs: list, zs: dict, y: Fraction) -> dict:
+    """The terms (qs[N], zs[m], y): c of the offsets (N, m, c) with N < len(qs)."""
+    top = len(qs) - 1
+    return {(qs[big_n], zs[m], y): c for big_n, m, c in offsets if big_n <= top}
 
 
 def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
@@ -105,74 +120,84 @@ def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
     n, ehat, q_cutoff = _f(n), _f(ehat), _f(q_cutoff)
     if q_cutoff < 0:
         raise ValueError("q_cutoff must be nonnegative")
-    base = _universal_product(int(q_cutoff))
-    dq = conformal_weight(n, ehat)
-    shifted = JacobiSeries(
-        {(q + dq, z + n, y + ehat): c for (q, z, y), c in base.terms.items()},
-        q_cutoff,
-    )
-    return shifted
+    depth = int(q_cutoff)
+    qs, zs = _exponents(conformal_weight(n, ehat), n, depth)
+    return JacobiSeries._trusted(_terms(_universal_product(depth), qs, zs, ehat), q_cutoff)
 
 
 def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
     """Character of the atypical simple at (n, 0) on a finite z-window.
 
-    Computed as the alternating sum over m >= 0 of the Verma characters at
-    (n - 1/2 - m, 0); each (q, z) coefficient receives finitely many
-    contributions because the q^j slice of the Verma character has relative
-    z-degrees within [-j - 1, j].  Terms are restricted to z_window at the
-    end, so the window must cover every exponent the caller needs.
+    The alternating sum over m >= 0 of the Verma characters at
+    (n - 1/2 - m, 0).  With c(N, j) the universal coefficient, the
+    coefficient of q^N z^(n - 1/2 + k) is S(N, k) = sum_{j >= k} (-1)^(j-k)
+    c(N, j), summed from the top by S(N, k) = c(N, k) - S(N, k + 1).  As
+    c(N, j) = c(N, -j-1) and the two carry opposite signs, S vanishes below
+    the lowest j of the q^N slice, so every slice is finite in z.  Terms
+    are restricted to z_window, so the window must cover every exponent the
+    caller needs.
     """
     n, q_cutoff = _f(n), _f(q_cutoff)
     z_lo, z_hi = (_f(z_window[0]), _f(z_window[1]))
     if z_lo > z_hi:
         raise ValueError("empty z window")
-    acc: dict = {}
-    m = 0
-    while True:
-        base = n - Fraction(1, 2) - m
-        # highest z-exponent this summand can reach within the q window
-        if base + q_cutoff < z_lo:
-            break
-        sign = 1 if m % 2 == 0 else -1
-        for key, coeff in char_verma(base, 0, q_cutoff).terms.items():
-            val = acc.get(key, 0) + sign * coeff
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
-        m += 1
-    series = JacobiSeries(acc, q_cutoff)
-    return series.restrict_z(z_lo, z_hi)
+    if q_cutoff < 0:
+        raise ValueError("q_cutoff must be nonnegative")
+    depth = int(q_cutoff)
+    centre = n - Fraction(1, 2)
+    k_lo, k_hi = math.ceil(z_lo - centre), math.floor(z_hi - centre)
+    rows: dict = {}  # N -> {j: c(N, j)}
+    for big_n, j, c in _universal_product(depth):
+        rows.setdefault(big_n, {})[j] = c
+    sums = []
+    for big_n, row in rows.items():
+        total = 0
+        for k in range(max(row), min(row) - 1, -1):
+            total = row[k] - total
+            if total and k_lo <= k <= k_hi:
+                sums.append((big_n, k, total))
+    qs, zs = _exponents(Fraction(0), centre, depth)
+    return JacobiSeries._trusted(_terms(sums, qs, zs, Fraction(0)), q_cutoff)
 
 
 def char_induced_typical(n, ehat, m_range: int, q_cutoff) -> tuple[JacobiSeries, JacobiSeries]:
     """Both sides of the induced-module character identity, truncated alike.
 
     Left side: the sum over |m| <= m_range of the Verma characters at
-    (n + m, ehat - 2m).  Right side: the Verma character at (n, ehat) times
-    the finite sum of q^{-m(2n+ehat)} y^{-2m} z^m.  Uses the level-1
-    normalization (ehat = e).  Both sides are complete on a window of size
-    q_cutoff above the base weight; the summand offsets are absorbed by
-    expanding m_range*|2n+ehat| deeper.
+    (n + m, ehat - 2m), each with its own conformal weight.  Right side: the
+    Verma character at (n, ehat) times the finite sum of
+    q^{-m(2n+ehat)} y^{-2m} z^m, taken as one shift of that Verma's
+    exponents per m.  Uses the level-1 normalization (ehat = e).  Both
+    sides are complete on a window of size q_cutoff above the base weight;
+    the summand offsets are absorbed by expanding
+    depth = q_cutoff + m_range*|2n+ehat| deeper, and each side keeps its
+    terms up to depth above its lowest weight.  The summands of either side
+    carry distinct y exponents, so they never share a term.
     """
     n, ehat, q_cutoff = _f(n), _f(ehat), _f(q_cutoff)
     if m_range < 1:
         raise ValueError("m_range must be at least 1")
     shift = 2 * n + ehat
     depth = q_cutoff + m_range * abs(shift)
-    lhs = JacobiSeries.zero(depth)
+    if depth < 0:
+        raise ValueError("q_cutoff must be nonnegative")
+    offsets = _universal_product(int(depth))
+    delta = conformal_weight(n, ehat)
+    bound = delta - m_range * abs(shift) + depth
+    lhs: dict = {}
+    rhs: dict = {}
+    qs, zs = _exponents(delta, n, int(depth))
     for m in range(-m_range, m_range + 1):
-        lhs = lhs + char_verma(n + m, ehat - 2 * m, depth)
-    comb = JacobiSeries(
-        {
-            (-m * shift, Fraction(m), Fraction(-2 * m)): 1
-            for m in range(-m_range, m_range + 1)
-        },
-        None,
-    )
-    rhs = jacobi_mul(char_verma(n, ehat, depth), comb)
-    return lhs, rhs
+        y = ehat - 2 * m
+        delta_m = conformal_weight(n + m, y)
+        top = math.floor(bound - delta_m)
+        if top >= 0:
+            lhs.update(_terms(offsets, *_exponents(delta_m, n + m, top), y))
+        qs_m = [q - m * shift for q in qs]
+        qs_m = [q for q in qs_m if q <= bound]  # increasing, so a prefix
+        zs_m = {j: z + m for j, z in zs.items()}
+        rhs.update(_terms(offsets, qs_m, zs_m, y))
+    return JacobiSeries._trusted(lhs, depth), JacobiSeries._trusted(rhs, depth)
 
 
 def induced_window(n, ehat, m_range: int, q_cutoff) -> Fraction:

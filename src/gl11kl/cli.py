@@ -38,6 +38,17 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError in place of printing usage text and exiting 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+#: largest --cutoff for char: the output and the work grow as cutoff^(3/2)
+MAX_CHAR_CUTOFF = 200
+
+
 def _summands_json(total: FormalSum) -> dict:
     return {
         "summands": [
@@ -87,7 +98,10 @@ def _cmd_char(args) -> dict:
         window = (Fraction(lo_text), Fraction(hi_text))
     if isinstance(label, labels.AtypicalA) and label.ell == 0 and window is None:
         raise UsageError("atypical characters need --z-window lo,hi")
-    request = characters.CharacterRequest(label, Fraction(args.cutoff), window)
+    cutoff = Fraction(args.cutoff)
+    if cutoff > MAX_CHAR_CUTOFF:
+        raise UsageError(f"--cutoff must be at most {MAX_CHAR_CUTOFF}, got {args.cutoff}")
+    request = characters.CharacterRequest(label, cutoff, window)
     series = request.expand()
     terms = [
         {"q": str(q), "z": str(z), "y": str(y), "coeff": c}
@@ -159,7 +173,7 @@ def _cmd_kz(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gl11kl",
         description="Exact fusion, characters and extension analysis for affine gl(1|1)",
     )
@@ -177,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="character expansion of a label")
     p.add_argument("label")
-    p.add_argument("--cutoff", default="2", help="q-window above the lowest weight")
+    p.add_argument(
+        "--cutoff", default="2", help=f"q-window above the lowest weight, at most {MAX_CHAR_CUTOFF}"
+    )
     p.add_argument("--z-window", default=None, help="lo,hi bounds on z exponents")
     p.set_defaults(func=_cmd_char)
 
@@ -211,11 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except UsageError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 2
     try:
         payload = args.func(args)
     except Gl11Error as exc:

@@ -28,6 +28,7 @@ from .labels import (
     AtypicalA,
     ModuleLabel,
     TypicalV,
+    _f,
     delta,
     epsilon,
     is_simple,
@@ -35,10 +36,6 @@ from .labels import (
     strip_parity,
 )
 from .series import JacobiSeries, jacobi_equal_to_cutoff
-
-
-def _f(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OracleError
+from .labels import _f
 
 Matrix = tuple  # tuple of row tuples of Fraction
-
-
-def _f(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 # ---------------------------------------------------------------------------

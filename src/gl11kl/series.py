@@ -47,6 +47,19 @@ class JacobiSeries:
         self.terms = clean
         self.q_cutoff = cutoff
 
+    @classmethod
+    def _trusted(cls, terms: dict, q_cutoff: Fraction | None) -> "JacobiSeries":
+        """Wrap terms that are already clean, without copying or checking.
+
+        The caller guarantees: keys are (q, z, y) Fraction triples, values are
+        nonzero ints, ``q_cutoff`` is None or a nonnegative Fraction, and no
+        term lies more than ``q_cutoff`` above the lowest q exponent.
+        """
+        series = cls.__new__(cls)
+        series.terms = terms
+        series.q_cutoff = q_cutoff
+        return series
+
     # -- constructors
 
     @classmethod
@@ -162,11 +175,10 @@ def jacobi_mul(a: JacobiSeries, b: JacobiSeries) -> JacobiSeries:
     The result window is the minimum of the two operand windows, measured
     from the product's minimal q exponent (the sum of the operand minima).
     """
+    cutoff = _combine_bounds(a.q_cutoff, b.q_cutoff)
     if a.is_zero or b.is_zero:
-        cutoff = _min_cutoff(a.q_cutoff, b.q_cutoff)
         return JacobiSeries.zero(cutoff)
     base = a.min_q() + b.min_q()
-    cutoff = _min_cutoff(a.q_cutoff, b.q_cutoff)
     bound = None if cutoff is None else base + cutoff
     terms: dict = {}
     for (qa, za, ya), va in a.terms.items():
@@ -180,15 +192,10 @@ def jacobi_mul(a: JacobiSeries, b: JacobiSeries) -> JacobiSeries:
                 terms[k] = s
             else:
                 terms.pop(k, None)
-    return JacobiSeries(terms, cutoff)
-
-
-def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    # the lowest q-slices of a and b are nonzero Laurent polynomials in z, y,
+    # so their product is too: the product's lowest q is base, and every
+    # term kept lies within cutoff of it
+    return JacobiSeries._trusted(terms, cutoff)
 
 
 def jacobi_equal_to_cutoff(a: JacobiSeries, b: JacobiSeries, window) -> bool:
@@ -204,7 +211,13 @@ def jacobi_equal_to_cutoff(a: JacobiSeries, b: JacobiSeries, window) -> bool:
     mins = [m for m in (a.min_q(), b.min_q()) if m is not None]
     if not mins:
         return True
-    base = min(mins)
-    keys = {k for k in a.terms if k[0] - base <= window}
-    keys |= {k for k in b.terms if k[0] - base <= window}
-    return all(a.terms.get(k, 0) == b.terms.get(k, 0) for k in keys)
+    limit = min(mins) + window
+    # stored coefficients are nonzero, so once every term of a inside the
+    # window is matched in b, equal counts leave b no extra term there
+    inside = 0
+    for k, v in a.terms.items():
+        if k[0] <= limit:
+            if b.terms.get(k) != v:
+                return False
+            inside += 1
+    return inside == sum(1 for k in b.terms if k[0] <= limit)

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from gl11kl import characters as ch
-from gl11kl.series import jacobi_equal_to_cutoff
+from gl11kl.series import JacobiSeries, jacobi_equal_to_cutoff, jacobi_mul
 
 import _draws
 
@@ -41,6 +41,48 @@ def brute_product_slices(depth: int) -> dict:
     return acc
 
 
+def alternating_verma_sum(n, q_cutoff, z_window) -> JacobiSeries:
+    """The atypical character as the alternating sum of Verma series.
+
+    The former body of ``char_atypical0``: one ``char_verma`` per m, summed
+    with sign (-1)^m on Fraction keys, then cut to the z-window.  The loop
+    stops once a summand's highest z exponent falls below the window.
+    """
+    n, q_cutoff = F(n), F(q_cutoff)
+    z_lo, z_hi = F(z_window[0]), F(z_window[1])
+    acc = {}
+    m = 0
+    while n - F(1, 2) - m + q_cutoff >= z_lo:
+        for key, coeff in ch.char_verma(n - F(1, 2) - m, 0, q_cutoff).terms.items():
+            acc[key] = acc.get(key, 0) + (-1) ** m * coeff
+        m += 1
+    return JacobiSeries(acc, q_cutoff).restrict_z(z_lo, z_hi)
+
+
+def induced_by_series_arithmetic(n, ehat, m_range, q_cutoff):
+    """Both sides of the induced identity by series arithmetic.
+
+    The former body of ``char_induced_typical``: the left side as a chain
+    of ``+`` over the Verma summands, the right side as ``jacobi_mul`` of
+    one Verma with the finite sum of q^{-m(2n+ehat)} z^m y^{-2m}.
+    """
+    n, ehat, q_cutoff = F(n), F(ehat), F(q_cutoff)
+    shift = 2 * n + ehat
+    depth = q_cutoff + m_range * abs(shift)
+    lhs = JacobiSeries.zero(depth)
+    for m in range(-m_range, m_range + 1):
+        lhs = lhs + ch.char_verma(n + m, ehat - 2 * m, depth)
+    comb = JacobiSeries({(-m * shift, m, -2 * m): 1 for m in range(-m_range, m_range + 1)}, None)
+    return lhs, jacobi_mul(ch.char_verma(n, ehat, depth), comb)
+
+
+def assert_same_series(got: JacobiSeries, want: JacobiSeries):
+    assert got.terms == want.terms
+    assert got.q_cutoff == want.q_cutoff
+    assert all(type(e) is F for key in got.terms for e in key)
+    assert all(type(c) is int and c for c in got.terms.values())
+
+
 def test_verma_q0_slice():
     s = ch.char_verma(0, 0, 0)
     assert s.terms == {
@@ -68,6 +110,22 @@ def test_verma_against_brute_force():
         k: v for k, v in want.items()
     }
     assert all(y == e for (_, _, y) in got.terms)
+    # the triple-product closed form against the product form, depth by depth
+    for depth in range(11):
+        got = ch.char_verma(0, 0, depth)
+        assert {(q, z): c for (q, z, y), c in got.terms.items()} == brute_product_slices(depth)
+        assert all(y == 0 for (_, _, y) in got.terms)
+        assert got.q_cutoff == depth
+
+
+def test_universal_product_cache_hooks():
+    # the benchmark splits cold from warm character time on these
+    ch._universal_product.cache_clear()
+    assert ch._universal_product.cache_info().currsize == 0
+    ch._universal_product(4)
+    ch._universal_product(4)
+    info = ch._universal_product.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_verma_q1_slice_values():
@@ -109,6 +167,20 @@ def test_atypical0_coefficients_nonnegative():
         assert not a.is_zero
 
 
+def test_atypical0_matches_alternating_verma_sum():
+    rng = Random(45)
+    for _ in range(40):
+        n = F(rng.randint(-12, 12), rng.choice((1, 2, 4)))
+        cutoff = F(rng.randint(0, 12), rng.choice((1, 2)))
+        if cutoff > 6:
+            cutoff = F(rng.randint(0, 6))
+        lo = F(rng.randint(-16, 16), rng.choice((1, 2, 4)))
+        window = (lo, lo + F(rng.randint(0, 24), rng.choice((1, 2))))
+        assert_same_series(
+            ch.char_atypical0(n, cutoff, window), alternating_verma_sum(n, cutoff, window)
+        )
+
+
 def test_exact_sequence_additivity():
     rng = Random(43)
     for _ in range(10):
@@ -145,6 +217,25 @@ def test_induced_identity_exact():
     assert ch.verify_induced_identity(F(1, 3), F(-3, 4), 3, 2)
     # 2n + e integral (flat direction) and non-integral alike
     assert ch.verify_induced_identity(F(1, 4), F(3, 2), 3, 2)
+
+
+def test_induced_sides_match_series_arithmetic():
+    rng = Random(46)
+    draws = [(F(-1, 4), F(1, 2), 2, F(1))]  # 2n + ehat = 0: no q shift
+    for _ in range(30):
+        n, e = _draws.rational(rng, 3), _draws.nonintegral(rng)
+        # q_cutoff below m_range*|2n+ehat| cuts the heaviest summands away
+        draws.append((n, e, rng.randint(1, 3), F(rng.randint(-2, 8), rng.choice((1, 2)))))
+    for n, e, m_range, q_cutoff in draws:
+        try:
+            want = induced_by_series_arithmetic(n, e, m_range, q_cutoff)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ch.char_induced_typical(n, e, m_range, q_cutoff)
+            continue
+        got = ch.char_induced_typical(n, e, m_range, q_cutoff)
+        assert_same_series(got[0], want[0])
+        assert_same_series(got[1], want[1])
 
 
 def test_induced_identity_mismatch_detected():

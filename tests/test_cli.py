@@ -154,3 +154,29 @@ def test_induce_rejects_negative_m_range(capsys):
     code, out, err = run(capsys, "induce", "V(1/4;1/2)", "--m-range", "-1")
     assert (code, out) == (2, "")
     assert "m_range" in json.loads(err)["error"]
+
+
+def test_char_cutoff_is_bounded(capsys):
+    for cutoff in ("201", "401/2", "1e9"):
+        code, out, err = run(capsys, "char", "V(1/4;1/2)", "--cutoff", cutoff)
+        assert (code, out) == (2, "")
+        assert "cutoff" in json.loads(err)["error"]
+    code, out, _ = run(capsys, "char", "A(1/4;0)", "--cutoff", "200", "--z-window=-1,1")
+    assert code == 0
+    assert json.loads(out)["terms"]
+
+
+def test_argument_errors_are_json(capsys):
+    for argv in (
+        ("kz", "verify", "--tol", "abc"),
+        ("induce", "V(1/4;1/2)", "--m-range", "x"),
+        ("fuse", "A(0;0)"),
+        ("frobnicate",),
+        (),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"], argv
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert "usage" in out

@@ -39,6 +39,21 @@ def test_hyp2f1_inside_the_disc():
                 assert abs(kz.hyp2f1(x, z, tol=1e-12) - want) < 1e-12
 
 
+def test_hyp2f1_rejects_cancellation():
+    # at x = 49/2 the terms reach ~1e13 against a result below 1: the
+    # double-precision sum is off by 1.1e-6 at z = 0.5 and by 4.4 at z = 0.99
+    x = F(49, 2)
+    with mpmath.workdps(40):
+        for z in (0.5, 0.99):
+            total = term = 1.0
+            for n in range(3000):
+                term *= kz._term_ratio(n, float(x)) * z
+                total += term
+            assert abs(total - mpmath.hyp2f1(mp(x), -mp(x), 1, mpmath.mpf(z))) > 1e-7
+            with pytest.raises(ValueError, match="cancellation"):
+                kz.hyp2f1(x, z, tol=1e-12)
+
+
 def test_rigidity_constant_at_one():
     with mpmath.workdps(40):
         for x in (F(1, 10), F(1, 3), F(7, 10), F(5, 2), F(49, 2)):
