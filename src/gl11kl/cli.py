@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import characters, extensions, kz, labels, oracle
@@ -19,19 +20,28 @@ from .fusion import fuse
 from .labels import FormalSum, k_decompose, parse_label, render_label
 
 
-def _ext_from_flag(text: str) -> extensions.ExtensionSpec:
+def _ext_from_flag(text: str) -> tuple[extensions.ExtensionSpec, list[str]]:
+    """The extension a flag names, with the admissibility warnings it raised."""
     if text == "sl21-neg-half":
-        return extensions.SL21_MINUS_HALF
+        return extensions.SL21_MINUS_HALF, []
     if text == "sl21-level1":
-        return extensions.SL21_LEVEL1
+        return extensions.SL21_LEVEL1, []
     if text.startswith("custom:"):
         body = text[len("custom:"):]
         try:
             a_text, b_text = body.split(",")
-            return extensions.ExtensionSpec.custom(Fraction(a_text), int(b_text))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ext = extensions.ExtensionSpec.custom(Fraction(a_text), int(b_text))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad custom extension {text!r}: {exc}") from exc
+        return ext, [str(w.message) for w in caught]
     raise UsageError(f"unknown extension {text!r}")
+
+
+def _warnings_json(caught: list[str]) -> dict:
+    """A ``warnings`` key, present only when a warning fired."""
+    return {"warnings": caught} if caught else {}
 
 
 class UsageError(Exception):
@@ -47,6 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 #: largest --cutoff for char: the output and the work grow as cutoff^(3/2)
 MAX_CHAR_CUTOFF = 200
+#: largest --m-range for induce: the output and the work grow linearly in it
+MAX_INDUCE_M_RANGE = 1000
 
 
 def _summands_json(total: FormalSum) -> dict:
@@ -112,7 +124,9 @@ def _cmd_char(args) -> dict:
 
 def _cmd_induce(args) -> dict:
     label = parse_label(args.label)
-    ext = _ext_from_flag(args.ext)
+    ext, caught = _ext_from_flag(args.ext)
+    if args.m_range > MAX_INDUCE_M_RANGE:
+        raise UsageError(f"--m-range must be at most {MAX_INDUCE_M_RANGE}, got {args.m_range}")
     out = extensions.induce(label, ext, args.m_range)
     return {
         "label": render_label(label),
@@ -121,12 +135,13 @@ def _cmd_induce(args) -> dict:
             {"m": m, "label": render_label(lbl)}
             for m, lbl in zip(range(-args.m_range, args.m_range + 1), out)
         ],
+        **_warnings_json(caught),
     }
 
 
 def _cmd_monodromy(args) -> dict:
     label = parse_label(args.label)
-    ext = _ext_from_flag(args.ext)
+    ext, caught = _ext_from_flag(args.ext)
     rows = []
     for m in (-2, -1, 1, 2):
         exponent = extensions.monodromy_exponent(label, ext.generator_of(m))
@@ -138,16 +153,18 @@ def _cmd_monodromy(args) -> dict:
         "extension": ext.name,
         "exponents": rows,
         "local": extensions.is_local(label, ext),
+        **_warnings_json(caught),
     }
 
 
 def _cmd_local(args) -> dict:
     label = parse_label(args.label)
-    ext = _ext_from_flag(args.ext)
+    ext, caught = _ext_from_flag(args.ext)
     return {
         "label": render_label(label),
         "extension": ext.name,
         "local": extensions.is_local(label, ext),
+        **_warnings_json(caught),
     }
 
 
@@ -200,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induce", help="summands of an induced module")
     p.add_argument("label")
     p.add_argument("--ext", default="sl21-neg-half")
-    p.add_argument("--m-range", type=int, default=3)
+    p.add_argument(
+        "--m-range", type=int, default=3, help=f"summands m = -M..M, M at most {MAX_INDUCE_M_RANGE}"
+    )
     p.set_defaults(func=_cmd_induce)
 
     p = sub.add_parser("monodromy", help="monodromy exponents against the generators")

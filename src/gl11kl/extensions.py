@@ -10,6 +10,12 @@ realizations used for sl(2|1):
   A(m - eps(m); -2m).
 * ``SL21_LEVEL1``: generator steps (a, b) = (1/2, 1), summands A(eps(m); m).
 
+Induction uses closed forms in place of fusion: with step = a - eps(b),
+fusing with the m-th generator moves V(n;ehat) to V(n + m step; ehat + m b)
+and A(n;l) or P(n;l) to the same kind at (n + m step - eps(l) + eps(l + m b);
+l + m b), so the summand weights grow in m with quadratic coefficient
+b (step + b/2).
+
 Locality of an induced module is decided by integrality of the monodromy
 exponents against the generators at m = +-1; the exponent is affine in m
 modulo the integers, which the additivity property test certifies.
@@ -27,6 +33,7 @@ from .fusion import fuse
 from .labels import (
     AtypicalA,
     ModuleLabel,
+    ProjectiveP,
     TypicalV,
     _f,
     delta,
@@ -49,6 +56,11 @@ class ExtensionSpec:
     def __post_init__(self):
         object.__setattr__(self, "a", _f(self.a))
         object.__setattr__(self, "b", int(self.b))
+
+    @property
+    def step(self) -> Fraction:
+        """a - eps(b): the n-offset per unit of m, up to the eps terms."""
+        return self.a - epsilon(self.b)
 
     def generator_of(self, m: int) -> AtypicalA:
         """The m-th summand: the m-th fusion power of the base generator."""
@@ -91,8 +103,22 @@ class InducedModule:
     extension: ExtensionSpec
 
     def summand(self, m: int) -> ModuleLabel:
-        """fuse(base, generator_of(m)), always a single label."""
-        return fuse(self.base, self.extension.generator_of(m)).single()
+        """fuse(base, generator_of(m)), always a single label, in closed form.
+
+        With step = a - eps(b) the generator is A(m step + eps(m b); m b), so
+        V(n;ehat) goes to V(n + m step; ehat + m b), and A(n;l) and P(n;l) go
+        to the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).
+        A reducible Verma base raises as :func:`fuse` does.
+        """
+        base, ext = self.base, self.extension
+        m = int(m)
+        kind = type(base)
+        if kind is TypicalV:
+            return TypicalV(base.n + m * ext.step, base.ehat + m * ext.b)
+        if kind is AtypicalA or kind is ProjectiveP:
+            ell = base.ell + m * ext.b
+            return kind(base.n + m * ext.step - epsilon(base.ell) + epsilon(ell), ell)
+        return fuse(base, ext.generator_of(m)).single()
 
 
 def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
@@ -150,7 +176,7 @@ def induced_equivalent(s: ModuleLabel, s2: ModuleLabel, ext: ExtensionSpec) -> b
         ratio = offset / ext.b
         if ratio.denominator != 1:
             return False
-        return fuse(s, ext.generator_of(int(ratio))).single() == s2
+        return InducedModule(s, ext).summand(int(ratio)) == s2
     # degenerate custom extension with no ell motion
     if ext.a == 0:
         return s == s2
@@ -162,7 +188,7 @@ def induced_equivalent(s: ModuleLabel, s2: ModuleLabel, ext: ExtensionSpec) -> b
     if (offset / ext.a).denominator != 1:
         return False
     m = int(offset / ext.a)
-    return fuse(s, ext.generator_of(m)).single() == s2
+    return InducedModule(s, ext).summand(m) == s2
 
 
 def induced_projective_cover(
@@ -200,40 +226,39 @@ def _fit_quadratic(points: list[tuple[int, Fraction]]):
 
 
 def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
-    """Fit Delta(summand(m)) as an exact polynomial of degree <= 2 in m.
+    """Delta(summand(m)) as an exact polynomial of degree <= 2 in m.
 
-    The fit uses m in {-1, 0, 1, 2} when those four points already lie on one
-    polynomial (always the case for typical bases).  Atypical bases can pick
-    up piecewise-linear corrections near m = 0 from the half-integer step
-    function; the reported coefficients then come from a one-sided window
-    beyond every kink, and the classification additionally consults the
-    opposite side so that flat or falling directions are never missed:
-    positive quadratic growth is ``lowest_weight``; with no quadratic term, a
-    direction along which the weights fall is ``spectral_flow_unbounded`` and
-    an exactly flat direction is ``relaxed_flat``.
+    With step = a - eps(b), the weights grow with quad = b (step + b/2).  A
+    typical base V(n;ehat) follows one polynomial for every m, with linear
+    coefficient b n + ehat (step + b).  An atypical base A(n;l) follows
+    lin+- = l (step + b/2) + b (n - eps(l) + l/2 +- eps(b)) as m -> +-inf,
+    but can pick up piecewise-linear corrections near m = 0 from the
+    half-integer step function: when the four points m in {-1, 0, 1, 2} lie
+    on one polynomial, its coefficients are reported, and otherwise quad and
+    lin+.  The classification consults both directions so that flat or
+    falling ones are never missed: positive quadratic growth is
+    ``lowest_weight``; with no quadratic term, a direction along which the
+    weights fall is ``spectral_flow_unbounded`` and an exactly flat
+    direction is ``relaxed_flat``.
     """
     s = strip_parity(s)
     if not is_simple(s):
         raise ValueError("weight growth applies to simple labels")
-    ind = InducedModule(s, ext)
-
-    def sample(ms):
-        return [(m, delta(ind.summand(m))) for m in ms]
-
-    ell0 = s.ell if isinstance(s, AtypicalA) else 0
-    guard = abs(ell0) + abs(ext.b) + 2
-    fit = _fit_quadratic(sample([-1, 0, 1, 2]))
-    pos = _fit_quadratic(sample([guard, guard + 1, guard + 2, guard + 3]))
-    neg = _fit_quadratic(sample([-guard - 3, -guard - 2, -guard - 1, -guard]))
-    if pos is None or neg is None or pos[0] != neg[0]:
-        raise Gl11Error("summand weights do not follow a quadratic growth law")
-    quad = pos[0]
-    lin_pos, lin_neg = pos[1], neg[1]
-    if fit is not None:
-        quad, lin, _ = fit
-        report_lin = lin
+    b, step = ext.b, ext.step
+    rate = step + Fraction(b, 2)
+    quad = b * rate
+    if isinstance(s, TypicalV):
+        lin = lin_pos = lin_neg = b * s.n + s.ehat * (step + b)
     else:
-        report_lin = lin_pos
+        ell = s.ell
+        lin_mid = ell * rate + b * (s.n - epsilon(ell) + Fraction(ell, 2))
+        lin_pos, lin_neg = lin_mid + b * epsilon(b), lin_mid - b * epsilon(b)
+        ind = InducedModule(s, ext)
+        fit = _fit_quadratic([(m, delta(ind.summand(m))) for m in (-1, 0, 1, 2)])
+        if fit is not None:
+            quad, lin, _ = fit
+        else:
+            lin = lin_pos
     if quad > 0:
         cls = "lowest_weight"
     elif quad < 0:
@@ -244,7 +269,7 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
         cls = "relaxed_flat"
     else:
         cls = "lowest_weight"
-    return WeightGrowth(quad, report_lin, cls)
+    return WeightGrowth(quad, lin, cls)
 
 
 def induced_character(n, ehat, m_range: int, q_cutoff) -> JacobiSeries:

@@ -89,11 +89,12 @@ def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:
 
 def fuse_formal(a: FormalSum, b: FormalSum) -> FormalSum:
     """Bilinear extension of :func:`fuse` to formal sums."""
-    out = FormalSum()
+    out: dict[ModuleLabel, int] = {}
     for la, ma in a.items():
         for lb, mb in b.items():
-            out = out + (ma * mb) * fuse(la, lb)
-    return out
+            for label, m in fuse(la, lb).items():
+                out[label] = out.get(label, 0) + ma * mb * m
+    return FormalSum._trusted(out)
 
 
 def k_ring_check(a: ModuleLabel, b: ModuleLabel) -> bool:

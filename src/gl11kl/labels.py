@@ -21,6 +21,8 @@ def _f(v) -> Fraction:
 
 
 def _int(v) -> int:
+    if type(v) is int:
+        return v
     f = _f(v)
     if f.denominator != 1:
         raise ValueError(f"expected an integer, got {f}")
@@ -111,13 +113,16 @@ def ehat(label: ModuleLabel) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+_HALF, _ZERO, _MINUS_HALF = Fraction(1, 2), Fraction(0), Fraction(-1, 2)
+
+
 def epsilon(ell: int) -> Fraction:
     """The half-integer step function: 1/2, 0, -1/2 for ell >, =, < 0."""
     if ell > 0:
-        return Fraction(1, 2)
+        return _HALF
     if ell < 0:
-        return Fraction(-1, 2)
-    return Fraction(0)
+        return _MINUS_HALF
+    return _ZERO
 
 
 def epsilon2(ell: int, ell2: int) -> Fraction:
@@ -149,28 +154,6 @@ def top_dim(label: ModuleLabel) -> int:
     raise TypeError(f"unknown label {label!r}")
 
 
-@dataclass(frozen=True)
-class WeightData:
-    """Scalar invariants of a label: lowest weight, step scalar, top dimension."""
-
-    delta: Fraction
-    epsilon: Fraction
-    top_dim: int
-
-    def __post_init__(self):
-        if self.epsilon not in (Fraction(-1, 2), Fraction(0), Fraction(1, 2)):
-            raise ValueError("epsilon must be one of -1/2, 0, 1/2")
-        if self.top_dim < 1:
-            raise ValueError("top_dim must be positive")
-
-
-def weight_data(label: ModuleLabel) -> WeightData:
-    """Bundle (delta, epsilon, top_dim); typicals sit off the integer lattice
-    and carry epsilon = 0."""
-    ell = 0 if isinstance(label, TypicalV) else label.ell
-    return WeightData(delta=delta(label), epsilon=epsilon(ell), top_dim=top_dim(label))
-
-
 # ---------------------------------------------------------------------------
 # functors on labels
 # ---------------------------------------------------------------------------
@@ -188,7 +171,6 @@ def spectral_flow(label: ModuleLabel, ell: int) -> ModuleLabel:
     ell = _int(ell)
     if ell == 0:
         return label
-    half = Fraction(1, 2)
     if isinstance(label, VermaV0):
         if label.ell == 0:
             return VermaV0(label.n - ell, ell, label.parity_flip)
@@ -199,14 +181,14 @@ def spectral_flow(label: ModuleLabel, ell: int) -> ModuleLabel:
         if label.ell != 0:
             raise NotDeterminedError("spectral flow of an atypical label requires ehat = 0")
         if ell < 0:
-            return AtypicalA(label.n - ell - half, ell, label.parity_flip)
-        return AtypicalA(-label.n - ell + half, ell, label.parity_flip)
+            return AtypicalA(label.n - ell - _HALF, ell, label.parity_flip)
+        return AtypicalA(-label.n - ell + _HALF, ell, label.parity_flip)
     if isinstance(label, ProjectiveP):
         if label.ell != 0:
             raise NotDeterminedError("spectral flow of a projective label requires ehat = 0")
         if ell < 0:
-            return ProjectiveP(label.n - ell - half, ell, label.parity_flip)
-        return ProjectiveP(-label.n - ell + half, ell, label.parity_flip)
+            return ProjectiveP(label.n - ell - _HALF, ell, label.parity_flip)
+        return ProjectiveP(-label.n - ell + _HALF, ell, label.parity_flip)
     raise NotDeterminedError("spectral flow of a typical label is not defined here")
 
 
@@ -287,11 +269,21 @@ class FormalSum:
             raise ValueError("formal sum is not multiplicity-free")
         return label
 
+    @classmethod
+    def _trusted(cls, terms: dict) -> "FormalSum":
+        """Wrap a dict that is already clean, without copying or checking.
+
+        The caller guarantees: keys are labels and values are positive ints.
+        """
+        total = cls.__new__(cls)
+        total._terms = terms
+        return total
+
     def __add__(self, other: "FormalSum") -> "FormalSum":
         out = dict(self._terms)
         for lbl, m in other._terms.items():
             out[lbl] = out.get(lbl, 0) + m
-        return FormalSum(out)
+        return FormalSum._trusted(out)
 
     def __rmul__(self, s: int) -> "FormalSum":
         s = int(s)
@@ -299,7 +291,7 @@ class FormalSum:
             raise ValueError("scaling must be nonnegative")
         if s == 0:
             return FormalSum()
-        return FormalSum({lbl: m * s for lbl, m in self._terms.items()})
+        return FormalSum._trusted({lbl: m * s for lbl, m in self._terms.items()})
 
     __mul__ = __rmul__
 
@@ -338,8 +330,7 @@ def k_decompose(label: ModuleLabel) -> FormalSum:
         return FormalSum(label)
     if isinstance(label, VermaV0):
         if label.ell == 0:
-            half = Fraction(1, 2)
-            return FormalSum([AtypicalA(label.n - half, 0), AtypicalA(label.n + half, 0)])
+            return FormalSum([AtypicalA(label.n - _HALF, 0), AtypicalA(label.n + _HALF, 0)])
         shift = 1 if label.ell > 0 else -1
         return FormalSum(
             [AtypicalA(label.n, label.ell), AtypicalA(label.n + shift, label.ell)]
@@ -357,10 +348,11 @@ def k_decompose(label: ModuleLabel) -> FormalSum:
 
 def k_decompose_sum(s: FormalSum) -> FormalSum:
     """Linear extension of :func:`k_decompose` to formal sums."""
-    out = FormalSum()
+    out: dict[ModuleLabel, int] = {}
     for label, mult in s.items():
-        out = out + mult * k_decompose(label)
-    return out
+        for factor, m in k_decompose(label).items():
+            out[factor] = out.get(factor, 0) + mult * m
+    return FormalSum._trusted(out)
 
 
 # ---------------------------------------------------------------------------

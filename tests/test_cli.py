@@ -180,3 +180,28 @@ def test_argument_errors_are_json(capsys):
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "")
     assert "usage" in out
+
+
+def test_induce_m_range_is_bounded(capsys):
+    code, out, err = run(capsys, "induce", "V(1/4;1/2)", "--m-range", "1001")
+    assert (code, out) == (2, "")
+    assert "m-range" in json.loads(err)["error"]
+    code, out, err = run(capsys, "induce", "A(0;0)", "--m-range", "1000")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["summands"]) == 2001
+
+
+def test_custom_extension_warnings_in_payload(capsys):
+    # A(1/3;5) breaks the 2n*ell integrality constraint, A(1/3;-1) both constraints
+    code, out, err = run(capsys, "local", "A(0;0)", "--ext", "custom:1/3,5")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["local"] is True
+    assert len(payload["warnings"]) == 1 and "integrality" in payload["warnings"][0]
+    for command in ("induce", "monodromy", "local"):
+        code, out, err = run(capsys, command, "A(0;0)", "--ext", "custom:1/3,-1")
+        assert (code, err) == (0, ""), command
+        assert len(json.loads(out)["warnings"]) == 2, command
+        code, out, err = run(capsys, command, "A(0;0)", "--ext", "custom:1/2,-2")
+        assert (code, err) == (0, ""), command
+        assert "warnings" not in json.loads(out), command

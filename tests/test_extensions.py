@@ -7,9 +7,18 @@ from random import Random
 import pytest
 
 from gl11kl import extensions as ex
-from gl11kl.errors import Gl11Error
+from gl11kl.errors import Gl11Error, NotDeterminedError
 from gl11kl.fusion import fuse
-from gl11kl.labels import AtypicalA, ProjectiveP, TypicalV, delta, epsilon
+from gl11kl.labels import (
+    AtypicalA,
+    ProjectiveP,
+    TypicalV,
+    VermaV0,
+    delta,
+    epsilon,
+    is_simple,
+    strip_parity,
+)
 
 import _draws
 
@@ -235,3 +244,117 @@ def test_induced_character_verified():
     out = ex.induced_character(F(1, 4), F(1, 2), 3, 2)
     assert not out.is_zero
     assert all(isinstance(v, int) for v in out.terms.values())
+
+
+def summand_by_fusion(base, ext, m):
+    """The former InducedModule.summand: fuse with the m-th generator."""
+    return fuse(base, ext.generator_of(m)).single()
+
+
+def sampled_weight_growth(s, ext):
+    """The former weight_growth: three four-point fits of fused summands."""
+    s = strip_parity(s)
+    if not is_simple(s):
+        raise ValueError("weight growth applies to simple labels")
+
+    def sample(ms):
+        return [(m, delta(summand_by_fusion(s, ext, m))) for m in ms]
+
+    ell0 = s.ell if isinstance(s, AtypicalA) else 0
+    guard = abs(ell0) + abs(ext.b) + 2
+    fit = ex._fit_quadratic(sample([-1, 0, 1, 2]))
+    pos = ex._fit_quadratic(sample([guard, guard + 1, guard + 2, guard + 3]))
+    neg = ex._fit_quadratic(sample([-guard - 3, -guard - 2, -guard - 1, -guard]))
+    if pos is None or neg is None or pos[0] != neg[0]:
+        raise Gl11Error("summand weights do not follow a quadratic growth law")
+    quad = pos[0]
+    lin_pos, lin_neg = pos[1], neg[1]
+    if fit is not None:
+        quad, lin, _ = fit
+        report_lin = lin
+    else:
+        report_lin = lin_pos
+    if quad > 0:
+        cls = "lowest_weight"
+    elif quad < 0:
+        raise Gl11Error("summand weights are unbounded above and below")
+    elif lin_pos < 0 or lin_neg > 0:
+        cls = "spectral_flow_unbounded"
+    elif lin_pos == 0 or lin_neg == 0:
+        cls = "relaxed_flat"
+    else:
+        cls = "lowest_weight"
+    return ex.WeightGrowth(quad, report_lin, cls)
+
+
+def _random_extension(rng):
+    """A named extension or a custom generator A(a; b) with b in [-4, 4]."""
+    r = rng.random()
+    if r < 0.2:
+        return MH
+    if r < 0.4:
+        return L1
+    return ex.ExtensionSpec("custom", _draws.rational(rng), rng.randint(-4, 4))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+
+
+def _flip(x):
+    second = x.ehat if isinstance(x, TypicalV) else x.ell
+    return type(x)(x.n, second, parity_flip=True)
+
+
+def test_summand_matches_fusion():
+    rng = Random(59)
+    raised = 0
+    for _ in range(150):
+        ext = _random_extension(rng)
+        base = rng.choice(
+            [
+                _draws.typical(rng),
+                _draws.atypical(rng, max_ell=4),
+                _draws.projective(rng, max_ell=4),
+                VermaV0(_draws.rational(rng), rng.randint(-3, 3)),
+            ]
+        )
+        if rng.random() < 0.3:
+            base = _flip(base)
+        ind = ex.InducedModule(base, ext)
+        for m in range(-8, 9):
+            got = _outcome(ind.summand, m)
+            assert got == _outcome(summand_by_fusion, base, ext, m), (base, ext, m)
+            if isinstance(got, tuple):
+                assert got[0] is NotDeterminedError
+                raised += 1
+            else:
+                assert type(got.n) is Fraction and not got.parity_flip
+    assert raised
+    for ext in (MH, L1):
+        assert ex.InducedModule(AtypicalA(0, 0), ext).summand(0) == AtypicalA(0, 0)
+
+
+def test_weight_growth_matches_sampled_fits():
+    rng = Random(60)
+    seen = set()
+    for _ in range(400):
+        ext = _random_extension(rng)
+        base = rng.choice([_draws.typical(rng), _draws.atypical(rng, max_ell=4)])
+        if rng.random() < 0.2:
+            base = _flip(base)
+        got = _outcome(ex.weight_growth, base, ext)
+        assert got == _outcome(sampled_weight_growth, base, ext), (base, ext)
+        if isinstance(got, tuple):
+            assert got == (Gl11Error, "summand weights are unbounded above and below")
+            seen.add("raise")
+        else:
+            assert type(got.quadratic_coeff) is Fraction
+            assert type(got.linear_coeff) is Fraction
+            seen.add(got.classification)
+    assert seen == {"raise", "lowest_weight", "spectral_flow_unbounded", "relaxed_flat"}
+    for bad in (ProjectiveP(0, 0), VermaV0(0, 1)):
+        assert _outcome(ex.weight_growth, bad, MH) == _outcome(sampled_weight_growth, bad, MH)

@@ -16,6 +16,8 @@ from gl11kl.labels import (
     VermaV0,
     contragredient,
     delta,
+    k_decompose,
+    k_decompose_sum,
 )
 
 import _draws
@@ -183,3 +185,62 @@ def test_oracle_agreement_projective_cases():
         _assert_oracle_matches(TypicalV(n, e), p)
         _assert_oracle_matches(AtypicalA(n, 0), p)
         _assert_oracle_matches(p, ProjectiveP(n, 0))
+
+
+def _chain_add(x, y):
+    """The former FormalSum.__add__: copy both sums and re-validate."""
+    return FormalSum(list(x.items()) + list(y.items()))
+
+
+def k_decompose_by_chain(s):
+    """The former k_decompose_sum: an ``out = out + mult * factors`` chain."""
+    out = FormalSum()
+    for label, mult in s.items():
+        factors = FormalSum([(lbl, mult * m) for lbl, m in k_decompose(label).items()])
+        out = _chain_add(out, factors)
+    return out
+
+
+def fuse_formal_by_chain(a, b):
+    """The former fuse_formal: an ``out = out + (ma * mb) * fuse`` chain."""
+    out = FormalSum()
+    for la, ma in a.items():
+        for lb, mb in b.items():
+            product = FormalSum([(lbl, ma * mb * m) for lbl, m in fuse(la, lb).items()])
+            out = _chain_add(out, product)
+    return out
+
+
+def _random_sum(rng, with_verma=False):
+    entries = []
+    for _ in range(rng.randint(0, 4)):
+        if with_verma and rng.random() < 0.2:
+            x = VermaV0(_draws.rational(rng), rng.randint(-3, 3))
+        else:
+            x = _draws.simple_or_projective(rng)
+        if rng.random() < 0.2:
+            x = type(x)(x.n, x.ehat if isinstance(x, TypicalV) else x.ell, parity_flip=True)
+        entries.append((x, rng.randint(1, 3)))
+    return FormalSum(entries)
+
+
+def _assert_clean(total):
+    assert all(type(m) is int and m > 0 for _, m in total.items())
+
+
+def test_sums_accumulate_like_the_add_chain():
+    rng = Random(40)
+    for _ in range(200):
+        a, b = _random_sum(rng, with_verma=True), _random_sum(rng)
+        got = k_decompose_sum(a)
+        assert got == k_decompose_by_chain(a)
+        _assert_clean(got)
+        c = _random_sum(rng)
+        got = fuse_formal(b, c)
+        assert got == fuse_formal_by_chain(b, c)
+        _assert_clean(got)
+        assert a + b == _chain_add(a, b)
+        _assert_clean(a + b)
+        k = rng.randint(0, 3)
+        assert k * a == FormalSum([(lbl, k * m) for lbl, m in a.items()])
+        _assert_clean(k * a)

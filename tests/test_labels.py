@@ -199,21 +199,6 @@ def test_parse_examples():
         parse_label("Q(0;0)")
 
 
-def test_weight_data_bundle():
-    from gl11kl.labels import WeightData, weight_data
-
-    wd = weight_data(AtypicalA(F(-1, 2), 1))
-    assert wd == WeightData(delta=F(0), epsilon=F(1, 2), top_dim=2)
-    wd = weight_data(TypicalV(1, F(1, 2)))
-    assert (wd.delta, wd.epsilon, wd.top_dim) == (F(5, 8), 0, 2)
-    wd = weight_data(ProjectiveP(0, 0))
-    assert (wd.delta, wd.epsilon, wd.top_dim) == (0, 0, 4)
-    with pytest.raises(ValueError):
-        WeightData(delta=F(0), epsilon=F(1, 3), top_dim=1)
-    with pytest.raises(ValueError):
-        WeightData(delta=F(0), epsilon=F(0), top_dim=0)
-
-
 def test_formal_sum_algebra():
     a, b = AtypicalA(1, 0), AtypicalA(2, 0)
     s = FormalSum([a, b]) + FormalSum(a)
