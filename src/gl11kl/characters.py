@@ -21,11 +21,11 @@ global factor z^(1/2) and are never mixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotDeterminedError
+from .frozen import Frozen
 from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, ehat
 from .series import JacobiSeries, jacobi_equal_to_cutoff
 
@@ -36,23 +36,22 @@ def conformal_weight(n, ehat) -> Fraction:
     return ehat * (n + ehat / 2)
 
 
-@dataclass(frozen=True)
-class CharacterRequest:
+class CharacterRequest(Frozen):
     """A validated request for the expansion of one label's character."""
 
-    label: ModuleLabel
-    q_cutoff: Fraction
-    z_window: tuple | None = None
+    __slots__ = ("label", "q_cutoff", "z_window")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q_cutoff", _f(self.q_cutoff))
+    def __init__(self, label: ModuleLabel, q_cutoff: Fraction, z_window: tuple | None = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "q_cutoff", _f(q_cutoff))
         if self.q_cutoff < 0:
             raise ValueError("q_cutoff must be nonnegative")
-        if self.z_window is not None:
-            lo, hi = self.z_window
-            object.__setattr__(self, "z_window", (_f(lo), _f(hi)))
-            if _f(lo) > _f(hi):
+        if z_window is not None:
+            lo, hi = z_window
+            z_window = (_f(lo), _f(hi))
+            if z_window[0] > z_window[1]:
                 raise ValueError("empty z window")
+        object.__setattr__(self, "z_window", z_window)
 
     def expand(self) -> JacobiSeries:
         label = self.label

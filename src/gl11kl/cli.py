@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 when the requested quantity is outside the
 implemented classification (a mathematical scope limit), 2 on usage errors.
 All rational quantities are printed in exact p/q notation; only the
-kz-verification report contains floats.
+kz-verification report contains floats.  Each subcommand imports the layer
+it runs only once its own arguments have passed their checks, so a fresh
+process pays for no other layer.
 """
 
 from __future__ import annotations
@@ -14,29 +16,30 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import characters, extensions, kz, labels, oracle
 from .errors import Gl11Error
 from .fusion import fuse
-from .labels import FormalSum, k_decompose, parse_label, render_label
+from .labels import AtypicalA, FormalSum, k_decompose, parse_label, parse_rational, render_label
 
 
 def _ext_from_flag(text: str) -> tuple[extensions.ExtensionSpec, list[str]]:
     """The extension a flag names, with the admissibility warnings it raised."""
+    if text not in ("sl21-neg-half", "sl21-level1") and not text.startswith("custom:"):
+        raise UsageError(f"unknown extension {text!r}")
+    from . import extensions
+
     if text == "sl21-neg-half":
         return extensions.SL21_MINUS_HALF, []
     if text == "sl21-level1":
         return extensions.SL21_LEVEL1, []
-    if text.startswith("custom:"):
-        body = text[len("custom:"):]
-        try:
-            a_text, b_text = body.split(",")
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                ext = extensions.ExtensionSpec.custom(Fraction(a_text), int(b_text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad custom extension {text!r}: {exc}") from exc
-        return ext, [str(w.message) for w in caught]
-    raise UsageError(f"unknown extension {text!r}")
+    body = text[len("custom:"):]
+    try:
+        a_text, b_text = body.split(",")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ext = extensions.ExtensionSpec.custom(Fraction(a_text), int(b_text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad custom extension {text!r}: {exc}") from exc
+    return ext, [str(w.message) for w in caught]
 
 
 def _warnings_json(caught: list[str]) -> dict:
@@ -70,25 +73,32 @@ def _summands_json(total: FormalSum) -> dict:
     }
 
 
+def _flag_rational(flag: str, text: str) -> Fraction:
+    """A flag's number; a zero denominator is a usage error, not a crash."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"{flag} has a zero denominator: {text!r}") from None
+
+
 def _parse_fin_label(text: str) -> oracle.FinLabel:
-    """Finite-module grammar: V(n;e), A(n), P(n)."""
+    """Finite-module grammar: V(n;e), A(n), P(n), numbers as in labels."""
     body = text.strip()
     kind = body[:1].upper()
     if not (kind in "VAP" and body[1:2] == "(" and body.endswith(")")):
         raise UsageError(f"cannot parse finite label {text!r}")
     args = [part.strip() for part in body[2:-1].split(";")]
     try:
-        if kind == "V":
-            if len(args) != 2:
-                raise ValueError("V takes (n;e)")
-            return oracle.Verma(Fraction(args[0]), Fraction(args[1]))
-        if len(args) != 1:
+        if kind == "V" and len(args) != 2:
+            raise ValueError("V takes (n;e)")
+        if kind != "V" and len(args) != 1:
             raise ValueError(f"{kind} takes a single parameter")
-        if kind == "A":
-            return oracle.Atypical(Fraction(args[0]))
-        return oracle.Projective(Fraction(args[0]))
+        values = [parse_rational(arg) for arg in args]
     except ValueError as exc:
         raise UsageError(f"cannot parse finite label {text!r}: {exc}") from exc
+    from . import oracle
+
+    return {"V": oracle.Verma, "A": oracle.Atypical, "P": oracle.Projective}[kind](*values)
 
 
 def _cmd_fuse(args) -> dict:
@@ -106,13 +116,17 @@ def _cmd_char(args) -> dict:
     label = parse_label(args.label)
     window = None
     if args.z_window is not None:
-        lo_text, hi_text = args.z_window.split(",")
-        window = (Fraction(lo_text), Fraction(hi_text))
-    if isinstance(label, labels.AtypicalA) and label.ell == 0 and window is None:
+        bounds = args.z_window.split(",")
+        if len(bounds) != 2:
+            raise UsageError(f"--z-window takes lo,hi, got {args.z_window!r}")
+        window = tuple(_flag_rational("--z-window", bound) for bound in bounds)
+    if isinstance(label, AtypicalA) and label.ell == 0 and window is None:
         raise UsageError("atypical characters need --z-window lo,hi")
-    cutoff = Fraction(args.cutoff)
+    cutoff = _flag_rational("--cutoff", args.cutoff)
     if cutoff > MAX_CHAR_CUTOFF:
         raise UsageError(f"--cutoff must be at most {MAX_CHAR_CUTOFF}, got {args.cutoff}")
+    from . import characters
+
     request = characters.CharacterRequest(label, cutoff, window)
     series = request.expand()
     terms = [
@@ -127,6 +141,8 @@ def _cmd_induce(args) -> dict:
     ext, caught = _ext_from_flag(args.ext)
     if args.m_range > MAX_INDUCE_M_RANGE:
         raise UsageError(f"--m-range must be at most {MAX_INDUCE_M_RANGE}, got {args.m_range}")
+    from . import extensions
+
     out = extensions.induce(label, ext, args.m_range)
     return {
         "label": render_label(label),
@@ -142,6 +158,8 @@ def _cmd_induce(args) -> dict:
 def _cmd_monodromy(args) -> dict:
     label = parse_label(args.label)
     ext, caught = _ext_from_flag(args.ext)
+    from . import extensions
+
     rows = []
     for m in (-2, -1, 1, 2):
         exponent = extensions.monodromy_exponent(label, ext.generator_of(m))
@@ -160,6 +178,8 @@ def _cmd_monodromy(args) -> dict:
 def _cmd_local(args) -> dict:
     label = parse_label(args.label)
     ext, caught = _ext_from_flag(args.ext)
+    from . import extensions
+
     return {
         "label": render_label(label),
         "extension": ext.name,
@@ -171,6 +191,8 @@ def _cmd_local(args) -> dict:
 def _cmd_oracle(args) -> dict:
     a = _parse_fin_label(args.a)
     b = _parse_fin_label(args.b)
+    from . import oracle
+
     product = oracle.tensor(oracle.realize(a), oracle.realize(b))
     parts = oracle.decompose(product)
     return {
@@ -185,6 +207,8 @@ def _cmd_oracle(args) -> dict:
 def _cmd_kz(args) -> dict:
     if args.action != "verify":
         raise UsageError("the kz subcommand supports: verify")
+    from . import kz
+
     report = kz.verification_report(tol=args.tol)
     return {"checks": report, "all_pass": all(c["status"] == "pass" for c in report)}
 

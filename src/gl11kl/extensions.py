@@ -24,11 +24,10 @@ modulo the integers, which the additivity property test certifies.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import characters
 from .errors import Gl11Error
+from .frozen import Frozen
 from .fusion import fuse
 from .labels import (
     AtypicalA,
@@ -42,20 +41,20 @@ from .labels import (
     projective_cover,
     strip_parity,
 )
-from .series import JacobiSeries, jacobi_equal_to_cutoff
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
-    """A fusion group of atypical simple currents indexed by the integers."""
+class ExtensionSpec(Frozen):
+    """A fusion group of atypical simple currents indexed by the integers.
 
-    name: str
-    a: Fraction  # n-parameter of the m = 1 generator
-    b: int  # ell-parameter of the m = 1 generator
+    The m = 1 generator is A(a; b).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _f(self.a))
-        object.__setattr__(self, "b", int(self.b))
+    __slots__ = ("name", "a", "b")
+
+    def __init__(self, name: str, a: Fraction, b: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "a", _f(a))
+        object.__setattr__(self, "b", int(b))
 
     @property
     def step(self) -> Fraction:
@@ -95,12 +94,10 @@ SL21_MINUS_HALF = ExtensionSpec("sl21-neg-half", Fraction(1, 2), -2)
 SL21_LEVEL1 = ExtensionSpec("sl21-level1", Fraction(1, 2), 1)
 
 
-@dataclass(frozen=True)
-class InducedModule:
+class InducedModule(Frozen):
     """Lazy view of the induction of a base label along an extension."""
 
-    base: ModuleLabel
-    extension: ExtensionSpec
+    __slots__ = ("base", "extension")  # a ModuleLabel and an ExtensionSpec
 
     def summand(self, m: int) -> ModuleLabel:
         """fuse(base, generator_of(m)), always a single label, in closed form.
@@ -201,13 +198,10 @@ def induced_projective_cover(
     return induce(projective_cover(s), ext, m_range)
 
 
-@dataclass(frozen=True)
-class WeightGrowth:
+class WeightGrowth(Frozen):
     """Exact growth law of the summand weights Delta(summand(m)) in m."""
 
-    quadratic_coeff: Fraction
-    linear_coeff: Fraction
-    classification: str
+    __slots__ = ("quadratic_coeff", "linear_coeff", "classification")
 
 
 def _fit_quadratic(points: list[tuple[int, Fraction]]):
@@ -272,13 +266,16 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     return WeightGrowth(quad, lin, cls)
 
 
-def induced_character(n, ehat, m_range: int, q_cutoff) -> JacobiSeries:
+def induced_character(n, ehat, m_range: int, q_cutoff) -> "characters.JacobiSeries":
     """Verified character of a typical induction along the (m, -2m) steps.
 
     Uses the level-1 normalization (ehat = e).  Expands the direct-sum side
     and the closed-form side of the character identity and returns the
     common value; a mismatch is an internal fault and raises.
     """
+    from . import characters
+    from .series import jacobi_equal_to_cutoff
+
     lhs, rhs = characters.char_induced_typical(n, ehat, m_range, q_cutoff)
     window = characters.induced_window(n, ehat, m_range, q_cutoff)
     if not jacobi_equal_to_cutoff(lhs, rhs, window):

@@ -1,0 +1,59 @@
+"""Immutable value classes with the ``dataclass(frozen=True)`` contract.
+
+A subclass names its fields in ``__slots__``, in constructor order.  Unless
+it defines ``__init__`` itself (to convert or validate, setting each field
+with ``object.__setattr__``), it gets one that stores its arguments.  Its
+instances compare equal only to instances of the same class with equal
+fields, hash as the tuple of their fields, print as a dataclass would,
+refuse assignment and deletion, and copy and pickle through the constructor.
+Unlike ``dataclasses``, which imports ``inspect``, this module imports
+nothing, so a fresh ``gl11kl`` process pays no start-up time for its value
+types.
+"""
+
+
+class Frozen:
+    """Base of the value classes; a subclass without fields is abstract."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if not names:
+            return
+        # Written out field by field, as dataclasses does: a generic getter
+        # adds a call to every hash and comparison, and labels are dict keys.
+        mine = "".join(f"self.{name}, " for name in names)
+        theirs = mine.replace("self.", "other.")
+        stores = "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
+        namespace = {"_set": object.__setattr__}
+        exec(
+            f"def __init__(self, {', '.join(names)}):\n{stores}"
+            f"def __hash__(self):\n    return hash(({mine}))\n"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n",
+            namespace,
+        )
+        for method in ("__init__", "__hash__", "__eq__"):
+            if method not in cls.__dict__:
+                namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+                setattr(cls, method, namespace[method])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"

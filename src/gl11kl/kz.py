@@ -21,9 +21,9 @@ Floating-point evaluation is double precision; tolerances are explicit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .frozen import Frozen
 from .symbolic import RationalFunction
 
 
@@ -39,29 +39,25 @@ def _x() -> RationalFunction:
     return RationalFunction.x()
 
 
-@dataclass(frozen=True)
-class FirstOrderSystem:
+class FirstOrderSystem(Frozen):
     """(f1', f3') = M (f1, f3) with rational-function entries."""
 
-    m: tuple  # 2x2 nested tuple of RationalFunction
+    __slots__ = ("m",)  # 2x2 nested tuple of RationalFunction
 
     def __getitem__(self, ij):
         i, j = ij
         return self.m[i][j]
 
 
-@dataclass(frozen=True)
-class HypergeometricSpec:
+class HypergeometricSpec(Frozen):
     """Parameter triple of the normal-form equation: (x, -x, 1)."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "c", Fraction(c))
         if self.c != 1 or self.b != -self.a:
             raise ValueError("the correlator reduction has parameters (x, -x, 1)")
 
@@ -73,13 +69,10 @@ class HypergeometricSpec:
         return cls(x, -x, Fraction(1))
 
 
-@dataclass(frozen=True)
-class SecondOrderOde:
+class SecondOrderOde(Frozen):
     """a2 f'' + a1 f' + a0 f = 0 with rational-function coefficients."""
 
-    a2: RationalFunction
-    a1: RationalFunction
-    a0: RationalFunction
+    __slots__ = ("a2", "a1", "a0")  # RationalFunction coefficients
 
     def normalized(self) -> "SecondOrderOde":
         """Rescale so the leading coefficient is exactly z(1-z)."""

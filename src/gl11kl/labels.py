@@ -10,10 +10,10 @@ cosmetic except for contragredients of typical labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotDeterminedError
+from .frozen import Frozen
 
 
 def _f(v) -> Fraction:
@@ -29,64 +29,48 @@ def _int(v) -> int:
     return int(f)
 
 
-class ModuleLabel:
+class ModuleLabel(Frozen):
     """Base class of the label tagged union."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TypicalV(ModuleLabel):
     """Simple typical Verma module with ehat = e/k not an integer."""
 
-    n: Fraction
-    ehat: Fraction
-    parity_flip: bool = False
+    __slots__ = ("n", "ehat", "parity_flip")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _f(self.n))
-        object.__setattr__(self, "ehat", _f(self.ehat))
+    def __init__(self, n: Fraction, ehat: Fraction, parity_flip: bool = False):
+        object.__setattr__(self, "n", _f(n))
+        object.__setattr__(self, "ehat", _f(ehat))
+        object.__setattr__(self, "parity_flip", parity_flip)
         if self.ehat.denominator == 1:
             raise ValueError("typical label requires ehat not an integer")
 
 
-@dataclass(frozen=True)
 class AtypicalA(ModuleLabel):
     """Simple atypical module at ehat = ell, an integer."""
 
-    n: Fraction
-    ell: int
-    parity_flip: bool = False
+    __slots__ = ("n", "ell", "parity_flip")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _f(self.n))
-        object.__setattr__(self, "ell", _int(self.ell))
+    def __init__(self, n: Fraction, ell: int, parity_flip: bool = False):
+        object.__setattr__(self, "n", _f(n))
+        object.__setattr__(self, "ell", _int(ell))
+        object.__setattr__(self, "parity_flip", parity_flip)
 
 
-@dataclass(frozen=True)
 class VermaV0(ModuleLabel):
     """Reducible (length-2) Verma module at ehat = ell, an integer."""
 
-    n: Fraction
-    ell: int
-    parity_flip: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _f(self.n))
-        object.__setattr__(self, "ell", _int(self.ell))
+    __slots__ = ("n", "ell", "parity_flip")
+    __init__ = AtypicalA.__init__
 
 
-@dataclass(frozen=True)
 class ProjectiveP(ModuleLabel):
     """Length-4 projective cover of the atypical simple at (n, ell)."""
 
-    n: Fraction
-    ell: int
-    parity_flip: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _f(self.n))
-        object.__setattr__(self, "ell", _int(self.ell))
+    __slots__ = ("n", "ell", "parity_flip")
+    __init__ = AtypicalA.__init__
 
 
 def is_simple(label: ModuleLabel) -> bool:
@@ -374,9 +358,19 @@ def label_sort_key(label: ModuleLabel):
     return (_KIND_ORDER[type(label)], ehat(label), label.n, label.parity_flip)
 
 
+#: an exact rational: an integer, or p/q with a nonzero q
+_RATIONAL = r"-?\d+(?:/0*[1-9]\d*)?"
+_RATIONAL_RE = re.compile(_RATIONAL)
 _LABEL_RE = re.compile(
-    r"^\s*(Verma0|V|A|P)\s*\(\s*(-?\d+(?:/\d+)?)\s*;\s*(-?\d+(?:/\d+)?)\s*\)\s*$"
+    rf"^\s*(Verma0|V|A|P)\s*\(\s*({_RATIONAL})\s*;\s*({_RATIONAL})\s*\)\s*$"
 )
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a label parameter: an integer or p/q, with no exponent or decimal point."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"expected an integer or p/q with q > 0, got {text!r}")
+    return Fraction(text)
 
 
 def parse_label(text: str) -> ModuleLabel:

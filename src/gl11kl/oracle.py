@@ -18,11 +18,11 @@ in :mod:`gl11kl.fusion`, which is the point: it is the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import OracleError
+from .frozen import Frozen
 from .labels import _f
 
 Matrix = tuple  # tuple of row tuples of Fraction
@@ -111,8 +111,7 @@ BASIS = ("N", "E", "psi+", "psi-")
 EVEN, ODD = 0, 1
 
 
-@dataclass(frozen=True)
-class Gl11Algebra:
+class Gl11Algebra(Frozen):
     """Structure constants, parities and invariant bilinear forms of gl(1|1).
 
     Elements are coefficient 4-vectors in the ordered basis (N, E, psi+, psi-).
@@ -120,10 +119,19 @@ class Gl11Algebra:
     both entries are odd) expanded in the same basis.
     """
 
-    brackets: tuple
-    parity: tuple = (EVEN, EVEN, ODD, ODD)
-    kappa: Matrix = ()
-    kappa2: Matrix = ()
+    __slots__ = ("brackets", "parity", "kappa", "kappa2")
+
+    def __init__(
+        self,
+        brackets: tuple,
+        parity: tuple = (EVEN, EVEN, ODD, ODD),
+        kappa: Matrix = (),
+        kappa2: Matrix = (),
+    ):
+        object.__setattr__(self, "brackets", brackets)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa2", kappa2)
 
     @classmethod
     def standard(cls) -> "Gl11Algebra":
@@ -189,37 +197,25 @@ class Gl11Algebra:
 GL11 = Gl11Algebra.standard()
 
 
-def apply_automorphism(lam, mu, element: Sequence) -> tuple:
-    """Apply the automorphism N -> N + lam*E, psi+- -> mu*psi+-, E -> mu^2*E."""
-    mu = _f(mu)
-    if mu == 0:
-        raise ValueError("automorphism requires mu != 0")
-    lam = _f(lam)
-    n, e, pp, pm = (_f(v) for v in element)
-    return (n, e * mu**2 + n * lam, pp * mu, pm * mu)
-
-
 # ---------------------------------------------------------------------------
 # labels and modules
 # ---------------------------------------------------------------------------
 
 
-class FinLabel:
+class FinLabel(Frozen):
     """Base class for names of finite-dimensional gl(1|1)-modules."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Verma(FinLabel):
     """Two-dimensional module V_{n,e}; n is the average of the N-eigenvalues."""
 
-    n: Fraction
-    e: Fraction
+    __slots__ = ("n", "e")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _f(self.n))
-        object.__setattr__(self, "e", _f(self.e))
+    def __init__(self, n: Fraction, e: Fraction):
+        object.__setattr__(self, "n", _f(n))
+        object.__setattr__(self, "e", _f(e))
 
     @property
     def irreducible(self) -> bool:
@@ -229,42 +225,33 @@ class Verma(FinLabel):
         return f"V({self.n};{self.e})"
 
 
-@dataclass(frozen=True)
 class Atypical(FinLabel):
     """One-dimensional module A_n with N acting by n and E, psi+- by zero."""
 
-    n: Fraction
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _f(self.n))
+    def __init__(self, n: Fraction):
+        object.__setattr__(self, "n", _f(n))
 
     def __repr__(self):
         return f"A({self.n})"
 
 
-@dataclass(frozen=True)
 class Projective(FinLabel):
     """Four-dimensional projective cover P_n of A_n."""
 
-    n: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _f(self.n))
+    __slots__ = ("n",)
+    __init__ = Atypical.__init__
 
     def __repr__(self):
         return f"P({self.n})"
 
 
-@dataclass(frozen=True)
-class Gl11MatrixModule:
+class Gl11MatrixModule(Frozen):
     """Matrix realization of a finite-dimensional gl(1|1)-module."""
 
-    dim: int
-    parity: tuple  # entries in {0, 1}
-    N: Matrix
-    E: Matrix
-    psi_p: Matrix
-    psi_m: Matrix
+    # parity: a tuple with entries in {0, 1}; N, E, psi_p, psi_m: matrices
+    __slots__ = ("dim", "parity", "N", "E", "psi_p", "psi_m")
 
     def action(self, name: str) -> Matrix:
         return {"N": self.N, "E": self.E, "psi+": self.psi_p, "psi-": self.psi_m}[name]

@@ -1,0 +1,196 @@
+"""The former ``@dataclass(frozen=True)`` definitions of the value classes.
+
+Each twin keeps the name, fields, defaults and validation of the class it
+stood for, and nothing else, so that ``tests/test_frozen.py`` can hold the
+slots classes in the package to the dataclass contract: equality, hashing,
+``repr``, immutability, construction, copying and pickling.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from gl11kl.labels import _f, _int
+from gl11kl.oracle import EVEN, ODD, Matrix
+from gl11kl.symbolic import RationalFunction
+
+# labels
+
+
+@dataclass(frozen=True)
+class TypicalV:
+    n: Fraction
+    ehat: Fraction
+    parity_flip: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _f(self.n))
+        object.__setattr__(self, "ehat", _f(self.ehat))
+        if self.ehat.denominator == 1:
+            raise ValueError("typical label requires ehat not an integer")
+
+
+@dataclass(frozen=True)
+class AtypicalA:
+    n: Fraction
+    ell: int
+    parity_flip: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _f(self.n))
+        object.__setattr__(self, "ell", _int(self.ell))
+
+
+@dataclass(frozen=True)
+class VermaV0:
+    n: Fraction
+    ell: int
+    parity_flip: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _f(self.n))
+        object.__setattr__(self, "ell", _int(self.ell))
+
+
+@dataclass(frozen=True)
+class ProjectiveP:
+    n: Fraction
+    ell: int
+    parity_flip: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _f(self.n))
+        object.__setattr__(self, "ell", _int(self.ell))
+
+
+# extensions
+
+
+@dataclass(frozen=True)
+class ExtensionSpec:
+    name: str
+    a: Fraction
+    b: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", _f(self.a))
+        object.__setattr__(self, "b", int(self.b))
+
+
+@dataclass(frozen=True)
+class InducedModule:
+    base: object
+    extension: object
+
+
+@dataclass(frozen=True)
+class WeightGrowth:
+    quadratic_coeff: Fraction
+    linear_coeff: Fraction
+    classification: str
+
+
+# characters
+
+
+@dataclass(frozen=True)
+class CharacterRequest:
+    label: object
+    q_cutoff: Fraction
+    z_window: tuple | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "q_cutoff", _f(self.q_cutoff))
+        if self.q_cutoff < 0:
+            raise ValueError("q_cutoff must be nonnegative")
+        if self.z_window is not None:
+            lo, hi = self.z_window
+            object.__setattr__(self, "z_window", (_f(lo), _f(hi)))
+            if _f(lo) > _f(hi):
+                raise ValueError("empty z window")
+
+
+# kz
+
+
+@dataclass(frozen=True)
+class FirstOrderSystem:
+    m: tuple
+
+
+@dataclass(frozen=True)
+class HypergeometricSpec:
+    a: Fraction
+    b: Fraction
+    c: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "c", Fraction(self.c))
+        if self.c != 1 or self.b != -self.a:
+            raise ValueError("the correlator reduction has parameters (x, -x, 1)")
+
+
+@dataclass(frozen=True)
+class SecondOrderOde:
+    a2: RationalFunction
+    a1: RationalFunction
+    a0: RationalFunction
+
+
+# oracle
+
+
+@dataclass(frozen=True)
+class Gl11Algebra:
+    brackets: tuple
+    parity: tuple = (EVEN, EVEN, ODD, ODD)
+    kappa: Matrix = ()
+    kappa2: Matrix = ()
+
+
+@dataclass(frozen=True)
+class Verma:
+    n: Fraction
+    e: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _f(self.n))
+        object.__setattr__(self, "e", _f(self.e))
+
+    def __repr__(self):
+        return f"V({self.n};{self.e})"
+
+
+@dataclass(frozen=True)
+class Atypical:
+    n: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _f(self.n))
+
+    def __repr__(self):
+        return f"A({self.n})"
+
+
+@dataclass(frozen=True)
+class Projective:
+    n: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _f(self.n))
+
+    def __repr__(self):
+        return f"P({self.n})"
+
+
+@dataclass(frozen=True)
+class Gl11MatrixModule:
+    dim: int
+    parity: tuple
+    N: Matrix
+    E: Matrix
+    psi_p: Matrix
+    psi_m: Matrix

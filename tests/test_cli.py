@@ -1,7 +1,15 @@
-"""Command-line interface: outputs, exit codes, determinism."""
+"""Command-line interface: outputs, exit codes, determinism, imports."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import pytest
+
+import gl11kl
 from gl11kl.cli import main
 
 
@@ -205,3 +213,83 @@ def test_custom_extension_warnings_in_payload(capsys):
         code, out, err = run(capsys, command, "A(0;0)", "--ext", "custom:1/2,-2")
         assert (code, err) == (0, ""), command
         assert "warnings" not in json.loads(out), command
+
+
+def test_zero_denominators_exit_two(capsys):
+    for argv in (
+        ("fuse", "V(1/0;1/2)", "A(0;0)"),
+        ("kdec", "P(0;1/0)"),
+        ("char", "V(0;1/2)", "--cutoff", "1/0"),
+        ("char", "A(0;0)", "--z-window=1/0,2"),
+        ("oracle", "V(1/0;1)", "A(0)"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"], argv
+    for window in ("1", "1,2,3"):
+        code, out, err = run(capsys, "char", "A(0;0)", f"--z-window={window}")
+        assert (code, out) == (2, "")
+        assert "--z-window" in json.loads(err)["error"]
+
+
+def test_oracle_labels_take_exact_rationals(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "P(1e9999999)", "P(0)")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "cannot parse finite label" in json.loads(err)["error"]
+    for label in ("V(1.5;2.5)", "A(+1)", "P(1/0)", "A(1e2)"):
+        code, out, err = run(capsys, "oracle", label, "A(0)")
+        assert (code, out) == (2, ""), label
+        assert "cannot parse finite label" in json.loads(err)["error"], label
+    code, out, _ = run(capsys, "oracle", "V(-1/2;2/04)", "A( 1 )")
+    assert code == 0
+    assert json.loads(out)["factors"] == ["V(-1/2;1/2)", "A(1)"]
+
+
+# Each subcommand loads only its own layer, and no subcommand loads
+# dataclasses (it imports inspect, ~15 ms of a fresh process's start).
+_BASE = {"gl11kl", "gl11kl.cli", "gl11kl.errors", "gl11kl.frozen", "gl11kl.fusion", "gl11kl.labels"}
+_CHAR = {"gl11kl.characters", "gl11kl.series"}
+_EXT = {"gl11kl.extensions"}
+_PROBE = """
+import json, sys
+from gl11kl.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+_LAYER_CASES = [
+    (["fuse", "P(1/2;1)", "V(1/4;1/2)"], 0, set()),
+    (["kdec", "P(0;1)"], 0, set()),
+    (["char", "A(0;0)", "--cutoff", "2", "--z-window=-1,1"], 0, _CHAR),
+    (["induce", "V(1/4;1/2)"], 0, _EXT),
+    (["local", "A(1/2;0)", "--ext", "sl21-level1"], 0, _EXT),
+    (["monodromy", "A(1/2;3)"], 0, _EXT),
+    (["oracle", "P(0)", "V(1/2;1)"], 0, {"gl11kl.oracle"}),
+    (["kz", "verify"], 0, {"gl11kl.kz", "gl11kl.symbolic"}),
+    (["fuse", "Verma0(0;1)", "V(0;1/2)"], 1, set()),
+    (["monodromy", "P(1/2;1)"], 1, _EXT),
+    (["fuse", "X(0;1)", "A(0;0)"], 2, set()),
+    (["kdec", "P(0;1/0)"], 2, set()),
+    (["local", "A(0;0)", "--ext", "sl21-level7"], 2, set()),
+    (["oracle", "Q(1/2)", "A(0)"], 2, set()),
+    (["char", "A(0;0)", "--z-window=1/0,2"], 2, set()),
+    # the characters layer itself rejects a negative cutoff
+    (["char", "V(0;1/2)", "--cutoff", "-1"], 2, _CHAR),
+    (["frobnicate"], 2, set()),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, layer", _LAYER_CASES, ids=[" ".join(c[0]) for c in _LAYER_CASES])
+def test_subcommand_imports_only_its_layer(argv, want_code, layer):
+    src = str(Path(gl11kl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == want_code
+    assert "dataclasses" not in modules
+    assert {m for m in modules if m.split(".")[0] == "gl11kl"} == _BASE | layer
