@@ -34,10 +34,13 @@ def _ext_from_flag(text: str) -> tuple[extensions.ExtensionSpec, list[str]]:
     body = text[len("custom:"):]
     try:
         a_text, b_text = body.split(",")
+        a, ell = parse_rational(a_text), parse_rational(b_text)
+        if ell.denominator != 1:
+            raise ValueError(f"l must be an integer, got {b_text!r}")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ext = extensions.ExtensionSpec.custom(Fraction(a_text), int(b_text))
-    except (ValueError, ZeroDivisionError) as exc:
+            ext = extensions.ExtensionSpec.custom(a, int(ell))
+    except ValueError as exc:
         raise UsageError(f"bad custom extension {text!r}: {exc}") from exc
     return ext, [str(w.message) for w in caught]
 
@@ -74,11 +77,11 @@ def _summands_json(total: FormalSum) -> dict:
 
 
 def _flag_rational(flag: str, text: str) -> Fraction:
-    """A flag's number; a zero denominator is a usage error, not a crash."""
+    """A flag's number, written as label numbers are: an integer or p/q."""
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise UsageError(f"{flag} has a zero denominator: {text!r}") from None
+        return parse_rational(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _parse_fin_label(text: str) -> oracle.FinLabel:

@@ -27,46 +27,10 @@ from .frozen import Frozen
 from .symbolic import RationalFunction
 
 
-def _z() -> RationalFunction:
-    return RationalFunction.z()
-
-
-def _delta() -> RationalFunction:
-    return RationalFunction.delta()
-
-
-def _x() -> RationalFunction:
-    return RationalFunction.x()
-
-
 class FirstOrderSystem(Frozen):
     """(f1', f3') = M (f1, f3) with rational-function entries."""
 
     __slots__ = ("m",)  # 2x2 nested tuple of RationalFunction
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.m[i][j]
-
-
-class HypergeometricSpec(Frozen):
-    """Parameter triple of the normal-form equation: (x, -x, 1)."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        if self.c != 1 or self.b != -self.a:
-            raise ValueError("the correlator reduction has parameters (x, -x, 1)")
-
-    @classmethod
-    def for_ratio(cls, x) -> "HypergeometricSpec":
-        x = Fraction(x)
-        if x.denominator == 1:
-            raise ValueError("x must not be an integer")
-        return cls(x, -x, Fraction(1))
 
 
 class SecondOrderOde(Frozen):
@@ -76,7 +40,7 @@ class SecondOrderOde(Frozen):
 
     def normalized(self) -> "SecondOrderOde":
         """Rescale so the leading coefficient is exactly z(1-z)."""
-        z = _z()
+        z = RationalFunction.z()
         target = z * (1 - z)
         if self.a2.is_zero:
             raise ZeroDivisionError("degenerate second-order equation")
@@ -95,9 +59,9 @@ def build_first_order_system() -> FirstOrderSystem:
     Shared diagonal 2*Delta*(1/(1-z) - 1/z); off-diagonal couplings
     -x/(1-z) and x/z.
     """
-    z = _z()
-    d = _delta()
-    x = _x()
+    z = RationalFunction.z()
+    d = RationalFunction.delta()
+    x = RationalFunction.x()
     diag = 2 * d * (1 / (1 - z) - 1 / z)
     return FirstOrderSystem(
         m=(
@@ -134,9 +98,9 @@ def correlator_ode() -> SecondOrderOde:
     z(1-z) f'' + [(4D+1) - (8D+1) z] f' +
     [4D^2/z + 2D(2D-1)/(1-z) + (x^2 - 16D^2)] f = 0, D = Delta.
     """
-    z = _z()
-    d = _delta()
-    x = _x()
+    z = RationalFunction.z()
+    d = RationalFunction.delta()
+    x = RationalFunction.x()
     a2 = z * (1 - z)
     a1 = (4 * d + 1) - (8 * d + 1) * z
     a0 = 4 * d * d / z + 2 * d * (2 * d - 1) / (1 - z) + (x * x - 16 * d * d)
@@ -145,8 +109,8 @@ def correlator_ode() -> SecondOrderOde:
 
 def hypergeometric_ode() -> SecondOrderOde:
     """z(1-z) f'' + (1-z) f' + x^2 f = 0, the (x, -x; 1) normal form."""
-    z = _z()
-    x = _x()
+    z = RationalFunction.z()
+    x = RationalFunction.x()
     return SecondOrderOde(z * (1 - z), 1 - z, x * x)
 
 
@@ -157,8 +121,8 @@ def transform_ode(ode: SecondOrderOde) -> SecondOrderOde:
     gauge factor is handled through the logarithmic derivative, which is
     rational, so the computation stays exact.
     """
-    z = _z()
-    d = _delta()
+    z = RationalFunction.z()
+    d = RationalFunction.delta()
     r1 = -2 * d / z + 2 * d / (1 - z)  # w'/w for w = z^{-2D}(1-z)^{-2D}
     r2 = r1 * r1 + r1.differentiate()  # w''/w
     b2 = ode.a2
@@ -179,9 +143,9 @@ def vanish1_residual() -> RationalFunction:
     -2 Delta f - z f' = (-2 Delta/(1-z) + 2 Delta + x) f leaves
     (residual) * f = 0; the residual is the constant -x.
     """
-    z = _z()
-    d = _delta()
-    x = _x()
+    z = RationalFunction.z()
+    d = RationalFunction.delta()
+    x = RationalFunction.x()
     fprime_coeff = 2 * d * (1 / (1 - z) - 1 / z)
     lhs = -2 * d - z * fprime_coeff
     rhs = -2 * d / (1 - z) + 2 * d + x
@@ -190,15 +154,16 @@ def vanish1_residual() -> RationalFunction:
 
 def verify_vanish1() -> bool:
     """True iff the scalar pair forces x * f = 0 exactly."""
-    return vanish1_residual() == -_x()
+    return vanish1_residual() == -RationalFunction.x()
 
 
 # ---------------------------------------------------------------------------
 # numeric layer
 # ---------------------------------------------------------------------------
 
-#: terms taken before the tail correction in the z = 1 evaluation
-_GAUSS_TERMS = 100_000
+#: smallest ``tol`` the z = 1 evaluation accepts: the rounding of its product
+#: reached 6.1e-16 against 40-digit values for 1/10 <= x <= 99/2
+_TOL_FLOOR = 1e-15
 
 
 def _term_ratio(n: int, x: float) -> float:
@@ -206,60 +171,94 @@ def _term_ratio(n: int, x: float) -> float:
     return (n * n - x * x) / ((n + 1.0) * (n + 1.0))
 
 
-def hyp2f1(x, z: float, tol: float = 1e-12) -> float:
-    """Gauss series for parameters (x, -x; 1) at a real point.
+def _gauss_series(x: float, z: float, tol: float) -> tuple[float, float, float, float]:
+    """F, F', F'' at |z| < 1 for parameters (x, -x; 1), and a rounding estimate.
 
-    For |z| < 1 the series is summed until both the current term and a
-    geometric tail bound drop below ``tol``.  The sum is taken in doubles,
-    and terms much larger than the result lose digits to cancellation: the
-    loop carries the estimate eps * sum_k (3k + 1) |term_k| of that loss
-    and raises ValueError once it exceeds ``tol``.  It is an estimate, not
-    a bound.  Against 40-digit values it read up to about 2x below the
-    error of the full sum near z = -1 for 5/2 <= x <= 15/2, and it leaves
-    out the rounding of the additions themselves (about sqrt(n) eps for n
-    terms, 3e-14 at z = 0.999), so a ``tol`` near 1e-14 is not met there.
-    For |x| <= 5/2 it stays below 2.8e-14 on 0.5 <= |z| <= 0.999; at
-    x = 49/2 it is 7e-2 at z = 0.5 and the call raises.
-
-    At z = 1 the series converges absolutely with terms O(n^{-2}); the
-    partial sum telescopes to the product prod_{j<=N} (1 - x^2/j^2), which
-    is evaluated directly and then multiplied by a tail factor computed
-    from Euler-Maclaurin estimates of sum_{j>N} j^{-2m}; the neglected
-    remainder is far below ``tol`` for moderate |x|.  Other points are
-    rejected as non-convergent.
+    The three sums are taken termwise until |c_n| n^2 |z|^(n-2) / (1 - |z|),
+    which bounds the tail of each, drops below ``tol``.  The fourth value is
+    eps * sum_k (3k + 1) |c_k z^k|, an estimate of the digits F lost to
+    cancellation.
     """
-    xf = float(Fraction(x)) if not isinstance(x, float) else x
-    if z == 1.0:
-        return _gauss_value_at_one(xf)
-    if abs(z) >= 1.0:
-        raise ValueError("series converges only for |z| < 1 or z = 1")
-    total = 1.0
-    term = 1.0
-    weight = 1.0  # sum_k (3k + 1) |term_k|
+    c = 1.0
+    f = 1.0
+    f1 = 0.0
+    f2 = 0.0
+    weight = 1.0
     n = 0
     while True:
-        term = term * _term_ratio(n, xf) * z
+        c = c * _term_ratio(n, x)
         n += 1
-        total += term
+        zn = z ** (n - 1)
+        term = c * zn * z
+        f += term
         weight += (3 * n + 1) * abs(term)
-        rounding = math.ulp(1.0) * weight
-        if rounding > tol:
-            raise ValueError(
-                f"cancellation: rounding estimate {rounding:.3g} exceeds tol {tol:.3g} at x = {x}, z = {z}"
-            )
-        if n > abs(xf) + 1:
-            tail = abs(term) * abs(z) / (1.0 - abs(z))
-            if abs(term) < tol and tail < tol:
-                return total
+        f1 += c * n * zn
+        if n >= 2:
+            f2 += c * n * (n - 1) * z ** (n - 2)
+        if n > abs(x) + 2:
+            scale = max(1.0, n * n)
+            bound = abs(c) * scale * abs(z) ** max(0, n - 2) / max(1e-30, 1.0 - abs(z))
+            if bound < tol:
+                return f, f1, f2, math.ulp(1.0) * weight
         if n > 2_000_000:
             raise ValueError("series failed to converge")
 
 
-def _gauss_value_at_one(x: float) -> float:
-    # the neglected x^8 term of the tail estimate stays below 1e-20 here
+def hyp2f1(x, z: float, tol: float = 1e-12) -> float:
+    """Gauss series for parameters (x, -x; 1) at a real point.
+
+    For |z| < 1 the series is summed until a bound on its tail drops below
+    ``tol``.  The sum is taken in doubles, and terms much larger than the
+    result lose digits to cancellation: the estimate eps * sum_k (3k + 1)
+    |term_k| of that loss raises ValueError once it exceeds ``tol``.  It is
+    an estimate, not a bound.  Against 40-digit values it read up to about
+    2x below the error of the full sum near z = -1 for 5/2 <= x <= 15/2,
+    and it leaves out the rounding of the additions themselves (about
+    sqrt(n) eps for n terms, 3e-14 at z = 0.999), so a ``tol`` near 1e-14 is
+    not met there.  For |x| <= 5/2 it stays below 2.8e-14 on
+    0.5 <= |z| <= 0.999; at x = 49/2 it is 7e-2 at z = 0.5 and the call
+    raises.
+
+    At z = 1 the series converges absolutely with terms O(n^{-2}); the
+    partial sum telescopes to the product prod_{j<=n} (1 - x^2/j^2), which
+    is evaluated directly and then multiplied by exp of the log of the rest
+    of the product, -sum_m (x^{2m}/m) sum_{j>n} j^{-2m}, kept to m <= 3 with
+    Euler-Maclaurin sums.  That log is off by about
+    (x^2 + 3.5 x^4 + 1.5 x^8) / (42 n^7), and n is the smallest count, and
+    at least 2|x|, that holds this below tol/1000; the rest of ``tol`` is
+    left to rounding.  A ``tol`` below 1e-15, where that rounding is of the
+    order of ``tol``, raises ValueError, as does |x| > 50.  Other points are
+    rejected as non-convergent.
+    """
+    xf = float(Fraction(x)) if not isinstance(x, float) else x
+    if z == 1.0:
+        return _gauss_value_at_one(xf, tol)
+    if abs(z) >= 1.0:
+        raise ValueError("series converges only for |z| < 1 or z = 1")
+    # the estimate is at least eps, so a smaller (or nan) tol fails unsummed
+    rounding = math.ulp(1.0)
+    if tol >= rounding:
+        total, _, _, rounding = _gauss_series(xf, z, tol)
+    if not rounding <= tol:
+        raise ValueError(
+            f"cancellation: rounding estimate {rounding:.3g} exceeds tol {tol:.3g} at x = {x}, z = {z}"
+        )
+    return total
+
+
+def _gauss_factor_count(x: float, tol: float) -> int:
+    """Factors of the z = 1 product that leave a log-tail error below tol/1000."""
+    if not tol >= _TOL_FLOOR:
+        raise ValueError(f"tol {tol!r} is below the z = 1 evaluation's floor {_TOL_FLOOR:g}")
+    x2 = x * x
+    remainder = (x2 + 3.5 * x2 * x2 + 1.5 * x2**4) / 42.0  # times n^-7
+    return max(1, math.ceil(2 * abs(x)), math.ceil((remainder / (tol / 1000)) ** (1 / 7)))
+
+
+def _gauss_value_at_one(x: float, tol: float) -> float:
     if abs(x) > 50.0:
         raise ValueError("parameter too large for the z = 1 evaluation")
-    n = _GAUSS_TERMS
+    n = _gauss_factor_count(x, tol)
     prod = 1.0
     x2 = x * x
     for j in range(1, n + 1):
@@ -272,18 +271,13 @@ def _gauss_value_at_one(x: float) -> float:
     return prod * math.exp(log_tail)
 
 
-def gauss_partial_sum(x: float, terms: int) -> float:
-    """Partial sum of the z = 1 series, by direct term accumulation."""
-    total = 1.0
-    term = 1.0
-    for n in range(terms):
-        term = term * _term_ratio(n, x)
-        total += term
-    return total
-
-
 def rigidity_constant(x, tol: float = 1e-12) -> float:
-    """The z -> 1 constant of the fundamental solution, via the series."""
+    """The z -> 1 constant of the fundamental solution, via the series.
+
+    This is ``hyp2f1(x, 1.0, tol)``: the neglected log tail is about
+    (x^2 + 3.5 x^4 + 1.5 x^8) / (42 n^7) for n factors, held below tol/1000,
+    and a ``tol`` below the floor 1e-15 raises ValueError.
+    """
     xq = Fraction(x)
     if xq.denominator == 1:
         raise ValueError("x must not be an integer")
@@ -299,30 +293,6 @@ def rigidity_constant_closed_form(x) -> float:
     return math.sin(math.pi * xf) / (math.pi * xf)
 
 
-def _series_f_and_derivs(x: float, z: float, tol: float) -> tuple[float, float, float]:
-    """F, F', F'' at z for parameters (x, -x; 1), by termwise differentiation."""
-    c = 1.0
-    f = 1.0
-    f1 = 0.0
-    f2 = 0.0
-    n = 0
-    while True:
-        c = c * _term_ratio(n, x)
-        n += 1
-        zn = z ** (n - 1)
-        f += c * zn * z
-        f1 += c * n * zn
-        if n >= 2:
-            f2 += c * n * (n - 1) * z ** (n - 2)
-        if n > abs(x) + 2:
-            scale = max(1.0, n * n)
-            bound = abs(c) * scale * abs(z) ** max(0, n - 2) / max(1e-30, 1.0 - abs(z))
-            if bound < tol:
-                return f, f1, f2
-        if n > 2_000_000:
-            raise ValueError("series failed to converge")
-
-
 def ode_residual(x, delta, z: float, tol: float = 1e-14) -> float:
     """Absolute residual of the fundamental solution in the correlator ODE.
 
@@ -330,14 +300,17 @@ def ode_residual(x, delta, z: float, tol: float = 1e-14) -> float:
     termwise and substitutes into the directly-entered ODE coefficients.
     The gauge factor is pulled out of the bracket and the six products are
     combined with compensated summation, which keeps the cancellation error
-    well below the 1e-10 target for parameters of moderate size.
+    well below the 1e-10 target for parameters of moderate size.  The
+    series' cancellation estimate is not checked here: it read 2.0e-14 at
+    x = 5/2, above the default ``tol``, with the residual still far below
+    the target.
     """
     eps = 10 * math.ulp(1.0)
     if not (eps < z < 1.0 - eps):
         raise ValueError("z must lie strictly inside (0, 1)")
     xq, dq = Fraction(x), Fraction(delta)
     xf, df = float(xq), float(dq)
-    big_f, big_f1, big_f2 = _series_f_and_derivs(xf, z, tol)
+    big_f, big_f1, big_f2, _ = _gauss_series(xf, z, tol)
     zq = Fraction(z)  # exact: binary floats are dyadic rationals
     r1 = -2 * dq / zq + 2 * dq / (1 - zq)
     r1p = 2 * dq / (zq * zq) + 2 * dq / ((1 - zq) * (1 - zq))
@@ -365,7 +338,11 @@ def verification_report(tol: float = 1e-12) -> list[dict]:
     Each numeric entry states the threshold it was held to and the sample
     point of its worst error.  The z = 1 values are held to
     ``max(10 * tol, 1e-8)``, so a ``tol`` below 1e-9 does not tighten that
-    check; the residuals are held to 1e-10 whatever ``tol`` is.
+    check; the residuals are held to 1e-10 whatever ``tol`` is.  Those
+    thresholds are what they were when the z = 1 product had a fixed
+    100,000 factors; ``tol`` now also sizes that product, whose neglected
+    log tail of about (x^2 + 3.5 x^4 + 1.5 x^8) / (42 n^7) is held below
+    tol/1000, so a ``tol`` below the floor 1e-15 raises ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")

@@ -217,10 +217,6 @@ class Verma(FinLabel):
         object.__setattr__(self, "n", _f(n))
         object.__setattr__(self, "e", _f(e))
 
-    @property
-    def irreducible(self) -> bool:
-        return self.e != 0
-
     def __repr__(self):
         return f"V({self.n};{self.e})"
 

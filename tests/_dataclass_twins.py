@@ -120,20 +120,6 @@ class FirstOrderSystem:
 
 
 @dataclass(frozen=True)
-class HypergeometricSpec:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.c != 1 or self.b != -self.a:
-            raise ValueError("the correlator reduction has parameters (x, -x, 1)")
-
-
-@dataclass(frozen=True)
 class SecondOrderOde:
     a2: RationalFunction
     a1: RationalFunction

@@ -142,8 +142,10 @@ def test_output_deterministic(capsys):
 
 
 def test_kz_verify_rejects_bad_tol(capsys):
-    for tol in ("0", "-1", "nan", "inf"):
+    for tol in ("0", "-1", "nan", "inf", "1e-300"):
+        start = time.perf_counter()
         code, out, err = run(capsys, "kz", "verify", "--tol", tol)
+        assert time.perf_counter() - start < 1, tol
         assert (code, out) == (2, "")
         assert "tol" in json.loads(err)["error"]
 
@@ -230,6 +232,28 @@ def test_zero_denominators_exit_two(capsys):
         code, out, err = run(capsys, "char", "A(0;0)", f"--z-window={window}")
         assert (code, out) == (2, "")
         assert "--z-window" in json.loads(err)["error"]
+
+
+def test_flag_numbers_take_exact_rationals(capsys):
+    # flag numbers are written as label numbers are, so an exponent cannot
+    # make the parser build a ten-million-digit integer
+    for argv, flag in (
+        (("char", "V(0;1/2)", "--cutoff", "1e9999999"), "--cutoff"),
+        (("char", "V(0;1/2)", "--cutoff", "1e-9999999"), "--cutoff"),
+        (("char", "V(0;1/2)", "--cutoff", "1.5"), "--cutoff"),
+        (("char", "A(0;0)", "--z-window=-1,1e9999999"), "--z-window"),
+        (("char", "A(0;0)", "--z-window=-1e-9999999,1e9999999"), "--z-window"),
+        (("local", "A(0;0)", "--ext", "custom:1e9999999,1"), "custom"),
+        (("local", "A(0;0)", "--ext", "custom:0.5,1"), "custom"),
+        (("local", "A(0;0)", "--ext", "custom:1/2,3/2"), "custom"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert flag in json.loads(err)["error"], argv
+    code, out, _ = run(capsys, "char", "A(0;0)", "--cutoff", "3/2", "--z-window=-4/2,1")
+    assert code == 0 and json.loads(out)["terms"]
 
 
 def test_oracle_labels_take_exact_rationals(capsys):

@@ -30,7 +30,6 @@ CLASSES = (
     extensions.WeightGrowth,
     characters.CharacterRequest,
     kz.FirstOrderSystem,
-    kz.HypergeometricSpec,
     kz.SecondOrderOde,
     oracle.Gl11Algebra,
     oracle.Verma,
@@ -80,9 +79,6 @@ def _field_values(rng: Random, cls) -> list:
         return [_label(rng), F(rng.randint(-1, 3), rng.randint(1, 2)), window]
     if name == "FirstOrderSystem":
         return [rng.choice((_SYSTEM, ((F(1), F(2)), (F(3), F(rng.randint(0, 1))))))]
-    if name == "HypergeometricSpec":
-        x = F(rng.randint(-3, 3), 2)
-        return [x, rng.choice((-x, x, "1/2")), rng.choice((1, "1", F(2)))]
     if name == "SecondOrderOde":
         return [rng.choice(_FUNCTIONS) for _ in range(3)]
     if name == "Gl11Algebra":

@@ -138,9 +138,12 @@ def test_hyp2f1_half_at_one_is_two_over_pi():
 
 def test_partial_sums_telescope_to_product():
     # sum_{n<=N} c_n = prod_{j<=N} (1 - x^2/j^2), the identity behind the
-    # z = 1 evaluation
+    # z = 1 evaluation; the partial sum is taken by direct term accumulation
     for x in (0.5, 0.3, 1.7):
-        lhs = kz.gauss_partial_sum(x, 400)
+        lhs = term = 1.0
+        for n in range(400):
+            term *= kz._term_ratio(n, x)
+            lhs += term
         rhs = 1.0
         for j in range(1, 401):
             rhs *= 1.0 - x * x / (j * j)
@@ -166,6 +169,48 @@ def test_rigidity_constant_matches_closed_form():
         assert abs(kz.rigidity_constant(x) - kz.rigidity_constant_closed_form(x)) < 1e-8
 
 
+def test_rigidity_constant_meets_tol_against_closed_form():
+    # stdlib twin of the 40-digit check in test_kz_mpmath; above 1e-10 the
+    # closed form's own rounding does not matter
+    for x in (F(1, 10), F(1, 3), F(2, 5), F(1, 2), F(7, 10), F(5, 2), F(49, 2), F(99, 2)):
+        for tol in (1e-6, 1e-8, 1e-10):
+            assert abs(kz.rigidity_constant(x, tol) - kz.rigidity_constant_closed_form(x)) <= tol, (x, tol)
+
+
+def gauss_log_tail_error(x: float, n: int) -> float:
+    # the first neglected Euler-Maclaurin terms of x^2 s2 and x^4/2 s4, and
+    # the leading x^8/4 s8 term of the log of prod_{j>n} (1 - x^2/j^2)
+    return (x**2 + 3.5 * x**4 + 1.5 * x**8) / (42 * n**7)
+
+
+def test_gauss_factor_count_is_sized_from_tol():
+    # the fewest factors, and at least 2|x|, that hold the tail error below tol/1000
+    for x in (0.1, 0.4, 0.7, 2.5, 24.5, 49.5):
+        for tol in (1e6, 1e-6, 1e-10, 1e-12, 1e-15):
+            n = kz._gauss_factor_count(x, tol)
+            assert n >= 2 * abs(x) and gauss_log_tail_error(x, n) <= tol / 1000, (x, tol)
+            assert n - 1 < 2 * abs(x) or gauss_log_tail_error(x, n - 1) > tol / 1000, (x, tol)
+    assert kz._gauss_factor_count(0.5, 1e-12) < kz._gauss_factor_count(0.5, 1e-15) < 200
+
+
+def test_rigidity_constant_rejects_tol_below_floor():
+    for tol in (9e-16, 1e-300, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            kz.rigidity_constant(F(1, 3), tol)
+    assert kz.rigidity_constant(F(1, 3), 1e-15) > 0
+
+
+def test_hyp2f1_raises_on_cancellation():
+    # at x = 49/2 the terms reach ~1e13 against a result below 1
+    for z in (0.5, -0.5):
+        with pytest.raises(ValueError, match="cancellation"):
+            kz.hyp2f1(F(49, 2), z)
+    # a tol below eps fails before any summing, not after ~10^6 terms
+    for tol in (1e-300, math.nan):
+        with pytest.raises(ValueError, match="cancellation"):
+            kz.hyp2f1(F(1, 3), 0.999999, tol)
+
+
 def test_rigidity_closed_form_values():
     assert abs(kz.rigidity_constant_closed_form(F(1, 2)) - 2 / math.pi) < 1e-15
     want = 3 * math.sqrt(3) / (2 * math.pi)
@@ -179,17 +224,6 @@ def test_rigidity_rejects_integers():
         kz.rigidity_constant(F(2))
     with pytest.raises(ValueError):
         kz.rigidity_constant_closed_form(F(0))
-
-
-def test_hypergeometric_spec():
-    spec = kz.HypergeometricSpec.for_ratio(F(1, 3))
-    assert (spec.a, spec.b, spec.c) == (F(1, 3), F(-1, 3), 1)
-    with pytest.raises(ValueError):
-        kz.HypergeometricSpec.for_ratio(F(2))
-    with pytest.raises(ValueError):
-        kz.HypergeometricSpec(F(1, 3), F(1, 3), F(1))
-    with pytest.raises(ValueError):
-        kz.HypergeometricSpec(F(1, 3), F(-1, 3), F(2))
 
 
 def test_ode_residual_small():
@@ -214,7 +248,7 @@ def test_ode_residual_x_zero_case():
 def test_ode_residual_mutation_control():
     # mismatched parameters leave an O(1) residual
     x, d, z = F(1, 2), F(3, 8), 0.5
-    f, f1, f2 = kz._series_f_and_derivs(float(x), z, 1e-14)
+    f, f1, f2, _ = kz._gauss_series(float(x), z, 1e-14)
     df = float(d)
     w = z ** (-2 * df) * (1 - z) ** (-2 * df)
     r1 = -2 * df / z + 2 * df / (1 - z)

@@ -62,6 +62,15 @@ def test_rigidity_constant_at_one():
             assert abs(kz.rigidity_constant(x) - want) <= 1.2e-14
 
 
+def test_rigidity_constant_meets_tol():
+    # the z = 1 product is sized from tol: it meets tol down to the floor 1e-15
+    with mpmath.workdps(40):
+        for x in (*REPORT_X, F(49, 2), F(99, 2)):
+            want = mpmath.sinc(mpmath.pi * mp(x))
+            for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15):
+                assert abs(kz.rigidity_constant(x, tol) - want) <= tol, (x, tol)
+
+
 def gauss_and_derivs(x, z):
     # d/dz 2F1(a, b; c; z) = (a b / c) 2F1(a + 1, b + 1; c + 1; z)
     return (
@@ -92,6 +101,6 @@ def test_ode_residual_against_mpmath():
                 a0 = 4 * dm**2 / zm + 2 * dm * (2 * dm - 1) / (1 - zm) + (xm**2 - 16 * dm**2)
                 assert abs(a2 * phi2 + a1 * phi1 + a0 * phi) < 1e-30
                 assert kz.ode_residual(x, d, z) < 1.5e-13
-                series = kz._series_f_and_derivs(float(x), z, 1e-14)
+                series = kz._gauss_series(float(x), z, 1e-14)[:3]
                 for got, want in zip(series, (big_f, big_f1, big_f2)):
                     assert abs(got - want) <= 3e-14 * abs(want)
