@@ -10,11 +10,15 @@ realizations used for sl(2|1):
   A(m - eps(m); -2m).
 * ``SL21_LEVEL1``: generator steps (a, b) = (1/2, 1), summands A(eps(m); m).
 
-Induction uses closed forms in place of fusion: with step = a - eps(b),
-fusing with the m-th generator moves V(n;ehat) to V(n + m step; ehat + m b)
-and A(n;l) or P(n;l) to the same kind at (n + m step - eps(l) + eps(l + m b);
-l + m b), so the summand weights grow in m with quadratic coefficient
-b (step + b/2).
+Nothing here fuses a simple with a generator.  With step = a - eps(b), the
+m-th generator moves V(n;ehat) to V(n + m step; ehat + m b) and A(n;l) or
+P(n;l) to the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).  So
+the monodromy of a simple s (x = ehat(s)) against A(c;l) is
+x c + l n(s) + x l - (x + l) kappa, kappa = eps(l) for a typical s and
+eps2(ell(s), l) for an atypical one; the summand weights are
+b (step + b/2) m^2 + lin m + const, plus |l + m b|/2 for a base A(n;l); and
+the one m that can make two simples induce alike is their ehat offset over
+b, or for b = 0 their n offset over step.
 
 Locality of an induced module is decided by integrality of the monodromy
 exponents against the generators at m = +-1; the exponent is affine in m
@@ -35,8 +39,11 @@ from .labels import (
     ProjectiveP,
     TypicalV,
     _f,
+    _int,
     delta,
+    ehat,
     epsilon,
+    epsilon2,
     is_simple,
     projective_cover,
     strip_parity,
@@ -54,7 +61,7 @@ class ExtensionSpec(Frozen):
     def __init__(self, name: str, a: Fraction, b: int):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "a", _f(a))
-        object.__setattr__(self, "b", int(b))
+        object.__setattr__(self, "b", _int(b))
 
     @property
     def step(self) -> Fraction:
@@ -63,7 +70,7 @@ class ExtensionSpec(Frozen):
 
     def generator_of(self, m: int) -> AtypicalA:
         """The m-th summand: the m-th fusion power of the base generator."""
-        m = int(m)
+        m = _int(m)
         return AtypicalA(
             m * self.a - m * epsilon(self.b) + epsilon(m * self.b), m * self.b
         )
@@ -76,7 +83,7 @@ class ExtensionSpec(Frozen):
         the integrality constraint 2(a - 1/2) b, which the named extensions
         satisfy; the label arithmetic is well defined regardless.
         """
-        a, b = _f(a), int(b)
+        a, b = _f(a), _int(b)
         gen = AtypicalA(a, b)
         if abs(b) > 2 * delta(gen):
             warnings.warn(
@@ -108,7 +115,7 @@ class InducedModule(Frozen):
         A reducible Verma base raises as :func:`fuse` does.
         """
         base, ext = self.base, self.extension
-        m = int(m)
+        m = _int(m)
         kind = type(base)
         if kind is TypicalV:
             return TypicalV(base.n + m * ext.step, base.ehat + m * ext.b)
@@ -122,11 +129,22 @@ def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
     """Delta(fuse(s, c)) - Delta(s) - Delta(c) for a simple-current c.
 
     The monodromy operator is exp(2 pi i <exponent>); triviality is
-    integrality of the exponent.  Requires the fusion output to be a single
-    simple label, which holds whenever c is atypical and s is simple.
+    integrality of the exponent.  For a simple s, x = ehat(s), and an
+    atypical c = A(c.n; l) it is x c.n + l s.n + x l - (x + l) kappa, with
+    kappa = eps(l) for a typical s and eps2(s.ell, l) for an atypical one;
+    an atypical s against a typical c is that pair swapped.  Any other pair
+    is fused, and raises unless the output is a single simple label.
     """
-    out = fuse(s, c)
-    label = out.single()
+    if type(s) is AtypicalA and type(c) is TypicalV:
+        s, c = c, s
+    kind = type(s)
+    if type(c) is AtypicalA and (kind is TypicalV or kind is AtypicalA):
+        if kind is TypicalV:
+            x, kappa = s.ehat, epsilon(c.ell)
+        else:
+            x, kappa = s.ell, epsilon2(s.ell, c.ell)
+        return x * c.n + c.ell * s.n + x * c.ell - (x + c.ell) * kappa
+    label = fuse(s, c).single()
     if not is_simple(label):
         raise Gl11Error("monodromy is defined against a simple fusion output")
     return delta(label) - delta(s) - delta(c)
@@ -147,45 +165,32 @@ def is_local(s: ModuleLabel, ext: ExtensionSpec) -> bool:
 
 def induce(s: ModuleLabel, ext: ExtensionSpec, m_range: int) -> list[ModuleLabel]:
     """Summands of the induction for m = -m_range .. m_range, in order."""
+    m_range = _int(m_range)
     if m_range < 0:
         raise ValueError(f"m_range must be non-negative, got {m_range}")
     ind = InducedModule(strip_parity(s), ext)
-    return [ind.summand(m) for m in range(-int(m_range), int(m_range) + 1)]
+    return [ind.summand(m) for m in range(-m_range, m_range + 1)]
 
 
 def induced_equivalent(s: ModuleLabel, s2: ModuleLabel, ext: ExtensionSpec) -> bool:
     """Do two simples induce to the same module?
 
-    Solved in closed form: equivalence means s2 = fuse(s, generator_of(m))
-    for some integer m, and the candidate m is pinned down by the ell (or,
-    for a degenerate extension, the n) offset.
+    Equivalence means s2 = summand(m) for an integer m, and summand(m) moves
+    ehat by m b and, for b = 0, n by m step: so m is the ehat offset over b,
+    or the n offset over step, and with b = step = 0 every summand is s.
     """
     s, s2 = strip_parity(s), strip_parity(s2)
     if not (is_simple(s) and is_simple(s2)):
         raise ValueError("induced equivalence applies to simple labels")
     if type(s) is not type(s2):
         return False
-    if ext.b != 0:
-        if isinstance(s, TypicalV):
-            offset = s2.ehat - s.ehat
-        else:
-            offset = Fraction(s2.ell - s.ell)
-        ratio = offset / ext.b
-        if ratio.denominator != 1:
-            return False
-        return InducedModule(s, ext).summand(int(ratio)) == s2
-    # degenerate custom extension with no ell motion
-    if ext.a == 0:
+    if ext.b:
+        m = (ehat(s2) - ehat(s)) / ext.b
+    elif ext.step:
+        m = (s2.n - s.n) / ext.step
+    else:
         return s == s2
-    if isinstance(s, TypicalV) and s.ehat != s2.ehat:
-        return False
-    if isinstance(s, AtypicalA) and s.ell != s2.ell:
-        return False
-    offset = s2.n - s.n
-    if (offset / ext.a).denominator != 1:
-        return False
-    m = int(offset / ext.a)
-    return InducedModule(s, ext).summand(m) == s2
+    return m.denominator == 1 and InducedModule(s, ext).summand(m) == s2
 
 
 def induced_projective_cover(
@@ -204,33 +209,20 @@ class WeightGrowth(Frozen):
     __slots__ = ("quadratic_coeff", "linear_coeff", "classification")
 
 
-def _fit_quadratic(points: list[tuple[int, Fraction]]):
-    """Exact degree <= 2 interpolation through four points, or None."""
-    (m0, d0), (m1, d1), (m2, d2), (m3, d3) = points
-    # Newton's divided differences on the first three points
-    f01 = (d1 - d0) / (m1 - m0)
-    f12 = (d2 - d1) / (m2 - m1)
-    f012 = (f12 - f01) / (m2 - m0)
-    a = f012
-    b = f01 - f012 * (m0 + m1)
-    c = d0 - m0 * (b + a * m0)
-    if a * m3 * m3 + b * m3 + c != d3:
-        return None
-    return a, b, c
-
-
 def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     """Delta(summand(m)) as an exact polynomial of degree <= 2 in m.
 
     With step = a - eps(b), the weights grow with quad = b (step + b/2).  A
     typical base V(n;ehat) follows one polynomial for every m, with linear
-    coefficient b n + ehat (step + b).  An atypical base A(n;l) follows
-    lin+- = l (step + b/2) + b (n - eps(l) + l/2 +- eps(b)) as m -> +-inf,
-    but can pick up piecewise-linear corrections near m = 0 from the
-    half-integer step function: when the four points m in {-1, 0, 1, 2} lie
-    on one polynomial, its coefficients are reported, and otherwise quad and
-    lin+.  The classification consults both directions so that flat or
-    falling ones are never missed: positive quadratic growth is
+    coefficient b n + ehat (step + b).  An atypical base A(n;l) has weights
+    quad m^2 + lin m + const + |l + m b|/2, lin = l (step + b/2) +
+    b (n - eps(l) + l/2), so lin+- = lin +- |b|/2 as m -> +-inf.  The linear
+    coefficient reported is lin + b/2 or lin - b/2 when l + m b is >= 0 or
+    <= 0 on all of m = -1..2 (a polynomial there), and lin+ otherwise; quad
+    is always reported, even at 2l + b = 0, where those four points also lie
+    on a parabola of coefficient quad + |b|/4 that the weights do not follow.
+    The classification consults both directions so that flat or falling
+    ones are never missed: positive quadratic growth is
     ``lowest_weight``; with no quadratic term, a direction along which the
     weights fall is ``spectral_flow_unbounded`` and an exactly flat
     direction is ``relaxed_flat``.
@@ -247,10 +239,10 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
         ell = s.ell
         lin_mid = ell * rate + b * (s.n - epsilon(ell) + Fraction(ell, 2))
         lin_pos, lin_neg = lin_mid + b * epsilon(b), lin_mid - b * epsilon(b)
-        ind = InducedModule(s, ext)
-        fit = _fit_quadratic([(m, delta(ind.summand(m))) for m in (-1, 0, 1, 2)])
-        if fit is not None:
-            quad, lin, _ = fit
+        if ell - b >= 0 and ell + 2 * b >= 0:
+            lin = lin_mid + Fraction(b, 2)
+        elif ell - b <= 0 and ell + 2 * b <= 0:
+            lin = lin_mid - Fraction(b, 2)
         else:
             lin = lin_pos
     if quad > 0:

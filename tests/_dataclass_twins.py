@@ -75,7 +75,7 @@ class ExtensionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "a", _f(self.a))
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "b", _int(self.b))
 
 
 @dataclass(frozen=True)

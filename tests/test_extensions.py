@@ -251,8 +251,28 @@ def summand_by_fusion(base, ext, m):
     return fuse(base, ext.generator_of(m)).single()
 
 
+def _fit_quadratic(points):
+    """Exact degree <= 2 interpolation through four points, or None."""
+    (m0, d0), (m1, d1), (m2, d2), (m3, d3) = points
+    # Newton's divided differences on the first three points
+    f01 = (d1 - d0) / (m1 - m0)
+    f12 = (d2 - d1) / (m2 - m1)
+    f012 = (f12 - f01) / (m2 - m0)
+    a = f012
+    b = f01 - f012 * (m0 + m1)
+    c = d0 - m0 * (b + a * m0)
+    if a * m3 * m3 + b * m3 + c != d3:
+        return None
+    return a, b, c
+
+
 def sampled_weight_growth(s, ext):
-    """The former weight_growth: three four-point fits of fused summands."""
+    """Weight growth from three four-point fits of fused summands.
+
+    The fit through m in {-1, 0, 1, 2} is trusted only when its quadratic
+    coefficient is the far fits' one: at 2l + b = 0 the kink of |l + m b|
+    sits at m = 1/2 and those four points lie on a wrong parabola.
+    """
     s = strip_parity(s)
     if not is_simple(s):
         raise ValueError("weight growth applies to simple labels")
@@ -262,16 +282,15 @@ def sampled_weight_growth(s, ext):
 
     ell0 = s.ell if isinstance(s, AtypicalA) else 0
     guard = abs(ell0) + abs(ext.b) + 2
-    fit = ex._fit_quadratic(sample([-1, 0, 1, 2]))
-    pos = ex._fit_quadratic(sample([guard, guard + 1, guard + 2, guard + 3]))
-    neg = ex._fit_quadratic(sample([-guard - 3, -guard - 2, -guard - 1, -guard]))
+    fit = _fit_quadratic(sample([-1, 0, 1, 2]))
+    pos = _fit_quadratic(sample([guard, guard + 1, guard + 2, guard + 3]))
+    neg = _fit_quadratic(sample([-guard - 3, -guard - 2, -guard - 1, -guard]))
     if pos is None or neg is None or pos[0] != neg[0]:
         raise Gl11Error("summand weights do not follow a quadratic growth law")
     quad = pos[0]
     lin_pos, lin_neg = pos[1], neg[1]
-    if fit is not None:
-        quad, lin, _ = fit
-        report_lin = lin
+    if fit is not None and fit[0] == quad:
+        report_lin = fit[1]
     else:
         report_lin = lin_pos
     if quad > 0:
@@ -358,3 +377,221 @@ def test_weight_growth_matches_sampled_fits():
     assert seen == {"raise", "lowest_weight", "spectral_flow_unbounded", "relaxed_flat"}
     for bad in (ProjectiveP(0, 0), VermaV0(0, 1)):
         assert _outcome(ex.weight_growth, bad, MH) == _outcome(sampled_weight_growth, bad, MH)
+
+
+# ---------------------------------------------------------------------------
+# the former fused bodies, kept as oracles for the closed forms
+# ---------------------------------------------------------------------------
+
+
+def monodromy_by_fusion(s, c):
+    """The former monodromy_exponent: fuse, then three deltas."""
+    label = fuse(s, c).single()
+    if not is_simple(label):
+        raise Gl11Error("monodromy is defined against a simple fusion output")
+    return delta(label) - delta(s) - delta(c)
+
+
+def is_local_by_fusion(s, ext):
+    s = strip_parity(s)
+    return all(monodromy_by_fusion(s, ext.generator_of(m)).denominator == 1 for m in (1, -1))
+
+
+def induced_equivalent_two_branch(s, s2, ext):
+    """The former induced_equivalent, with its separate b = 0 branch."""
+    s, s2 = strip_parity(s), strip_parity(s2)
+    if not (is_simple(s) and is_simple(s2)):
+        raise ValueError("induced equivalence applies to simple labels")
+    if type(s) is not type(s2):
+        return False
+    if ext.b != 0:
+        if isinstance(s, TypicalV):
+            offset = s2.ehat - s.ehat
+        else:
+            offset = Fraction(s2.ell - s.ell)
+        ratio = offset / ext.b
+        if ratio.denominator != 1:
+            return False
+        return summand_by_fusion(s, ext, int(ratio)) == s2
+    if ext.a == 0:
+        return s == s2
+    if isinstance(s, TypicalV) and s.ehat != s2.ehat:
+        return False
+    if isinstance(s, AtypicalA) and s.ell != s2.ell:
+        return False
+    offset = s2.n - s.n
+    if (offset / ext.a).denominator != 1:
+        return False
+    return summand_by_fusion(s, ext, int(offset / ext.a)) == s2
+
+
+# 1/2 + (-1/2) and 1/3 + 2/3 are integral ehat sums, 1/2 + 1/3 is not
+GRID_NS = (F(-1, 2), F(0), F(1, 3))
+GRID_EHATS = (F(-1, 2), F(1, 2), F(1, 3), F(2, 3))
+GRID_ELLS = (-2, -1, 0, 1, 2)
+
+
+def _grid_labels():
+    out = [TypicalV(n, e) for n in GRID_NS for e in GRID_EHATS]
+    out += [k(n, ell) for k in (AtypicalA, ProjectiveP, VermaV0) for n in GRID_NS for ell in GRID_ELLS]
+    return out + [_flip(x) for x in out]
+
+
+def _grid_extensions():
+    """Named, custom with b != 0, and b = 0 with a = 0 and with a != 0."""
+    return [
+        MH,
+        L1,
+        ex.ExtensionSpec("custom", F(1, 3), -1),
+        ex.ExtensionSpec("custom", F(-1, 4), 3),
+        ex.ExtensionSpec("custom", F(2, 3), 2),
+        ex.ExtensionSpec("custom", F(1, 2), 0),
+        ex.ExtensionSpec("custom", F(-2, 3), 0),
+        ex.ExtensionSpec("custom", F(0), 0),
+    ]
+
+
+def test_monodromy_matches_fusion_on_grid():
+    labels = _grid_labels()
+    kinds = set()
+    for s in labels:
+        for c in labels:
+            got = _outcome(ex.monodromy_exponent, s, c)
+            assert got == _outcome(monodromy_by_fusion, s, c), (s, c)
+            assert isinstance(got, tuple) or type(got) is Fraction
+            kinds.add(got[0] if isinstance(got, tuple) else Fraction)
+    # a value, a non-simple output, two summands, and a reducible Verma
+    assert kinds == {Fraction, Gl11Error, ValueError, NotDeterminedError}
+
+
+def test_is_local_matches_fusion_on_grid():
+    for ext in _grid_extensions():
+        for s in _grid_labels():
+            got = _outcome(ex.is_local, s, ext)
+            assert got == _outcome(is_local_by_fusion, s, ext), (s, ext)
+
+
+def test_induced_equivalent_matches_two_branch_on_grid():
+    labels = _grid_labels()
+    simples = [x for x in labels if is_simple(x)]
+    found = 0
+    for ext in _grid_extensions():
+        for s in simples[: len(simples) // 2]:  # the unflipped half; s2 covers flips
+            orbit = [summand_by_fusion(s, ext, m) for m in range(-2, 3)]
+            for s2 in simples + orbit + [_flip(orbit[0])]:
+                got = ex.induced_equivalent(s, s2, ext)
+                assert got == induced_equivalent_two_branch(s, s2, ext), (s, s2, ext)
+                found += got
+        for bad in labels[::7]:
+            got = _outcome(ex.induced_equivalent, bad, simples[0], ext)
+            assert got == _outcome(induced_equivalent_two_branch, bad, simples[0], ext)
+    assert found
+
+
+def _far_classification(s, ext):
+    """The growth class read off Delta(summand(m)) at m = +-38, +-39, +-40."""
+    d = {m: delta(summand_by_fusion(s, ext, m)) for m in (-40, -39, -38, 38, 39, 40)}
+    quad = (d[40] - 2 * d[39] + d[38]) / 2
+    if quad != (d[-40] - 2 * d[-39] + d[-38]) / 2:
+        raise AssertionError("far weights follow no single quadratic")
+    slope_pos, slope_neg = d[40] - d[39], d[-39] - d[-40]
+    if quad > 0:
+        return "lowest_weight"
+    if quad < 0:
+        return "raise"
+    if slope_pos < 0 or slope_neg > 0:
+        return "spectral_flow_unbounded"
+    if slope_pos == 0 or slope_neg == 0:
+        return "relaxed_flat"
+    return "lowest_weight"
+
+
+def test_weight_growth_matches_sampled_fits_on_grid():
+    kinked = 0
+    for ext in _grid_extensions():
+        for s in _grid_labels():
+            if not is_simple(s):
+                continue
+            got = _outcome(ex.weight_growth, s, ext)
+            assert got == _outcome(sampled_weight_growth, s, ext), (s, ext)
+            if isinstance(s, AtypicalA):
+                cls = "raise" if isinstance(got, tuple) else got.classification
+                assert cls == _far_classification(s, ext), (s, ext)
+                kinked += 2 * s.ell + ext.b == 0 != ext.b
+    assert kinked
+
+
+def test_weight_growth_across_the_kink_at_minus_half():
+    # A(n;1) at level -1/2 has 2l + b = 0: |1 - 2m|/2 has its kink at
+    # m = 1/2, where the four points m = -1..2 lie on a parabola of
+    # quadratic coefficient 1/2 that the weights do not follow
+    want = {
+        F(3, 2): "spectral_flow_unbounded",
+        F(1, 2): "relaxed_flat",
+        F(0): "lowest_weight",
+        F(-1, 2): "relaxed_flat",
+        F(-3, 2): "spectral_flow_unbounded",
+    }
+    for n, cls in want.items():
+        s = AtypicalA(n, 1)
+        got = ex.weight_growth(s, MH)
+        assert got.quadratic_coeff == 0
+        assert got.classification == cls == _far_classification(s, MH)
+    weights = [delta(ex.InducedModule(AtypicalA(F(3, 2), 1), MH).summand(m)) for m in (0, 1, 3, 20)]
+    assert weights == [2, -1, -5, -39]
+
+
+def test_closed_forms_do_not_fuse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fused or sampled in place of the closed form")
+
+    monkeypatch.setattr(ex, "fuse", refuse)
+    monkeypatch.setattr(ex, "delta", refuse)
+    simples = [x for x in _grid_labels() if is_simple(x)]
+    for ext in _grid_extensions():
+        for s in simples:
+            for m in (-1, 1, 2):
+                c = ext.generator_of(m)
+                ex.monodromy_exponent(s, c)
+                ex.monodromy_exponent(c, s)  # an atypical s against a typical c swaps
+            ex.is_local(s, ext)
+            ex.induced_equivalent(s, simples[0], ext)
+            got = _outcome(ex.weight_growth, s, ext)
+            assert not isinstance(got, tuple) or got[0] is Gl11Error
+
+
+@pytest.mark.parametrize("bad", [F(3, 2), 2.9], ids=["3/2", "2.9"])
+def test_extension_integers_are_checked(bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        ex.ExtensionSpec("x", F(1, 2), bad)
+    assert ex.ExtensionSpec("x", F(1, 2), F(4, 2)).b == 2
+    assert type(ex.ExtensionSpec("x", F(1, 2), 2).b) is int
+
+
+@pytest.mark.parametrize("bad", [F(3, 2), 2.9], ids=["3/2", "2.9"])
+def test_custom_extension_integers_are_checked(bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        ex.ExtensionSpec.custom(F(1, 2), bad)
+    assert ex.ExtensionSpec.custom(F(1, 2), F(-4, 2)).name == "custom:1/2,-2"
+
+
+@pytest.mark.parametrize("bad", [F(3, 2), 2.9], ids=["3/2", "2.9"])
+def test_generator_of_integers_are_checked(bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        MH.generator_of(bad)
+    assert MH.generator_of(F(2)) == MH.generator_of(2)
+
+
+@pytest.mark.parametrize("bad", [F(3, 2), 2.9], ids=["3/2", "2.9"])
+def test_summand_integers_are_checked(bad):
+    for base in (TypicalV(0, F(1, 2)), AtypicalA(0, 1), VermaV0(0, 1)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            ex.InducedModule(base, L1).summand(bad)
+    assert ex.InducedModule(AtypicalA(0, 0), L1).summand(F(2)) == L1.generator_of(2)
+
+
+@pytest.mark.parametrize("bad", [F(3, 2), 2.9], ids=["3/2", "2.9"])
+def test_induce_integers_are_checked(bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        ex.induce(AtypicalA(0, 0), L1, bad)
+    assert ex.induce(AtypicalA(0, 0), L1, F(1)) == ex.induce(AtypicalA(0, 0), L1, 1)
