@@ -25,8 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotDeterminedError
-from .frozen import Frozen
-from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, ehat
+from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, _int, ehat
 from .series import JacobiSeries, jacobi_equal_to_cutoff
 
 
@@ -36,34 +35,27 @@ def conformal_weight(n, ehat) -> Fraction:
     return ehat * (n + ehat / 2)
 
 
-class CharacterRequest(Frozen):
-    """A validated request for the expansion of one label's character."""
+def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> JacobiSeries:
+    """The character of one label, for Verma labels and atypicals at ell = 0.
 
-    __slots__ = ("label", "q_cutoff", "z_window")
-
-    def __init__(self, label: ModuleLabel, q_cutoff: Fraction, z_window: tuple | None = None):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "q_cutoff", _f(q_cutoff))
-        if self.q_cutoff < 0:
-            raise ValueError("q_cutoff must be nonnegative")
-        if z_window is not None:
-            lo, hi = z_window
-            z_window = (_f(lo), _f(hi))
-            if z_window[0] > z_window[1]:
-                raise ValueError("empty z window")
-        object.__setattr__(self, "z_window", z_window)
-
-    def expand(self) -> JacobiSeries:
-        label = self.label
-        if isinstance(label, (TypicalV, VermaV0)):
-            return char_verma(label.n, ehat(label), self.q_cutoff)
-        if isinstance(label, AtypicalA) and label.ell == 0:
-            if self.z_window is None:
-                raise ValueError("atypical characters need a z window")
-            return char_atypical0(label.n, self.q_cutoff, self.z_window)
-        raise NotDeterminedError(
-            "characters are available for Verma labels and atypicals at ell = 0"
-        )
+    The cutoff and the window are checked before the label's kind, so a bad
+    argument is a ValueError even where no character is available.
+    """
+    q_cutoff = _f(q_cutoff)
+    if q_cutoff < 0:
+        raise ValueError("q_cutoff must be nonnegative")
+    if z_window is not None:
+        lo, hi = z_window
+        z_window = (_f(lo), _f(hi))
+        if z_window[0] > z_window[1]:
+            raise ValueError("empty z window")
+    if isinstance(label, (TypicalV, VermaV0)):
+        return char_verma(label.n, ehat(label), q_cutoff)
+    if isinstance(label, AtypicalA) and label.ell == 0:
+        if z_window is None:
+            raise ValueError("atypical characters need a z window")
+        return char_atypical0(label.n, q_cutoff, z_window)
+    raise NotDeterminedError("characters are available for Verma labels and atypicals at ell = 0")
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +165,7 @@ def char_induced_typical(n, ehat, m_range: int, q_cutoff) -> tuple[JacobiSeries,
     terms up to depth above its lowest weight.  The summands of either side
     carry distinct y exponents, so they never share a term.
     """
-    n, ehat, q_cutoff = _f(n), _f(ehat), _f(q_cutoff)
+    n, ehat, q_cutoff, m_range = _f(n), _f(ehat), _f(q_cutoff), _int(m_range)
     if m_range < 1:
         raise ValueError("m_range must be at least 1")
     shift = 2 * n + ehat
@@ -202,7 +194,7 @@ def char_induced_typical(n, ehat, m_range: int, q_cutoff) -> tuple[JacobiSeries,
 def induced_window(n, ehat, m_range: int, q_cutoff) -> Fraction:
     """Comparison window on which both sides of the identity are complete."""
     shift = 2 * _f(n) + _f(ehat)
-    return _f(q_cutoff) + m_range * abs(shift)
+    return _f(q_cutoff) + _int(m_range) * abs(shift)
 
 
 def verify_induced_identity(n, ehat, m_range: int, q_cutoff) -> bool:

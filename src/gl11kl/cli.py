@@ -130,11 +130,9 @@ def _cmd_char(args) -> dict:
         raise UsageError(f"--cutoff must be at most {MAX_CHAR_CUTOFF}, got {args.cutoff}")
     from . import characters
 
-    request = characters.CharacterRequest(label, cutoff, window)
-    series = request.expand()
     terms = [
         {"q": str(q), "z": str(z), "y": str(y), "coeff": c}
-        for (q, z, y), c in series.sorted_terms()
+        for (q, z, y), c in characters.characters(label, cutoff, window).sorted_terms()
     ]
     return {"label": render_label(label), "terms": terms}
 

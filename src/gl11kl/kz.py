@@ -354,9 +354,8 @@ def verification_report(tol: float = 1e-12) -> list[dict]:
             "status": "pass" if derived == correlator_ode().normalized() else "fail",
         }
     )
-    checks.append(
-        {"check": "gauge_transform_to_hypergeometric", "status": "pass" if check_transform() else "fail"}
-    )
+    gauged = transform_ode(derived) == hypergeometric_ode()
+    checks.append({"check": "gauge_transform_to_hypergeometric", "status": "pass" if gauged else "fail"})
     checks.append({"check": "scalar_pair_residual", "status": "pass" if verify_vanish1() else "fail"})
     errors = []
     for num, den in ((1, 10), (1, 3), (2, 5), (1, 2), (7, 10)):

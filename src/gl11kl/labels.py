@@ -221,7 +221,7 @@ class FormalSum:
                     label, mult = entry, 1
                 else:
                     label, mult = entry
-                mult = int(mult)
+                mult = _int(mult)
                 if mult < 0:
                     raise ValueError("multiplicities must be nonnegative")
                 if mult:
@@ -270,7 +270,7 @@ class FormalSum:
         return FormalSum._trusted(out)
 
     def __rmul__(self, s: int) -> "FormalSum":
-        s = int(s)
+        s = _int(s)
         if s < 0:
             raise ValueError("scaling must be nonnegative")
         if s == 0:

@@ -91,26 +91,6 @@ class WeightGrowth:
     classification: str
 
 
-# characters
-
-
-@dataclass(frozen=True)
-class CharacterRequest:
-    label: object
-    q_cutoff: Fraction
-    z_window: tuple | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_cutoff", _f(self.q_cutoff))
-        if self.q_cutoff < 0:
-            raise ValueError("q_cutoff must be nonnegative")
-        if self.z_window is not None:
-            lo, hi = self.z_window
-            object.__setattr__(self, "z_window", (_f(lo), _f(hi)))
-            if _f(lo) > _f(hi):
-                raise ValueError("empty z window")
-
-
 # kz
 
 

@@ -61,6 +61,11 @@ ARGVS = [
     ["char", "V(0;1/2)", "--cutoff", "1e3"],
     ["char", "V(0;1/2)", "--cutoff", "201"],
     ["char", "A(0;0)", "--z-window=1,2,3"],
+    ["char", "V(0;1/2)", "--cutoff", "-1"],
+    ["char", "P(0;0)", "--cutoff", "-1"],
+    ["char", "V(0;1/2)", "--z-window=2,1"],
+    ["char", "A(0;0)", "--z-window=2,1"],
+    ["char", "P(0;0)", "--z-window=2,1"],
     # oracle
     ["oracle", "A(0)", "V(1/2;1/3)"],
     ["oracle", "V(0;1/2)", "V(0;-1/2)"],

@@ -17,7 +17,7 @@ import pytest
 
 import _dataclass_twins as twins
 import _draws
-from gl11kl import characters, extensions, kz, labels, oracle
+from gl11kl import extensions, kz, labels, oracle
 from gl11kl.symbolic import RationalFunction
 
 CLASSES = (
@@ -28,7 +28,6 @@ CLASSES = (
     extensions.ExtensionSpec,
     extensions.InducedModule,
     extensions.WeightGrowth,
-    characters.CharacterRequest,
     kz.FirstOrderSystem,
     kz.SecondOrderOde,
     oracle.Gl11Algebra,
@@ -74,9 +73,6 @@ def _field_values(rng: Random, cls) -> list:
         return [_label(rng), rng.choice((extensions.SL21_MINUS_HALF, extensions.SL21_LEVEL1))]
     if name == "WeightGrowth":
         return [F(rng.randint(0, 2)), F(rng.randint(-1, 1), 2), rng.choice(("lowest_weight", "relaxed_flat"))]
-    if name == "CharacterRequest":
-        window = rng.choice((None, (_number(rng), _number(rng)), [_number(rng), 3], (1,)))
-        return [_label(rng), F(rng.randint(-1, 3), rng.randint(1, 2)), window]
     if name == "FirstOrderSystem":
         return [rng.choice((_SYSTEM, ((F(1), F(2)), (F(3), F(rng.randint(0, 1))))))]
     if name == "SecondOrderOde":

@@ -282,3 +282,20 @@ def test_verification_report_passes_quickly():
         "fundamental_solution_residual",
     }
     assert elapsed < 5.0
+
+
+def test_verification_report_eliminates_once(monkeypatch):
+    calls = []
+    eliminate = kz.eliminate_to_second_order
+
+    def counted(system):
+        calls.append(system)
+        return eliminate(system)
+
+    monkeypatch.setattr(kz, "eliminate_to_second_order", counted)
+    report = kz.verification_report(tol=1e-12)
+    assert len(calls) == 1
+    assert report[1] == {"check": "gauge_transform_to_hypergeometric", "status": "pass"}
+    # the gauge check transforms the derived ODE, so a wrong elimination fails both
+    monkeypatch.setattr(kz, "eliminate_to_second_order", lambda system: kz.hypergeometric_ode())
+    assert [c["status"] for c in kz.verification_report(tol=1e-12)[:2]] == ["fail", "fail"]

@@ -208,3 +208,25 @@ def test_formal_sum_algebra():
         FormalSum([(a, -1)])
     with pytest.raises(ValueError):
         s.single()
+
+
+def test_formal_sum_multiplicities_are_checked():
+    a = AtypicalA(0, 0)
+    for bad in (1.5, Fraction(3, 2), "1/2"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            FormalSum([(a, bad)])
+        with pytest.raises(ValueError, match="expected an integer"):
+            FormalSum({a: bad})
+    assert FormalSum([(a, 2.0)]) == FormalSum({a: 2}) == FormalSum([(a, Fraction(2))])
+    assert all(type(m) is int for _, m in FormalSum([(a, 2.0)]))
+
+
+def test_formal_sum_scaling_is_checked():
+    s = FormalSum([AtypicalA(0, 0), AtypicalA(1, 0)])
+    for bad in (2.5, Fraction(5, 2), "5/2"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            bad * s
+        with pytest.raises(ValueError, match="expected an integer"):
+            s * bad
+    assert 2.0 * s == 2 * s == s * Fraction(2)
+    assert all(type(m) is int for _, m in 2.0 * s)
