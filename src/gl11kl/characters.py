@@ -38,7 +38,8 @@ def conformal_weight(n, ehat) -> Fraction:
 def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> JacobiSeries:
     """The character of one label, for Verma labels and atypicals at ell = 0.
 
-    The cutoff and the window are checked before the label's kind, so a bad
+    A z window keeps the terms with lo <= z <= hi, whatever the label.  The
+    cutoff and the window are checked before the label's kind, so a bad
     argument is a ValueError even where no character is available.
     """
     q_cutoff = _f(q_cutoff)
@@ -50,7 +51,13 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
         if z_window[0] > z_window[1]:
             raise ValueError("empty z window")
     if isinstance(label, (TypicalV, VermaV0)):
-        return char_verma(label.n, ehat(label), q_cutoff)
+        series = char_verma(label.n, ehat(label), q_cutoff)
+        if z_window is None:
+            return series
+        lo, hi = z_window
+        return JacobiSeries._trusted(
+            {k: c for k, c in series.terms.items() if lo <= k[1] <= hi}, q_cutoff
+        )
     if isinstance(label, AtypicalA) and label.ell == 0:
         if z_window is None:
             raise ValueError("atypical characters need a z window")

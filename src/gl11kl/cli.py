@@ -171,7 +171,7 @@ def _cmd_monodromy(args) -> dict:
         "label": render_label(label),
         "extension": ext.name,
         "exponents": rows,
-        "local": extensions.is_local(label, ext),
+        "local": all(row["integral"] for row in rows if row["m"] in (-1, 1)),
         **_warnings_json(caught),
     }
 

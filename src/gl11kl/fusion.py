@@ -1,7 +1,17 @@
 """Fusion products of simple and projective labels, with Grothendieck checks.
 
-The binary product is defined on atypical/typical simples and projectives;
-reducible Verma labels are rejected because their products are not part of
+The two factors are first ordered by kind (A, then P, then V); then three
+rules give every product:
+
+1. An atypical simple translates.  A(c;l) times V(n;e) is
+   V(c + n - eps(l); e + l), and times A or P at (n;l') it is the same kind
+   at (c + n - eps2(l, l'); l + l').
+2. A projective spreads.  P(m;l) times V or P is the 1-2-1 spread of
+   A(m;l) times that factor: the result at n - 1, twice at n, and at n + 1.
+3. Two typicals V(n;e), V(n';e') give V(n + n' +- 1/2; e + e') when e + e'
+   is not an integer, and P(n + n' + eps(l); l) when it is the integer l.
+
+Reducible Verma labels are rejected because their products are not part of
 the classification this package implements.  Outputs are always formal sums,
 even when a single label, so results compose uniformly.
 """
@@ -18,6 +28,7 @@ from .labels import (
     ProjectiveP,
     TypicalV,
     VermaV0,
+    _spread,
     epsilon,
     epsilon2,
     k_decompose,
@@ -26,6 +37,7 @@ from .labels import (
 )
 
 _HALF = Fraction(1, 2)
+_RULE_ORDER = {AtypicalA: 0, ProjectiveP: 1, TypicalV: 2}
 
 
 def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:
@@ -37,54 +49,29 @@ def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:
     a, b = strip_parity(a), strip_parity(b)
     if isinstance(a, VermaV0) or isinstance(b, VermaV0):
         raise NotDeterminedError("fusion against a reducible Verma label is not determined")
-    if isinstance(a, AtypicalA) and isinstance(b, AtypicalA):
-        return FormalSum(
-            AtypicalA(a.n + b.n - epsilon2(a.ell, b.ell), a.ell + b.ell)
-        )
-    if isinstance(a, AtypicalA) and isinstance(b, TypicalV):
-        return FormalSum(TypicalV(a.n + b.n - epsilon(a.ell), b.ehat + a.ell))
-    if isinstance(a, TypicalV) and isinstance(b, AtypicalA):
-        return fuse(b, a)
-    if isinstance(a, TypicalV) and isinstance(b, TypicalV):
-        e_sum = a.ehat + b.ehat
-        n_sum = a.n + b.n
-        if e_sum.denominator != 1:
-            return FormalSum([TypicalV(n_sum + _HALF, e_sum), TypicalV(n_sum - _HALF, e_sum)])
-        ell = int(e_sum)
-        # the remaining branch needs one factor's ehat off the integers,
-        # which holds for every well-formed typical label
-        if a.ehat.denominator == 1 and b.ehat.denominator == 1:
-            raise NotDeterminedError("fusion not determined for integral ehat factors")
-        return FormalSum(ProjectiveP(n_sum + epsilon(ell), ell))
-    if isinstance(a, AtypicalA) and isinstance(b, ProjectiveP):
-        return FormalSum(
-            ProjectiveP(a.n + b.n - epsilon2(a.ell, b.ell), a.ell + b.ell)
-        )
-    if isinstance(a, ProjectiveP) and isinstance(b, AtypicalA):
-        return fuse(b, a)
-    if isinstance(a, TypicalV) and isinstance(b, ProjectiveP):
-        n_sum = a.n + b.n - epsilon(b.ell)
-        e_new = a.ehat + b.ell
-        return FormalSum(
-            [
-                (TypicalV(n_sum + 1, e_new), 1),
-                (TypicalV(n_sum, e_new), 2),
-                (TypicalV(n_sum - 1, e_new), 1),
-            ]
-        )
-    if isinstance(a, ProjectiveP) and isinstance(b, TypicalV):
-        return fuse(b, a)
-    if isinstance(a, ProjectiveP) and isinstance(b, ProjectiveP):
-        n_sum = a.n + b.n - epsilon2(a.ell, b.ell)
-        ell = a.ell + b.ell
-        return FormalSum(
-            [
-                (ProjectiveP(n_sum + 1, ell), 1),
-                (ProjectiveP(n_sum, ell), 2),
-                (ProjectiveP(n_sum - 1, ell), 1),
-            ]
-        )
-    raise TypeError(f"cannot fuse {a!r} and {b!r}")
+    try:
+        swap = _RULE_ORDER[type(a)] > _RULE_ORDER[type(b)]
+    except KeyError:
+        raise TypeError(f"cannot fuse {a!r} and {b!r}") from None
+    if swap:
+        a, b = b, a
+    if type(a) is AtypicalA:  # rule 1
+        return FormalSum(_translate(a, b))
+    if type(a) is ProjectiveP:  # rule 2
+        return _spread(_translate(AtypicalA(a.n, a.ell), b))
+    e_sum = a.ehat + b.ehat  # rule 3
+    n_sum = a.n + b.n
+    if e_sum.denominator != 1:
+        return FormalSum([TypicalV(n_sum + _HALF, e_sum), TypicalV(n_sum - _HALF, e_sum)])
+    ell = int(e_sum)
+    return FormalSum(ProjectiveP(n_sum + epsilon(ell), ell))
+
+
+def _translate(c: AtypicalA, x: ModuleLabel) -> ModuleLabel:
+    """A(c;l) times a simple or projective x: one label of x's kind."""
+    if type(x) is TypicalV:
+        return TypicalV(c.n + x.n - epsilon(c.ell), x.ehat + c.ell)
+    return type(x)(c.n + x.n - epsilon2(c.ell, x.ell), c.ell + x.ell)
 
 
 def fuse_formal(a: FormalSum, b: FormalSum) -> FormalSum:

@@ -320,14 +320,14 @@ def k_decompose(label: ModuleLabel) -> FormalSum:
             [AtypicalA(label.n, label.ell), AtypicalA(label.n + shift, label.ell)]
         )
     if isinstance(label, ProjectiveP):
-        return FormalSum(
-            [
-                (AtypicalA(label.n, label.ell), 2),
-                (AtypicalA(label.n + 1, label.ell), 1),
-                (AtypicalA(label.n - 1, label.ell), 1),
-            ]
-        )
+        return _spread(AtypicalA(label.n, label.ell))
     raise TypeError(f"unknown label {label!r}")
+
+
+def _spread(label: ModuleLabel) -> FormalSum:
+    """The 1-2-1 spread of an unflipped label: n - 1, twice n, and n + 1."""
+    kind, second, n = type(label), _ehat_or_ell(label), label.n
+    return FormalSum._trusted({kind(n - 1, second): 1, label: 2, kind(n + 1, second): 1})
 
 
 def k_decompose_sum(s: FormalSum) -> FormalSum:
@@ -362,7 +362,7 @@ def label_sort_key(label: ModuleLabel):
 _RATIONAL = r"-?\d+(?:/0*[1-9]\d*)?"
 _RATIONAL_RE = re.compile(_RATIONAL)
 _LABEL_RE = re.compile(
-    rf"^\s*(Verma0|V|A|P)\s*\(\s*({_RATIONAL})\s*;\s*({_RATIONAL})\s*\)\s*$"
+    rf"^\s*(Pi)?(Verma0|V|A|P)\s*\(\s*({_RATIONAL})\s*;\s*({_RATIONAL})\s*\)\s*$"
 )
 
 
@@ -376,8 +376,9 @@ def parse_rational(text: str) -> Fraction:
 def parse_label(text: str) -> ModuleLabel:
     """Parse ``KIND(n;ehat-or-ell)`` with KIND in V/A/P/Verma0 (case-insensitive).
 
-    Typicality is enforced: ``V`` with an integer second argument is rejected,
-    as are A/P/Verma0 with a non-integer one.
+    A ``Pi`` before the kind marks a parity flip, as :func:`render_label`
+    writes it.  Typicality is enforced: ``V`` with an integer second
+    argument is rejected, as are A/P/Verma0 with a non-integer one.
     """
     normalized = text.strip()
     if normalized[:1] in "vap" and not normalized.startswith("Verma0"):
@@ -385,18 +386,15 @@ def parse_label(text: str) -> ModuleLabel:
     m = _LABEL_RE.match(normalized)
     if not m:
         raise ValueError(f"cannot parse label {text!r}")
-    kind, n_text, second_text = m.groups()
+    pi, kind, n_text, second_text = m.groups()
+    flip = pi is not None
     n = Fraction(n_text)
     second = Fraction(second_text)
     if kind == "V":
         if second.denominator == 1:
             raise ValueError(f"{text!r}: integer ehat is not typical; use A, P or Verma0")
-        return TypicalV(n, second)
+        return TypicalV(n, second, flip)
     if second.denominator != 1:
         raise ValueError(f"{text!r}: {kind} labels need an integer ell")
-    ell = int(second)
-    if kind == "A":
-        return AtypicalA(n, ell)
-    if kind == "P":
-        return ProjectiveP(n, ell)
-    return VermaV0(n, ell)
+    cls = {"A": AtypicalA, "P": ProjectiveP, "Verma0": VermaV0}[kind]
+    return cls(n, int(second), flip)

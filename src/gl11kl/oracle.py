@@ -19,6 +19,7 @@ in :mod:`gl11kl.fusion`, which is the point: it is the cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .errors import OracleError
@@ -33,8 +34,12 @@ Matrix = tuple  # tuple of row tuples of Fraction
 # ---------------------------------------------------------------------------
 
 
+_ZERO = Fraction(0)
+
+
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(_f(v) for v in row) for row in rows)
+    # one shared zero: realize() builds mostly-zero matrices on every call
+    return tuple(tuple(_ZERO if v == 0 else _f(v) for v in row) for row in rows)
 
 
 def zeros(n: int, m: int | None = None) -> Matrix:
@@ -171,27 +176,23 @@ class Gl11Algebra(Frozen):
         )
 
     def validate(self) -> None:
-        """Assert the defining brackets, form values and super-invariance."""
+        """Check the form values and super-invariance; raises OracleError."""
         e = [tuple(Fraction(1) if t == i else Fraction(0) for t in range(4)) for i in range(4)]
         n_, e_, pp, pm = e
-        # [N, psi+-] = +-psi+-
-        assert self.bracket(n_, pp) == (0, 0, 1, 0)
-        assert self.bracket(n_, pm) == (0, 0, 0, -1)
-        # {psi+, psi-} = E
-        assert self.bracket(pp, pm) == (0, 1, 0, 0)
-        # all other basis brackets vanish
-        for (i, j) in [(0, 1), (1, 0), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (3, 3), (0, 0), (1, 1)]:
-            assert self.brackets[i][j] == (0, 0, 0, 0)
-        assert self.form(self.kappa, n_, e_) == 1 and self.form(self.kappa, e_, n_) == 1
-        assert self.form(self.kappa, pp, pm) == 1 and self.form(self.kappa, pm, pp) == -1
-        assert self.form(self.kappa2, n_, n_) == 1
+        values = (
+            self.form(self.kappa, n_, e_),
+            self.form(self.kappa, e_, n_),
+            self.form(self.kappa, pp, pm),
+            self.form(self.kappa, pm, pp),
+            self.form(self.kappa2, n_, n_),
+        )
+        if values != (1, 1, 1, -1, 1):
+            raise OracleError("kappa and kappa2 do not take their basis values")
         # super-invariance: kappa([a,b], c) = kappa(a, [b,c]) on basis triples
-        for a in e:
-            for b in e:
-                for c in e:
-                    lhs = self.form(self.kappa, self.bracket(a, b), c)
-                    rhs = self.form(self.kappa, a, self.bracket(b, c))
-                    assert lhs == rhs, (a, b, c)
+        for a, b, c in product(e, repeat=3):
+            lhs = self.form(self.kappa, self.bracket(a, b), c)
+            if lhs != self.form(self.kappa, a, self.bracket(b, c)):
+                raise OracleError("kappa is not super-invariant")
 
 
 GL11 = Gl11Algebra.standard()
@@ -253,22 +254,29 @@ class Gl11MatrixModule(Frozen):
         return {"N": self.N, "E": self.E, "psi+": self.psi_p, "psi-": self.psi_m}[name]
 
     def validate(self) -> None:
-        """Assert all super-bracket relations and parity compatibility."""
-        n, e, pp, pm = self.N, self.E, self.psi_p, self.psi_m
-        assert is_zero_matrix(mat_mul(pp, pp)), "psi+ squared must vanish"
-        assert is_zero_matrix(mat_mul(pm, pm)), "psi- squared must vanish"
-        assert mat_add(mat_mul(pp, pm), mat_mul(pm, pp)) == e, "{psi+,psi-} = E fails"
-        assert mat_sub(mat_mul(n, pp), mat_mul(pp, n)) == pp, "[N,psi+] = psi+ fails"
-        assert mat_sub(mat_mul(n, pm), mat_mul(pm, n)) == mat_scale(pm, -1), "[N,psi-] fails"
-        for other in (n, pp, pm):
-            assert mat_mul(e, other) == mat_mul(other, e), "E must be central"
-        assert mat_mul(n, e) == mat_mul(e, n)
-        for m, reversing in ((n, False), (e, False), (pp, True), (pm, True)):
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if m[i][j] != 0:
-                        same = self.parity[i] == self.parity[j]
-                        assert same != reversing, "parity structure violated"
+        """Check every superbracket and operator parity of :data:`GL11`.
+
+        For basis elements X, Y the module must satisfy
+        XY - (-1)^{|X||Y|} YX = sum_t c_t X_t with c = ``GL11.brackets[X][Y]``,
+        and an odd X must swap the parity of a basis vector, an even one keep
+        it.  Raises :class:`OracleError` on the first failure.
+        """
+        ops = (self.N, self.E, self.psi_p, self.psi_m)
+        for name, x, parity in zip(BASIS, ops, GL11.parity):
+            for i, row in enumerate(x):
+                for j, v in enumerate(row):
+                    if v and (self.parity[i] != self.parity[j]) != (parity == ODD):
+                        raise OracleError(f"{name} breaks the parity of the module")
+        for i, x in enumerate(ops):
+            for j, y in enumerate(ops):
+                sign = -1 if GL11.parity[i] == GL11.parity[j] == ODD else 1
+                lhs = mat_sub(mat_mul(x, y), mat_scale(mat_mul(y, x), sign))
+                rhs = zeros(self.dim)
+                for t, c in enumerate(GL11.brackets[i][j]):
+                    if c:
+                        rhs = mat_add(rhs, mat_scale(ops[t], c))
+                if lhs != rhs:
+                    raise OracleError(f"[{BASIS[i]}, {BASIS[j]}] does not act as GL11 says")
 
 
 def realize(label: FinLabel) -> Gl11MatrixModule:
@@ -449,7 +457,6 @@ def _decompose_zero_block(m, n_bases, result) -> None:
     def block(a: Matrix, n_to, n_from) -> Matrix:
         return tuple(tuple(a[r][c] for c in n_bases[n_from]) for r in n_bases.get(n_to, ()))
 
-    mult = {n: len(b) for n, b in n_bases.items()}
     proj = {}
     for n_val in n_bases:
         if n_val - 1 in n_bases:
@@ -460,7 +467,7 @@ def _decompose_zero_block(m, n_bases, result) -> None:
     rank_p = {n: mat_rank(block(m.psi_p, n + 1, n)) for n in n_bases}
     rank_m = {n: mat_rank(block(m.psi_m, n - 1, n)) for n in n_bases}
     # psi+ ranks are determined by the projective counts alone
-    for n_val in set(mult) | set(proj):
+    for n_val in set(n_bases) | set(proj):
         expect = proj.get(n_val, 0) + proj.get(n_val + 1, 0)
         if rank_p.get(n_val, 0) != expect:
             raise OracleError("psi+ rank statistics infeasible on the E=0 block")
@@ -472,37 +479,17 @@ def _decompose_zero_block(m, n_bases, result) -> None:
             raise OracleError("psi- rank statistics infeasible on the E=0 block")
         if v:
             verma[n_val - Fraction(1, 2)] = v
-    # Atypical count fills the rest of the N-spectrum
-    atyp = {}
-    for n_val, cnt in mult.items():
-        used = (
-            proj.get(n_val, 0) * 2
-            + proj.get(n_val - 1, 0)
-            + proj.get(n_val + 1, 0)
-            + verma.get(n_val - Fraction(1, 2), 0)
-            + verma.get(n_val + Fraction(1, 2), 0)
-        )
-        rest = cnt - used
-        if rest < 0:
-            raise OracleError("N-spectrum statistics infeasible on the E=0 block")
-        if rest:
-            atyp[n_val] = rest
-    # verify the candidate reproduces every statistic exactly
-    check_mult: dict[Fraction, int] = {}
-    for n_val, p in proj.items():
-        # the N-multiset of one projective at n is {n, n+1, n-1, n}
-        for shift in (0, 1, -1, 0):
-            check_mult[n_val + shift] = check_mult.get(n_val + shift, 0) + p
-    for c, v in verma.items():
-        for shift in (Fraction(1, 2), Fraction(-1, 2)):
-            check_mult[c + shift] = check_mult.get(c + shift, 0) + v
-    for n_val, a in atyp.items():
-        check_mult[n_val] = check_mult.get(n_val, 0) + a
-    if check_mult != mult:
-        raise OracleError("no candidate multiset matches the E=0 statistics")
-    for n_val, p in proj.items():
-        result[Projective(n_val)] = result.get(Projective(n_val), 0) + p
-    for c, v in verma.items():
-        result[Verma(c, Fraction(0))] = result.get(Verma(c, Fraction(0)), 0) + v
-    for n_val, a in atyp.items():
-        result[Atypical(n_val)] = result.get(Atypical(n_val), 0) + a
+    # atypicals: what the realized candidates' N-spectra leave of the block's
+    # N-multiset
+    found = [(Projective(n), p) for n, p in proj.items()]
+    found += [(Verma(c, Fraction(0)), v) for c, v in verma.items()]
+    rest = {n: len(b) for n, b in n_bases.items()}
+    for label, count in found:
+        n_diag = realize(label).N
+        for i, row in enumerate(n_diag):
+            rest[row[i]] = rest.get(row[i], 0) - count
+    if any(a < 0 for a in rest.values()):
+        raise OracleError("N-spectrum statistics infeasible on the E=0 block")
+    found += [(Atypical(n), a) for n, a in rest.items() if a]
+    for label, count in found:
+        result[label] = result.get(label, 0) + count

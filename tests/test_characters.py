@@ -264,7 +264,12 @@ def test_character_request_dispatch():
     from gl11kl.labels import AtypicalA, ProjectiveP, TypicalV, VermaV0
 
     assert ch.characters(TypicalV(0, F(1, 2)), F(1)) == ch.char_verma(0, F(1, 2), 1)
-    assert ch.characters(VermaV0(1, -2), "3/2", (5, 5)) == ch.char_verma(1, -2, F(3, 2))
+    # a z window restricts a Verma character as it does an atypical one
+    full = ch.char_verma(1, -2, F(3, 2))
+    got = ch.characters(VermaV0(1, -2), "3/2", (0, 1))
+    assert got.terms == {k: c for k, c in full.terms.items() if 0 <= k[1] <= 1} != full.terms
+    assert got.q_cutoff == F(3, 2)
+    assert ch.characters(VermaV0(1, -2), "3/2", (5, 5)).terms == {}
     assert ch.characters(AtypicalA(0, 0), F(1), (-2, 1)) == ch.char_atypical0(0, 1, (-2, 1))
     with pytest.raises(ValueError, match="q_cutoff must be nonnegative"):
         ch.characters(TypicalV(0, F(1, 2)), F(-1))

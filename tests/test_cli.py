@@ -107,6 +107,24 @@ def test_local_and_monodromy(capsys):
     assert all(row["integral"] for row in payload["exponents"])
 
 
+def test_monodromy_computes_each_exponent_once(capsys, monkeypatch):
+    from gl11kl import extensions
+
+    calls = []
+    exponent = extensions.monodromy_exponent
+
+    def counted(s, c):
+        calls.append(c)
+        return exponent(s, c)
+
+    monkeypatch.setattr(extensions, "monodromy_exponent", counted)
+    for label, local in (("V(1/3;1/2)", False), ("A(1/2;3)", True)):
+        calls.clear()
+        code, out, _ = run(capsys, "monodromy", label, "--ext", "sl21-neg-half")
+        assert code == 0 and json.loads(out)["local"] is local
+        assert len(calls) == 4
+
+
 def test_custom_extension_flag(capsys):
     code, out, _ = run(capsys, "local", "A(1/2;0)", "--ext", "custom:1/2,-2")
     assert code == 0

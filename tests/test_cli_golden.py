@@ -34,6 +34,7 @@ ARGVS = [
     ["fuse", "V(0;1/2)", "P(0;0)"],
     ["fuse", "P(0;1)", "P(1;-1)"],
     ["fuse", "a(1;0)", "v(0;1/2)"],
+    ["fuse", "PiV(-1/4;-1/2)", "V(1/4;1/2)"],
     ["--json", "fuse", "A(0;0)", "A(0;0)"],
     ["fuse", "Verma0(0;1)", "V(0;1/2)"],
     ["fuse", "V(0;2)", "V(0;1/2)"],
@@ -48,6 +49,7 @@ ARGVS = [
     ["kdec", "V(1/3;1/4)"],
     ["kdec", "A(1;2)"],
     ["kdec", "X(1;2)"],
+    ["kdec", "PiA(1;2)"],
     # char, cutoff at most 2
     ["char", "V(0;1/2)", "--cutoff", "1"],
     ["char", "V(1/4;-1/3)", "--cutoff", "2"],
@@ -66,6 +68,9 @@ ARGVS = [
     ["char", "V(0;1/2)", "--z-window=2,1"],
     ["char", "A(0;0)", "--z-window=2,1"],
     ["char", "P(0;0)", "--z-window=2,1"],
+    ["char", "V(0;1/2)", "--cutoff", "1", "--z-window=0,0"],
+    ["char", "V(0;1/2)", "--cutoff", "1", "--z-window=5,6"],
+    ["char", "A(1/2;1)", "--cutoff", "1", "--z-window=-2,2"],
     # oracle
     ["oracle", "A(0)", "V(1/2;1/3)"],
     ["oracle", "V(0;1/2)", "V(0;-1/2)"],

@@ -11,13 +11,17 @@ from gl11kl.fusion import fuse, fuse_formal, k_ring_check
 from gl11kl.labels import (
     AtypicalA,
     FormalSum,
+    ModuleLabel,
     ProjectiveP,
     TypicalV,
     VermaV0,
     contragredient,
     delta,
+    epsilon,
+    epsilon2,
     k_decompose,
     k_decompose_sum,
+    strip_parity,
 )
 
 import _draws
@@ -244,3 +248,82 @@ def test_sums_accumulate_like_the_add_chain():
         k = rng.randint(0, 3)
         assert k * a == FormalSum([(lbl, k * m) for lbl, m in a.items()])
         _assert_clean(k * a)
+
+
+def fuse_nine_cases(a, b):
+    """The former ``fuse``: one branch per ordered pair of kinds."""
+    a, b = strip_parity(a), strip_parity(b)
+    if isinstance(a, VermaV0) or isinstance(b, VermaV0):
+        raise NotDeterminedError("fusion against a reducible Verma label is not determined")
+    if isinstance(a, AtypicalA) and isinstance(b, AtypicalA):
+        return FormalSum(AtypicalA(a.n + b.n - epsilon2(a.ell, b.ell), a.ell + b.ell))
+    if isinstance(a, AtypicalA) and isinstance(b, TypicalV):
+        return FormalSum(TypicalV(a.n + b.n - epsilon(a.ell), b.ehat + a.ell))
+    if isinstance(a, TypicalV) and isinstance(b, AtypicalA):
+        return fuse_nine_cases(b, a)
+    if isinstance(a, TypicalV) and isinstance(b, TypicalV):
+        e_sum = a.ehat + b.ehat
+        n_sum = a.n + b.n
+        if e_sum.denominator != 1:
+            return FormalSum([TypicalV(n_sum + F(1, 2), e_sum), TypicalV(n_sum - F(1, 2), e_sum)])
+        ell = int(e_sum)
+        if a.ehat.denominator == 1 and b.ehat.denominator == 1:
+            raise NotDeterminedError("fusion not determined for integral ehat factors")
+        return FormalSum(ProjectiveP(n_sum + epsilon(ell), ell))
+    if isinstance(a, AtypicalA) and isinstance(b, ProjectiveP):
+        return FormalSum(ProjectiveP(a.n + b.n - epsilon2(a.ell, b.ell), a.ell + b.ell))
+    if isinstance(a, ProjectiveP) and isinstance(b, AtypicalA):
+        return fuse_nine_cases(b, a)
+    if isinstance(a, TypicalV) and isinstance(b, ProjectiveP):
+        n_sum = a.n + b.n - epsilon(b.ell)
+        e_new = a.ehat + b.ell
+        return FormalSum(
+            [(TypicalV(n_sum + 1, e_new), 1), (TypicalV(n_sum, e_new), 2), (TypicalV(n_sum - 1, e_new), 1)]
+        )
+    if isinstance(a, ProjectiveP) and isinstance(b, TypicalV):
+        return fuse_nine_cases(b, a)
+    if isinstance(a, ProjectiveP) and isinstance(b, ProjectiveP):
+        n_sum = a.n + b.n - epsilon2(a.ell, b.ell)
+        ell = a.ell + b.ell
+        return FormalSum(
+            [(ProjectiveP(n_sum + 1, ell), 1), (ProjectiveP(n_sum, ell), 2), (ProjectiveP(n_sum - 1, ell), 1)]
+        )
+    raise TypeError(f"cannot fuse {a!r} and {b!r}")
+
+
+class _OtherLabel(ModuleLabel):
+    """A label kind that fusion does not know."""
+
+    __slots__ = ("n", "ell", "parity_flip")
+    __init__ = AtypicalA.__init__
+
+
+def _outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except Exception as exc:  # the error type and text are the outcome
+        return type(exc), str(exc)
+
+
+def _grid_labels():
+    labels = []
+    for n in (F(0), F(1, 2), F(-4, 3)):
+        for e in (F(1, 2), F(-1, 2), F(3, 2), F(1, 3), F(-7, 3)):
+            labels.append(TypicalV(n, e))
+        for ell in (-2, -1, 0, 1, 3):
+            labels += [AtypicalA(n, ell), ProjectiveP(n, ell)]
+        labels += [VermaV0(n, ell) for ell in (-1, 0, 2)]
+        labels.append(_OtherLabel(n, 1))
+    flipped = [type(x)(x.n, x.ehat if isinstance(x, TypicalV) else x.ell, True) for x in labels]
+    return labels + flipped
+
+
+def test_fuse_matches_nine_cases_on_grid():
+    labels = _grid_labels()
+    kinds = set()
+    for a in labels:
+        for b in labels:
+            got = _outcome(fuse, a, b)
+            assert got == _outcome(fuse_nine_cases, a, b), (a, b)
+            kinds.add(type(got) if isinstance(got, FormalSum) else got[0])
+    assert kinds == {FormalSum, NotDeterminedError, TypeError}

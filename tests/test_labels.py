@@ -14,6 +14,7 @@ from gl11kl.labels import (
     VermaV0,
     contragredient,
     delta,
+    ehat,
     epsilon,
     epsilon2,
     k_decompose,
@@ -185,12 +186,17 @@ def test_render_parse_round_trip():
             )
         )
         assert parse_label(render_label(label)) == label
+        flipped = type(label)(label.n, ehat(label), parity_flip=True)
+        assert render_label(flipped).startswith("Pi")
+        assert parse_label(render_label(flipped)) == flipped
 
 
 def test_parse_examples():
     assert parse_label("V(1/4;1/2)") == TypicalV(F(1, 4), F(1, 2))
     assert parse_label("A(-1/2;1)") == AtypicalA(F(-1, 2), 1)
     assert parse_label("p(0;0)") == ProjectiveP(0, 0)
+    # the contragredient of a typical is parity-flipped, and renders with Pi
+    assert parse_label("PiV(-1/4;-1/2)") == contragredient(TypicalV(F(1, 4), F(1, 2)))
     with pytest.raises(ValueError):
         parse_label("V(0;2)")
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Matrix realizations, tensor products and the decomposition oracle."""
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -17,6 +18,14 @@ F = Fraction
 
 def test_algebra_invariants():
     o.GL11.validate()
+    g = o.GL11
+    wrong_value = o.mat_add(g.kappa, o.mat([[0, 1, 0, 0]] + [[0] * 4] * 3))
+    with pytest.raises(OracleError, match="basis values"):
+        o.Gl11Algebra(g.brackets, g.parity, wrong_value, g.kappa2).validate()
+    table = [list(row) for row in g.brackets]
+    table[0][2] = (0, 0, 2, 0)  # [N, psi+] = 2 psi+
+    with pytest.raises(OracleError, match="super-invariant"):
+        o.Gl11Algebra(tuple(map(tuple, table)), g.parity, g.kappa, g.kappa2).validate()
 
 
 def apply_automorphism(lam, mu, element) -> tuple:
@@ -94,6 +103,27 @@ def test_realized_modules_satisfy_brackets():
         else:
             label = o.Projective(n)
         o.realize(label).validate()
+
+
+def _module(parity, n, e, psi_p, psi_m):
+    return o.Gl11MatrixModule(len(parity), tuple(parity), *(o.mat(x) for x in (n, e, psi_p, psi_m)))
+
+
+def test_validate_rejects_broken_modules():
+    v = o.realize(o.Verma(F(1, 2), 1))
+    broken = {
+        # psi- doubled: {psi+, psi-} = 2E, every other relation holds
+        "[psi+, psi-]": o.Gl11MatrixModule(2, v.parity, v.N, v.E, v.psi_p, o.mat_scale(v.psi_m, 2)),
+        # E does not commute with N
+        "[N, E]": _module((0, 0), [[0, 0], [0, 1]], [[0, 1], [0, 0]], o.zeros(2), o.zeros(2)),
+        # brackets all hold, but N joins an even and an odd vector
+        "N breaks": _module((0, 1), [[0, 1], [0, 0]], o.zeros(2), o.zeros(2), o.zeros(2)),
+        # the Verma's own matrices on two even vectors: psi+- keep parity
+        "psi+ breaks": o.Gl11MatrixModule(2, (0, 0), v.N, v.E, v.psi_p, v.psi_m),
+    }
+    for where, m in broken.items():
+        with pytest.raises(OracleError, match=re.escape(where)):
+            m.validate()
 
 
 def test_tensor_with_unit_is_isomorphic():
@@ -183,6 +213,16 @@ def test_decompose_rejects_lowest_weight_type():
     )
     m.validate()
     with pytest.raises(OracleError):
+        o.decompose(m)
+
+
+def test_decompose_rejects_overused_weight():
+    # psi- chains weights 1 -> 0 -> -1 through one vector at 0 (psi- squared
+    # is not zero): the ranks ask for Vermas at 1/2 and -1/2, which would
+    # both use that vector, and psi+ = 0 passes every rank check
+    m = _module((0, 1, 0), [[1, 0, 0], [0, 0, 0], [0, 0, -1]], o.zeros(3), o.zeros(3),
+                [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    with pytest.raises(OracleError, match="N-spectrum"):
         o.decompose(m)
 
 
