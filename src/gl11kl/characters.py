@@ -5,8 +5,10 @@ does not depend on the label.  By the Jacobi triple product that product is
 (sum_m z^m q^{m(m+1)/2}) / prod_{j>=1} (1-q^j)^3, so the coefficient of
 q^N z^m is p3(N - m(m+1)/2), where p3 counts 3-coloured partitions; the
 integer offsets (N, m, p3) are computed once per truncation depth and
-cached.  A character is these offsets moved by the label's exponents: each
-distinct exponent is one exact Fraction sum.  Atypical ell = 0 characters
+cached.  A character is these offsets moved by the label's exponents: the
+exponents are split once into a fractional base and an integer part, and
+the offsets are shifted by that integer part, so no term carries a Fraction
+of its own (see ``series``).  Atypical ell = 0 characters
 are alternating telescoping sums of Verma characters, summed on the integer
 offsets before any exponent is formed; the induced-module character
 identity is verified by expanding both of its sides over a window on which
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 from .errors import NotDeterminedError
 from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, _int, ehat
-from .series import JacobiSeries, jacobi_equal_to_cutoff
+from .series import JacobiSeries, _split, jacobi_equal_to_cutoff
 
 
 def conformal_weight(n, ehat) -> Fraction:
@@ -55,9 +57,13 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
         if z_window is None:
             return series
         lo, hi = z_window
-        return JacobiSeries._trusted(
-            {k: c for k, c in series.terms.items() if lo <= k[1] <= hi}, q_cutoff
-        )
+        kept = {}
+        for key, offsets in series._classes.items():
+            m_lo, m_hi = math.ceil(lo - key[1]), math.floor(hi - key[1])  # lo <= z0 + M <= hi
+            inside = {k: c for k, c in offsets.items() if m_lo <= k[1] <= m_hi}
+            if inside:
+                kept[key] = inside
+        return JacobiSeries._trusted(kept, q_cutoff)
     if isinstance(label, AtypicalA) and label.ell == 0:
         if z_window is None:
             raise ValueError("atypical characters need a z window")
@@ -93,20 +99,16 @@ def _universal_product(depth: int) -> tuple:
     return tuple(out)
 
 
-def _exponents(dq: Fraction, dz: Fraction, depth: int) -> tuple[list, dict]:
-    """q exponents dq + N by N <= depth, z exponents dz + m by offset m.
+def _class(offsets, q: Fraction, z: Fraction, y: Fraction, top: int) -> dict:
+    """The offsets (N, m, c) with N <= top as the terms c q^(q+N) z^(z+m) y^y.
 
-    The offsets m of the terms up to q-depth ``depth`` lie in [-w-1, w],
-    with w the largest m such that m(m+1)/2 <= depth.
+    Returns the one class {(q0, z0, y): {(N + dq, m + dz): c}} of the
+    canonical form, with q = q0 + dq and z = z0 + dz split by floor, or {}
+    if no offset is kept.
     """
-    w = (math.isqrt(8 * depth + 1) - 1) // 2
-    return [dq + big_n for big_n in range(depth + 1)], {m: dz + m for m in range(-w - 1, w + 1)}
-
-
-def _terms(offsets: tuple, qs: list, zs: dict, y: Fraction) -> dict:
-    """The terms (qs[N], zs[m], y): c of the offsets (N, m, c) with N < len(qs)."""
-    top = len(qs) - 1
-    return {(qs[big_n], zs[m], y): c for big_n, m, c in offsets if big_n <= top}
+    (q0, dq), (z0, dz) = _split(q), _split(z)
+    shifted = {(big_n + dq, m + dz): c for big_n, m, c in offsets if big_n <= top}
+    return {(q0, z0, y): shifted} if shifted else {}
 
 
 def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
@@ -119,8 +121,9 @@ def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
     if q_cutoff < 0:
         raise ValueError("q_cutoff must be nonnegative")
     depth = int(q_cutoff)
-    qs, zs = _exponents(conformal_weight(n, ehat), n, depth)
-    return JacobiSeries._trusted(_terms(_universal_product(depth), qs, zs, ehat), q_cutoff)
+    return JacobiSeries._trusted(
+        _class(_universal_product(depth), conformal_weight(n, ehat), n, ehat, depth), q_cutoff
+    )
 
 
 def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
@@ -154,8 +157,7 @@ def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
             total = row[k] - total
             if total and k_lo <= k <= k_hi:
                 sums.append((big_n, k, total))
-    qs, zs = _exponents(Fraction(0), centre, depth)
-    return JacobiSeries._trusted(_terms(sums, qs, zs, Fraction(0)), q_cutoff)
+    return JacobiSeries._trusted(_class(sums, Fraction(0), centre, Fraction(0), depth), q_cutoff)
 
 
 def char_induced_typical(n, ehat, m_range: int, q_cutoff) -> tuple[JacobiSeries, JacobiSeries]:
@@ -184,17 +186,14 @@ def char_induced_typical(n, ehat, m_range: int, q_cutoff) -> tuple[JacobiSeries,
     bound = delta - m_range * abs(shift) + depth
     lhs: dict = {}
     rhs: dict = {}
-    qs, zs = _exponents(delta, n, int(depth))
     for m in range(-m_range, m_range + 1):
         y = ehat - 2 * m
+        # each side splits its own base, the summand's weight on the left and
+        # the shifted base weight on the right, so the two stay independent
         delta_m = conformal_weight(n + m, y)
-        top = math.floor(bound - delta_m)
-        if top >= 0:
-            lhs.update(_terms(offsets, *_exponents(delta_m, n + m, top), y))
-        qs_m = [q - m * shift for q in qs]
-        qs_m = [q for q in qs_m if q <= bound]  # increasing, so a prefix
-        zs_m = {j: z + m for j, z in zs.items()}
-        rhs.update(_terms(offsets, qs_m, zs_m, y))
+        lhs.update(_class(offsets, delta_m, n + m, y, math.floor(bound - delta_m)))
+        q_m = delta - m * shift
+        rhs.update(_class(offsets, q_m, n + m, y, math.floor(bound - q_m)))
     return JacobiSeries._trusted(lhs, depth), JacobiSeries._trusted(rhs, depth)
 
 

@@ -257,19 +257,3 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
         cls = "lowest_weight"
     return WeightGrowth(quad, lin, cls)
 
-
-def induced_character(n, ehat, m_range: int, q_cutoff) -> "characters.JacobiSeries":
-    """Verified character of a typical induction along the (m, -2m) steps.
-
-    Uses the level-1 normalization (ehat = e).  Expands the direct-sum side
-    and the closed-form side of the character identity and returns the
-    common value; a mismatch is an internal fault and raises.
-    """
-    from . import characters
-    from .series import jacobi_equal_to_cutoff
-
-    lhs, rhs = characters.char_induced_typical(n, ehat, m_range, q_cutoff)
-    window = characters.induced_window(n, ehat, m_range, q_cutoff)
-    if not jacobi_equal_to_cutoff(lhs, rhs, window):
-        raise RuntimeError("induced character identity failed; implementation fault")
-    return lhs

@@ -6,76 +6,119 @@ A ``JacobiSeries`` stores integer coefficients indexed by exponent triples
 is exact (typically a finite sum), which behaves as an infinite window.
 Two truncated series are compared with ``jacobi_equal_to_cutoff`` on a
 window that neither cutoff undercuts.
+
+Every character lies on an integer grid over a few base monomials, so the
+terms are stored by fractional class: (q0, z0, y) maps to the int offsets
+{(N, M): c} of the terms at q = q0 + N, z = z0 + M, with 0 <= q0, z0 < 1.
+That form is canonical, so equality is structural, and reading, sorting and
+comparing work on ints.  ``terms`` is the Fraction-keyed view, built on
+first read.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
-from .labels import _int
+from .labels import _f, _int
 
 _Key = tuple  # (q_exp, z_exp, y_exp), all Fraction
 
 
-def _min_or_none(terms) -> Optional[Fraction]:
-    return min((k[0] for k in terms), default=None)
+def _split(x: Fraction) -> tuple[Fraction, int]:
+    """x as (x0, N) with x = x0 + N, N = floor(x) and 0 <= x0 < 1."""
+    whole = math.floor(x)
+    return x - whole, whole
+
+
+def _below(classes: dict, limit: Fraction) -> dict:
+    """The classes cut to their terms at q <= limit, empty classes dropped."""
+    out = {}
+    for key, offsets in classes.items():
+        top = math.floor(limit - key[0])  # q0 + N <= limit
+        kept = {k: v for k, v in offsets.items() if k[0] <= top}
+        if kept:
+            out[key] = kept
+    return out
 
 
 class JacobiSeries:
     """Truncated series in q, z, y with integer coefficients."""
 
-    __slots__ = ("terms", "q_cutoff")
+    __slots__ = ("_classes", "q_cutoff", "_terms")
 
     def __init__(self, terms: Mapping[_Key, int] | None = None, q_cutoff: Fraction | None = None):
         cutoff = None if q_cutoff is None else Fraction(q_cutoff)
         if cutoff is not None and cutoff < 0:
             raise ValueError("q_cutoff must be nonnegative")
-        clean: dict = {}
+        classes: dict = {}
         if terms:
-            for k, v in terms.items():
+            for (q, z, y), v in terms.items():
                 v = _int(v)
                 if v:
-                    q, z, y = k
-                    clean[(Fraction(q), Fraction(z), Fraction(y))] = v
-        if cutoff is not None and clean:
-            base = _min_or_none(clean)
-            clean = {k: v for k, v in clean.items() if k[0] - base <= cutoff}
-        self.terms = clean
+                    (q0, n), (z0, m) = _split(_f(q)), _split(_f(z))
+                    classes.setdefault((q0, z0, _f(y)), {})[(n, m)] = v
+        self._classes = classes
+        if cutoff is not None and classes:
+            self._classes = _below(classes, self.min_q() + cutoff)
         self.q_cutoff = cutoff
+        self._terms = None
 
     @classmethod
-    def _trusted(cls, terms: dict, q_cutoff: Fraction | None) -> "JacobiSeries":
-        """Wrap terms that are already clean, without copying or checking.
+    def _trusted(cls, classes: dict, q_cutoff: Fraction | None) -> "JacobiSeries":
+        """Wrap classes that are already canonical, without copying or checking.
 
-        The caller guarantees: keys are (q, z, y) Fraction triples, values are
-        nonzero ints, ``q_cutoff`` is None or a nonnegative Fraction, and no
-        term lies more than ``q_cutoff`` above the lowest q exponent.
+        The caller guarantees: keys are (q0, z0, y) Fraction triples with
+        0 <= q0, z0 < 1, each maps to a nonempty dict of int offsets (N, M)
+        to nonzero ints, ``q_cutoff`` is None or a nonnegative Fraction, and
+        no term lies more than ``q_cutoff`` above the lowest q exponent.
         """
         series = cls.__new__(cls)
-        series.terms = terms
+        series._classes = classes
         series.q_cutoff = q_cutoff
+        series._terms = None
         return series
+
+    def _rows(self) -> list:
+        """(N, q0, M, z0, y, q, z, c) per term, one Fraction per distinct q and z of a class."""
+        rows = []
+        for (q0, z0, y), offsets in self._classes.items():
+            qs = {n: q0 + n for n in {n for n, _ in offsets}}
+            zs = {m: z0 + m for m in {m for _, m in offsets}}
+            rows += [(n, q0, m, z0, y, qs[n], zs[m], c) for (n, m), c in offsets.items()]
+        return rows
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients keyed by (q, z, y) Fraction triples."""
+        if self._terms is None:
+            self._terms = {(q, z, y): c for _, _, _, _, y, q, z, c in self._rows()}
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._classes
 
     def min_q(self) -> Optional[Fraction]:
-        return _min_or_none(self.terms)
+        lows = (key[0] + min(n for n, _ in offsets) for key, offsets in self._classes.items())
+        return min(lows, default=None)
 
     def sorted_terms(self) -> Iterator[tuple[_Key, int]]:
-        return iter(sorted(self.terms.items()))
+        # (N, q0, M, z0, y) orders as (q, z, y), and no two terms share it
+        rows = self._rows()
+        rows.sort()
+        return (((q, z, y), c) for _, _, _, _, y, q, z, c in rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, JacobiSeries)
-            and self.terms == other.terms
+            and self._classes == other._classes
             and self.q_cutoff == other.q_cutoff
         )
 
     def __repr__(self):
-        n = len(self.terms)
+        n = sum(map(len, self._classes.values()))
         return f"JacobiSeries({n} terms, min_q={self.min_q()}, q_cutoff={self.q_cutoff})"
 
 
@@ -95,12 +138,4 @@ def jacobi_equal_to_cutoff(a: JacobiSeries, b: JacobiSeries, window) -> bool:
     if not mins:
         return True
     limit = min(mins) + window
-    # stored coefficients are nonzero, so once every term of a inside the
-    # window is matched in b, equal counts leave b no extra term there
-    inside = 0
-    for k, v in a.terms.items():
-        if k[0] <= limit:
-            if b.terms.get(k) != v:
-                return False
-            inside += 1
-    return inside == sum(1 for k in b.terms if k[0] <= limit)
+    return _below(a._classes, limit) == _below(b._classes, limit)

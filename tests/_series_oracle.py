@@ -4,7 +4,17 @@ A series here is a pair (terms, cutoff): terms maps (q, z, y) exponent
 triples to nonzero ints, and cutoff is how far above the lowest q exponent
 the terms are known, None for an exact series.  Like
 ``brute_product_slices``, nothing here uses the package's series type.
+
+The character builders at the end are the former bodies of
+``char_verma``, ``char_atypical0`` and ``char_induced_typical``, which keyed
+every term by its Fraction exponents: the oracle of the package's
+integer-offset form.
 """
+
+import math
+from fractions import Fraction
+
+from gl11kl.characters import _universal_product, conformal_weight
 
 
 def _known_to(series):
@@ -56,3 +66,82 @@ def restrict_z(series, z_lo, z_hi):
         raise ValueError("empty z window")
     terms, cutoff = series
     return {k: v for k, v in terms.items() if z_lo <= k[1] <= z_hi}, cutoff
+
+
+def equal_to_cutoff(a, b, window):
+    """True iff a and b agree on every term within ``window`` of their common minimum q."""
+    (terms_a, _), (terms_b, _) = a, b
+    mins = [min(k[0] for k in terms) for terms in (terms_a, terms_b) if terms]
+    if not mins:
+        return True
+    limit = min(mins) + window
+    keys = {k for k in (*terms_a, *terms_b) if k[0] <= limit}
+    return all(terms_a.get(k) == terms_b.get(k) for k in keys)
+
+
+def _exponents(dq, dz, depth: int):
+    """q exponents dq + N by N <= depth, z exponents dz + m by offset m.
+
+    The offsets m of the terms up to q-depth ``depth`` lie in [-w-1, w],
+    with w the largest m such that m(m+1)/2 <= depth.
+    """
+    w = (math.isqrt(8 * depth + 1) - 1) // 2
+    return [dq + big_n for big_n in range(depth + 1)], {m: dz + m for m in range(-w - 1, w + 1)}
+
+
+def _terms(offsets, qs: list, zs: dict, y) -> dict:
+    """The terms (qs[N], zs[m], y): c of the offsets (N, m, c) with N < len(qs)."""
+    top = len(qs) - 1
+    return {(qs[big_n], zs[m], y): c for big_n, m, c in offsets if big_n <= top}
+
+
+def verma(n, ehat, q_cutoff):
+    """The Verma character at (n, ehat) on Fraction keys, as (terms, cutoff)."""
+    n, ehat, q_cutoff = Fraction(n), Fraction(ehat), Fraction(q_cutoff)
+    depth = int(q_cutoff)
+    qs, zs = _exponents(conformal_weight(n, ehat), n, depth)
+    return _terms(_universal_product(depth), qs, zs, ehat), q_cutoff
+
+
+def atypical0(n, q_cutoff, z_window):
+    """The atypical ell = 0 character on Fraction keys, telescoped as the package does."""
+    n, q_cutoff = Fraction(n), Fraction(q_cutoff)
+    depth = int(q_cutoff)
+    centre = n - Fraction(1, 2)
+    k_lo, k_hi = math.ceil(z_window[0] - centre), math.floor(z_window[1] - centre)
+    rows: dict = {}
+    for big_n, j, c in _universal_product(depth):
+        rows.setdefault(big_n, {})[j] = c
+    sums = []
+    for big_n, row in rows.items():
+        total = 0
+        for k in range(max(row), min(row) - 1, -1):
+            total = row[k] - total
+            if total and k_lo <= k <= k_hi:
+                sums.append((big_n, k, total))
+    qs, zs = _exponents(Fraction(0), centre, depth)
+    return _terms(sums, qs, zs, Fraction(0)), q_cutoff
+
+
+def induced_typical(n, ehat, m_range: int, q_cutoff):
+    """Both sides of the induced identity on Fraction keys, as two (terms, cutoff) pairs."""
+    n, ehat, q_cutoff = Fraction(n), Fraction(ehat), Fraction(q_cutoff)
+    shift = 2 * n + ehat
+    depth = q_cutoff + m_range * abs(shift)
+    offsets = _universal_product(int(depth))
+    delta = conformal_weight(n, ehat)
+    bound = delta - m_range * abs(shift) + depth
+    lhs: dict = {}
+    rhs: dict = {}
+    qs, zs = _exponents(delta, n, int(depth))
+    for m in range(-m_range, m_range + 1):
+        y = ehat - 2 * m
+        delta_m = conformal_weight(n + m, y)
+        top = math.floor(bound - delta_m)
+        if top >= 0:
+            lhs.update(_terms(offsets, *_exponents(delta_m, n + m, top), y))
+        qs_m = [q - m * shift for q in qs]
+        qs_m = [q for q in qs_m if q <= bound]  # increasing, so a prefix
+        zs_m = {j: z + m for j, z in zs.items()}
+        rhs.update(_terms(offsets, qs_m, zs_m, y))
+    return (lhs, depth), (rhs, depth)

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from gl11kl import characters as ch
+from gl11kl.labels import TypicalV, VermaV0
 from gl11kl.series import JacobiSeries, jacobi_equal_to_cutoff
 
 import _draws
@@ -297,3 +298,86 @@ def test_m_range_integers_are_checked():
     assert ch.induced_window(F(1, 4), F(1, 2), F(2), 1) == ch.induced_window(F(1, 4), F(1, 2), 2, 1)
     assert ch.char_induced_typical(F(1, 4), F(1, 2), 2.0, 1) == ch.char_induced_typical(F(1, 4), F(1, 2), 2, 1)
     assert ch.verify_induced_identity(F(1, 4), F(1, 2), "2", 1)
+
+
+def _perturbed(rng, terms: dict, cutoff):
+    """terms with one change that keeps every term within cutoff of the lowest.
+
+    Bumps a coefficient, drops a term, or adds a term in a class of its own.
+    """
+    out = dict(terms)
+    keys = sorted(out)
+    choice = rng.randrange(3) if keys else 2
+    if choice == 0:
+        key = rng.choice(keys)
+        out[key] += 1
+    elif choice == 1:
+        del out[rng.choice(keys)]
+    else:
+        base = keys[0][0] if keys else F(0)
+        q = base + cutoff * F(rng.randint(0, 6), 6) + F(1, 7)
+        if q - base > cutoff:
+            q = base
+        out[(q, F(rng.randint(-5, 5), 5), F(1, 3))] = rng.choice((-1, 2))
+    return out
+
+
+def test_int_offsets_match_fraction_keyed_oracle():
+    # the integer-offset characters against the Fraction-keyed bodies they
+    # replaced: terms, order, minimum, cutoff and windowed equality verdicts
+    rng = Random(12)
+    negative_fractional_delta = windows_across_zero = 0
+    for draw in range(300):
+        kind = draw % 3
+        if kind == 0:
+            n = F(rng.randint(-30, 30), rng.choice((1, 2, 3, 4)))
+            e = F(rng.randint(-30, 30), rng.choice((1, 2, 3, 5)))
+            # every depth 0..20 once, then mostly shallow ones
+            depth = draw // 3 if draw < 63 else rng.randint(0, rng.randint(0, 20))
+            cutoff = depth + rng.choice((0, F(1, 2), F(2, 3)))
+            delta = ch.conformal_weight(n, e)
+            negative_fractional_delta += delta < 0 and delta.denominator > 1
+            label = VermaV0(n, e) if e.denominator == 1 else TypicalV(n, e)
+            want = oracle.verma(n, e, cutoff)
+            window = None
+            if rng.random() < 0.5:
+                lo = F(rng.randint(-36, 4), rng.choice((1, 2, 3)))
+                window = (lo, lo + F(rng.randint(0, 48), rng.choice((1, 2))))
+                want = oracle.restrict_z(want, *window)
+            pairs = [(ch.characters(label, cutoff, window), want)]
+        elif kind == 1:
+            n = F(rng.randint(-24, 24), rng.choice((1, 2, 3, 4)))
+            cutoff = F(rng.randint(0, rng.randint(0, 12)), rng.choice((1, 2)))
+            lo = F(rng.randint(-20, 8), rng.choice((1, 2, 4)))
+            window = (lo, lo + F(rng.randint(0, 24), rng.choice((1, 2))))
+            pairs = [(ch.char_atypical0(n, cutoff, window), oracle.atypical0(n, cutoff, window))]
+        else:
+            while True:
+                n, e = F(rng.randint(-12, 12), rng.choice((2, 3, 4))), _draws.nonintegral(rng)
+                m_range = rng.randint(1, 3)
+                cutoff = F(rng.randint(-2, 8), rng.choice((1, 2)))
+                if 0 <= ch.induced_window(n, e, m_range, cutoff) <= rng.randint(0, 4):
+                    break
+            got = ch.char_induced_typical(n, e, m_range, cutoff)
+            want = oracle.induced_typical(n, e, m_range, cutoff)
+            pairs = list(zip(got, want))
+            window = ch.induced_window(n, e, m_range, cutoff)
+            assert jacobi_equal_to_cutoff(*got, window) is oracle.equal_to_cutoff(*want, window) is True
+        if window is not None and kind < 2:
+            windows_across_zero += window[0] < 0 < window[1]
+        for got, want in pairs:
+            terms, cutoff = want
+            assert got.terms == terms and got.q_cutoff == cutoff
+            assert all(type(x) is F for key in got.terms for x in key)
+            assert JacobiSeries(got.terms, got.q_cutoff) == got  # the split form is canonical
+            assert list(got.sorted_terms()) == sorted(terms.items())
+            assert got.min_q() == min((k[0] for k in terms), default=None)
+            assert got.is_zero == (not terms)
+            other = _perturbed(rng, terms, cutoff)
+            w = cutoff * F(rng.randint(0, 4), 4)
+            sides = [(got, want), (JacobiSeries(other, cutoff), (other, cutoff))]
+            if rng.random() < 0.5:
+                sides.reverse()  # the added class lies on either side
+            (a, pair_a), (b, pair_b) = sides
+            assert jacobi_equal_to_cutoff(a, b, w) is oracle.equal_to_cutoff(pair_a, pair_b, w)
+    assert negative_fractional_delta >= 10 and windows_across_zero >= 50

@@ -50,7 +50,7 @@ ARGVS = [
     ["kdec", "A(1;2)"],
     ["kdec", "X(1;2)"],
     ["kdec", "PiA(1;2)"],
-    # char, cutoff at most 2
+    # char, cutoff at most 3
     ["char", "V(0;1/2)", "--cutoff", "1"],
     ["char", "V(1/4;-1/3)", "--cutoff", "2"],
     ["char", "V(0;1/2)", "--cutoff", "0"],
@@ -71,6 +71,9 @@ ARGVS = [
     ["char", "V(0;1/2)", "--cutoff", "1", "--z-window=0,0"],
     ["char", "V(0;1/2)", "--cutoff", "1", "--z-window=5,6"],
     ["char", "A(1/2;1)", "--cutoff", "1", "--z-window=-2,2"],
+    # windows below z = 0 at negative non-integer n and Delta
+    ["char", "V(-7/3;5/2)", "--cutoff", "3", "--z-window=-4,-1"],
+    ["char", "A(-5/4;0)", "--cutoff", "3", "--z-window=-5,-1"],
     # oracle
     ["oracle", "A(0)", "V(1/2;1/3)"],
     ["oracle", "V(0;1/2)", "V(0;-1/2)"],

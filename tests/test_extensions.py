@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from gl11kl import characters
 from gl11kl import extensions as ex
 from gl11kl.errors import Gl11Error, NotDeterminedError
 from gl11kl.fusion import fuse
@@ -19,6 +20,7 @@ from gl11kl.labels import (
     is_simple,
     strip_parity,
 )
+from gl11kl.series import jacobi_equal_to_cutoff
 
 import _draws
 
@@ -240,8 +242,22 @@ def test_weight_growth_matches_sampled_deltas():
         assert delta(ind.summand(m)) == want
 
 
+def induced_character(n, ehat, m_range: int, q_cutoff):
+    """Verified character of a typical induction along the (m, -2m) steps.
+
+    The former ``extensions.induced_character``: expands the direct-sum side
+    and the closed-form side of the character identity and returns the
+    common value; a mismatch raises.
+    """
+    lhs, rhs = characters.char_induced_typical(n, ehat, m_range, q_cutoff)
+    window = characters.induced_window(n, ehat, m_range, q_cutoff)
+    if not jacobi_equal_to_cutoff(lhs, rhs, window):
+        raise RuntimeError("induced character identity failed; implementation fault")
+    return lhs
+
+
 def test_induced_character_verified():
-    out = ex.induced_character(F(1, 4), F(1, 2), 3, 2)
+    out = induced_character(F(1, 4), F(1, 2), 3, 2)
     assert not out.is_zero
     assert all(isinstance(v, int) for v in out.terms.values())
 

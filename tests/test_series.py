@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 import _series_oracle as oracle
-from gl11kl.series import JacobiSeries, jacobi_equal_to_cutoff
+from gl11kl import characters as ch
+from gl11kl.labels import TypicalV
+from gl11kl.series import JacobiSeries, _split, jacobi_equal_to_cutoff
+
+
+F = Fraction
 
 
 def S(terms, cutoff=None):
@@ -80,3 +85,63 @@ def test_restrict_z_window():
     assert oracle.restrict_z(a, -1, 3) == ({(0, 0, 0): 2, (0, 3, 0): 4}, None)
     with pytest.raises(ValueError):
         oracle.restrict_z(a, 2, 1)
+
+
+def test_exponents_split_by_floor():
+    assert _split(F(-1, 3)) == (F(2, 3), -1)
+    assert _split(F(-2)) == (F(0), -2)
+    assert _split(F(7, 2)) == (F(1, 2), 3)
+    # q = -1/3 is 2/3 - 1 and z = -3/2 is 1/2 - 2
+    s = S({(F(-1, 3), -2, 0): 4, (F(2, 3), F(-3, 2), 0): 5})
+    assert s._classes == {(F(2, 3), F(0), F(0)): {(-1, -2): 4}, (F(2, 3), F(1, 2), F(0)): {(0, -2): 5}}
+    assert list(s.sorted_terms()) == [((F(-1, 3), F(-2), F(0)), 4), ((F(2, 3), F(-3, 2), F(0)), 5)]
+    assert s.min_q() == F(-1, 3)
+
+
+def test_emptied_series_is_the_empty_series():
+    got = ch.characters(TypicalV(F(-7, 3), F(5, 2)), 3, (F(1, 2), F(2, 3)))
+    assert got == S({}, 3)
+    assert got.is_zero and got.min_q() is None
+    assert got.terms == {} and list(got.sorted_terms()) == []
+    assert repr(got) == "JacobiSeries(0 terms, min_q=None, q_cutoff=3)"
+
+
+def test_class_on_one_side_only():
+    # b's extra term at q = 3/2 is a class a does not have
+    a = S({(0, 0, 0): 1, (1, 0, 0): 2}, cutoff=2)
+    b = S({(0, 0, 0): 1, (1, 0, 0): 2, (F(3, 2), 0, 0): 7}, cutoff=2)
+    for window in (0, 1, F(4, 3)):
+        assert jacobi_equal_to_cutoff(a, b, window) and jacobi_equal_to_cutoff(b, a, window)
+    for window in (F(3, 2), 2):
+        assert not jacobi_equal_to_cutoff(a, b, window) and not jacobi_equal_to_cutoff(b, a, window)
+    # the lower minimum sets the window for both sides
+    c = S({(F(-1, 2), 0, 0): 1}, cutoff=1)
+    assert jacobi_equal_to_cutoff(c, a, F(1, 4)) is False
+    assert jacobi_equal_to_cutoff(c, S({(F(-1, 2), 0, 0): 1, (F(1, 2), 0, 0): 3}, 1), F(1, 2))
+
+
+def test_terms_view_is_built_once():
+    s = ch.char_verma(F(1, 3), F(2, 5), 4)
+    assert s.terms is s.terms
+    assert JacobiSeries(s.terms, s.q_cutoff) == s
+
+
+def test_reads_and_comparisons_never_build_terms(monkeypatch):
+    def unwanted(self):
+        raise AssertionError("terms view built")
+
+    monkeypatch.setattr(JacobiSeries, "terms", property(unwanted))
+    got = ch.characters(TypicalV(F(-7, 3), F(5, 2)), 3, (-4, -1))
+    assert len(list(got.sorted_terms())) == 11 and got.min_q() == F(-65, 24)
+    lhs, rhs = ch.char_induced_typical(F(1, 4), F(1, 2), 2, 1)
+    assert jacobi_equal_to_cutoff(lhs, rhs, ch.induced_window(F(1, 4), F(1, 2), 2, 1))
+    assert ch.verify_induced_identity(F(-1, 3), F(3, 4), 3, 2)
+    assert "terms" in repr(got) and got == got
+
+
+def test_constructor_keeps_terms_within_cutoff():
+    # the cutoff counts from the lowest q, here -4/3, across classes
+    got = S({(F(-4, 3), 0, 0): 1, (F(2, 3), 1, 0): 2, (F(3, 4), 0, 0): 5, (F(1, 2), 0, 0): 0}, cutoff=2)
+    assert got.terms == {(F(-4, 3), 0, 0): 1, (F(2, 3), 1, 0): 2}
+    assert got.min_q() == F(-4, 3) and got.q_cutoff == 2
+    assert S({(F(3, 4), 0, 0): 5}, cutoff=0).terms == {(F(3, 4), 0, 0): 5}
