@@ -7,6 +7,15 @@ rational matrices, forms graded tensor products with Koszul signs, and
 decomposes modules back into the standard families by matching exact spectral
 statistics.
 
+A module stores each operator as a map ``{(row, col): Fraction}`` of its
+nonzero entries.  Nearly every entry is zero: a realized P(n) has 4 nonzero
+psi+- entries in 32 slots, and in a tensor product of realized modules each
+operator has at most one nonzero entry per column and tensor factor.
+Products (:func:`mul`), linear combinations (:func:`combine`), tensor
+products and the weight checks visit nonzero entries only; :func:`mat_rank`
+works on the small dense blocks between neighbouring weight spaces that
+:func:`decompose` slices out.
+
 :func:`decompose` takes modules in a weight basis, which is what
 :func:`realize` and :func:`tensor` always produce: N and E diagonal, and psi+-
 moving weight (e, n) to (e, n +- 1).  It rejects any other input with
@@ -27,10 +36,11 @@ from .frozen import Frozen
 from .labels import _f
 
 Matrix = tuple  # tuple of row tuples of Fraction
+Entries = dict  # {(row, col): Fraction}, nonzero entries only
 
 
 # ---------------------------------------------------------------------------
-# exact dense linear algebra over Q
+# exact linear algebra over Q
 # ---------------------------------------------------------------------------
 
 
@@ -38,51 +48,31 @@ _ZERO = Fraction(0)
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    # one shared zero: realize() builds mostly-zero matrices on every call
-    return tuple(tuple(_ZERO if v == 0 else _f(v) for v in row) for row in rows)
+    return tuple(tuple(_f(v) for v in row) for row in rows)
 
 
-def zeros(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return tuple((Fraction(0),) * m for _ in range(n))
+def mul(a: Entries, b: Entries) -> Entries:
+    """Product a b of two entry maps; zero sums are dropped."""
+    b_rows: dict[int, list] = {}
+    for (k, j), y in b.items():
+        b_rows.setdefault(k, []).append((j, y))
+    out: Entries = {}
+    for (i, k), x in a.items():
+        for j, y in b_rows.get(k, ()):
+            out[i, j] = out.get((i, j), _ZERO) + x * y
+    return {key: v for key, v in out.items() if v}
 
 
-def eye(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, s) -> Matrix:
-    s = _f(s)
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product a b, accumulated row by row over the nonzero entries only."""
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * width
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(all(v == 0 for v in row) for row in a)
+def combine(terms) -> Entries:
+    """Linear combination sum c X over (c, X) pairs; zero sums are dropped."""
+    out: Entries = {}
+    for c, x in terms:
+        c = _f(c)
+        if not c:
+            continue
+        for key, v in x.items():
+            out[key] = out.get(key, _ZERO) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
 def mat_rank(a: Matrix) -> int:
@@ -245,12 +235,33 @@ class Projective(FinLabel):
 
 
 class Gl11MatrixModule(Frozen):
-    """Matrix realization of a finite-dimensional gl(1|1)-module."""
+    """Matrix realization of a finite-dimensional gl(1|1)-module.
 
-    # parity: a tuple with entries in {0, 1}; N, E, psi_p, psi_m: matrices
+    ``N``, ``E``, ``psi_p`` and ``psi_m`` map (row, col) to the nonzero
+    entries of each operator; the constructor converts values to Fraction and
+    drops zeros, so a stored zero equals an absent entry.  It raises
+    :class:`OracleError` unless ``parity`` has ``dim`` entries and every key
+    lies in ``range(dim)``.
+    """
+
     __slots__ = ("dim", "parity", "N", "E", "psi_p", "psi_m")
 
-    def action(self, name: str) -> Matrix:
+    def __init__(self, dim, parity, N, E, psi_p, psi_m):
+        if len(parity) != dim:
+            raise OracleError(f"parity has {len(parity)} entries, not dim = {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "parity", parity)
+        for name, entries in zip(self.__slots__[2:], (N, E, psi_p, psi_m)):
+            kept = {}
+            for (r, c), v in entries.items():
+                if not (0 <= r < dim and 0 <= c < dim):
+                    raise OracleError(f"{name} entry ({r}, {c}) lies outside a {dim}-dim module")
+                v = _f(v)
+                if v:
+                    kept[r, c] = v
+            object.__setattr__(self, name, kept)
+
+    def action(self, name: str) -> Entries:
         return {"N": self.N, "E": self.E, "psi+": self.psi_p, "psi-": self.psi_m}[name]
 
     def validate(self) -> None:
@@ -263,19 +274,14 @@ class Gl11MatrixModule(Frozen):
         """
         ops = (self.N, self.E, self.psi_p, self.psi_m)
         for name, x, parity in zip(BASIS, ops, GL11.parity):
-            for i, row in enumerate(x):
-                for j, v in enumerate(row):
-                    if v and (self.parity[i] != self.parity[j]) != (parity == ODD):
-                        raise OracleError(f"{name} breaks the parity of the module")
+            for i, j in x:
+                if (self.parity[i] != self.parity[j]) != (parity == ODD):
+                    raise OracleError(f"{name} breaks the parity of the module")
         for i, x in enumerate(ops):
             for j, y in enumerate(ops):
                 sign = -1 if GL11.parity[i] == GL11.parity[j] == ODD else 1
-                lhs = mat_sub(mat_mul(x, y), mat_scale(mat_mul(y, x), sign))
-                rhs = zeros(self.dim)
-                for t, c in enumerate(GL11.brackets[i][j]):
-                    if c:
-                        rhs = mat_add(rhs, mat_scale(ops[t], c))
-                if lhs != rhs:
+                lhs = combine(((1, mul(x, y)), (-sign, mul(y, x))))
+                if lhs != combine(zip(GL11.brackets[i][j], ops)):
                     raise OracleError(f"[{BASIS[i]}, {BASIS[j]}] does not act as GL11 says")
 
 
@@ -287,33 +293,21 @@ def realize(label: FinLabel) -> Gl11MatrixModule:
     """
     if isinstance(label, Verma):
         n, e = label.n, label.e
-        return Gl11MatrixModule(
-            dim=2,
-            parity=(EVEN, ODD),
-            N=mat([[n + Fraction(1, 2), 0], [0, n - Fraction(1, 2)]]),
-            E=mat([[e, 0], [0, e]]),
-            psi_p=mat([[0, e], [0, 0]]),
-            psi_m=mat([[0, 0], [1, 0]]),
-        )
+        half = Fraction(1, 2)
+        n_diag, e_diag = {(0, 0): n + half, (1, 1): n - half}, {(0, 0): e, (1, 1): e}
+        return Gl11MatrixModule(2, (EVEN, ODD), n_diag, e_diag, {(0, 1): e}, {(1, 0): 1})
     if isinstance(label, Atypical):
-        return Gl11MatrixModule(
-            dim=1,
-            parity=(EVEN,),
-            N=mat([[label.n]]),
-            E=zeros(1),
-            psi_p=zeros(1),
-            psi_m=zeros(1),
-        )
+        return Gl11MatrixModule(1, (EVEN,), {(0, 0): label.n}, {}, {}, {})
     if isinstance(label, Projective):
         n = label.n
         # basis v, psi+ v, psi- v, psi+ psi- v; note psi- psi+ v = -psi+ psi- v
         return Gl11MatrixModule(
-            dim=4,
-            parity=(EVEN, ODD, ODD, EVEN),
-            N=mat([[n, 0, 0, 0], [0, n + 1, 0, 0], [0, 0, n - 1, 0], [0, 0, 0, n]]),
-            E=zeros(4),
-            psi_p=mat([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]),
-            psi_m=mat([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]]),
+            4,
+            (EVEN, ODD, ODD, EVEN),
+            {(0, 0): n, (1, 1): n + 1, (2, 2): n - 1, (3, 3): n},
+            {},
+            {(1, 0): 1, (3, 2): 1},
+            {(2, 0): 1, (3, 1): -1},
         )
     raise TypeError(f"unknown label {label!r}")
 
@@ -321,51 +315,46 @@ def realize(label: FinLabel) -> Gl11MatrixModule:
 def tensor(a: Gl11MatrixModule, b: Gl11MatrixModule) -> Gl11MatrixModule:
     """Graded tensor product with the coproduct action X -> X(x)1 + 1(x)X.
 
-    On v (x) w the second term carries the Koszul sign (-1)^{|X||v|}, so for
-    the odd generators the identity factor is replaced by the parity sign of
-    the first tensor leg.
+    Basis vector v_i (x) w_j has index i * b.dim + j.  On it the second term
+    carries the Koszul sign (-1)^{|X||v_i|}, so for the odd generators the
+    identity factor is replaced by the parity sign of the first tensor leg.
+    Only nonzero entries of the factors are visited.
     """
+    bd = b.dim
 
-    def build(xa: Matrix, xb: Matrix, odd: bool) -> Matrix:
-        dim = a.dim * b.dim
-        out = [[Fraction(0)] * dim for _ in range(dim)]
+    def build(xa: Entries, xb: Entries, odd: bool) -> Entries:
+        out = {(k * bd + j, i * bd + j): v for (k, i), v in xa.items() for j in range(bd)}
         for i in range(a.dim):
-            for j in range(b.dim):
-                col = i * b.dim + j
-                for k in range(a.dim):
-                    if xa[k][i] != 0:
-                        out[k * b.dim + j][col] += xa[k][i]
-                sign = -1 if (odd and a.parity[i] == ODD) else 1
-                for l in range(b.dim):
-                    if xb[l][j] != 0:
-                        out[i * b.dim + l][col] += sign * xb[l][j]
-        return tuple(tuple(r) for r in out)
+            negate = odd and a.parity[i] == ODD
+            for (l, j), v in xb.items():
+                key = (i * bd + l, i * bd + j)
+                out[key] = out.get(key, _ZERO) + (-v if negate else v)
+        return out
 
-    parity = tuple(
-        (a.parity[i] + b.parity[j]) % 2 for i in range(a.dim) for j in range(b.dim)
-    )
+    parity = tuple((p + q) % 2 for p in a.parity for q in b.parity)
     return Gl11MatrixModule(
-        dim=a.dim * b.dim,
-        parity=parity,
-        N=build(a.N, b.N, odd=False),
-        E=build(a.E, b.E, odd=False),
-        psi_p=build(a.psi_p, b.psi_p, odd=True),
-        psi_m=build(a.psi_m, b.psi_m, odd=True),
+        a.dim * bd,
+        parity,
+        build(a.N, b.N, odd=False),
+        build(a.E, b.E, odd=False),
+        build(a.psi_p, b.psi_p, odd=True),
+        build(a.psi_m, b.psi_m, odd=True),
     )
 
 
-def l0_top_matrix(m: Gl11MatrixModule, k) -> Matrix:
+def l0_top_matrix(m: Gl11MatrixModule, k) -> Entries:
     """Zero-mode Virasoro action (1/k)(N E - psi+ psi-) + E/(2k) + E^2/(2k^2)."""
     k = _f(k)
     if k == 0:
         raise ValueError("level k must be nonzero")
-    ne = mat_mul(m.N, m.E)
-    ppm = mat_mul(m.psi_p, m.psi_m)
-    e2 = mat_mul(m.E, m.E)
-    out = mat_scale(mat_sub(ne, ppm), 1 / k)
-    out = mat_add(out, mat_scale(m.E, Fraction(1, 2) / k))
-    out = mat_add(out, mat_scale(e2, Fraction(1, 2) / (k * k)))
-    return out
+    return combine(
+        (
+            (1 / k, mul(m.N, m.E)),
+            (-1 / k, mul(m.psi_p, m.psi_m)),
+            (Fraction(1, 2) / k, m.E),
+            (Fraction(1, 2) / (k * k), mul(m.E, m.E)),
+        )
+    )
 
 
 def fin_label_of(label) -> FinLabel:
@@ -396,14 +385,14 @@ def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
     """Decompose into Verma / Atypical / Projective labels with multiplicity.
 
     The module must be given in a weight basis: N and E diagonal, so basis
-    vector i has weight (e, n) = (E[i][i], N[i][i]), and every nonzero entry
+    vector i has weight (e, n) = (E[i, i], N[i, i]), and every nonzero entry
     of psi+- maps weight (e, n) into (e, n +- 1).  Anything else raises
     :class:`OracleError`.  Basis vectors are grouped by e and then by n.  On
     an e != 0 block the N-spectrum is matched greedily into pairs
     (c + 1/2, c - 1/2) giving Verma multiplicities.  On the e = 0 block each
     rank is the rank of a small block between weight spaces: psi+ from n to
-    n+1, psi- from n to n-1, and psi+ psi- on weight n as the product of the
-    psi- block n -> n-1 and the psi+ block n-1 -> n.  The Projective count at
+    n+1, psi- from n to n-1, and the weight-n block of the product psi+ psi-,
+    which passes through weight n-1.  The Projective count at
     n is rank(psi+ psi- | N=n); the Verma and Atypical multiplicities are
     solved from the N-spectrum and the psi+- ranks, and any statistic
     mismatch raises :class:`OracleError`.
@@ -422,19 +411,14 @@ def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
 
 def _weights(m: Gl11MatrixModule) -> list[tuple[Fraction, Fraction]]:
     """Weight (e, n) of each basis vector; OracleError unless a weight basis."""
-    for a in (m.N, m.E):
-        for i, row in enumerate(a):
-            if any(row[:i]) or any(row[i + 1 :]):
-                raise OracleError("N and E must be diagonal (a weight basis)")
-    weights = [(m.E[i][i], m.N[i][i]) for i in range(m.dim)]
+    if any(r != c for r, c in m.N) or any(r != c for r, c in m.E):
+        raise OracleError("N and E must be diagonal (a weight basis)")
+    weights = [(m.E.get((i, i), _ZERO), m.N.get((i, i), _ZERO)) for i in range(m.dim)]
     for a, step in ((m.psi_p, 1), (m.psi_m, -1)):
-        for r, row in enumerate(a):
-            if not any(row):
-                continue
+        for r, c in a:
             e_val, n_val = weights[r]
-            for c, v in enumerate(row):
-                if v and weights[c] != (e_val, n_val - step):
-                    raise OracleError("psi+- must map weight (e, n) into (e, n +- 1)")
+            if weights[c] != (e_val, n_val - step):
+                raise OracleError("psi+- must map weight (e, n) into (e, n +- 1)")
     return weights
 
 
@@ -454,16 +438,18 @@ def _decompose_typical_block(e_val, n_bases, result) -> None:
 
 
 def _decompose_zero_block(m, n_bases, result) -> None:
-    def block(a: Matrix, n_to, n_from) -> Matrix:
-        return tuple(tuple(a[r][c] for c in n_bases[n_from]) for r in n_bases.get(n_to, ()))
+    def block(a: Entries, n_to, n_from) -> Matrix:
+        cols = n_bases[n_from]
+        return tuple(tuple(a.get((r, c), _ZERO) for c in cols) for r in n_bases.get(n_to, ()))
 
+    # psi- lowers n by one and psi+ raises it, so the weight-n block of
+    # psi+ psi- is the product of the blocks through weight n - 1
+    ppm = mul(m.psi_p, m.psi_m)
     proj = {}
     for n_val in n_bases:
-        if n_val - 1 in n_bases:
-            ppm = mat_mul(block(m.psi_p, n_val, n_val - 1), block(m.psi_m, n_val - 1, n_val))
-            r = mat_rank(ppm)
-            if r:
-                proj[n_val] = r
+        r = mat_rank(block(ppm, n_val, n_val))
+        if r:
+            proj[n_val] = r
     rank_p = {n: mat_rank(block(m.psi_p, n + 1, n)) for n in n_bases}
     rank_m = {n: mat_rank(block(m.psi_m, n - 1, n)) for n in n_bases}
     # psi+ ranks are determined by the projective counts alone
@@ -485,9 +471,10 @@ def _decompose_zero_block(m, n_bases, result) -> None:
     found += [(Verma(c, Fraction(0)), v) for c, v in verma.items()]
     rest = {n: len(b) for n, b in n_bases.items()}
     for label, count in found:
-        n_diag = realize(label).N
-        for i, row in enumerate(n_diag):
-            rest[row[i]] = rest.get(row[i], 0) - count
+        candidate = realize(label)
+        for i in range(candidate.dim):
+            n_val = candidate.N.get((i, i), _ZERO)
+            rest[n_val] = rest.get(n_val, 0) - count
     if any(a < 0 for a in rest.values()):
         raise OracleError("N-spectrum statistics infeasible on the E=0 block")
     found += [(Atypical(n), a) for n, a in rest.items() if a]

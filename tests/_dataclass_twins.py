@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gl11kl.labels import _f, _int
-from gl11kl.oracle import EVEN, ODD, Matrix
+from gl11kl.errors import OracleError
+from gl11kl.oracle import EVEN, ODD, Entries, Matrix
 from gl11kl.symbolic import RationalFunction
 
 # labels
@@ -156,7 +157,19 @@ class Projective:
 class Gl11MatrixModule:
     dim: int
     parity: tuple
-    N: Matrix
-    E: Matrix
-    psi_p: Matrix
-    psi_m: Matrix
+    N: Entries
+    E: Entries
+    psi_p: Entries
+    psi_m: Entries
+
+    def __post_init__(self):
+        if len(self.parity) != self.dim:
+            raise OracleError(f"parity has {len(self.parity)} entries, not dim = {self.dim}")
+        for name in ("N", "E", "psi_p", "psi_m"):
+            kept = {}
+            for (r, c), v in getattr(self, name).items():
+                if not (0 <= r < self.dim and 0 <= c < self.dim):
+                    raise OracleError(f"{name} entry ({r}, {c}) lies outside a {self.dim}-dim module")
+                if _f(v) != 0:
+                    kept[r, c] = _f(v)
+            object.__setattr__(self, name, kept)

@@ -89,7 +89,17 @@ def _field_values(rng: Random, cls) -> list:
     if name in ("Atypical", "Projective"):
         return [_number(rng)]
     assert name == "Gl11MatrixModule"
-    return [getattr(rng.choice(_MODULES), f) for f in cls.__slots__]
+    module = rng.choice(_MODULES)
+    dim = module.dim if rng.random() < 0.8 else rng.choice((1, 2, 4))
+    return [dim, module.parity, *(_entries(rng, getattr(module, f), dim) for f in cls.__slots__[2:])]
+
+
+def _entries(rng: Random, entries: dict, dim: int) -> dict:
+    """entries with values as Fraction or str, sometimes with one more entry: zero, or outside range(dim)."""
+    out = {key: rng.choice((v, str(v))) for key, v in entries.items()}
+    if rng.random() < 0.3:
+        out[rng.randrange(dim + 1), rng.randrange(dim)] = _number(rng)
+    return out
 
 
 def _draw(rng: Random, cls):
