@@ -12,10 +12,13 @@ realizations used for sl(2|1):
 
 Nothing here fuses a simple with a generator.  With step = a - eps(b), the
 m-th generator moves V(n;ehat) to V(n + m step; ehat + m b) and A(n;l) or
-P(n;l) to the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).  So
-the monodromy of a simple s (x = ehat(s)) against A(c;l) is
-x c + l n(s) + x l - (x + l) kappa, kappa = eps(l) for a typical s and
-eps2(ell(s), l) for an atypical one; the summand weights are
+P(n;l) to the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).
+One private walk, ``_orbit``, gives these summands for a run of m, adding
+step and b once per summand: ``summand(m)`` is a run of length one,
+``generator_of(m)`` is the run of the unit A(0;0), and ``induce`` is the run
+from -m_range to m_range.  The monodromy of a simple s (x = ehat(s)) against
+A(c;l) is x (c + l - kappa) + l (n(s) - kappa), kappa = eps(l) for a typical
+s and eps2(ell(s), l) for an atypical one; the summand weights are
 b (step + b/2) m^2 + lin m + const, plus |l + m b|/2 for a base A(n;l); and
 the one m that can make two simples induce alike is their ehat offset over
 b, or for b = 0 their n offset over step.
@@ -69,11 +72,11 @@ class ExtensionSpec(Frozen):
         return self.a - epsilon(self.b)
 
     def generator_of(self, m: int) -> AtypicalA:
-        """The m-th summand: the m-th fusion power of the base generator."""
-        m = _int(m)
-        return AtypicalA(
-            m * self.a - m * epsilon(self.b) + epsilon(m * self.b), m * self.b
-        )
+        """The m-th summand: the m-th fusion power of the base generator.
+
+        That is A(m step + eps(m b); m b), the m-th point of the unit's orbit.
+        """
+        return _orbit(_UNIT, self.step, self.b, _int(m), 1)[0]
 
     @classmethod
     def custom(cls, a, b) -> "ExtensionSpec":
@@ -109,20 +112,52 @@ class InducedModule(Frozen):
     def summand(self, m: int) -> ModuleLabel:
         """fuse(base, generator_of(m)), always a single label, in closed form.
 
-        With step = a - eps(b) the generator is A(m step + eps(m b); m b), so
-        V(n;ehat) goes to V(n + m step; ehat + m b), and A(n;l) and P(n;l) go
-        to the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).
-        A reducible Verma base raises as :func:`fuse` does.
+        The m-th point of the base's orbit; a reducible Verma base raises as
+        :func:`fuse` does.
         """
-        base, ext = self.base, self.extension
-        m = _int(m)
-        kind = type(base)
-        if kind is TypicalV:
-            return TypicalV(base.n + m * ext.step, base.ehat + m * ext.b)
-        if kind is AtypicalA or kind is ProjectiveP:
-            ell = base.ell + m * ext.b
-            return kind(base.n + m * ext.step - epsilon(base.ell) + epsilon(ell), ell)
-        return fuse(base, ext.generator_of(m)).single()
+        ext = self.extension
+        return _orbit(self.base, ext.step, ext.b, _int(m), 1)[0]
+
+
+_UNIT = AtypicalA(Fraction(0), 0)
+
+
+def _orbit(base: ModuleLabel, step: Fraction, b: int, start: int, count: int) -> list:
+    """fuse(base, generator_of(m)) for m = start .. start + count - 1.
+
+    V(n;ehat) goes to V(n + m step; ehat + m b), and A(n;l) and P(n;l) go to
+    the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).  The walk
+    adds step and b once per summand; eps(l + m b) moves only where the sign
+    of l + m b changes, at most twice along the orbit.  Any other base is
+    fused with each generator, so it raises as :func:`fuse` does.
+    """
+    kind = type(base)
+    if kind is TypicalV:
+        n, e = base.n, base.ehat
+        if start:
+            n, e = n + start * step, e + start * b
+        out = [TypicalV(n, e)]
+        for _ in range(count - 1):
+            n, e = n + step, e + b
+            out.append(TypicalV(n, e))
+        return out
+    if kind is AtypicalA or kind is ProjectiveP:
+        n, ell = base.n, base.ell
+        if start:  # the unit, which generator_of walks, starts at n = 0
+            n = n + start * step if n else start * step
+        out, sign = [], (ell > 0) - (ell < 0)
+        ell += start * b
+        for i in range(count):
+            if i:
+                n, ell = n + step, ell + b
+            now = (ell > 0) - (ell < 0)
+            if now != sign:  # eps moves by d/2: eps(d) at d = +-1, an integer at +-2
+                d = now - sign
+                n += epsilon(d) if d % 2 else d // 2
+                sign = now
+            out.append(kind(n, ell))
+        return out
+    return [fuse(base, c).single() for c in _orbit(_UNIT, step, b, start, count)]
 
 
 def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
@@ -130,7 +165,7 @@ def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
 
     The monodromy operator is exp(2 pi i <exponent>); triviality is
     integrality of the exponent.  For a simple s, x = ehat(s), and an
-    atypical c = A(c.n; l) it is x c.n + l s.n + x l - (x + l) kappa, with
+    atypical c = A(c.n; l) it is x (c.n + l - kappa) + l (s.n - kappa), with
     kappa = eps(l) for a typical s and eps2(s.ell, l) for an atypical one;
     an atypical s against a typical c is that pair swapped.  Any other pair
     is fused, and raises unless the output is a single simple label.
@@ -139,11 +174,14 @@ def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
         s, c = c, s
     kind = type(s)
     if type(c) is AtypicalA and (kind is TypicalV or kind is AtypicalA):
+        ell = c.ell
         if kind is TypicalV:
-            x, kappa = s.ehat, epsilon(c.ell)
+            x, kappa = s.ehat, epsilon(ell)
         else:
-            x, kappa = s.ell, epsilon2(s.ell, c.ell)
-        return x * c.n + c.ell * s.n + x * c.ell - (x + c.ell) * kappa
+            x, kappa = s.ell, epsilon2(s.ell, ell)
+        if kappa:
+            return x * (c.n + ell - kappa) + ell * (s.n - kappa)
+        return x * (c.n + ell) + ell * s.n
     label = fuse(s, c).single()
     if not is_simple(label):
         raise Gl11Error("monodromy is defined against a simple fusion output")
@@ -168,8 +206,7 @@ def induce(s: ModuleLabel, ext: ExtensionSpec, m_range: int) -> list[ModuleLabel
     m_range = _int(m_range)
     if m_range < 0:
         raise ValueError(f"m_range must be non-negative, got {m_range}")
-    ind = InducedModule(strip_parity(s), ext)
-    return [ind.summand(m) for m in range(-m_range, m_range + 1)]
+    return _orbit(strip_parity(s), ext.step, ext.b, -m_range, 2 * m_range + 1)
 
 
 def induced_equivalent(s: ModuleLabel, s2: ModuleLabel, ext: ExtensionSpec) -> bool:
@@ -231,18 +268,21 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     if not is_simple(s):
         raise ValueError("weight growth applies to simple labels")
     b, step = ext.b, ext.step
-    rate = step + Fraction(b, 2)
+    half_b = Fraction(b, 2)
+    rate = step + half_b
     quad = b * rate
     if isinstance(s, TypicalV):
         lin = lin_pos = lin_neg = b * s.n + s.ehat * (step + b)
     else:
         ell = s.ell
-        lin_mid = ell * rate + b * (s.n - epsilon(ell) + Fraction(ell, 2))
-        lin_pos, lin_neg = lin_mid + b * epsilon(b), lin_mid - b * epsilon(b)
+        # l/2 - eps(l) = (l - sign(l))/2, and b eps(b) = |b|/2
+        lin_mid = ell * rate + b * (s.n + Fraction(ell - (ell > 0) + (ell < 0), 2))
+        spread = Fraction(abs(b), 2)
+        lin_pos, lin_neg = lin_mid + spread, lin_mid - spread
         if ell - b >= 0 and ell + 2 * b >= 0:
-            lin = lin_mid + Fraction(b, 2)
+            lin = lin_mid + half_b
         elif ell - b <= 0 and ell + 2 * b <= 0:
-            lin = lin_mid - Fraction(b, 2)
+            lin = lin_mid - half_b
         else:
             lin = lin_pos
     if quad > 0:

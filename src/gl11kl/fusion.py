@@ -69,9 +69,13 @@ def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:
 
 def _translate(c: AtypicalA, x: ModuleLabel) -> ModuleLabel:
     """A(c;l) times a simple or projective x: one label of x's kind."""
+    n, ell = c.n + x.n, c.ell
     if type(x) is TypicalV:
-        return TypicalV(c.n + x.n - epsilon(c.ell), x.ehat + c.ell)
-    return type(x)(c.n + x.n - epsilon2(c.ell, x.ell), c.ell + x.ell)
+        if not ell:  # A(c;0) moves n alone
+            return TypicalV(n, x.ehat)
+        return TypicalV(n - epsilon(ell), x.ehat + ell)
+    kappa = epsilon2(ell, x.ell)
+    return type(x)(n - kappa if kappa else n, ell + x.ell)
 
 
 def fuse_formal(a: FormalSum, b: FormalSum) -> FormalSum:

@@ -110,8 +110,14 @@ def epsilon(ell: int) -> Fraction:
 
 
 def epsilon2(ell: int, ell2: int) -> Fraction:
-    """epsilon(l) + epsilon(l') - epsilon(l + l')."""
-    return epsilon(ell) + epsilon(ell2) - epsilon(ell + ell2)
+    """epsilon(l) + epsilon(l') - epsilon(l + l'), read off the three signs.
+
+    Twice the value, sign(l) + sign(l') - sign(l + l'), lies in -1..1, where
+    epsilon(t) = t/2: so one of epsilon's shared constants comes back, and no
+    Fraction arithmetic is done.
+    """
+    total = ell + ell2
+    return epsilon((ell > 0) - (ell < 0) + (ell2 > 0) - (ell2 < 0) - (total > 0) + (total < 0))
 
 
 def delta(label: ModuleLabel) -> Fraction:
@@ -334,6 +340,10 @@ def k_decompose_sum(s: FormalSum) -> FormalSum:
     """Linear extension of :func:`k_decompose` to formal sums."""
     out: dict[ModuleLabel, int] = {}
     for label, mult in s.items():
+        if is_simple(label):  # its own single factor
+            label = strip_parity(label)
+            out[label] = out.get(label, 0) + mult
+            continue
         for factor, m in k_decompose(label).items():
             out[factor] = out.get(factor, 0) + mult * m
     return FormalSum._trusted(out)
@@ -362,7 +372,8 @@ def label_sort_key(label: ModuleLabel):
 _RATIONAL = r"-?\d+(?:/0*[1-9]\d*)?"
 _RATIONAL_RE = re.compile(_RATIONAL)
 _LABEL_RE = re.compile(
-    rf"^\s*(Pi)?(Verma0|V|A|P)\s*\(\s*({_RATIONAL})\s*;\s*({_RATIONAL})\s*\)\s*$"
+    rf"^\s*(Pi)?(Verma0|V|A|P)\s*\(\s*({_RATIONAL})\s*;\s*({_RATIONAL})\s*\)\s*$",
+    re.IGNORECASE,
 )
 
 
@@ -376,25 +387,23 @@ def parse_rational(text: str) -> Fraction:
 def parse_label(text: str) -> ModuleLabel:
     """Parse ``KIND(n;ehat-or-ell)`` with KIND in V/A/P/Verma0 (case-insensitive).
 
-    A ``Pi`` before the kind marks a parity flip, as :func:`render_label`
-    writes it.  Typicality is enforced: ``V`` with an integer second
-    argument is rejected, as are A/P/Verma0 with a non-integer one.
+    A ``Pi`` before the kind, also in any case, marks a parity flip, as
+    :func:`render_label` writes it.  Typicality is enforced: ``V`` with an
+    integer second argument is rejected, as are A/P/Verma0 with a non-integer
+    one.
     """
-    normalized = text.strip()
-    if normalized[:1] in "vap" and not normalized.startswith("Verma0"):
-        normalized = normalized[:1].upper() + normalized[1:]
-    m = _LABEL_RE.match(normalized)
+    m = _LABEL_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse label {text!r}")
     pi, kind, n_text, second_text = m.groups()
+    cls = {"v": TypicalV, "a": AtypicalA, "p": ProjectiveP, "verma0": VermaV0}[kind.lower()]
     flip = pi is not None
     n = Fraction(n_text)
     second = Fraction(second_text)
-    if kind == "V":
+    if cls is TypicalV:
         if second.denominator == 1:
             raise ValueError(f"{text!r}: integer ehat is not typical; use A, P or Verma0")
         return TypicalV(n, second, flip)
     if second.denominator != 1:
-        raise ValueError(f"{text!r}: {kind} labels need an integer ell")
-    cls = {"A": AtypicalA, "P": ProjectiveP, "Verma0": VermaV0}[kind]
+        raise ValueError(f"{text!r}: {_KIND_NAMES[cls]} labels need an integer ell")
     return cls(n, int(second), flip)

@@ -35,6 +35,8 @@ ARGVS = [
     ["fuse", "P(0;1)", "P(1;-1)"],
     ["fuse", "a(1;0)", "v(0;1/2)"],
     ["fuse", "PiV(-1/4;-1/2)", "V(1/4;1/2)"],
+    ["fuse", "piv(-1/4;-1/2)", "V(1/4;1/2)"],
+    ["fuse", "PIV(-1/4;-1/2)", "V(1/4;1/2)"],
     ["--json", "fuse", "A(0;0)", "A(0;0)"],
     ["fuse", "Verma0(0;1)", "V(0;1/2)"],
     ["fuse", "V(0;2)", "V(0;1/2)"],
@@ -50,6 +52,8 @@ ARGVS = [
     ["kdec", "A(1;2)"],
     ["kdec", "X(1;2)"],
     ["kdec", "PiA(1;2)"],
+    ["kdec", "VERMA0(1/2;0)"],
+    ["kdec", "vErma0(1/2;-2)"],
     # char, cutoff at most 3
     ["char", "V(0;1/2)", "--cutoff", "1"],
     ["char", "V(1/4;-1/3)", "--cutoff", "2"],

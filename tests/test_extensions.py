@@ -262,9 +262,14 @@ def test_induced_character_verified():
     assert all(isinstance(v, int) for v in out.terms.values())
 
 
+def generator_by_formula(ext, m):
+    """The former ExtensionSpec.generator_of: A(m a - m eps(b) + eps(m b); m b)."""
+    return AtypicalA(m * ext.a - m * epsilon(ext.b) + epsilon(m * ext.b), m * ext.b)
+
+
 def summand_by_fusion(base, ext, m):
     """The former InducedModule.summand: fuse with the m-th generator."""
-    return fuse(base, ext.generator_of(m)).single()
+    return fuse(base, generator_by_formula(ext, m)).single()
 
 
 def _fit_quadratic(points):
@@ -502,6 +507,36 @@ def test_induced_equivalent_matches_two_branch_on_grid():
             got = _outcome(ex.induced_equivalent, bad, simples[0], ext)
             assert got == _outcome(induced_equivalent_two_branch, bad, simples[0], ext)
     assert found
+
+
+def test_orbit_matches_fusion_on_grid():
+    # induce, summand and generator_of share one orbit walk; each is checked
+    # against fusing with the former closed-form generator
+    unit = AtypicalA(0, 0)
+    raised = 0
+    for ext in _grid_extensions():
+        for m in range(-6, 7):
+            got = ext.generator_of(m)
+            assert got == generator_by_formula(ext, m) == summand_by_fusion(unit, ext, m)
+            assert type(got.n) is Fraction
+        for base in _grid_labels():
+            ind = ex.InducedModule(base, ext)
+            want = [_outcome(summand_by_fusion, base, ext, m) for m in range(-4, 5)]
+            assert [_outcome(ind.summand, m) for m in range(-4, 5)] == want, (base, ext)
+            for r in range(5):
+                got = _outcome(ex.induce, base, ext, r)
+                window = want[4 - r : 5 + r]
+                if isinstance(window[0], tuple):  # induce raises at its first summand
+                    assert got == window[0] == (
+                        NotDeterminedError,
+                        "fusion against a reducible Verma label is not determined",
+                    ), (base, ext, r)
+                    assert type(base) is VermaV0
+                    raised += 1
+                else:
+                    assert got == window, (base, ext, r)
+                    assert all(type(x.n) is Fraction and not x.parity_flip for x in got)
+    assert raised
 
 
 def _far_classification(s, ext):

@@ -1,0 +1,68 @@
+"""Fraction arithmetic budgets of the label layer's hot paths.
+
+Label arithmetic is exact, and a ``Fraction`` operator call costs about a
+microsecond, so these paths are written to reuse the values they know.
+Each binary arithmetic method of ``Fraction``, forward and reflected, is
+wrapped with a counter for the length of a test, and the counts are pinned:
+an edit that brings back recomputed Fractions fails here even though every
+value stays right.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from gl11kl import extensions as ex
+from gl11kl.labels import TypicalV, VermaV0, epsilon2
+
+from test_extensions import _grid_labels
+
+_OPS = ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow")
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """A one-item list holding the number of Fraction operator calls so far."""
+    calls = [0]
+
+    def counted(method):
+        def wrapper(*args):
+            calls[0] += 1
+            return method(*args)
+
+        return wrapper
+
+    for op in _OPS:
+        for name in (f"__{op}__", f"__r{op}__"):
+            monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
+    return calls
+
+
+def test_counter_sees_forward_and_reflected_calls(fraction_ops):
+    half = Fraction(1, 2)
+    half + half, 1 - half, half * 3, 2 / half, half ** 2, 1 % half
+    assert fraction_ops[0] == 6
+
+
+def test_epsilon2_does_no_fraction_arithmetic(fraction_ops):
+    for ell in range(-6, 7):
+        for ell2 in range(-6, 7):
+            epsilon2(ell, ell2)
+    assert fraction_ops[0] == 0
+
+
+@pytest.mark.parametrize("ext", [ex.SL21_MINUS_HALF, ex.SL21_LEVEL1], ids=lambda e: e.name)
+def test_induce_adds_once_per_coordinate_per_summand(fraction_ops, ext):
+    # V(n;ehat) moves both coordinates by Fractions, A and P move n only
+    # (l is an int).  Five more calls cover step, the first point and the
+    # sign changes of l + m b: one on the way to the first point and at most
+    # two along the walk.  Rebuilding each summand from m took four or five
+    # calls per summand.
+    for base in _grid_labels():
+        if type(base) is VermaV0:
+            continue
+        coordinates = 2 if type(base) is TypicalV else 1
+        for m_range in range(6):
+            before = fraction_ops[0]
+            out = ex.induce(base, ext, m_range)
+            assert fraction_ops[0] - before <= coordinates * len(out) + 5, (base, m_range)

@@ -64,6 +64,19 @@ def test_epsilon2_symmetric_and_unital():
             assert epsilon2(ell, ell2) == epsilon2(ell2, ell)
 
 
+def epsilon2_by_sum(ell, ell2):
+    """The former epsilon2: three epsilons added."""
+    return epsilon(ell) + epsilon(ell2) - epsilon(ell + ell2)
+
+
+def test_epsilon2_matches_sum_of_epsilons():
+    for ell in range(-6, 7):
+        for ell2 in range(-6, 7):
+            got = epsilon2(ell, ell2)
+            assert got == epsilon2_by_sum(ell, ell2), (ell, ell2)
+            assert type(got) is Fraction
+
+
 def test_spectral_flow_identity():
     for label in (VermaV0(F(1, 3), 0), AtypicalA(2, 0), ProjectiveP(F(-1, 2), 0)):
         assert spectral_flow(label, 0) == label
@@ -203,6 +216,22 @@ def test_parse_examples():
         parse_label("A(0;1/2)")
     with pytest.raises(ValueError):
         parse_label("Q(0;0)")
+
+
+def test_parse_is_case_insensitive():
+    flipped = contragredient(TypicalV(F(1, 4), F(1, 2)))
+    for pi in ("Pi", "pi", "PI", "pI"):
+        for kind in ("V", "v"):
+            assert parse_label(f"{pi}{kind}(-1/4;-1/2)") == flipped
+        for text in ("VERMA0(1/2;0)", "vErma0(1/2;0)", "verma0(1/2;0)"):
+            assert parse_label(text) == VermaV0(F(1, 2), 0)
+            assert parse_label(pi + text) == VermaV0(F(1, 2), 0, parity_flip=True)
+        assert parse_label(f"{pi}a(1;-2)") == AtypicalA(1, -2, parity_flip=True)
+    # errors name the kind canonically, whatever case it was typed in
+    with pytest.raises(ValueError, match="'vERMA0\\(0;1/2\\)': Verma0 labels need an integer ell"):
+        parse_label("vERMA0(0;1/2)")
+    with pytest.raises(ValueError, match="'p\\(0;1/2\\)': P labels need an integer ell"):
+        parse_label("p(0;1/2)")
 
 
 def test_formal_sum_algebra():
