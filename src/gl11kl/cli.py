@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import Gl11Error
 from .fusion import fuse
 from .labels import AtypicalA, FormalSum, k_decompose, parse_label, parse_rational, render_label
+from .labels import _int, _number_error
 
 
 def _ext_from_flag(text: str) -> tuple[extensions.ExtensionSpec, list[str]]:
@@ -82,6 +83,14 @@ def _flag_rational(flag: str, text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
+
+
+def _flag_int(text: str) -> int:
+    """An integer flag, written as label numbers are; argparse names the flag."""
+    try:
+        return _int(parse_rational(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(str(_number_error(f"invalid int value: {text!r}", text))) from None
 
 
 def _parse_fin_label(text: str) -> oracle.FinLabel:
@@ -243,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("label")
     p.add_argument("--ext", default="sl21-neg-half")
     p.add_argument(
-        "--m-range", type=int, default=3, help=f"summands m = -M..M, M at most {MAX_INDUCE_M_RANGE}"
+        "--m-range", type=_flag_int, default=3, help=f"summands m = -M..M, M at most {MAX_INDUCE_M_RANGE}"
     )
     p.set_defaults(func=_cmd_induce)
 
@@ -273,19 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        payload = args.func(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
-    except UsageError as exc:
+    except (Gl11Error, UsageError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    try:
-        payload = args.func(args)
-    except Gl11Error as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
-    except (UsageError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, Gl11Error) else 2
     print(json.dumps(payload))
     if args.command == "kz" and not payload.get("all_pass", True):
         return 1

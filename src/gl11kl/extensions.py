@@ -13,12 +13,14 @@ realizations used for sl(2|1):
 Nothing here fuses a simple with a generator.  With step = a - eps(b), the
 m-th generator moves V(n;ehat) to V(n + m step; ehat + m b) and A(n;l) or
 P(n;l) to the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).
-One private walk, ``_orbit``, gives these summands for a run of m, adding
-step and b once per summand: ``summand(m)`` is a run of length one,
-``generator_of(m)`` is the run of the unit A(0;0), and ``induce`` is the run
-from -m_range to m_range.  The monodromy of a simple s (x = ehat(s)) against
-A(c;l) is x (c + l - kappa) + l (n(s) - kappa), kappa = eps(l) for a typical
-s and eps2(ell(s), l) for an atypical one; the summand weights are
+Below, summand(m) is fuse(s, generator_of(m)), the m-th summand of the
+induction of s.  One private walk, ``_orbit``, gives these summands for a run
+of m, adding step and b once per summand: ``generator_of(m)`` is the run of
+the unit A(0;0) of length one, ``induce`` is the run from -m_range to
+m_range, and ``induced_equivalent`` walks the one summand that can match.
+The monodromy of a simple s (x = ehat(s)) against A(c;l) is
+x (c + l - kappa) + l (n(s) - kappa), kappa = eps(l) for a typical s and
+eps2(ell(s), l) for an atypical one; the summand weights are
 b (step + b/2) m^2 + lin m + const, plus |l + m b|/2 for a base A(n;l); and
 the one m that can make two simples induce alike is their ehat offset over
 b, or for b = 0 their n offset over step.
@@ -26,6 +28,9 @@ b, or for b = 0 their n offset over step.
 Locality of an induced module is decided by integrality of the monodromy
 exponents against the generators at m = +-1; the exponent is affine in m
 modulo the integers, which the additivity property test certifies.
+``induced_equivalent`` and ``induced_projective_cover`` are library API like
+``induce`` and ``is_local``, though nothing in the package calls them: they
+state the paper's results on equivalent inductions and on projective covers.
 """
 
 from __future__ import annotations
@@ -104,21 +109,6 @@ SL21_MINUS_HALF = ExtensionSpec("sl21-neg-half", Fraction(1, 2), -2)
 SL21_LEVEL1 = ExtensionSpec("sl21-level1", Fraction(1, 2), 1)
 
 
-class InducedModule(Frozen):
-    """Lazy view of the induction of a base label along an extension."""
-
-    __slots__ = ("base", "extension")  # a ModuleLabel and an ExtensionSpec
-
-    def summand(self, m: int) -> ModuleLabel:
-        """fuse(base, generator_of(m)), always a single label, in closed form.
-
-        The m-th point of the base's orbit; a reducible Verma base raises as
-        :func:`fuse` does.
-        """
-        ext = self.extension
-        return _orbit(self.base, ext.step, ext.b, _int(m), 1)[0]
-
-
 _UNIT = AtypicalA(Fraction(0), 0)
 
 
@@ -168,7 +158,7 @@ def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
     atypical c = A(c.n; l) it is x (c.n + l - kappa) + l (s.n - kappa), with
     kappa = eps(l) for a typical s and eps2(s.ell, l) for an atypical one;
     an atypical s against a typical c is that pair swapped.  Any other pair
-    is fused, and raises unless the output is a single simple label.
+    raises, as no such fusion is a single simple label.
     """
     if type(s) is AtypicalA and type(c) is TypicalV:
         s, c = c, s
@@ -182,10 +172,8 @@ def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
         if kappa:
             return x * (c.n + ell - kappa) + ell * (s.n - kappa)
         return x * (c.n + ell) + ell * s.n
-    label = fuse(s, c).single()
-    if not is_simple(label):
-        raise Gl11Error("monodromy is defined against a simple fusion output")
-    return delta(label) - delta(s) - delta(c)
+    fuse(s, c).single()
+    raise Gl11Error("monodromy is defined against a simple fusion output")
 
 
 def is_local(s: ModuleLabel, ext: ExtensionSpec) -> bool:
@@ -227,7 +215,7 @@ def induced_equivalent(s: ModuleLabel, s2: ModuleLabel, ext: ExtensionSpec) -> b
         m = (s2.n - s.n) / ext.step
     else:
         return s == s2
-    return m.denominator == 1 and InducedModule(s, ext).summand(m) == s2
+    return m.denominator == 1 and _orbit(s, ext.step, ext.b, int(m), 1)[0] == s2
 
 
 def induced_projective_cover(

@@ -368,9 +368,14 @@ def label_sort_key(label: ModuleLabel):
     return (_KIND_ORDER[type(label)], ehat(label), label.n, label.parity_flip)
 
 
-#: an exact rational: an integer, or p/q with a nonzero q
-_RATIONAL = r"-?\d+(?:/0*[1-9]\d*)?"
+#: most digits per integer in a number; the widest output, a monodromy
+#: exponent, then stays near 4,000 digits, under int-to-str's 4,300
+MAX_DIGITS = 1000
+#: an exact rational in ASCII digits: an integer, or p/q with a nonzero q
+_DIGITS = rf"[0-9]{{1,{MAX_DIGITS}}}"
+_RATIONAL = rf"-?{_DIGITS}(?:/(?=0*[1-9]){_DIGITS})?"
 _RATIONAL_RE = re.compile(_RATIONAL)
+_TOO_LONG_RE = re.compile(rf"[0-9]{{{MAX_DIGITS + 1}}}")
 _LABEL_RE = re.compile(
     rf"^\s*(Pi)?(Verma0|V|A|P)\s*\(\s*({_RATIONAL})\s*;\s*({_RATIONAL})\s*\)\s*$",
     re.IGNORECASE,
@@ -380,8 +385,15 @@ _LABEL_RE = re.compile(
 def parse_rational(text: str) -> Fraction:
     """Parse a label parameter: an integer or p/q, with no exponent or decimal point."""
     if not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"expected an integer or p/q with q > 0, got {text!r}")
+        raise _number_error(f"expected an integer or p/q with q > 0, got {text!r}", text)
     return Fraction(text)
+
+
+def _number_error(message: str, text: str) -> ValueError:
+    """A ValueError with message, which names the digit bound if text breaks it."""
+    if _TOO_LONG_RE.search(text):
+        message += f": integers take at most {MAX_DIGITS} digits"
+    return ValueError(message)
 
 
 def parse_label(text: str) -> ModuleLabel:
@@ -394,7 +406,7 @@ def parse_label(text: str) -> ModuleLabel:
     """
     m = _LABEL_RE.match(text)
     if not m:
-        raise ValueError(f"cannot parse label {text!r}")
+        raise _number_error(f"cannot parse label {text!r}", text)
     pi, kind, n_text, second_text = m.groups()
     cls = {"v": TypicalV, "a": AtypicalA, "p": ProjectiveP, "verma0": VermaV0}[kind.lower()]
     flip = pi is not None

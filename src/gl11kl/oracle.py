@@ -1,11 +1,15 @@
 """Finite-dimensional gl(1|1) matrix modules and a tensor-decomposition oracle.
 
 The Lie superalgebra gl(1|1) has basis N, E (even) and psi+, psi- (odd) with
-nonzero brackets [N, psi+-] = +-psi+- and {psi+, psi-} = E.  This module
-realizes the three standard families of finite-dimensional modules as exact
-rational matrices, forms graded tensor products with Koszul signs, and
-decomposes modules back into the standard families by matching exact spectral
-statistics.
+nonzero brackets [N, psi+-] = +-psi+- and {psi+, psi-} = E, held by two
+constants: :data:`PARITY`, and :data:`BRACKETS`, the sparse table of the six
+nonzero superbrackets that :meth:`Gl11MatrixModule.validate` checks modules
+against.  The invariant forms kappa and kappa2 are not kept: nothing here
+reads them, and an affine Shapovalov form would bring kappa back with its use.
+This module realizes the three standard families of finite-dimensional
+modules as exact rational matrices, forms graded tensor products with Koszul
+signs, and decomposes modules back into the standard families by matching
+exact spectral statistics.
 
 A module stores each operator as a map ``{(row, col): Fraction}`` of its
 nonzero entries.  Nearly every entry is zero: a realized P(n) has 4 nonzero
@@ -28,8 +32,6 @@ in :mod:`gl11kl.fusion`, which is the point: it is the cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
 
 from .errors import OracleError
 from .frozen import Frozen
@@ -45,10 +47,6 @@ Entries = dict  # {(row, col): Fraction}, nonzero entries only
 
 
 _ZERO = Fraction(0)
-
-
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(_f(v) for v in row) for row in rows)
 
 
 def mul(a: Entries, b: Entries) -> Entries:
@@ -104,88 +102,12 @@ def mat_rank(a: Matrix) -> int:
 
 BASIS = ("N", "E", "psi+", "psi-")
 EVEN, ODD = 0, 1
-
-
-class Gl11Algebra(Frozen):
-    """Structure constants, parities and invariant bilinear forms of gl(1|1).
-
-    Elements are coefficient 4-vectors in the ordered basis (N, E, psi+, psi-).
-    ``brackets[i][j]`` is the superbracket [b_i, b_j] (anticommutator when
-    both entries are odd) expanded in the same basis.
-    """
-
-    __slots__ = ("brackets", "parity", "kappa", "kappa2")
-
-    def __init__(
-        self,
-        brackets: tuple,
-        parity: tuple = (EVEN, EVEN, ODD, ODD),
-        kappa: Matrix = (),
-        kappa2: Matrix = (),
-    ):
-        object.__setattr__(self, "brackets", brackets)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "kappa2", kappa2)
-
-    @classmethod
-    def standard(cls) -> "Gl11Algebra":
-        z4 = (Fraction(0),) * 4
-        table = [[z4 for _ in range(4)] for _ in range(4)]
-        # [N, psi+-] = +-psi+-
-        table[0][2] = (Fraction(0), Fraction(0), Fraction(1), Fraction(0))
-        table[2][0] = (Fraction(0), Fraction(0), Fraction(-1), Fraction(0))
-        table[0][3] = (Fraction(0), Fraction(0), Fraction(0), Fraction(-1))
-        table[3][0] = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-        # {psi+, psi-} = E (symmetric in the odd pair)
-        table[2][3] = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-        table[3][2] = (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-        kappa = mat(
-            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-        )
-        kappa2 = mat([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-        return cls(brackets=tuple(tuple(r) for r in table), kappa=kappa, kappa2=kappa2)
-
-    def bracket(self, a: Sequence, b: Sequence) -> tuple:
-        """Bilinear extension of the basis superbracket table."""
-        out = [Fraction(0)] * 4
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb == 0:
-                    continue
-                for t, v in enumerate(self.brackets[i][j]):
-                    out[t] += _f(ca) * _f(cb) * v
-        return tuple(out)
-
-    def form(self, matrix: Matrix, a: Sequence, b: Sequence) -> Fraction:
-        return sum(
-            (_f(a[i]) * matrix[i][j] * _f(b[j]) for i in range(4) for j in range(4)),
-            Fraction(0),
-        )
-
-    def validate(self) -> None:
-        """Check the form values and super-invariance; raises OracleError."""
-        e = [tuple(Fraction(1) if t == i else Fraction(0) for t in range(4)) for i in range(4)]
-        n_, e_, pp, pm = e
-        values = (
-            self.form(self.kappa, n_, e_),
-            self.form(self.kappa, e_, n_),
-            self.form(self.kappa, pp, pm),
-            self.form(self.kappa, pm, pp),
-            self.form(self.kappa2, n_, n_),
-        )
-        if values != (1, 1, 1, -1, 1):
-            raise OracleError("kappa and kappa2 do not take their basis values")
-        # super-invariance: kappa([a,b], c) = kappa(a, [b,c]) on basis triples
-        for a, b, c in product(e, repeat=3):
-            lhs = self.form(self.kappa, self.bracket(a, b), c)
-            if lhs != self.form(self.kappa, a, self.bracket(b, c)):
-                raise OracleError("kappa is not super-invariant")
-
-
-GL11 = Gl11Algebra.standard()
+#: parity of each basis element, in the order of BASIS
+PARITY = (EVEN, EVEN, ODD, ODD)
+#: the six nonzero superbrackets [b_i, b_j] = sum_t c b_t as {(i, j): {t: c}}:
+#: [N, psi+-] = +-psi+- and {psi+, psi-} = E; every other bracket is zero
+BRACKETS = {(0, 2): {2: 1}, (2, 0): {2: -1}, (0, 3): {3: -1}, (3, 0): {3: 1},
+            (2, 3): {1: 1}, (3, 2): {1: 1}}
 
 
 # ---------------------------------------------------------------------------
@@ -261,28 +183,25 @@ class Gl11MatrixModule(Frozen):
                     kept[r, c] = v
             object.__setattr__(self, name, kept)
 
-    def action(self, name: str) -> Entries:
-        return {"N": self.N, "E": self.E, "psi+": self.psi_p, "psi-": self.psi_m}[name]
-
     def validate(self) -> None:
-        """Check every superbracket and operator parity of :data:`GL11`.
+        """Check every superbracket of :data:`BRACKETS` and parity of :data:`PARITY`.
 
         For basis elements X, Y the module must satisfy
-        XY - (-1)^{|X||Y|} YX = sum_t c_t X_t with c = ``GL11.brackets[X][Y]``,
-        and an odd X must swap the parity of a basis vector, an even one keep
-        it.  Raises :class:`OracleError` on the first failure.
+        XY - (-1)^{|X||Y|} YX = sum_t c_t X_t with c = ``BRACKETS[X, Y]``
+        (zero where absent), and an odd X must swap the parity of a basis
+        vector, an even one keep it.  Raises :class:`OracleError` on the first failure.
         """
         ops = (self.N, self.E, self.psi_p, self.psi_m)
-        for name, x, parity in zip(BASIS, ops, GL11.parity):
+        for name, x, parity in zip(BASIS, ops, PARITY):
             for i, j in x:
                 if (self.parity[i] != self.parity[j]) != (parity == ODD):
                     raise OracleError(f"{name} breaks the parity of the module")
         for i, x in enumerate(ops):
             for j, y in enumerate(ops):
-                sign = -1 if GL11.parity[i] == GL11.parity[j] == ODD else 1
+                sign = -1 if PARITY[i] == PARITY[j] == ODD else 1
                 lhs = combine(((1, mul(x, y)), (-sign, mul(y, x))))
-                if lhs != combine(zip(GL11.brackets[i][j], ops)):
-                    raise OracleError(f"[{BASIS[i]}, {BASIS[j]}] does not act as GL11 says")
+                if lhs != combine((c, ops[t]) for t, c in BRACKETS.get((i, j), {}).items()):
+                    raise OracleError(f"[{BASIS[i]}, {BASIS[j]}] does not act as BRACKETS says")
 
 
 def realize(label: FinLabel) -> Gl11MatrixModule:

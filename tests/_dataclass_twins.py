@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from gl11kl.labels import _f, _int
 from gl11kl.errors import OracleError
-from gl11kl.oracle import EVEN, ODD, Entries, Matrix
+from gl11kl.oracle import Entries
 from gl11kl.symbolic import RationalFunction
 
 # labels
@@ -80,12 +80,6 @@ class ExtensionSpec:
 
 
 @dataclass(frozen=True)
-class InducedModule:
-    base: object
-    extension: object
-
-
-@dataclass(frozen=True)
 class WeightGrowth:
     quadratic_coeff: Fraction
     linear_coeff: Fraction
@@ -108,14 +102,6 @@ class SecondOrderOde:
 
 
 # oracle
-
-
-@dataclass(frozen=True)
-class Gl11Algebra:
-    brackets: tuple
-    parity: tuple = (EVEN, EVEN, ODD, ODD)
-    kappa: Matrix = ()
-    kappa2: Matrix = ()
 
 
 @dataclass(frozen=True)

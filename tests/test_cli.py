@@ -335,3 +335,43 @@ def test_subcommand_imports_only_its_layer(argv, want_code, layer):
     assert code == want_code
     assert "dataclasses" not in modules
     assert {m for m in modules if m.split(".")[0] == "gl11kl"} == _BASE | layer
+
+
+def test_numbers_take_ascii_digits_only(capsys):
+    for argv in (
+        ("fuse", "A(١;0)", "A(0;0)"),  # an Arabic-Indic one
+        ("char", "V(1/2;1/3)", "--cutoff", "١٠"),
+        ("char", "V(1/2;1/3)", "--z-window=0,１"),  # a fullwidth one
+        ("oracle", "A(١)", "A(0)"),
+        ("local", "A(0;0)", "--ext", "custom:1/2,١"),
+        ("induce", "A(0;0)", "--m-range", "١"),
+        ("induce", "A(0;0)", "--m-range", "1_0"),
+        ("induce", "A(0;0)", "--m-range", " 1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"], argv
+
+
+def test_widest_numbers_at_the_digit_bound_still_print(capsys):
+    # 1000-digit integers everywhere: the monodromy exponent's numerator
+    # is the widest output, about 4,000 digits
+    b = "9" * 1000
+    q1, q2, q3 = ("9" * 999 + "7", "9" * 998 + "83", "9" * 998 + "89")
+    code, out, err = run(capsys, "monodromy", f"V({b}/{q3};{b}/{q1})", "--ext", f"custom:{b}/{q2},{b}")
+    assert (code, err) == (0, "")
+    widest = max(len(row["exponent"].lstrip("-").partition("/")[0]) for row in json.loads(out)["exponents"])
+    assert 4000 <= widest < 4300
+    for argv in (
+        ("fuse", f"V({b}1;1/2)", "A(0;0)"),
+        ("fuse", f"V(1/{b}1;1/2)", "A(0;0)"),
+        ("oracle", f"V({b}1;1/2)", "A(0)"),
+        ("monodromy", "A(0;0)", "--ext", f"custom:{b}1/2,1"),
+        ("char", "V(1/2;1/3)", f"--z-window=0,{b}1"),
+        ("induce", "A(0;0)", "--m-range", f"{b}1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert json.loads(err)["error"].endswith("integers take at most 1000 digits"), argv[:2]
+    code, out, err = run(capsys, "induce", "A(0;0)", "--m-range", "0" * 999 + "1")
+    assert (code, err) == (0, "")

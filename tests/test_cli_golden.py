@@ -22,6 +22,7 @@ import pytest
 from gl11kl.cli import main
 
 FIXTURE = Path(__file__).with_name("cli_golden.json")
+_SEVENS = "7" * 3000  # wider than the 1000 digits an integer may have
 
 ARGVS = [
     # fuse: every kind pair, case-insensitive kinds, scope and usage errors
@@ -119,6 +120,15 @@ ARGVS = [
     ["monodromy", "P(1/2;1)"],
     ["monodromy", "Verma0(0;1)", "--ext", "sl21-level1"],
     ["monodromy", "A(0;0)", "--ext", "custom:1/2,x"],
+    # number grammar: ASCII digits only, at most 1000 of them per integer
+    ["fuse", "A(\u0661;0)", "A(0;0)"],
+    ["char", "V(1/2;1/3)", "--cutoff", "\u0661\u0660"],
+    ["induce", "A(0;0)", "--m-range", "\u0661"],
+    ["induce", "A(0;0)", "--m-range", "1_0"],
+    ["induce", "A(0;0)", "--m-range", "4/2"],
+    ["induce", "A(0;0)", "--m-range", "1" * 1001],
+    ["fuse", f"V({_SEVENS}/3;{_SEVENS}/5)", f"V({_SEVENS}/7;1/{_SEVENS})"],
+    ["fuse", "A(0;0)", "V(1/" + "0" * 1000 + "1;1/2)"],
 ]
 
 
@@ -139,7 +149,12 @@ def test_fixture_covers_the_argv_list():
     assert {entry["code"] for entry in golden().values()} == {0, 1, 2}
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def _test_id(argv) -> str:
+    """The argv list joined by spaces, each argument over 60 characters cut short."""
+    return " ".join(a if len(a) <= 60 else f"{a[:12]}...({len(a)} chars)" for a in argv)
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=_test_id)
 def test_cli_output_matches_golden(argv):
     assert record(argv) == golden()[tuple(argv)]
 

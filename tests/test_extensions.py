@@ -235,11 +235,11 @@ def test_weight_growth_matches_sampled_deltas():
     # the fitted polynomial reproduces Delta(summand(m)) wherever it is exact
     v = TypicalV(F(2, 3), F(1, 4))
     got = ex.weight_growth(v, MH)
-    ind = ex.InducedModule(v, MH)
-    base = delta(ind.summand(0))
+    summands = dict(zip(range(-4, 5), ex.induce(v, MH, 4)))
+    base = delta(summands[0])
     for m in range(-4, 5):
         want = base + got.linear_coeff * m + got.quadratic_coeff * m * m
-        assert delta(ind.summand(m)) == want
+        assert delta(summands[m]) == want
 
 
 def induced_character(n, ehat, m_range: int, q_cutoff):
@@ -364,18 +364,17 @@ def test_summand_matches_fusion():
         )
         if rng.random() < 0.3:
             base = _flip(base)
-        ind = ex.InducedModule(base, ext)
-        for m in range(-8, 9):
-            got = _outcome(ind.summand, m)
-            assert got == _outcome(summand_by_fusion, base, ext, m), (base, ext, m)
-            if isinstance(got, tuple):
-                assert got[0] is NotDeterminedError
-                raised += 1
-            else:
-                assert type(got.n) is Fraction and not got.parity_flip
+        got = _outcome(ex.induce, base, ext, 8)
+        want = [_outcome(summand_by_fusion, base, ext, m) for m in range(-8, 9)]
+        if isinstance(got, tuple):  # every summand raises, so induce raises
+            assert got[0] is NotDeterminedError and want == [got] * 17, (base, ext)
+            raised += 1
+        else:
+            assert got == want, (base, ext)
+            assert all(type(x.n) is Fraction and not x.parity_flip for x in got)
     assert raised
     for ext in (MH, L1):
-        assert ex.InducedModule(AtypicalA(0, 0), ext).summand(0) == AtypicalA(0, 0)
+        assert ex.induce(AtypicalA(0, 0), ext, 0) == [AtypicalA(0, 0)]
 
 
 def test_weight_growth_matches_sampled_fits():
@@ -510,8 +509,8 @@ def test_induced_equivalent_matches_two_branch_on_grid():
 
 
 def test_orbit_matches_fusion_on_grid():
-    # induce, summand and generator_of share one orbit walk; each is checked
-    # against fusing with the former closed-form generator
+    # induce and generator_of share one orbit walk; each is checked against
+    # fusing with the former closed-form generator
     unit = AtypicalA(0, 0)
     raised = 0
     for ext in _grid_extensions():
@@ -520,9 +519,7 @@ def test_orbit_matches_fusion_on_grid():
             assert got == generator_by_formula(ext, m) == summand_by_fusion(unit, ext, m)
             assert type(got.n) is Fraction
         for base in _grid_labels():
-            ind = ex.InducedModule(base, ext)
             want = [_outcome(summand_by_fusion, base, ext, m) for m in range(-4, 5)]
-            assert [_outcome(ind.summand, m) for m in range(-4, 5)] == want, (base, ext)
             for r in range(5):
                 got = _outcome(ex.induce, base, ext, r)
                 window = want[4 - r : 5 + r]
@@ -588,7 +585,8 @@ def test_weight_growth_across_the_kink_at_minus_half():
         got = ex.weight_growth(s, MH)
         assert got.quadratic_coeff == 0
         assert got.classification == cls == _far_classification(s, MH)
-    weights = [delta(ex.InducedModule(AtypicalA(F(3, 2), 1), MH).summand(m)) for m in (0, 1, 3, 20)]
+    summands = ex.induce(AtypicalA(F(3, 2), 1), MH, 20)
+    weights = [delta(summands[20 + m]) for m in (0, 1, 3, 20)]
     assert weights == [2, -1, -5, -39]
 
 
@@ -631,14 +629,6 @@ def test_generator_of_integers_are_checked(bad):
     with pytest.raises(ValueError, match="expected an integer"):
         MH.generator_of(bad)
     assert MH.generator_of(F(2)) == MH.generator_of(2)
-
-
-@pytest.mark.parametrize("bad", [F(3, 2), 2.9], ids=["3/2", "2.9"])
-def test_summand_integers_are_checked(bad):
-    for base in (TypicalV(0, F(1, 2)), AtypicalA(0, 1), VermaV0(0, 1)):
-        with pytest.raises(ValueError, match="expected an integer"):
-            ex.InducedModule(base, L1).summand(bad)
-    assert ex.InducedModule(AtypicalA(0, 0), L1).summand(F(2)) == L1.generator_of(2)
 
 
 @pytest.mark.parametrize("bad", [F(3, 2), 2.9], ids=["3/2", "2.9"])

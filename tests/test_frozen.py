@@ -16,7 +16,6 @@ from random import Random
 import pytest
 
 import _dataclass_twins as twins
-import _draws
 from gl11kl import extensions, kz, labels, oracle
 from gl11kl.symbolic import RationalFunction
 
@@ -26,11 +25,9 @@ CLASSES = (
     labels.VermaV0,
     labels.ProjectiveP,
     extensions.ExtensionSpec,
-    extensions.InducedModule,
     extensions.WeightGrowth,
     kz.FirstOrderSystem,
     kz.SecondOrderOde,
-    oracle.Gl11Algebra,
     oracle.Verma,
     oracle.Atypical,
     oracle.Projective,
@@ -56,10 +53,6 @@ def _ell(rng: Random):
     return rng.choice((rng.randint(-2, 2), F(rng.randint(-3, 3), 2), True, "1"))
 
 
-def _label(rng: Random):
-    return rng.choice((_draws.typical, _draws.atypical, _draws.projective))(rng)
-
-
 def _field_values(rng: Random, cls) -> list:
     """Values for each field of cls, some of them invalid."""
     name = cls.__name__
@@ -69,21 +62,12 @@ def _field_values(rng: Random, cls) -> list:
         return [_number(rng), _ell(rng), rng.choice((False, True))]
     if name == "ExtensionSpec":
         return [rng.choice(("sl21-neg-half", "custom:1/2,1")), _number(rng), rng.choice((1, -2, F(3, 2), "2", "x"))]
-    if name == "InducedModule":
-        return [_label(rng), rng.choice((extensions.SL21_MINUS_HALF, extensions.SL21_LEVEL1))]
     if name == "WeightGrowth":
         return [F(rng.randint(0, 2)), F(rng.randint(-1, 1), 2), rng.choice(("lowest_weight", "relaxed_flat"))]
     if name == "FirstOrderSystem":
         return [rng.choice((_SYSTEM, ((F(1), F(2)), (F(3), F(rng.randint(0, 1))))))]
     if name == "SecondOrderOde":
         return [rng.choice(_FUNCTIONS) for _ in range(3)]
-    if name == "Gl11Algebra":
-        return [
-            rng.choice((oracle.GL11.brackets, ((F(0),),))),
-            rng.choice((oracle.GL11.parity, (0, 1))),
-            rng.choice((oracle.GL11.kappa, ())),
-            rng.choice((oracle.GL11.kappa2, ((F(1),),))),
-        ]
     if name == "Verma":
         return [_number(rng), _number(rng)]
     if name in ("Atypical", "Projective"):

@@ -56,11 +56,9 @@ def test_induction_commutes_with_fusion():
         s, t = _draws.simple(rng), _draws.simple(rng)
         product = fuse(s, t)
         for ext in NAMED + (_custom(rng), _custom(rng)):
-            for m in (1, -1, 2, -2):
-                lhs = fuse(ex.InducedModule(s, ext).summand(m), t)
-                rhs = FormalSum(
-                    [(ex.InducedModule(u, ext).summand(m), mult) for u, mult in product.items()]
-                )
+            for m in (1, -1, 2, -2):  # summand m is at index 2 + m of the window
+                lhs = fuse(ex.induce(s, ext, 2)[2 + m], t)
+                rhs = FormalSum([(ex.induce(u, ext, 2)[2 + m], mult) for u, mult in product.items()])
                 assert lhs == rhs, (s, t, ext, m)
 
 

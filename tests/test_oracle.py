@@ -16,20 +16,6 @@ import _draws
 F = Fraction
 
 
-def test_algebra_invariants():
-    o.GL11.validate()
-    g = o.GL11
-    rows = [list(row) for row in g.kappa]
-    rows[0][1] += 1
-    wrong_value = o.mat(rows)
-    with pytest.raises(OracleError, match="basis values"):
-        o.Gl11Algebra(g.brackets, g.parity, wrong_value, g.kappa2).validate()
-    table = [list(row) for row in g.brackets]
-    table[0][2] = (0, 0, 2, 0)  # [N, psi+] = 2 psi+
-    with pytest.raises(OracleError, match="super-invariant"):
-        o.Gl11Algebra(tuple(map(tuple, table)), g.parity, g.kappa, g.kappa2).validate()
-
-
 def apply_automorphism(lam, mu, element) -> tuple:
     """Apply the automorphism N -> N + lam*E, psi+- -> mu*psi+-, E -> mu^2*E."""
     mu = F(mu)
@@ -45,15 +31,13 @@ def test_automorphism_identity():
         assert apply_automorphism(0, 1, vec) == tuple(F(v) for v in vec)
 
 
-def test_automorphism_form_relation():
-    # kappa(w(a), w(b)) = mu^2 kappa(a,b) + 2 lam kappa2(a,b) at (lam,mu)=(1,2)
-    lam, mu = F(1), F(2)
-    basis = [tuple(F(1) if t == i else F(0) for t in range(4)) for i in range(4)]
-    for a in basis:
-        for b in basis:
-            lhs = o.GL11.form(o.GL11.kappa, apply_automorphism(lam, mu, a), apply_automorphism(lam, mu, b))
-            rhs = mu**2 * o.GL11.form(o.GL11.kappa, a, b) + 2 * lam * o.GL11.form(o.GL11.kappa2, a, b)
-            assert lhs == rhs
+def bracket(a, b) -> tuple:
+    """Bilinear extension of the sparse basis superbracket table BRACKETS."""
+    out = [F(0)] * 4
+    for (i, j), terms in o.BRACKETS.items():
+        for t, c in terms.items():
+            out[t] += F(a[i]) * F(b[j]) * c
+    return tuple(out)
 
 
 def test_automorphism_preserves_brackets():
@@ -61,8 +45,8 @@ def test_automorphism_preserves_brackets():
     basis = [tuple(F(1) if t == i else F(0) for t in range(4)) for i in range(4)]
     for a in basis:
         for b in basis:
-            lhs = apply_automorphism(lam, mu, o.GL11.bracket(a, b))
-            rhs = o.GL11.bracket(apply_automorphism(lam, mu, a), apply_automorphism(lam, mu, b))
+            lhs = apply_automorphism(lam, mu, bracket(a, b))
+            rhs = bracket(apply_automorphism(lam, mu, a), apply_automorphism(lam, mu, b))
             assert lhs == rhs
 
 
@@ -337,10 +321,10 @@ def _direct_sum(parts: dict) -> o.Gl11MatrixModule:
     offsets = [sum(x.dim for x in mods[:i]) for i in range(len(mods) + 1)]
 
     def block_diagonal(name):
-        return {(off + i, off + j): v for x, off in zip(mods, offsets) for (i, j), v in x.action(name).items()}
+        return {(off + i, off + j): v for x, off in zip(mods, offsets) for (i, j), v in getattr(x, name).items()}
 
     parity = tuple(p for x in mods for p in x.parity)
-    return o.Gl11MatrixModule(offsets[-1], parity, *(block_diagonal(x) for x in ("N", "E", "psi+", "psi-")))
+    return o.Gl11MatrixModule(offsets[-1], parity, *(block_diagonal(x) for x in ("N", "E", "psi_p", "psi_m")))
 
 
 def _dense_invariants(m, n_values, e_values):
