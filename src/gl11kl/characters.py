@@ -3,16 +3,16 @@
 The Verma character is q^Delta y^ehat z^n times a universal product that
 does not depend on the label.  By the Jacobi triple product that product is
 (sum_m z^m q^{m(m+1)/2}) / prod_{j>=1} (1-q^j)^3, so the coefficient of
-q^N z^m is p3(N - m(m+1)/2), where p3 counts 3-coloured partitions; the
-integer offsets (N, m, p3) are computed once per truncation depth and
-cached.  A character is these offsets moved by the label's exponents: the
-exponents are split once into a fractional base and an integer part, and
-the offsets are shifted by that integer part, so no term carries a Fraction
-of its own (see ``series``).  Atypical ell = 0 characters
-are alternating telescoping sums of Verma characters, summed on the integer
-offsets before any exponent is formed; the induced-module character
-identity is verified by expanding both of its sides over a window on which
-both are complete.
+q^N z^m is p3(N - m(m+1)/2), where p3 counts 3-coloured partitions; these
+coefficients are cached once per truncation depth as one read-only block
+(see ``series``).  A Verma character is that block moved by the label's
+exponents, split once into a fractional base and an integer shift: every
+Verma at one depth holds the same block, and no term carries a Fraction of
+its own.  Atypical ell = 0 characters are alternating telescoping sums of
+Verma characters, summed once per depth on the block before any exponent is
+formed; the induced-module character identity is verified by expanding both
+of its sides, each summand the block to its own depth, over a window on
+which both are complete.
 
 The z-normalization follows the product formula as printed: the q^0 slice of
 a Verma character is z^n (1 + 1/z).  The internal matrix conventions place
@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import NotDeterminedError
 from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, _int, ehat
-from .series import JacobiSeries, _split, jacobi_equal_to_cutoff
+from .series import JacobiSeries, _canon, _split, jacobi_equal_to_cutoff
 
 
 def conformal_weight(n, ehat) -> Fraction:
@@ -58,11 +59,11 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
             return series
         lo, hi = z_window
         kept = {}
-        for key, offsets in series._classes.items():
-            m_lo, m_hi = math.ceil(lo - key[1]), math.floor(hi - key[1])  # lo <= z0 + M <= hi
-            inside = {k: c for k, c in offsets.items() if m_lo <= k[1] <= m_hi}
+        for key, (dq, dz, _, block) in series._classes.items():
+            m_lo, m_hi = math.ceil(lo - key[1]) - dz, math.floor(hi - key[1]) - dz  # lo <= z <= hi
+            inside = {k: c for k, c in block.items() if m_lo <= k[1] <= m_hi}
             if inside:
-                kept[key] = inside
+                kept[key] = _canon(inside, dq, dz)
         return JacobiSeries._trusted(kept, q_cutoff)
     if isinstance(label, AtypicalA) and label.ell == 0:
         if z_window is None:
@@ -71,11 +72,17 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
     raise NotDeterminedError("characters are available for Verma labels and atypicals at ell = 0")
 
 
-@lru_cache(maxsize=None)
-def _universal_product(depth: int) -> tuple:
-    """Offsets (N, m, c) of prod_{i>=0} (1+z q^{i+1})(1+q^i/z) / (1-q^{i+1})^2.
+def _low_m(depth: int) -> int:
+    """The least z offset m to q-depth ``depth``: -w-1 for the largest w with w(w+1)/2 <= depth."""
+    return -((math.isqrt(8 * depth + 1) + 1) // 2)
 
-    c is the coefficient of q^N z^m, for every N <= depth.  By the Jacobi
+
+@lru_cache(maxsize=None)
+def _universal_product(depth: int) -> MappingProxyType:
+    """The read-only block of prod_{i>=0} (1+z q^{i+1})(1+q^i/z) / (1-q^{i+1})^2.
+
+    The block maps (N, m - _low_m(depth)) to the coefficient c of q^N z^m,
+    for every N <= depth, so its least keys are 0.  By the Jacobi
     triple product the product equals sum_m z^m q^{m(m+1)/2} over
     prod_{j>=1} (1-q^j)^3, so c = p3(N - m(m+1)/2), where p3 counts
     3-coloured partitions; m and -m-1 share the value.
@@ -88,27 +95,20 @@ def _universal_product(depth: int) -> tuple:
         for part in range(1, depth + 1):
             for k in range(part, depth + 1):
                 p3[k] += p3[k - part]
-    out = []
+    low = _low_m(depth)
+    out = {}
     for big_n in range(depth + 1):
         m = 0
         while m * (m + 1) // 2 <= big_n:
-            c = p3[big_n - m * (m + 1) // 2]
-            out.append((big_n, m, c))
-            out.append((big_n, -m - 1, c))
+            out[(big_n, m - low)] = out[(big_n, -m - 1 - low)] = p3[big_n - m * (m + 1) // 2]
             m += 1
-    return tuple(out)
+    return MappingProxyType(out)
 
 
-def _class(offsets, q: Fraction, z: Fraction, y: Fraction, top: int) -> dict:
-    """The offsets (N, m, c) with N <= top as the terms c q^(q+N) z^(z+m) y^y.
-
-    Returns the one class {(q0, z0, y): {(N + dq, m + dz): c}} of the
-    canonical form, with q = q0 + dq and z = z0 + dz split by floor, or {}
-    if no offset is kept.
-    """
+def _verma(q: Fraction, z: Fraction, y: Fraction, depth: int) -> dict:
+    """The one class of the universal product to ``depth`` moved to q^q z^z y^y."""
     (q0, dq), (z0, dz) = _split(q), _split(z)
-    shifted = {(big_n + dq, m + dz): c for big_n, m, c in offsets if big_n <= top}
-    return {(q0, z0, y): shifted} if shifted else {}
+    return {(q0, z0, y): (dq, dz + _low_m(depth), depth, _universal_product(depth))}
 
 
 def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
@@ -121,9 +121,7 @@ def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
     if q_cutoff < 0:
         raise ValueError("q_cutoff must be nonnegative")
     depth = int(q_cutoff)
-    return JacobiSeries._trusted(
-        _class(_universal_product(depth), conformal_weight(n, ehat), n, ehat, depth), q_cutoff
-    )
+    return JacobiSeries._trusted(_verma(conformal_weight(n, ehat), n, ehat, depth), q_cutoff)
 
 
 def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
@@ -145,19 +143,29 @@ def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
     if q_cutoff < 0:
         raise ValueError("q_cutoff must be nonnegative")
     depth = int(q_cutoff)
-    centre = n - Fraction(1, 2)
-    k_lo, k_hi = math.ceil(z_lo - centre), math.floor(z_hi - centre)
-    rows: dict = {}  # N -> {j: c(N, j)}
-    for big_n, j, c in _universal_product(depth):
-        rows.setdefault(big_n, {})[j] = c
-    sums = []
+    centre, low = n - Fraction(1, 2), _low_m(depth)
+    # k runs over the block's z offsets: z = centre + low + k
+    k_lo, k_hi = math.ceil(z_lo - centre) - low, math.floor(z_hi - centre) - low
+    sums = {key: c for key, c in _telescoped(depth).items() if k_lo <= key[1] <= k_hi}
+    z0, dz = _split(centre)
+    classes = {(Fraction(0), z0, Fraction(0)): _canon(sums, 0, dz + low)} if sums else {}
+    return JacobiSeries._trusted(classes, q_cutoff)
+
+
+@lru_cache(maxsize=None)
+def _telescoped(depth: int) -> MappingProxyType:
+    """The nonzero S(N, k) of ``char_atypical0`` by (N, k), k on the universal block's z offsets."""
+    rows: dict = {}  # N -> {k: c}
+    for (big_n, k), c in _universal_product(depth).items():
+        rows.setdefault(big_n, {})[k] = c
+    sums = {}
     for big_n, row in rows.items():
         total = 0
         for k in range(max(row), min(row) - 1, -1):
             total = row[k] - total
-            if total and k_lo <= k <= k_hi:
-                sums.append((big_n, k, total))
-    return JacobiSeries._trusted(_class(sums, Fraction(0), centre, Fraction(0), depth), q_cutoff)
+            if total:
+                sums[(big_n, k)] = total
+    return MappingProxyType(sums)
 
 
 def char_induced_typical(n, ehat, m_range: int, q_cutoff) -> tuple[JacobiSeries, JacobiSeries]:
@@ -181,19 +189,18 @@ def char_induced_typical(n, ehat, m_range: int, q_cutoff) -> tuple[JacobiSeries,
     depth = q_cutoff + m_range * abs(shift)
     if depth < 0:
         raise ValueError("q_cutoff must be nonnegative")
-    offsets = _universal_product(int(depth))
     delta = conformal_weight(n, ehat)
     bound = delta - m_range * abs(shift) + depth
     lhs: dict = {}
     rhs: dict = {}
     for m in range(-m_range, m_range + 1):
-        y = ehat - 2 * m
+        z, y = n + m, ehat - 2 * m
         # each side splits its own base, the summand's weight on the left and
         # the shifted base weight on the right, so the two stay independent
-        delta_m = conformal_weight(n + m, y)
-        lhs.update(_class(offsets, delta_m, n + m, y, math.floor(bound - delta_m)))
-        q_m = delta - m * shift
-        rhs.update(_class(offsets, q_m, n + m, y, math.floor(bound - q_m)))
+        for side, q in ((lhs, conformal_weight(z, y)), (rhs, delta - m * shift)):
+            top = math.floor(bound - q)
+            if top >= 0:  # a shorter cut is the universal product to that depth
+                side.update(_verma(q, z, y, min(top, int(depth))))
     return JacobiSeries._trusted(lhs, depth), JacobiSeries._trusted(rhs, depth)
 
 

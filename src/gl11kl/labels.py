@@ -378,7 +378,7 @@ _RATIONAL_RE = re.compile(_RATIONAL)
 _TOO_LONG_RE = re.compile(rf"[0-9]{{{MAX_DIGITS + 1}}}")
 _LABEL_RE = re.compile(
     rf"^\s*(Pi)?(Verma0|V|A|P)\s*\(\s*({_RATIONAL})\s*;\s*({_RATIONAL})\s*\)\s*$",
-    re.IGNORECASE,
+    re.IGNORECASE | re.ASCII,
 )
 
 

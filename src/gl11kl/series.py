@@ -8,17 +8,19 @@ Two truncated series are compared with ``jacobi_equal_to_cutoff`` on a
 window that neither cutoff undercuts.
 
 Every character lies on an integer grid over a few base monomials, so the
-terms are stored by fractional class: (q0, z0, y) maps to the int offsets
-{(N, M): c} of the terms at q = q0 + N, z = z0 + M, with 0 <= q0, z0 < 1.
-That form is canonical, so equality is structural, and reading, sorting and
-comparing work on ints.  ``terms`` is the Fraction-keyed view, built on
-first read.
+terms are stored by fractional class: (q0, z0, y), 0 <= q0, z0 < 1, maps to
+(dq, dz, n_top, block), the terms c q^(q0+dq+N) z^(z0+dz+M) y^y of a
+read-only block {(N, M): c} whose least N and M are 0 and largest N n_top.
+So the terms fix the tuple: the form is canonical and equality structural.
+Characters share one block per depth (``characters._universal_product``),
+hence read-only blocks; classes over one shared block compare by shifts
+alone.  ``terms`` is the Fraction-keyed view, built on first read.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
 
 from .labels import _f, _int
@@ -28,18 +30,27 @@ _Key = tuple  # (q_exp, z_exp, y_exp), all Fraction
 
 def _split(x: Fraction) -> tuple[Fraction, int]:
     """x as (x0, N) with x = x0 + N, N = floor(x) and 0 <= x0 < 1."""
-    whole = math.floor(x)
-    return x - whole, whole
+    whole, rest = divmod(x.numerator, x.denominator)
+    return Fraction(rest, x.denominator), whole
+
+
+def _canon(offsets: dict, dq: int = 0, dz: int = 0) -> tuple:
+    """The nonempty offsets {(N, M): c}, moved by (dq, dz), as a canonical class."""
+    n_lo, m_lo = min(n for n, _ in offsets), min(m for _, m in offsets)
+    block = {(n - n_lo, m - m_lo): c for (n, m), c in offsets.items()}
+    return dq + n_lo, dz + m_lo, max(n for n, _ in block), MappingProxyType(block)
 
 
 def _below(classes: dict, limit: Fraction) -> dict:
-    """The classes cut to their terms at q <= limit, empty classes dropped."""
-    out = {}
-    for key, offsets in classes.items():
-        top = math.floor(limit - key[0])  # q0 + N <= limit
-        kept = {k: v for k, v in offsets.items() if k[0] <= top}
-        if kept:
-            out[key] = kept
+    """The classes cut to their terms at q <= limit: uncut ones as they are, empty ones dropped."""
+    l0, whole = _split(limit)
+    out = classes.copy()  # keeps each key's hash
+    for key, (dq, dz, n_top, block) in classes.items():
+        top = whole - (key[0] > l0) - dq  # floor(limit - q0) - dq, so q0 + dq + N <= limit
+        if top < 0:
+            del out[key]
+        elif top < n_top:  # the block holds N = 0, so the cut is not empty
+            out[key] = _canon({k: c for k, c in block.items() if k[0] <= top}, dq, dz)
     return out
 
 
@@ -59,7 +70,7 @@ class JacobiSeries:
                 if v:
                     (q0, n), (z0, m) = _split(_f(q)), _split(_f(z))
                     classes.setdefault((q0, z0, _f(y)), {})[(n, m)] = v
-        self._classes = classes
+        self._classes = classes = {key: _canon(offsets) for key, offsets in classes.items()}
         if cutoff is not None and classes:
             self._classes = _below(classes, self.min_q() + cutoff)
         self.q_cutoff = cutoff
@@ -70,9 +81,10 @@ class JacobiSeries:
         """Wrap classes that are already canonical, without copying or checking.
 
         The caller guarantees: keys are (q0, z0, y) Fraction triples with
-        0 <= q0, z0 < 1, each maps to a nonempty dict of int offsets (N, M)
-        to nonzero ints, ``q_cutoff`` is None or a nonnegative Fraction, and
-        no term lies more than ``q_cutoff`` above the lowest q exponent.
+        0 <= q0, z0 < 1, each maps to a canonical class (dq, dz, n_top,
+        block) as ``_canon`` builds it, with nonzero int coefficients,
+        ``q_cutoff`` is None or a nonnegative Fraction, and no term lies more
+        than ``q_cutoff`` above the lowest q exponent.
         """
         series = cls.__new__(cls)
         series._classes = classes
@@ -83,10 +95,10 @@ class JacobiSeries:
     def _rows(self) -> list:
         """(N, q0, M, z0, y, q, z, c) per term, one Fraction per distinct q and z of a class."""
         rows = []
-        for (q0, z0, y), offsets in self._classes.items():
-            qs = {n: q0 + n for n in {n for n, _ in offsets}}
-            zs = {m: z0 + m for m in {m for _, m in offsets}}
-            rows += [(n, q0, m, z0, y, qs[n], zs[m], c) for (n, m), c in offsets.items()]
+        for (q0, z0, y), (dq, dz, _, block) in self._classes.items():
+            qs = {n: q0 + dq + n for n in {n for n, _ in block}}
+            zs = {m: z0 + dz + m for m in {m for _, m in block}}
+            rows += [(dq + n, q0, dz + m, z0, y, qs[n], zs[m], c) for (n, m), c in block.items()]
         return rows
 
     @property
@@ -101,8 +113,8 @@ class JacobiSeries:
         return not self._classes
 
     def min_q(self) -> Optional[Fraction]:
-        lows = (key[0] + min(n for n, _ in offsets) for key, offsets in self._classes.items())
-        return min(lows, default=None)
+        low = min(((value[0], key[0]) for key, value in self._classes.items()), default=None)
+        return None if low is None else low[0] + low[1]  # (dq, q0) orders as q0 + dq
 
     def sorted_terms(self) -> Iterator[tuple[_Key, int]]:
         # (N, q0, M, z0, y) orders as (q, z, y), and no two terms share it
@@ -118,7 +130,7 @@ class JacobiSeries:
         )
 
     def __repr__(self):
-        n = sum(map(len, self._classes.values()))
+        n = sum(len(value[3]) for value in self._classes.values())
         return f"JacobiSeries({n} terms, min_q={self.min_q()}, q_cutoff={self.q_cutoff})"
 
 

@@ -89,6 +89,16 @@ def _exponents(dq, dz, depth: int):
     return [dq + big_n for big_n in range(depth + 1)], {m: dz + m for m in range(-w - 1, w + 1)}
 
 
+def _offsets(depth: int) -> list:
+    """The universal product to q-depth ``depth`` as offsets (N, m, c).
+
+    The package's block keys c by (N, m + w + 1), so that its least key is
+    0, with w as in ``_exponents``.
+    """
+    w = (math.isqrt(8 * depth + 1) - 1) // 2
+    return [(big_n, m - w - 1, c) for (big_n, m), c in _universal_product(depth).items()]
+
+
 def _terms(offsets, qs: list, zs: dict, y) -> dict:
     """The terms (qs[N], zs[m], y): c of the offsets (N, m, c) with N < len(qs)."""
     top = len(qs) - 1
@@ -100,7 +110,7 @@ def verma(n, ehat, q_cutoff):
     n, ehat, q_cutoff = Fraction(n), Fraction(ehat), Fraction(q_cutoff)
     depth = int(q_cutoff)
     qs, zs = _exponents(conformal_weight(n, ehat), n, depth)
-    return _terms(_universal_product(depth), qs, zs, ehat), q_cutoff
+    return _terms(_offsets(depth), qs, zs, ehat), q_cutoff
 
 
 def atypical0(n, q_cutoff, z_window):
@@ -110,7 +120,7 @@ def atypical0(n, q_cutoff, z_window):
     centre = n - Fraction(1, 2)
     k_lo, k_hi = math.ceil(z_window[0] - centre), math.floor(z_window[1] - centre)
     rows: dict = {}
-    for big_n, j, c in _universal_product(depth):
+    for big_n, j, c in _offsets(depth):
         rows.setdefault(big_n, {})[j] = c
     sums = []
     for big_n, row in rows.items():
@@ -128,7 +138,7 @@ def induced_typical(n, ehat, m_range: int, q_cutoff):
     n, ehat, q_cutoff = Fraction(n), Fraction(ehat), Fraction(q_cutoff)
     shift = 2 * n + ehat
     depth = q_cutoff + m_range * abs(shift)
-    offsets = _universal_product(int(depth))
+    offsets = _offsets(int(depth))
     delta = conformal_weight(n, ehat)
     bound = delta - m_range * abs(shift) + depth
     lhs: dict = {}

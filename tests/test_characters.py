@@ -381,3 +381,50 @@ def test_int_offsets_match_fraction_keyed_oracle():
             (a, pair_a), (b, pair_b) = sides
             assert jacobi_equal_to_cutoff(a, b, w) is oracle.equal_to_cutoff(pair_a, pair_b, w)
     assert negative_fractional_delta >= 10 and windows_across_zero >= 50
+
+
+def test_vermas_share_one_read_only_block():
+    # two labels at one depth: two splits and one tuple each, over one block
+    a, b = ch.char_verma(F(1, 3), F(2, 5), 4), ch.char_verma(-2, F(7, 3), F(9, 2))
+    (va,), (vb,) = a._classes.values(), b._classes.values()
+    assert va[3] is vb[3] is ch._universal_product(4)
+    assert va[2] == vb[2] == 4 and min(n for n, _ in va[3]) == 0 == min(m for _, m in va[3])
+    with pytest.raises(TypeError):
+        va[3][(0, 0)] = 5
+    with pytest.raises(TypeError):
+        del va[3][(0, 0)]
+    # the induced sides hold one shared block per summand, on both sides
+    lhs, rhs = ch.char_induced_typical(F(1, 4), F(1, 2), 2, 1)
+    assert all(lhs._classes[k][3] is v[3] for k, v in rhs._classes.items())
+
+
+def test_oracle_draws_keep_the_form_canonical(monkeypatch):
+    # every series the oracle test draws: its terms rebuild it, a cut of it
+    # is the series of the kept terms, and no cached block has changed
+    made = []
+    for name in ("characters", "char_atypical0", "char_induced_typical"):
+
+        def record(*args, _call=getattr(ch, name)):
+            out = _call(*args)
+            made.extend(out if isinstance(out, tuple) else [out])
+            return out
+
+        monkeypatch.setattr(ch, name, record)
+    ch._universal_product.cache_clear()
+    test_int_offsets_match_fraction_keyed_oracle()
+    assert ch._universal_product.cache_info().currsize == 21  # the depths 0..20
+    raised = own_blocks = 0
+    for s in made:
+        assert JacobiSeries(s.terms, s.q_cutoff) == s
+        if s.is_zero:
+            continue
+        cut = s.q_cutoff / 2
+        kept = {k: c for k, c in s.terms.items() if k[0] <= s.min_q() + cut}
+        got = JacobiSeries(s.terms, cut)
+        assert got.terms == kept and got == JacobiSeries(kept, cut)
+        raised += any(got._classes[k][1] > v[1] for k, v in s._classes.items() if k in got._classes)
+        # z-windowed Vermas and atypicals hold blocks of their own
+        own_blocks += any(v[3] is not ch._universal_product(v[2]) for v in s._classes.values())
+    assert len(made) >= 300 and raised >= 100 and own_blocks >= 50
+    for depth in range(21):
+        assert ch._universal_product(depth) == ch._universal_product.__wrapped__(depth)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, imports."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -192,6 +193,28 @@ def test_char_cutoff_is_bounded(capsys):
     code, out, _ = run(capsys, "char", "A(1/4;0)", "--cutoff", "200", "--z-window=-1,1")
     assert code == 0
     assert json.loads(out)["terms"]
+
+
+#: sha256 of stdout for deep characters, which the golden transcripts (cutoff
+#: at most 3) never reach; recorded before characters shared their blocks
+DEEP_CHARS = [
+    (("char", "V(1/3;2/5)", "--cutoff", "200"), "34e8f8aa531adcad195e743992f8964c96f22738a7f825ec414235ce57eccab6"),
+    (
+        ("char", "A(1/2;0)", "--cutoff", "200", "--z-window=-40,40"),
+        "80575ee0490bdfde60e1dceedd068e88e5e2285d448af100693faffaa521774d",
+    ),
+    (
+        ("char", "V(-7/3;5/2)", "--cutoff", "60", "--z-window=-9,3"),
+        "afed6c5ceb36f5d2c60b5395f4699d9eda60fda15dde2f0fa2a7ef43bc4ea90f",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", DEEP_CHARS, ids=[" ".join(a) for a, _ in DEEP_CHARS])
+def test_deep_char_output_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_argument_errors_are_json(capsys):

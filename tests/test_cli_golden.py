@@ -129,6 +129,10 @@ ARGVS = [
     ["induce", "A(0;0)", "--m-range", "1" * 1001],
     ["fuse", f"V({_SEVENS}/3;{_SEVENS}/5)", f"V({_SEVENS}/7;1/{_SEVENS})"],
     ["fuse", "A(0;0)", "V(1/" + "0" * 1000 + "1;1/2)"],
+    # label grammar: ASCII case folding and ASCII whitespace only
+    ["fuse", "P\u0131V(1/2;1/3)", "V(1/4;1/2)"],
+    ["kdec", "P\u0130V(1/2;1/3)"],
+    ["fuse", "\u3000A(0;0)", "A(1;0)"],
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 import _series_oracle as oracle
 from gl11kl import characters as ch
 from gl11kl.labels import TypicalV
-from gl11kl.series import JacobiSeries, _split, jacobi_equal_to_cutoff
+from gl11kl.series import JacobiSeries, _below, _split, jacobi_equal_to_cutoff
 
 
 F = Fraction
@@ -93,7 +93,11 @@ def test_exponents_split_by_floor():
     assert _split(F(7, 2)) == (F(1, 2), 3)
     # q = -1/3 is 2/3 - 1 and z = -3/2 is 1/2 - 2
     s = S({(F(-1, 3), -2, 0): 4, (F(2, 3), F(-3, 2), 0): 5})
-    assert s._classes == {(F(2, 3), F(0), F(0)): {(-1, -2): 4}, (F(2, 3), F(1, 2), F(0)): {(0, -2): 5}}
+    # each class is (dq, dz, n_top, block), its one term at block offset (0, 0)
+    assert s._classes == {
+        (F(2, 3), F(0), F(0)): (-1, -2, 0, {(0, 0): 4}),
+        (F(2, 3), F(1, 2), F(0)): (0, -2, 0, {(0, 0): 5}),
+    }
     assert list(s.sorted_terms()) == [((F(-1, 3), F(-2), F(0)), 4), ((F(2, 3), F(-3, 2), F(0)), 5)]
     assert s.min_q() == F(-1, 3)
 
@@ -145,3 +149,21 @@ def test_constructor_keeps_terms_within_cutoff():
     assert got.terms == {(F(-4, 3), 0, 0): 1, (F(2, 3), 1, 0): 2}
     assert got.min_q() == F(-4, 3) and got.q_cutoff == 2
     assert S({(F(3, 4), 0, 0): 5}, cutoff=0).terms == {(F(3, 4), 0, 0): 5}
+
+
+def test_below_keeps_an_uncut_class_as_the_same_object():
+    s = ch.char_verma(F(1, 3), F(2, 5), 6)
+    ((key, value),) = s._classes.items()
+    for above in (6, F(13, 2), 100):
+        assert _below(s._classes, s.min_q() + above)[key] is value
+    # one short of the top is a cut: the Verma at depth 5, its least M raised
+    cut = _below(s._classes, s.min_q() + 5)[key]
+    assert cut == ch.char_verma(F(1, 3), F(2, 5), 5)._classes[key] != value
+    assert cut[1] > value[1] and cut[2] == 5
+    assert _below(s._classes, s.min_q() - F(1, 2)) == {}
+    # the comparison of the induced sides cuts nothing
+    lhs, rhs = ch.char_induced_typical(F(1, 4), F(1, 2), 2, 1)
+    window = ch.induced_window(F(1, 4), F(1, 2), 2, 1)
+    for side in (lhs, rhs):
+        kept = _below(side._classes, min(lhs.min_q(), rhs.min_q()) + window)
+        assert all(kept[k] is v for k, v in side._classes.items())
