@@ -74,9 +74,9 @@ def build_first_order_system() -> FirstOrderSystem:
 def eliminate_to_second_order(sys: FirstOrderSystem) -> SecondOrderOde:
     """Eliminate the first component to the ODE satisfied by the second.
 
-    Solving the second row for f1 = (f3' - M11 f3)/M10 and substituting into
-    the first row yields, after clearing M10,
-    f3'' + (-(M00 + M11) + M10'/M10... ) -- assembled symbolically below --
+    Solving the second row for f1 = g (f3' - M11 f3), g = 1/M10, and
+    substituting into the first row gives a2 f3'' + a1 f3' + a0 f3 = 0 with
+    a2 = g, a1 = g' - g M11 - M00 g and a0 = -g M11' - g' M11 + M00 g M11 - M01,
     normalized so the leading coefficient is z(1-z).
     """
     m00, m01 = sys.m[0]
@@ -171,27 +171,22 @@ def _term_ratio(n: int, x: float) -> float:
     return (n * n - x * x) / ((n + 1.0) * (n + 1.0))
 
 
-def _gauss_series(x: float, z: float, tol: float) -> tuple[float, float, float, float]:
-    """F, F', F'' at |z| < 1 for parameters (x, -x; 1), and a rounding estimate.
+def _gauss_series(x: float, z: float, tol: float) -> tuple[float, float, float]:
+    """F, F', F'' at |z| < 1 for parameters (x, -x; 1).
 
     The three sums are taken termwise until |c_n| n^2 |z|^(n-2) / (1 - |z|),
-    which bounds the tail of each, drops below ``tol``.  The fourth value is
-    eps * sum_k (3k + 1) |c_k z^k|, an estimate of the digits F lost to
-    cancellation.
+    which bounds the tail of each, drops below ``tol``.
     """
     c = 1.0
     f = 1.0
     f1 = 0.0
     f2 = 0.0
-    weight = 1.0
     n = 0
     while True:
         c = c * _term_ratio(n, x)
         n += 1
         zn = z ** (n - 1)
-        term = c * zn * z
-        f += term
-        weight += (3 * n + 1) * abs(term)
+        f += c * zn * z
         f1 += c * n * zn
         if n >= 2:
             f2 += c * n * (n - 1) * z ** (n - 2)
@@ -199,51 +194,9 @@ def _gauss_series(x: float, z: float, tol: float) -> tuple[float, float, float, 
             scale = max(1.0, n * n)
             bound = abs(c) * scale * abs(z) ** max(0, n - 2) / max(1e-30, 1.0 - abs(z))
             if bound < tol:
-                return f, f1, f2, math.ulp(1.0) * weight
+                return f, f1, f2
         if n > 2_000_000:
             raise ValueError("series failed to converge")
-
-
-def hyp2f1(x, z: float, tol: float = 1e-12) -> float:
-    """Gauss series for parameters (x, -x; 1) at a real point.
-
-    For |z| < 1 the series is summed until a bound on its tail drops below
-    ``tol``.  The sum is taken in doubles, and terms much larger than the
-    result lose digits to cancellation: the estimate eps * sum_k (3k + 1)
-    |term_k| of that loss raises ValueError once it exceeds ``tol``.  It is
-    an estimate, not a bound.  Against 40-digit values it read up to about
-    2x below the error of the full sum near z = -1 for 5/2 <= x <= 15/2,
-    and it leaves out the rounding of the additions themselves (about
-    sqrt(n) eps for n terms, 3e-14 at z = 0.999), so a ``tol`` near 1e-14 is
-    not met there.  For |x| <= 5/2 it stays below 2.8e-14 on
-    0.5 <= |z| <= 0.999; at x = 49/2 it is 7e-2 at z = 0.5 and the call
-    raises.
-
-    At z = 1 the series converges absolutely with terms O(n^{-2}); the
-    partial sum telescopes to the product prod_{j<=n} (1 - x^2/j^2), which
-    is evaluated directly and then multiplied by exp of the log of the rest
-    of the product, -sum_m (x^{2m}/m) sum_{j>n} j^{-2m}, kept to m <= 3 with
-    Euler-Maclaurin sums.  That log is off by about
-    (x^2 + 3.5 x^4 + 1.5 x^8) / (42 n^7), and n is the smallest count, and
-    at least 2|x|, that holds this below tol/1000; the rest of ``tol`` is
-    left to rounding.  A ``tol`` below 1e-15, where that rounding is of the
-    order of ``tol``, raises ValueError, as does |x| > 50.  Other points are
-    rejected as non-convergent.
-    """
-    xf = float(Fraction(x)) if not isinstance(x, float) else x
-    if z == 1.0:
-        return _gauss_value_at_one(xf, tol)
-    if abs(z) >= 1.0:
-        raise ValueError("series converges only for |z| < 1 or z = 1")
-    # the estimate is at least eps, so a smaller (or nan) tol fails unsummed
-    rounding = math.ulp(1.0)
-    if tol >= rounding:
-        total, _, _, rounding = _gauss_series(xf, z, tol)
-    if not rounding <= tol:
-        raise ValueError(
-            f"cancellation: rounding estimate {rounding:.3g} exceeds tol {tol:.3g} at x = {x}, z = {z}"
-        )
-    return total
 
 
 def _gauss_factor_count(x: float, tol: float) -> int:
@@ -255,12 +208,28 @@ def _gauss_factor_count(x: float, tol: float) -> int:
     return max(1, math.ceil(2 * abs(x)), math.ceil((remainder / (tol / 1000)) ** (1 / 7)))
 
 
-def _gauss_value_at_one(x: float, tol: float) -> float:
-    if abs(x) > 50.0:
+def rigidity_constant(x, tol: float = 1e-12) -> float:
+    """The z -> 1 constant F(x, -x; 1; 1) of the fundamental solution.
+
+    At z = 1 the Gauss series converges absolutely with terms O(n^{-2}); its
+    partial sum telescopes to the product prod_{j<=n} (1 - x^2/j^2), which
+    is evaluated directly and then multiplied by exp of the log of the rest
+    of the product, -sum_m (x^{2m}/m) sum_{j>n} j^{-2m}, kept to m <= 3 with
+    Euler-Maclaurin sums.  That log is off by about
+    (x^2 + 3.5 x^4 + 1.5 x^8) / (42 n^7), and n is the smallest count, and
+    at least 2|x|, that holds this below tol/1000; the rest of ``tol`` is
+    left to rounding.  A ``tol`` below 1e-15, where that rounding is of the
+    order of ``tol``, raises ValueError, as do integer x and |x| > 50.
+    """
+    xq = Fraction(x)
+    if xq.denominator == 1:
+        raise ValueError("x must not be an integer")
+    xf = float(xq)
+    if abs(xf) > 50.0:
         raise ValueError("parameter too large for the z = 1 evaluation")
-    n = _gauss_factor_count(x, tol)
+    n = _gauss_factor_count(xf, tol)
     prod = 1.0
-    x2 = x * x
+    x2 = xf * xf
     for j in range(1, n + 1):
         prod *= 1.0 - x2 / (j * j)
     # sum_{j>N} j^{-s} by Euler-Maclaurin for s = 2, 4, 6
@@ -269,19 +238,6 @@ def _gauss_value_at_one(x: float, tol: float) -> float:
     s6 = 1.0 / (5 * n**5) - 1.0 / (2 * n**6) + 1.0 / (2.0 * n**7)
     log_tail = -(x2 * s2) - (x2 * x2 / 2.0) * s4 - (x2 * x2 * x2 / 3.0) * s6
     return prod * math.exp(log_tail)
-
-
-def rigidity_constant(x, tol: float = 1e-12) -> float:
-    """The z -> 1 constant of the fundamental solution, via the series.
-
-    This is ``hyp2f1(x, 1.0, tol)``: the neglected log tail is about
-    (x^2 + 3.5 x^4 + 1.5 x^8) / (42 n^7) for n factors, held below tol/1000,
-    and a ``tol`` below the floor 1e-15 raises ValueError.
-    """
-    xq = Fraction(x)
-    if xq.denominator == 1:
-        raise ValueError("x must not be an integer")
-    return hyp2f1(xq, 1.0, tol)
 
 
 def rigidity_constant_closed_form(x) -> float:
@@ -300,17 +256,17 @@ def ode_residual(x, delta, z: float, tol: float = 1e-14) -> float:
     termwise and substitutes into the directly-entered ODE coefficients.
     The gauge factor is pulled out of the bracket and the six products are
     combined with compensated summation, which keeps the cancellation error
-    well below the 1e-10 target for parameters of moderate size.  The
-    series' cancellation estimate is not checked here: it read 2.0e-14 at
-    x = 5/2, above the default ``tol``, with the residual still far below
-    the target.
+    well below the 1e-10 target for parameters of moderate size.  ``tol``
+    bounds the series' tails and must be positive.
     """
     eps = 10 * math.ulp(1.0)
     if not (eps < z < 1.0 - eps):
         raise ValueError("z must lie strictly inside (0, 1)")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     xq, dq = Fraction(x), Fraction(delta)
     xf, df = float(xq), float(dq)
-    big_f, big_f1, big_f2, _ = _gauss_series(xf, z, tol)
+    big_f, big_f1, big_f2 = _gauss_series(xf, z, tol)
     zq = Fraction(z)  # exact: binary floats are dyadic rationals
     r1 = -2 * dq / zq + 2 * dq / (1 - zq)
     r1p = 2 * dq / (zq * zq) + 2 * dq / ((1 - zq) * (1 - zq))
@@ -337,12 +293,8 @@ def verification_report(tol: float = 1e-12) -> list[dict]:
 
     Each numeric entry states the threshold it was held to and the sample
     point of its worst error.  The z = 1 values are held to
-    ``max(10 * tol, 1e-8)``, so a ``tol`` below 1e-9 does not tighten that
-    check; the residuals are held to 1e-10 whatever ``tol`` is.  Those
-    thresholds are what they were when the z = 1 product had a fixed
-    100,000 factors; ``tol`` now also sizes that product, whose neglected
-    log tail of about (x^2 + 3.5 x^4 + 1.5 x^8) / (42 n^7) is held below
-    tol/1000, so a ``tol`` below the floor 1e-15 raises ValueError.
+    ``max(10 * tol, 1e-8)`` and the residuals to 1e-10.  ``tol`` also sizes
+    the z = 1 product, so a ``tol`` below its floor 1e-15 raises ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")

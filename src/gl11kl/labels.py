@@ -167,18 +167,12 @@ def spectral_flow(label: ModuleLabel, ell: int) -> ModuleLabel:
         if ell == -label.ell:
             return VermaV0(label.n + label.ell, 0, label.parity_flip)
         raise NotDeterminedError("spectral flow from ehat != 0 is only defined back to ehat = 0")
-    if isinstance(label, AtypicalA):
+    if isinstance(label, (AtypicalA, ProjectiveP)):
         if label.ell != 0:
-            raise NotDeterminedError("spectral flow of an atypical label requires ehat = 0")
+            raise NotDeterminedError("spectral flow of an atypical or projective label requires ehat = 0")
         if ell < 0:
-            return AtypicalA(label.n - ell - _HALF, ell, label.parity_flip)
-        return AtypicalA(-label.n - ell + _HALF, ell, label.parity_flip)
-    if isinstance(label, ProjectiveP):
-        if label.ell != 0:
-            raise NotDeterminedError("spectral flow of a projective label requires ehat = 0")
-        if ell < 0:
-            return ProjectiveP(label.n - ell - _HALF, ell, label.parity_flip)
-        return ProjectiveP(-label.n - ell + _HALF, ell, label.parity_flip)
+            return type(label)(label.n - ell - _HALF, ell, label.parity_flip)
+        return type(label)(-label.n - ell + _HALF, ell, label.parity_flip)
     raise NotDeterminedError("spectral flow of a typical label is not defined here")
 
 

@@ -120,20 +120,13 @@ def test_vanish1_sign_mutation_detected():
 
 
 def test_hyp2f1_at_origin_and_x_zero():
-    assert kz.hyp2f1(F(3, 7), 0.0) == 1.0
+    assert kz._gauss_series(3 / 7, 0.0, 1e-12)[0] == 1.0
     for z in (0.0, 0.3, 0.9, -0.5):
-        assert kz.hyp2f1(F(0), z) == 1.0
-
-
-def test_hyp2f1_rejects_divergent_points():
-    with pytest.raises(ValueError):
-        kz.hyp2f1(F(1, 2), 1.5)
-    with pytest.raises(ValueError):
-        kz.hyp2f1(F(1, 2), -1.0)
+        assert kz._gauss_series(0.0, z, 1e-12)[0] == 1.0
 
 
 def test_hyp2f1_half_at_one_is_two_over_pi():
-    assert abs(kz.hyp2f1(F(1, 2), 1.0) - 2 / math.pi) < 1e-10
+    assert abs(kz.rigidity_constant(F(1, 2)) - 2 / math.pi) < 1e-10
 
 
 def test_partial_sums_telescope_to_product():
@@ -200,17 +193,6 @@ def test_rigidity_constant_rejects_tol_below_floor():
     assert kz.rigidity_constant(F(1, 3), 1e-15) > 0
 
 
-def test_hyp2f1_raises_on_cancellation():
-    # at x = 49/2 the terms reach ~1e13 against a result below 1
-    for z in (0.5, -0.5):
-        with pytest.raises(ValueError, match="cancellation"):
-            kz.hyp2f1(F(49, 2), z)
-    # a tol below eps fails before any summing, not after ~10^6 terms
-    for tol in (1e-300, math.nan):
-        with pytest.raises(ValueError, match="cancellation"):
-            kz.hyp2f1(F(1, 3), 0.999999, tol)
-
-
 def test_rigidity_closed_form_values():
     assert abs(kz.rigidity_constant_closed_form(F(1, 2)) - 2 / math.pi) < 1e-15
     want = 3 * math.sqrt(3) / (2 * math.pi)
@@ -224,6 +206,13 @@ def test_rigidity_rejects_integers():
         kz.rigidity_constant(F(2))
     with pytest.raises(ValueError):
         kz.rigidity_constant_closed_form(F(0))
+
+
+def test_rigidity_rejects_large_parameters():
+    assert kz.rigidity_constant(F(99, 2)) != 0
+    for x in (F(101, 2), F(-101, 2)):
+        with pytest.raises(ValueError, match="too large"):
+            kz.rigidity_constant(x)
 
 
 def test_ode_residual_small():
@@ -248,7 +237,7 @@ def test_ode_residual_x_zero_case():
 def test_ode_residual_mutation_control():
     # mismatched parameters leave an O(1) residual
     x, d, z = F(1, 2), F(3, 8), 0.5
-    f, f1, f2, _ = kz._gauss_series(float(x), z, 1e-14)
+    f, f1, f2 = kz._gauss_series(float(x), z, 1e-14)
     df = float(d)
     w = z ** (-2 * df) * (1 - z) ** (-2 * df)
     r1 = -2 * df / z + 2 * df / (1 - z)
@@ -267,6 +256,17 @@ def test_ode_residual_rejects_endpoints():
         kz.ode_residual(F(1, 2), F(0), 0.0)
     with pytest.raises(ValueError):
         kz.ode_residual(F(1, 2), F(0), 1.0)
+
+
+def test_ode_residual_rejects_nonpositive_tol_at_once():
+    # no tail bound meets such a tol, so summing would run to the term cap
+    for tol in (0.0, -1.0, math.nan):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="tol"):
+            kz.ode_residual(F(1, 2), F(3, 8), 0.5, tol)
+        assert time.perf_counter() - t0 < 0.1, tol
+    # a tiny positive tol is met once z^n underflows
+    assert kz.ode_residual(F(1, 2), F(3, 8), 0.5, 1e-300) < 1e-10
 
 
 def test_verification_report_passes_quickly():

@@ -108,6 +108,8 @@ def test_spectral_flow_rejects_unsupported_sources():
         spectral_flow(AtypicalA(0, 1), 1)
     with pytest.raises(NotDeterminedError):
         spectral_flow(VermaV0(0, 2), 1)  # only the inverse flow is defined
+    with pytest.raises(NotDeterminedError):
+        spectral_flow(ProjectiveP(0, 1), 1)
 
 
 def test_contragredient_examples():
@@ -243,6 +245,31 @@ def test_formal_sum_algebra():
         FormalSum([(a, -1)])
     with pytest.raises(ValueError):
         s.single()
+
+
+def test_formal_sum_repr_hash_and_size():
+    a, b, p = AtypicalA(1, 0), AtypicalA(-2, 0), ProjectiveP(F(1, 2), 0)
+    s = FormalSum([p, a, a, b])
+    t = FormalSum([b, (a, 2), p])
+    # labels print in sorted order, a multiplicity above 1 as a prefix
+    assert repr(s) == repr(t) == "A(-2;0) + 2*A(1;0) + P(1/2;0)"
+    assert repr(FormalSum()) == "0"
+    # equal sums hash equal, whatever order their terms were given in
+    assert s == t and hash(s) == hash(t)
+    assert len(s) == 3 and s.total() == 4
+    assert not s.is_zero and FormalSum().is_zero and len(FormalSum()) == 0
+    assert FormalSum(p).single() == p
+    with pytest.raises(ValueError, match="multiplicity-free"):
+        FormalSum([(a, 2)]).single()
+
+
+def test_formal_sum_copies_a_formal_sum():
+    a, b = AtypicalA(1, 0), AtypicalA(2, 0)
+    s = FormalSum([a, b])
+    copy = FormalSum(s)
+    assert copy == s and copy._terms is not s._terms
+    copy._terms[a] = 5
+    assert s.multiplicity(a) == 1
 
 
 def test_formal_sum_multiplicities_are_checked():
