@@ -8,11 +8,12 @@ coefficients are cached once per truncation depth as one read-only block
 (see ``series``).  A Verma character is that block moved by the label's
 exponents, split once into a fractional base and an integer shift: every
 Verma at one depth holds the same block, and no term carries a Fraction of
-its own.  Atypical ell = 0 characters are alternating telescoping sums of
-Verma characters, summed once per depth on the block before any exponent is
-formed; the induced-module character identity is verified by expanding both
-of its sides, each summand the block to its own depth, over a window on
-which both are complete.
+its own.  With n = a/d and ehat = b/g the exponents are integers over one
+common denominator, made Fractions only as class keys.  Atypical ell = 0
+characters are alternating telescoping sums of Verma characters, summed
+once per depth on the block before any exponent is formed; the induced
+identity is verified by expanding both of its sides, each summand the block
+to its own depth, over a window on which both are complete.
 
 The z-normalization follows the product formula as printed: the q^0 slice of
 a Verma character is z^n (1 + 1/z).  The internal matrix conventions place
@@ -33,9 +34,10 @@ from .series import JacobiSeries, _canon, _split, jacobi_equal_to_cutoff
 
 
 def conformal_weight(n, ehat) -> Fraction:
-    """Delta = ehat * (n + ehat/2)."""
+    """Delta = ehat * (n + ehat/2), for n = a/d and ehat = b/g the one Fraction b(2ag + bd) / 2dg^2."""
     n, ehat = _f(n), _f(ehat)
-    return ehat * (n + ehat / 2)
+    a, d, b, g = n.numerator, n.denominator, ehat.numerator, ehat.denominator
+    return Fraction(b * (2 * a * g + b * d), 2 * d * g * g)
 
 
 def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> JacobiSeries:
@@ -105,10 +107,9 @@ def _universal_product(depth: int) -> MappingProxyType:
     return MappingProxyType(out)
 
 
-def _verma(q: Fraction, z: Fraction, y: Fraction, depth: int) -> dict:
-    """The one class of the universal product to ``depth`` moved to q^q z^z y^y."""
-    (q0, dq), (z0, dz) = _split(q), _split(z)
-    return {(q0, z0, y): (dq, dz + _low_m(depth), depth, _universal_product(depth))}
+def _moved(dq: int, dz: int, depth: int) -> tuple:
+    """The class (dq, dz, n_top, block) of a Verma at q^(q0 + dq) z^(z0 + dz), to ``depth``."""
+    return dq, dz + _low_m(depth), depth, _universal_product(depth)
 
 
 def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
@@ -120,8 +121,8 @@ def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
     n, ehat, q_cutoff = _f(n), _f(ehat), _f(q_cutoff)
     if q_cutoff < 0:
         raise ValueError("q_cutoff must be nonnegative")
-    depth = int(q_cutoff)
-    return JacobiSeries._trusted(_verma(conformal_weight(n, ehat), n, ehat, depth), q_cutoff)
+    (q0, dq), (z0, dz) = _split(conformal_weight(n, ehat)), _split(n)
+    return JacobiSeries._trusted({(q0, z0, ehat): _moved(dq, dz, int(q_cutoff))}, q_cutoff)
 
 
 def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
@@ -176,32 +177,39 @@ def char_induced_typical(n, ehat, m_range: int, q_cutoff) -> tuple[JacobiSeries,
     Verma character at (n, ehat) times the finite sum of
     q^{-m(2n+ehat)} y^{-2m} z^m, taken as one shift of that Verma's
     exponents per m.  Uses the level-1 normalization (ehat = e).  Both
-    sides are complete on a window of size q_cutoff above the base weight;
-    the summand offsets are absorbed by expanding
-    depth = q_cutoff + m_range*|2n+ehat| deeper, and each side keeps its
-    terms up to depth above its lowest weight.  The summands of either side
-    carry distinct y exponents, so they never share a term.
+    sides are expanded depth = q_cutoff + m_range*|2n+ehat| deep and keep
+    their terms up to q = Delta + q_cutoff, so both are complete on a window
+    of size depth above the lowest weight.  The summands of either side
+    carry distinct y exponents, so they never share a term.  With n = a/d,
+    ehat = b/g and q_cutoff = c/h each q exponent is formed as an integer
+    over Q = lcm(2dg^2, h): on the left the summand's weight
+    (b - 2mg)(2g(a + md) + d(b - 2mg)) / 2dg^2, on the right
+    Delta - m(2n + ehat), so the two sides stay independent.
     """
     n, ehat, q_cutoff, m_range = _f(n), _f(ehat), _f(q_cutoff), _int(m_range)
     if m_range < 1:
         raise ValueError("m_range must be at least 1")
-    shift = 2 * n + ehat
-    depth = q_cutoff + m_range * abs(shift)
+    a, d, b, g = n.numerator, n.denominator, ehat.numerator, ehat.denominator
+    scale = math.lcm(2 * d * g * g, q_cutoff.denominator)  # Q; every exponent below is times Q
+    unit = scale // (2 * d * g * g)
+    shift = 2 * g * (2 * a * g + b * d) * unit  # 2n + ehat = (2ag + bd) / dg
+    depth = q_cutoff.numerator * (scale // q_cutoff.denominator) + m_range * abs(shift)
     if depth < 0:
         raise ValueError("q_cutoff must be nonnegative")
-    delta = conformal_weight(n, ehat)
-    bound = delta - m_range * abs(shift) + depth
-    lhs: dict = {}
-    rhs: dict = {}
+    delta = b * (2 * a * g + b * d) * unit
+    bound = delta + depth - m_range * abs(shift)
+    z0, whole = _split(n)
+    lhs, rhs = {}, {}  # a Fraction is built only for a class key and the cutoff
     for m in range(-m_range, m_range + 1):
-        z, y = n + m, ehat - 2 * m
-        # each side splits its own base, the summand's weight on the left and
-        # the shifted base weight on the right, so the two stay independent
-        for side, q in ((lhs, conformal_weight(z, y)), (rhs, delta - m * shift)):
-            top = math.floor(bound - q)
+        e = b - 2 * m * g  # ehat - 2m = e / g
+        y = Fraction(e, g)
+        for side, q in ((lhs, e * (2 * g * (a + m * d) + d * e) * unit), (rhs, delta - m * shift)):
+            top = (bound - q) // scale
             if top >= 0:  # a shorter cut is the universal product to that depth
-                side.update(_verma(q, z, y, min(top, int(depth))))
-    return JacobiSeries._trusted(lhs, depth), JacobiSeries._trusted(rhs, depth)
+                dq, q0 = divmod(q, scale)
+                side[(Fraction(q0, scale), z0, y)] = _moved(dq, whole + m, top)
+    cutoff = Fraction(depth, scale)
+    return JacobiSeries._trusted(lhs, cutoff), JacobiSeries._trusted(rhs, cutoff)
 
 
 def induced_window(n, ehat, m_range: int, q_cutoff) -> Fraction:
@@ -213,4 +221,4 @@ def induced_window(n, ehat, m_range: int, q_cutoff) -> Fraction:
 def verify_induced_identity(n, ehat, m_range: int, q_cutoff) -> bool:
     """Exact coefficientwise equality of the two sides on the shared window."""
     lhs, rhs = char_induced_typical(n, ehat, m_range, q_cutoff)
-    return jacobi_equal_to_cutoff(lhs, rhs, induced_window(n, ehat, m_range, q_cutoff))
+    return jacobi_equal_to_cutoff(lhs, rhs, lhs.q_cutoff)  # the cutoff is induced_window(...)

@@ -164,6 +164,7 @@ def verify_vanish1() -> bool:
 #: smallest ``tol`` the z = 1 evaluation accepts: the rounding of its product
 #: reached 6.1e-16 against 40-digit values for 1/10 <= x <= 99/2
 _TOL_FLOOR = 1e-15
+_MAX_TERMS = 2_000_000  # terms the Gauss series at |z| < 1 may take before it raises
 
 
 def _term_ratio(n: int, x: float) -> float:
@@ -175,13 +176,13 @@ def _gauss_series(x: float, z: float, tol: float) -> tuple[float, float, float]:
     """F, F', F'' at |z| < 1 for parameters (x, -x; 1).
 
     The three sums are taken termwise until |c_n| n^2 |z|^(n-2) / (1 - |z|),
-    which bounds the tail of each, drops below ``tol``.
+    which bounds the tail of each, drops below ``tol``; they are not started when
+    |c_n| n^2 >= |x sin(pi x)| / pi, its floor for n > |x|, keeps that bound above tol to the cap.
     """
-    c = 1.0
-    f = 1.0
-    f1 = 0.0
-    f2 = 0.0
-    n = 0
+    floor = abs(x * math.sin(math.pi * (x - round(x)))) / math.pi
+    if floor * abs(z) ** (_MAX_TERMS - 1) > 2 * tol * max(1e-30, 1.0 - abs(z)):  # 2: rounding room
+        raise ValueError("series failed to converge")
+    c, f, f1, f2, n = 1.0, 1.0, 0.0, 0.0, 0
     while True:
         c = c * _term_ratio(n, x)
         n += 1
@@ -195,7 +196,7 @@ def _gauss_series(x: float, z: float, tol: float) -> tuple[float, float, float]:
             bound = abs(c) * scale * abs(z) ** max(0, n - 2) / max(1e-30, 1.0 - abs(z))
             if bound < tol:
                 return f, f1, f2
-        if n > 2_000_000:
+        if n > _MAX_TERMS:
             raise ValueError("series failed to converge")
 
 

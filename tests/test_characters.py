@@ -1,5 +1,6 @@
 """Character engine against an independent brute-force expansion."""
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -381,6 +382,41 @@ def test_int_offsets_match_fraction_keyed_oracle():
             (a, pair_a), (b, pair_b) = sides
             assert jacobi_equal_to_cutoff(a, b, w) is oracle.equal_to_cutoff(pair_a, pair_b, w)
     assert negative_fractional_delta >= 10 and windows_across_zero >= 50
+
+
+def test_induced_scaled_integers_match_fraction_keyed_oracle():
+    # the denominators of n, ehat and q_cutoff all enter the common
+    # denominator of the exponents: draw them coprime and up to 7, with
+    # negative numerators, 2n + ehat = 0 and m_range up to 6; a cutoff may
+    # be negative as long as the depth q_cutoff + m_range|2n + ehat| is not
+    rng = Random(19)
+    seen = dict.fromkeys(("coprime", "flat", "negative_cutoff", "raised", "m_range_6"), 0)
+    for draw in range(400):
+        while True:
+            n = F(rng.randint(-14, 14), rng.randint(1, 7))
+            e = -2 * n if draw % 8 == 0 else F(rng.randint(-14, 14), rng.randint(1, 7))
+            m_range = rng.randint(1, 6)
+            cutoff = F(rng.randint(-6, 6), rng.randint(1, 4))
+            depth = cutoff + m_range * abs(2 * n + e)  # the oracle's depth
+            if depth <= 5:
+                break
+        if depth < 0:
+            seen["raised"] += 1
+            with pytest.raises(ValueError, match="q_cutoff must be nonnegative"):
+                ch.char_induced_typical(n, e, m_range, cutoff)
+            continue
+        seen["coprime"] += math.gcd(n.denominator, e.denominator) == 1 < min(n.denominator, e.denominator)
+        seen["flat"] += 2 * n + e == 0
+        seen["negative_cutoff"] += cutoff < 0
+        seen["m_range_6"] += m_range == 6
+        got = ch.char_induced_typical(n, e, m_range, cutoff)
+        want = oracle.induced_typical(n, e, m_range, cutoff)
+        for side, (terms, want_cutoff) in zip(got, want):
+            assert side.terms == terms and side.q_cutoff == want_cutoff == depth, (n, e, m_range, cutoff)
+        w = depth * F(rng.randint(0, 4), 4)
+        assert jacobi_equal_to_cutoff(*got, w) is oracle.equal_to_cutoff(*want, w) is True
+        assert ch.verify_induced_identity(n, e, m_range, cutoff)
+    assert min(seen.values()) >= 15, seen
 
 
 def test_vermas_share_one_read_only_block():

@@ -1,4 +1,4 @@
-"""Fraction arithmetic budgets of the label layer's hot paths.
+"""Fraction arithmetic budgets of the label and character layers' hot paths.
 
 Label arithmetic is exact, and a ``Fraction`` operator call costs about a
 microsecond, so these paths are written to reuse the values they know.
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from gl11kl import characters as ch
 from gl11kl import extensions as ex
 from gl11kl.labels import TypicalV, VermaV0, epsilon2
 
@@ -66,3 +67,19 @@ def test_induce_adds_once_per_coordinate_per_summand(fraction_ops, ext):
             before = fraction_ops[0]
             out = ex.induce(base, ext, m_range)
             assert fraction_ops[0] - before <= coordinates * len(out) + 5, (base, m_range)
+
+
+def test_character_exponents_do_no_fraction_arithmetic(fraction_ops):
+    # the exponents are scaled integers: a Fraction is constructed for a
+    # class key or a cutoff, and none comes from an operator, however many
+    # summands the induced identity has
+    # (2n + ehat = 0 in the third and fourth)
+    draws = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(-1, 3), Fraction(5, 7)), (Fraction(-3, 4), Fraction(3, 2))]
+    for n, ehat in draws + [(Fraction(1, 2), -1), (2, 0)]:
+        ch.conformal_weight(n, ehat)
+        ch.char_verma(n, ehat, Fraction(7, 2))
+        for m_range in range(1, 7):
+            for q_cutoff in (0, Fraction(3, 4), 2):
+                lhs, _ = ch.char_induced_typical(n, ehat, m_range, q_cutoff)
+                assert not lhs.is_zero
+    assert fraction_ops[0] == 0

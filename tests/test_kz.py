@@ -269,6 +269,57 @@ def test_ode_residual_rejects_nonpositive_tol_at_once():
     assert kz.ode_residual(F(1, 2), F(3, 8), 0.5, 1e-300) < 1e-10
 
 
+def _gauss_sums(x: float, z: float, tol: float) -> tuple[float, float, float]:
+    """The termwise sums of ``kz._gauss_series`` with no up-front convergence check."""
+    c, f, f1, f2, n = 1.0, 1.0, 0.0, 0.0, 0
+    while True:
+        c = c * kz._term_ratio(n, x)
+        n += 1
+        zn = z ** (n - 1)
+        f += c * zn * z
+        f1 += c * n * zn
+        if n >= 2:
+            f2 += c * n * (n - 1) * z ** (n - 2)
+        if n > abs(x) + 2:
+            bound = abs(c) * max(1.0, n * n) * abs(z) ** max(0, n - 2) / max(1e-30, 1.0 - abs(z))
+            if bound < tol:
+                return f, f1, f2
+        if n > kz._MAX_TERMS:
+            raise ValueError("series failed to converge")
+
+
+def test_gauss_series_near_one_raises_before_summing():
+    # the tail bound shrinks only like z^n / (1 - z): at z = 0.99999 no sum
+    # within the term cap meets the default tol, and summing to the cap took
+    # seconds before it raised
+    for z in (0.99999, 1 - 1e-9, 1 - 1e-14):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="series failed to converge"):
+            kz.ode_residual(F(1, 2), F(3, 8), z)
+        assert time.perf_counter() - t0 < 0.1, z
+
+
+def test_gauss_series_to_z_0_9999_keeps_the_summed_values():
+    # the sample points of ``verification_report`` and a walk towards z = 1:
+    # where the sums converge the check lets them run, bit for bit
+    xs = (0.5, 1 / 3, 0.4, -0.5, 0.75)
+    points = [(x, z) for x in xs for z in (0.1, 0.25, 0.5, 0.75, 0.9)]
+    points += [(x, z) for x in (0.1, 0.5, 24.5) for z in (0.99, 0.999)] + [(0.5, 0.9999), (3.0, 0.99999)]
+    for x, z in points:
+        assert kz._gauss_series(x, z, 1e-14) == _gauss_sums(x, z, 1e-14), (x, z)
+
+
+def test_gauss_floor_bounds_the_tail_factor():
+    # the up-front check rests on |c_n| n^2 >= |x sin(pi x)| / pi for n > |x|
+    for x in (0.1, 0.5, 1 / 3, 0.999, 1.5, 7.25, 24.5, -3.75):
+        floor = abs(x * math.sin(math.pi * x)) / math.pi
+        c = 1.0
+        for n in range(3000):
+            c *= kz._term_ratio(n, x)
+            if n + 1 > abs(x):
+                assert abs(c) * (n + 1) ** 2 >= floor, (x, n)
+
+
 def test_verification_report_passes_quickly():
     t0 = time.time()
     report = kz.verification_report(tol=1e-12)
