@@ -108,7 +108,7 @@ def _universal_product(depth: int) -> MappingProxyType:
 
 
 def _moved(dq: int, dz: int, depth: int) -> tuple:
-    """The class (dq, dz, n_top, block) of a Verma at q^(q0 + dq) z^(z0 + dz), to ``depth``."""
+    """The class of the universal product to ``depth`` moved to q^(q0 + dq) z^(z0 + dz)."""
     return dq, dz + _low_m(depth), depth, _universal_product(depth)
 
 
