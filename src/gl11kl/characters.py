@@ -29,15 +29,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import NotDeterminedError
-from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, _int, ehat
+from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, _int, conformal_weight, ehat
 from .series import JacobiSeries, _canon, _split, jacobi_equal_to_cutoff
-
-
-def conformal_weight(n, ehat) -> Fraction:
-    """Delta = ehat * (n + ehat/2), for n = a/d and ehat = b/g the one Fraction b(2ag + bd) / 2dg^2."""
-    n, ehat = _f(n), _f(ehat)
-    a, d, b, g = n.numerator, n.denominator, ehat.numerator, ehat.denominator
-    return Fraction(b * (2 * a * g + b * d), 2 * d * g * g)
 
 
 def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> JacobiSeries:

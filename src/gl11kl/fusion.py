@@ -18,8 +18,6 @@ even when a single label, so results compose uniformly.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotDeterminedError
 from .labels import (
     AtypicalA,
@@ -28,6 +26,7 @@ from .labels import (
     ProjectiveP,
     TypicalV,
     VermaV0,
+    _HALF,
     _spread,
     epsilon,
     epsilon2,
@@ -36,7 +35,6 @@ from .labels import (
     strip_parity,
 )
 
-_HALF = Fraction(1, 2)
 _RULE_ORDER = {AtypicalA: 0, ProjectiveP: 1, TypicalV: 2}
 
 

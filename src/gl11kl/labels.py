@@ -120,17 +120,23 @@ def epsilon2(ell: int, ell2: int) -> Fraction:
     return epsilon((ell > 0) - (ell < 0) + (ell2 > 0) - (ell2 < 0) - (total > 0) + (total < 0))
 
 
+def conformal_weight(n, ehat) -> Fraction:
+    """Delta = ehat * (n + ehat/2), for n = a/d and ehat = b/g the one Fraction b(2ag + bd) / 2dg^2."""
+    n, ehat = _f(n), _f(ehat)
+    a, d, b, g = n.numerator, n.denominator, ehat.numerator, ehat.denominator
+    return Fraction(b * (2 * a * g + b * d), 2 * d * g * g)
+
+
 def delta(label: ModuleLabel) -> Fraction:
-    """Lowest conformal weight: ehat*(n + ehat/2), minimized over constituents.
+    """Lowest conformal weight, minimized over constituents.
 
     For a projective label with ell != 0 the minimum over its two Verma
     constituents is Delta_{n - 2*eps(ell), ell}; at ell = 0 the weight is 0.
     """
-    e = ehat(label)
+    n = label.n
     if isinstance(label, ProjectiveP) and label.ell != 0:
-        n_min = label.n - 2 * epsilon(label.ell)
-        return e * (n_min + e / 2)
-    return e * (label.n + e / 2)
+        n -= 2 * epsilon(label.ell)
+    return conformal_weight(n, ehat(label))
 
 
 def top_dim(label: ModuleLabel) -> int:

@@ -90,11 +90,6 @@ class WeightGrowth:
 
 
 @dataclass(frozen=True)
-class FirstOrderSystem:
-    m: tuple
-
-
-@dataclass(frozen=True)
 class SecondOrderOde:
     a2: RationalFunction
     a1: RationalFunction

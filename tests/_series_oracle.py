@@ -8,13 +8,14 @@ the terms are known, None for an exact series.  Like
 The character builders at the end are the former bodies of
 ``char_verma``, ``char_atypical0`` and ``char_induced_typical``, which keyed
 every term by its Fraction exponents: the oracle of the package's
-integer-offset form.
+integer-offset form.  They take the conformal weight from ``weight``, the
+former body of ``labels.delta``, not from the package.
 """
 
 import math
 from fractions import Fraction
 
-from gl11kl.characters import _universal_product, conformal_weight
+from gl11kl.characters import _universal_product
 
 
 def _known_to(series):
@@ -105,11 +106,16 @@ def _terms(offsets, qs: list, zs: dict, y) -> dict:
     return {(qs[big_n], zs[m], y): c for big_n, m, c in offsets if big_n <= top}
 
 
+def weight(n, ehat) -> Fraction:
+    """The conformal weight Delta = ehat (n + ehat/2), in Fraction arithmetic."""
+    return ehat * (n + ehat / 2)
+
+
 def verma(n, ehat, q_cutoff):
     """The Verma character at (n, ehat) on Fraction keys, as (terms, cutoff)."""
     n, ehat, q_cutoff = Fraction(n), Fraction(ehat), Fraction(q_cutoff)
     depth = int(q_cutoff)
-    qs, zs = _exponents(conformal_weight(n, ehat), n, depth)
+    qs, zs = _exponents(weight(n, ehat), n, depth)
     return _terms(_offsets(depth), qs, zs, ehat), q_cutoff
 
 
@@ -138,15 +144,17 @@ def induced_typical(n, ehat, m_range: int, q_cutoff):
     n, ehat, q_cutoff = Fraction(n), Fraction(ehat), Fraction(q_cutoff)
     shift = 2 * n + ehat
     depth = q_cutoff + m_range * abs(shift)
+    if depth < 0:  # int() would truncate -1 < depth < 0 to 0
+        raise ValueError("q_cutoff must be nonnegative")
     offsets = _offsets(int(depth))
-    delta = conformal_weight(n, ehat)
+    delta = weight(n, ehat)
     bound = delta - m_range * abs(shift) + depth
     lhs: dict = {}
     rhs: dict = {}
     qs, zs = _exponents(delta, n, int(depth))
     for m in range(-m_range, m_range + 1):
         y = ehat - 2 * m
-        delta_m = conformal_weight(n + m, y)
+        delta_m = weight(n + m, y)
         top = math.floor(bound - delta_m)
         if top >= 0:
             lhs.update(_terms(offsets, *_exponents(delta_m, n + m, top), y))

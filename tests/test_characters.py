@@ -388,9 +388,10 @@ def test_induced_scaled_integers_match_fraction_keyed_oracle():
     # the denominators of n, ehat and q_cutoff all enter the common
     # denominator of the exponents: draw them coprime and up to 7, with
     # negative numerators, 2n + ehat = 0 and m_range up to 6; a cutoff may
-    # be negative as long as the depth q_cutoff + m_range|2n + ehat| is not
+    # be negative as long as the depth q_cutoff + m_range|2n + ehat| is not,
+    # and both sides raise alike where it is, also for -1 < depth < 0
     rng = Random(19)
-    seen = dict.fromkeys(("coprime", "flat", "negative_cutoff", "raised", "m_range_6"), 0)
+    seen = dict.fromkeys(("coprime", "flat", "negative_cutoff", "raised", "depth_above_minus_one", "m_range_6"), 0)
     for draw in range(400):
         while True:
             n = F(rng.randint(-14, 14), rng.randint(1, 7))
@@ -402,8 +403,11 @@ def test_induced_scaled_integers_match_fraction_keyed_oracle():
                 break
         if depth < 0:
             seen["raised"] += 1
+            seen["depth_above_minus_one"] += depth > -1
             with pytest.raises(ValueError, match="q_cutoff must be nonnegative"):
                 ch.char_induced_typical(n, e, m_range, cutoff)
+            with pytest.raises(ValueError, match="q_cutoff must be nonnegative"):
+                oracle.induced_typical(n, e, m_range, cutoff)
             continue
         seen["coprime"] += math.gcd(n.denominator, e.denominator) == 1 < min(n.denominator, e.denominator)
         seen["flat"] += 2 * n + e == 0

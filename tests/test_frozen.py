@@ -26,7 +26,6 @@ CLASSES = (
     labels.ProjectiveP,
     extensions.ExtensionSpec,
     extensions.WeightGrowth,
-    kz.FirstOrderSystem,
     kz.SecondOrderOde,
     oracle.Verma,
     oracle.Atypical,
@@ -36,7 +35,6 @@ CLASSES = (
 F = Fraction
 _Z, _X, _D = RationalFunction.z(), RationalFunction.x(), RationalFunction.delta()
 _FUNCTIONS = (_Z, _X, _D, _Z * _X, 1 / (1 - _Z), _D + _X)
-_SYSTEM = kz.build_first_order_system().m
 _MODULES = [oracle.realize(x) for x in (oracle.Verma(F(1, 2), 1), oracle.Atypical(0), oracle.Projective(1))]
 
 
@@ -64,8 +62,6 @@ def _field_values(rng: Random, cls) -> list:
         return [rng.choice(("sl21-neg-half", "custom:1/2,1")), _number(rng), rng.choice((1, -2, F(3, 2), "2", "x"))]
     if name == "WeightGrowth":
         return [F(rng.randint(0, 2)), F(rng.randint(-1, 1), 2), rng.choice(("lowest_weight", "relaxed_flat"))]
-    if name == "FirstOrderSystem":
-        return [rng.choice((_SYSTEM, ((F(1), F(2)), (F(3), F(rng.randint(0, 1))))))]
     if name == "SecondOrderOde":
         return [rng.choice(_FUNCTIONS) for _ in range(3)]
     if name == "Verma":
