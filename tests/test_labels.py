@@ -53,9 +53,7 @@ def test_delta_projective_uses_minimal_constituent():
 def test_delta_matches_fraction_formula_on_all_kinds():
     # labels.delta builds one Fraction from numerators and denominators; the
     # oracle keeps the Fraction formula ehat (n + ehat/2) it replaced
-    ns = [F(a, d) for a in range(-7, 8) for d in (1, 2, 3, 5)]
-    kinds = {"P_ell_nonzero": 0, "flipped": 0}
-    for n in ns:
+    for n in [F(a, d) for a in range(-7, 8) for d in (1, 2, 3, 5)]:
         for flip in (False, True):
             labels = [TypicalV(n, F(e, g), flip) for e in (-7, -1, 1, 5) for g in (2, 3, 6)]
             labels += [cls(n, ell, flip) for cls in (AtypicalA, VermaV0, ProjectiveP) for ell in range(-3, 4)]
@@ -63,10 +61,7 @@ def test_delta_matches_fraction_formula_on_all_kinds():
                 shifted = label.n
                 if type(label) is ProjectiveP and label.ell != 0:
                     shifted -= 2 * epsilon(label.ell)
-                    kinds["P_ell_nonzero"] += 1
-                kinds["flipped"] += flip
                 assert delta(label) == oracle.weight(shifted, ehat(label)), label
-    assert min(kinds.values()) >= 100, kinds
 
 
 def test_epsilon_values():
