@@ -1,7 +1,7 @@
 """Exact tools for the module category of affine gl(1|1).
 
 Fusion products, composition series, spectral flow, Jacobi-variable
-characters, simple-current extension analysis, and symbolic/numeric
+characters, simple-current extension analysis, and exact/numeric
 verification of the correlator differential equation, all over exact
 rational arithmetic, cross-checked by a brute-force matrix oracle for the
 finite-dimensional modules.

@@ -14,7 +14,6 @@ from fractions import Fraction
 from gl11kl.labels import _f, _int
 from gl11kl.errors import OracleError
 from gl11kl.oracle import Entries
-from gl11kl.symbolic import RationalFunction
 
 # labels
 
@@ -91,9 +90,9 @@ class WeightGrowth:
 
 @dataclass(frozen=True)
 class SecondOrderOde:
-    a2: RationalFunction
-    a1: RationalFunction
-    a0: RationalFunction
+    a2: tuple
+    a1: tuple
+    a0: tuple
 
 
 # oracle

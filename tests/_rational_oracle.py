@@ -1,4 +1,10 @@
-"""Exact rational functions in the formal parameters Delta, x and the variable z.
+"""Exact rational functions in Delta, x and z: the oracle of the kz tests.
+
+``RationalFunction`` is the former ``gl11kl.symbolic`` type, unchanged.  The
+package checks its three exact identities by evaluation on a grid; the
+functions at the end restate them over rational functions, as the package
+once computed them, so the tests can check each identity symbolically and
+measure the degrees that make the grid check a proof.
 
 A ``RationalFunction`` is an unreduced pair num/den of sparse polynomials in
 (Delta, x, z) over Q, each a dict ``{(i, j, k): Fraction}`` keyed by the
@@ -196,3 +202,74 @@ class RationalFunction:
         if self.den == _ONE:
             return _repr(self.num)
         return f"[{_repr(self.num)}] / [{_repr(self.den)}]"
+
+
+# -- the kz identities over rational functions --------------------------------
+#
+# An equation is a tuple (a2, a1, a0) of RationalFunctions for
+# a2 f'' + a1 f' + a0 f = 0.  Each function is the former symbolic body of
+# its ``gl11kl.kz`` namesake (``gauge`` of ``_gauge``, ``normalized`` of the
+# ``SecondOrderOde`` method).
+
+Z, D, X = RationalFunction.z(), RationalFunction.delta(), RationalFunction.x()
+
+
+def normalized(ode: tuple) -> tuple:
+    """Rescale so the leading coefficient is exactly z(1-z)."""
+    if ode[0].is_zero:
+        raise ZeroDivisionError("degenerate second-order equation")
+    s = Z * (1 - Z) / ode[0]
+    return tuple(a * s for a in ode)
+
+
+def gauge() -> RationalFunction:
+    """2 Delta (1/(1-z) - 1/z): the system's diagonal, and w'/w for w = z^{-2D}(1-z)^{-2D}."""
+    return 2 * D * (1 / (1 - Z) - 1 / Z)
+
+
+def build_first_order_system() -> tuple:
+    return ((gauge(), -X / (1 - Z)), (X / Z, gauge()))
+
+
+def eliminate_to_second_order(m: tuple) -> tuple:
+    (m00, m01), (m10, m11) = m
+    g = 1 / m10
+    gp = g.differentiate()
+    a1 = gp - g * m11 - m00 * g
+    a0 = -(g * m11.differentiate()) - gp * m11 + m00 * g * m11 - m01
+    return normalized((g, a1, a0))
+
+
+def correlator_ode() -> tuple:
+    a0 = 4 * D * D / Z + 2 * D * (2 * D - 1) / (1 - Z) + (X * X - 16 * D * D)
+    return (Z * (1 - Z), (4 * D + 1) - (8 * D + 1) * Z, a0)
+
+
+def hypergeometric_ode() -> tuple:
+    return (Z * (1 - Z), 1 - Z, X * X)
+
+
+def transform_ode(ode: tuple) -> tuple:
+    r1 = gauge()
+    r2 = r1 * r1 + r1.differentiate()
+    a2, a1, a0 = ode
+    return normalized((a2, 2 * a2 * r1 + a1, a2 * r2 + a1 * r1 + a0))
+
+
+def vanish1_residual() -> RationalFunction:
+    return -2 * D - Z * gauge() - (-2 * D / (1 - Z) + 2 * D + X)
+
+
+def identities() -> dict:
+    """Each exact check of ``kz.verification_report`` as (left sides, right sides), coefficient by coefficient."""
+    derived = eliminate_to_second_order(build_first_order_system())
+    return {
+        "elimination_matches_direct_coefficients": (derived, normalized(correlator_ode())),
+        "gauge_transform_to_hypergeometric": (transform_ode(derived), hypergeometric_ode()),
+        "scalar_pair_residual": ((vanish1_residual(),), (-X,)),
+    }
+
+
+def identities_hold() -> bool:
+    """Do the three identities hold as equalities of rational functions?"""
+    return all(a == b for lhs, rhs in identities().values() for a, b in zip(lhs, rhs))

@@ -17,6 +17,7 @@ from gl11kl.fusion import fuse, fuse_formal, k_ring_check
 from gl11kl.labels import AtypicalA, FormalSum, TypicalV
 
 import _draws
+import _rational_oracle
 import _series_oracle as oracle_series
 
 F = Fraction
@@ -96,6 +97,8 @@ def test_criterion_05_kz_symbolic():
     assert derived == kz.correlator_ode().normalized()
     assert kz.check_transform()
     assert kz.verify_vanish1()
+    # the same three identities as equalities of rational functions, by the tests' oracle
+    assert _rational_oracle.identities_hold()
     _report(5, "symbolic elimination, gauge transform, scalar-pair residual")
 
 

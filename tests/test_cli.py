@@ -333,7 +333,7 @@ _LAYER_CASES = [
     (["local", "A(1/2;0)", "--ext", "sl21-level1"], 0, _EXT),
     (["monodromy", "A(1/2;3)"], 0, _EXT),
     (["oracle", "P(0)", "V(1/2;1)"], 0, {"gl11kl.oracle"}),
-    (["kz", "verify"], 0, {"gl11kl.kz", "gl11kl.symbolic"}),
+    (["kz", "verify"], 0, {"gl11kl.kz"}),
     (["fuse", "Verma0(0;1)", "V(0;1/2)"], 1, set()),
     (["monodromy", "P(1/2;1)"], 1, _EXT),
     (["fuse", "X(0;1)", "A(0;0)"], 2, set()),

@@ -1,5 +1,6 @@
-"""Symbolic elimination, gauge transform and hypergeometric numerics."""
+"""The exact checks on their grid, against the rational-function oracle, and the hypergeometric numerics."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -7,13 +8,95 @@ from random import Random
 
 import pytest
 
+import _rational_oracle as oracle
 from gl11kl import kz
-from gl11kl.symbolic import RationalFunction
+from test_symbolic import _to_sympy
 
 F = Fraction
-Z = RationalFunction.z
-D = RationalFunction.delta
-X = RationalFunction.x
+Z, D, X = oracle.Z, oracle.D, oracle.X
+MINUS_X = tuple(-x for _, x, _ in kz._GRID)
+
+
+def _at(rf, point):
+    """The value of a RationalFunction at a (Delta, x, z) point."""
+    d, x, z = point
+    return rf.value(z, d, x)
+
+
+def _on_grid(functions) -> tuple:
+    """Each RationalFunction's values at the points of ``kz._GRID``."""
+    return tuple(tuple(_at(rf, p) for p in kz._GRID) for rf in functions)
+
+
+def _coefficients(ode) -> tuple:
+    return ode.a2, ode.a1, ode.a0
+
+
+def _jets(entry) -> list:
+    return [(j.v, j.d) for j in entry]
+
+
+def _derived():
+    return kz.eliminate_to_second_order(kz.build_first_order_system())
+
+
+# -- the grid and the proof's premise -----------------------------------------
+
+# per identity, the degree in (Delta, x, z) of the cleared numerator p1 q2 - p2 q1,
+# as the kz module docstring states it
+STATED_DEGREES = {
+    "elimination_matches_direct_coefficients": (2, 2, 4),
+    "gauge_transform_to_hypergeometric": (0, 2, 2),
+    "scalar_pair_residual": (0, 1, 0),
+}
+
+
+def _axes() -> list:
+    return [sorted({p[i] for p in kz._GRID}) for i in range(3)]
+
+
+def test_grid_is_the_stated_product_grid():
+    axes = _axes()
+    assert axes == [[0, 1, 2], [1, 2, 3], [2, 3, 4, 5, 6]]
+    assert list(kz._GRID) == list(itertools.product(*axes))
+    # with z a Fraction, no quotient on the grid falls back to a float
+    assert all(type(z) is Fraction for _, _, z in kz._GRID)
+
+
+def test_grid_exceeds_identity_degrees():
+    # Each side of each identity, reduced to p/q by sympy: the grid has more
+    # points in each variable than p1 q2 - p2 q1 has degree, and no reduced
+    # denominator vanishes on it, so a pass on the grid proves the identity.
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("Delta x z")
+    sizes = [len(axis) for axis in _axes()]
+    for name, (lhs, rhs) in oracle.identities().items():
+        degrees = [0, 0, 0]
+        for a, b in zip(lhs, rhs):
+            (p1, q1), (p2, q2) = (sympy.fraction(sympy.cancel(_to_sympy(sympy, f, *syms))) for f in (a, b))
+            for product in (p1 * q2, p2 * q1):
+                poly = sympy.Poly(product, *syms)
+                degrees = [max(n, poly.degree(s)) for n, s in zip(degrees, syms)]
+            for q in {q1, q2}:
+                assert all(q.subs(dict(zip(syms, p))) != 0 for p in kz._GRID), (name, q)
+        assert tuple(degrees) == STATED_DEGREES[name]
+        assert all(size > n for size, n in zip(sizes, degrees)), name
+
+
+def test_oracle_identities_hold_symbolically():
+    assert oracle.identities_hold()
+
+
+def test_grid_values_are_the_oracle_functions():
+    derived, want = _derived(), oracle.eliminate_to_second_order(oracle.build_first_order_system())
+    assert _coefficients(derived) == _on_grid(want)
+    assert _coefficients(kz.correlator_ode()) == _on_grid(oracle.correlator_ode())
+    assert _coefficients(kz.hypergeometric_ode()) == _on_grid(oracle.hypergeometric_ode())
+    assert _coefficients(kz.transform_ode(derived)) == _on_grid(oracle.transform_ode(want))
+    assert _coefficients(kz.transform_ode(kz.hypergeometric_ode())) == _on_grid(
+        oracle.transform_ode(oracle.hypergeometric_ode())
+    )
+    assert (kz.vanish1_residual(),) == _on_grid([oracle.vanish1_residual()])
 
 
 # -- first-order system ------------------------------------------------------
@@ -21,22 +104,52 @@ X = RationalFunction.x
 
 def test_system_shares_diagonal():
     m = kz.build_first_order_system()
-    assert m[0][0] == m[1][1]
+    assert _jets(m[0][0]) == _jets(m[1][1])
+
+
+def test_system_is_the_oracle_system_on_the_grid():
+    # each entry's value and z-derivative, the derivative by the jets' rules
+    for row, want_row in zip(kz.build_first_order_system(), oracle.build_first_order_system()):
+        for entry, rf in zip(row, want_row):
+            assert _jets(entry) == list(zip(*_on_grid([rf, rf.differentiate()])))
 
 
 def test_system_at_delta_zero():
     m = kz.build_first_order_system()
-    assert m[0][0].subs(delta=0).is_zero
-    assert m[0][1].subs(delta=0) == -X() / (1 - Z())
-    assert m[1][0].subs(delta=0) == X() / Z()
+    for i, (d, x, z) in enumerate(kz._GRID):
+        if d == 0:
+            assert (m[0][0][i].v, m[0][0][i].d) == (0, 0)
+            assert m[0][1][i].v == -x / (1 - z)
+            assert m[1][0][i].v == x / z
 
 
 def test_system_trace():
     m = kz.build_first_order_system()
-    assert m[0][0] + m[1][1] == 4 * D() * (2 * Z() - 1) / (Z() * (1 - Z()))
+    trace = 4 * D * (2 * Z - 1) / (Z * (1 - Z))
+    want = list(zip(*_on_grid([trace, trace.differentiate()])))
+    assert [(a.v + b.v, a.d + b.d) for a, b in zip(m[0][0], m[1][1])] == want
 
 
 # -- elimination -------------------------------------------------------------
+
+
+def _eliminate(m, g_prime_sign):
+    """The arithmetic of ``kz.eliminate_to_second_order``, with the sign of g' in a1 as given."""
+    rows = []
+    for m00, m01, m10, m11 in zip(m[0][0], m[0][1], m[1][0], m[1][1]):
+        g = 1 / m10
+        a1 = g_prime_sign * g.d - g.v * m11.v - m00.v * g.v
+        rows.append((g.v, a1, -(g.v * m11.d) - g.d * m11.v + m00.v * g.v * m11.v - m01.v))
+    return kz._ode(rows).normalized()
+
+
+def _direct(sign):
+    """``kz.correlator_ode`` with 2 Delta (2 Delta + sign) in a0; sign -1 is the equation."""
+    rows = []
+    for d, x, z in kz._GRID:
+        a0 = 4 * d * d / z + 2 * d * (2 * d + sign) / (1 - z) + (x * x - 16 * d * d)
+        rows.append((z * (1 - z), (4 * d + 1) - (8 * d + 1) * z, a0))
+    return kz._ode(rows)
 
 
 def test_elimination_reproduces_direct_coefficients():
@@ -45,30 +158,49 @@ def test_elimination_reproduces_direct_coefficients():
 
 
 def test_elimination_delta_zero_is_hypergeometric():
-    derived = kz.eliminate_to_second_order(kz.build_first_order_system())
-    assert derived.subs(delta=0) == kz.hypergeometric_ode().subs(delta=0)
+    derived, hyper = _derived(), kz.hypergeometric_ode()
+    at_zero = [i for i, (d, _, _) in enumerate(kz._GRID) if d == 0]
+    assert len(at_zero) == 15
+    for got, want in zip(_coefficients(derived), _coefficients(hyper)):
+        assert [got[i] for i in at_zero] == [want[i] for i in at_zero]
 
 
 def test_elimination_rejects_degenerate_system():
     m = kz.build_first_order_system()
-    zero = RationalFunction.const(0)
+    zero = tuple(0 * entry for entry in m[1][0])
     broken = ((m[0][0], m[0][1]), (zero, m[1][1]))
     with pytest.raises(ZeroDivisionError):
         kz.eliminate_to_second_order(broken)
 
 
 def test_elimination_at_rational_sample_points():
-    # independent spot check: evaluate the derived coefficients at exact
-    # rational (z, Delta, x) and compare with the directly entered ones
-    derived = kz.eliminate_to_second_order(kz.build_first_order_system())
-    direct = kz.correlator_ode().normalized()
+    # independent spot check of the oracle off the grid: evaluate its derived
+    # coefficients at exact rational (z, Delta, x) and compare with the
+    # directly entered ones, written out in Fractions
+    derived = oracle.eliminate_to_second_order(oracle.build_first_order_system())
     rng = Random(6)
     for _ in range(20):
         z = F(rng.randint(1, 9), 10)
         d = F(rng.randint(-4, 4), rng.randint(1, 3))
         x = F(rng.randint(-4, 4), rng.randint(1, 3))
-        for a, b in ((derived.a2, direct.a2), (derived.a1, direct.a1), (derived.a0, direct.a0)):
-            assert a.value(z, d, x) == b.value(z, d, x)
+        a0 = 4 * d * d / z + 2 * d * (2 * d - 1) / (1 - z) + (x * x - 16 * d * d)
+        assert [a.value(z, d, x) for a in derived] == [z * (1 - z), (4 * d + 1) - (8 * d + 1) * z, a0]
+
+
+def test_grid_catches_the_direct_a0_mutant():
+    # 2 Delta (2 Delta - 1) -> 2 Delta (2 Delta + 1) in the direct a0
+    derived = _derived()
+    assert _direct(-1) == kz.correlator_ode()
+    assert derived == _direct(-1).normalized()
+    assert derived != _direct(1).normalized()
+
+
+def test_grid_catches_a_flipped_g_prime_sign():
+    # a1 = g' - g M11 - M00 g -> -g' - g M11 - M00 g
+    m = kz.build_first_order_system()
+    direct = kz.correlator_ode().normalized()
+    assert _eliminate(m, 1) == kz.eliminate_to_second_order(m) == direct
+    assert _eliminate(m, -1) != direct
 
 
 # -- gauge transform and scalar pair -----------------------------------------
@@ -79,41 +211,45 @@ def test_check_transform():
 
 
 def test_transform_is_identity_at_delta_zero():
-    ode = kz.correlator_ode().normalized().subs(delta=0)
-    got = kz.transform_ode(kz.correlator_ode()).subs(delta=0)
-    assert got == ode == kz.hypergeometric_ode().subs(delta=0)
+    ode = kz.correlator_ode().normalized()
+    got = kz.transform_ode(kz.correlator_ode())
+    hyper = kz.hypergeometric_ode()
+    at_zero = [i for i, (d, _, _) in enumerate(kz._GRID) if d == 0]
+    for a, b, c in zip(_coefficients(got), _coefficients(ode), _coefficients(hyper)):
+        assert [a[i] for i in at_zero] == [b[i] for i in at_zero] == [c[i] for i in at_zero]
 
 
-def test_mutated_gauge_exponent_fails():
-    # replacing the exponent 2 Delta by 2 Delta + 1 must break the transform
-    z = Z()
-    d = D()
-    r1 = -(2 * d + 1) / z + (2 * d + 1) / (1 - z)
-    r2 = r1 * r1 + r1.differentiate()
-    ode = kz.eliminate_to_second_order(kz.build_first_order_system())
-    b1 = 2 * ode.a2 * r1 + ode.a1
-    b0 = ode.a2 * r2 + ode.a1 * r1 + ode.a0
-    mutated = kz.SecondOrderOde(ode.a2, b1, b0).normalized()
-    assert mutated != kz.hypergeometric_ode()
+def test_mutated_gauge_exponent_fails(monkeypatch):
+    # the exponent 2 Delta -> 2 Delta + 1 in the transform only: the system
+    # is eliminated before the mutant gauge is in place
+    derived = _derived()
+    for shift, holds in ((0, True), (1, False)):
+        mutant = tuple((2 * d + shift) * (1 / (1 - kz._Jet(z, 1)) - 1 / kz._Jet(z, 1)) for d, _, z in kz._GRID)
+        monkeypatch.setattr(kz, "_gauge", lambda mutant=mutant: mutant)
+        assert (kz.transform_ode(derived) == kz.hypergeometric_ode()) is holds, shift
 
 
 def test_vanish1_residual_is_minus_x():
     assert kz.verify_vanish1()
-    assert kz.vanish1_residual() == RationalFunction.const(0) - X()
+    assert kz.vanish1_residual() == MINUS_X
 
 
 def test_vanish1_degenerates_at_x_zero():
-    # at x = 0 the relation degenerates to 0 = 0 (atypical degeneration)
-    assert kz.vanish1_residual().subs(x=0).is_zero
+    # at x = 0 the relation degenerates to 0 = 0 (atypical degeneration); the
+    # grid avoids x = 0, so the oracle shows it
+    assert oracle.vanish1_residual().subs(x=0).is_zero
 
 
 def test_vanish1_sign_mutation_detected():
-    z = Z()
-    d = D()
-    fprime = 2 * d * (1 / (1 - z) - 1 / z)
-    mutated = (2 * d - z * fprime) - (-2 * d / (1 - z) + 2 * d + X())
-    assert mutated != -X()
-    assert mutated != X()
+    # -2 Delta f -> +2 Delta f on the left side of the scalar pair
+    def residual(sign):
+        return tuple(
+            sign * 2 * d - z * r.v - (-2 * d / (1 - z) + 2 * d + x) for (d, x, z), r in zip(kz._GRID, kz._gauge())
+        )
+
+    assert residual(-1) == kz.vanish1_residual()
+    assert residual(1) != MINUS_X
+    assert residual(1) != tuple(-x for x in MINUS_X)
 
 
 # -- series evaluation -------------------------------------------------------
@@ -345,6 +481,18 @@ def test_ode_residual_domain_ends_at_z_0_9():
         with pytest.raises(ValueError, match="z must lie"):
             kz.ode_residual(F(1, 2), F(3, 8), z)
         assert time.perf_counter() - t0 < 0.1, z
+
+
+def test_ode_residual_domain_starts_at_z_0_1():
+    # below 0.1 the absolute residual grows with the gauge factor: at x = 7/4,
+    # Delta = 3/2 it was 9.1e-8 at z = 0.01 and 4.8e8 at 1e-6; such z raise at once
+    x, d = F(7, 4), F(3, 2)
+    for z in (math.nextafter(0.1, 0.0), 0.05, 0.01, 1e-6, 0.0):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="z must lie"):
+            kz.ode_residual(x, d, z)
+        assert time.perf_counter() - t0 < 0.1, z
+    assert kz.ode_residual(x, d, 0.1) < 1e-11
 
 
 def test_ode_residual_parameter_size():
