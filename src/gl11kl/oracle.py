@@ -1,32 +1,34 @@
 """Finite-dimensional gl(1|1) matrix modules and a tensor-decomposition oracle.
 
 The Lie superalgebra gl(1|1) has basis N, E (even) and psi+, psi- (odd) with
-nonzero brackets [N, psi+-] = +-psi+- and {psi+, psi-} = E, held by two
-constants: :data:`PARITY`, and :data:`BRACKETS`, the sparse table of the six
-nonzero superbrackets that :meth:`Gl11MatrixModule.validate` checks modules
-against.  The invariant forms kappa and kappa2 are not kept: nothing here
-reads them, and an affine Shapovalov form would bring kappa back with its use.
-This module realizes the three standard families of finite-dimensional
-modules as exact rational matrices, forms graded tensor products with Koszul
-signs, and decomposes modules back into the standard families by matching
-exact spectral statistics.
+nonzero brackets [N, psi+-] = +-psi+- and {psi+, psi-} = E.  This module
+realizes the three standard families of finite-dimensional modules as exact
+rational matrices, forms graded tensor products with Koszul signs, and
+decomposes modules back into the standard families by matching exact
+spectral statistics.
 
-A module stores each operator as a map ``{(row, col): Fraction}`` of its
-nonzero entries.  Nearly every entry is zero: a realized P(n) has 4 nonzero
-psi+- entries in 32 slots, and in a tensor product of realized modules each
-operator has at most one nonzero entry per column and tensor factor.
-Products (:func:`mul`), linear combinations (:func:`combine`), tensor
-products and the weight checks visit nonzero entries only; :func:`mat_rank`
-works on the small dense blocks between neighbouring weight spaces that
-:func:`decompose` slices out.
+Every module here lies in the category where the Cartan subalgebra acts
+semisimply, and is stored in a weight basis: basis vector i carries its
+weight (e, n), the eigenvalues of E and N, and only psi+ and psi- are
+stored, each as a map ``{(row, col): Fraction}`` of its nonzero entries.
+Nearly every entry is zero: a realized P(n) has 4 nonzero psi+- entries in
+32 slots, and in a tensor product of realized modules each odd operator has
+at most one nonzero entry per column and tensor factor.  Products
+(:func:`mul`), linear combinations (:func:`combine`), tensor products and the
+weight checks visit nonzero entries only; :func:`mat_rank` works on the
+small dense blocks between neighbouring weight spaces that :func:`decompose`
+slices out.
 
-:func:`decompose` takes modules in a weight basis, which is what
-:func:`realize` and :func:`tensor` always produce: N and E diagonal, and psi+-
-moving weight (e, n) to (e, n +- 1).  It rejects any other input with
-:class:`~gl11kl.errors.OracleError`.  In a weight basis every rank it needs is
-the rank of a small block between neighbouring weight spaces, never of a
-full-dimensional matrix.  Everything is independent of the label arithmetic
-in :mod:`gl11kl.fusion`, which is the point: it is the cross-check.
+:func:`decompose` checks only the weight steps: every nonzero entry of psi+-
+must map weight (e, n) into (e, n +- 1), or it raises
+:class:`~gl11kl.errors.OracleError`.  It does not check parity, psi+^2 =
+psi-^2 = 0 or {psi+, psi-} = E; :meth:`Gl11MatrixModule.validate` does, and
+a module that breaks them may still come back decomposed.  :func:`realize`
+and :func:`tensor` always produce modules.  In a weight basis every rank
+:func:`decompose` needs is the rank of a small block between neighbouring
+weight spaces, never of a full-dimensional matrix.  Everything is
+independent of the label arithmetic in :mod:`gl11kl.fusion`, which is the
+point: it is the cross-check.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .labels import _f
 
 Matrix = tuple  # tuple of row tuples of Fraction
 Entries = dict  # {(row, col): Fraction}, nonzero entries only
+EVEN, ODD = 0, 1
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +100,6 @@ def mat_rank(a: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the algebra itself
-# ---------------------------------------------------------------------------
-
-BASIS = ("N", "E", "psi+", "psi-")
-EVEN, ODD = 0, 1
-#: parity of each basis element, in the order of BASIS
-PARITY = (EVEN, EVEN, ODD, ODD)
-#: the six nonzero superbrackets [b_i, b_j] = sum_t c b_t as {(i, j): {t: c}}:
-#: [N, psi+-] = +-psi+- and {psi+, psi-} = E; every other bracket is zero
-BRACKETS = {(0, 2): {2: 1}, (2, 0): {2: -1}, (0, 3): {3: -1}, (3, 0): {3: 1},
-            (2, 3): {1: 1}, (3, 2): {1: 1}}
-
-
-# ---------------------------------------------------------------------------
 # labels and modules
 # ---------------------------------------------------------------------------
 
@@ -157,23 +146,28 @@ class Projective(FinLabel):
 
 
 class Gl11MatrixModule(Frozen):
-    """Matrix realization of a finite-dimensional gl(1|1)-module.
+    """Matrix realization of a finite-dimensional gl(1|1)-module in a weight basis.
 
-    ``N``, ``E``, ``psi_p`` and ``psi_m`` map (row, col) to the nonzero
-    entries of each operator; the constructor converts values to Fraction and
-    drops zeros, so a stored zero equals an absent entry.  It raises
-    :class:`OracleError` unless ``parity`` has ``dim`` entries and every key
-    lies in ``range(dim)``.
+    Basis vector i has parity ``parity[i]`` (0 even, 1 odd) and weight
+    ``weights[i] = (e, n)``: E acts on it by e and N by n.  ``psi_p`` and
+    ``psi_m`` map (row, col) to the nonzero entries of psi+ and psi-.  The
+    constructor converts weights and entries to Fraction and drops zero
+    entries, so a stored zero equals an absent entry.  It raises
+    :class:`OracleError` unless every parity is 0 or 1, ``weights`` has
+    ``dim = len(parity)`` entries and every key lies in ``range(dim)``.
     """
 
-    __slots__ = ("dim", "parity", "N", "E", "psi_p", "psi_m")
+    __slots__ = ("parity", "weights", "psi_p", "psi_m")
 
-    def __init__(self, dim, parity, N, E, psi_p, psi_m):
-        if len(parity) != dim:
-            raise OracleError(f"parity has {len(parity)} entries, not dim = {dim}")
-        object.__setattr__(self, "dim", dim)
+    def __init__(self, parity, weights, psi_p, psi_m):
+        dim = len(parity)
+        if any(p not in (EVEN, ODD) for p in parity):
+            raise OracleError("parity entries must be 0 or 1")
+        if len(weights) != dim:
+            raise OracleError(f"weights has {len(weights)} entries, not dim = {dim}")
         object.__setattr__(self, "parity", parity)
-        for name, entries in zip(self.__slots__[2:], (N, E, psi_p, psi_m)):
+        object.__setattr__(self, "weights", tuple((_f(e), _f(n)) for e, n in weights))
+        for name, entries in (("psi_p", psi_p), ("psi_m", psi_m)):
             kept = {}
             for (r, c), v in entries.items():
                 if not (0 <= r < dim and 0 <= c < dim):
@@ -183,25 +177,38 @@ class Gl11MatrixModule(Frozen):
                     kept[r, c] = v
             object.__setattr__(self, name, kept)
 
-    def validate(self) -> None:
-        """Check every superbracket of :data:`BRACKETS` and parity of :data:`PARITY`.
+    @property
+    def dim(self) -> int:
+        return len(self.parity)
 
-        For basis elements X, Y the module must satisfy
-        XY - (-1)^{|X||Y|} YX = sum_t c_t X_t with c = ``BRACKETS[X, Y]``
-        (zero where absent), and an odd X must swap the parity of a basis
-        vector, an even one keep it.  Raises :class:`OracleError` on the first failure.
+    def validate(self) -> None:
+        """Check the relations that a weight basis leaves open.
+
+        N and E are diagonal, so they commute, keep parity, and their
+        brackets with psi+- reduce to the weight step: each nonzero psi+-
+        entry maps weight (e, n) into (e, n +- 1).  Beyond that, psi+- must
+        swap parity, psi+^2 = psi-^2 = 0 and psi+ psi- + psi- psi+ = E.
+        Raises :class:`OracleError` on the first failure.
         """
-        ops = (self.N, self.E, self.psi_p, self.psi_m)
-        for name, x, parity in zip(BASIS, ops, PARITY):
-            for i, j in x:
-                if (self.parity[i] != self.parity[j]) != (parity == ODD):
-                    raise OracleError(f"{name} breaks the parity of the module")
-        for i, x in enumerate(ops):
-            for j, y in enumerate(ops):
-                sign = -1 if PARITY[i] == PARITY[j] == ODD else 1
-                lhs = combine(((1, mul(x, y)), (-sign, mul(y, x))))
-                if lhs != combine((c, ops[t]) for t, c in BRACKETS.get((i, j), {}).items()):
-                    raise OracleError(f"[{BASIS[i]}, {BASIS[j]}] does not act as BRACKETS says")
+        _check_weight_steps(self)
+        for name, x in (("psi+", self.psi_p), ("psi-", self.psi_m)):
+            if any(self.parity[i] == self.parity[j] for i, j in x):
+                raise OracleError(f"{name} breaks the parity of the module")
+            if mul(x, x):
+                raise OracleError(f"{name} squared is not zero")
+        e_diag = {(i, i): e for i, (e, _) in enumerate(self.weights) if e}
+        if combine(((1, mul(self.psi_p, self.psi_m)), (1, mul(self.psi_m, self.psi_p)))) != e_diag:
+            raise OracleError("[psi+, psi-] does not act as E")
+
+
+def _check_weight_steps(m: Gl11MatrixModule) -> None:
+    """OracleError unless every psi+- entry maps weight (e, n) into (e, n +- 1)."""
+    weights = m.weights
+    for a, step in ((m.psi_p, 1), (m.psi_m, -1)):
+        for r, c in a:
+            e_val, n_val = weights[r]
+            if weights[c] != (e_val, n_val - step):
+                raise OracleError("psi+- must map weight (e, n) into (e, n +- 1)")
 
 
 def realize(label: FinLabel) -> Gl11MatrixModule:
@@ -213,18 +220,15 @@ def realize(label: FinLabel) -> Gl11MatrixModule:
     if isinstance(label, Verma):
         n, e = label.n, label.e
         half = Fraction(1, 2)
-        n_diag, e_diag = {(0, 0): n + half, (1, 1): n - half}, {(0, 0): e, (1, 1): e}
-        return Gl11MatrixModule(2, (EVEN, ODD), n_diag, e_diag, {(0, 1): e}, {(1, 0): 1})
+        return Gl11MatrixModule((EVEN, ODD), ((e, n + half), (e, n - half)), {(0, 1): e}, {(1, 0): 1})
     if isinstance(label, Atypical):
-        return Gl11MatrixModule(1, (EVEN,), {(0, 0): label.n}, {}, {}, {})
+        return Gl11MatrixModule((EVEN,), ((0, label.n),), {}, {})
     if isinstance(label, Projective):
         n = label.n
         # basis v, psi+ v, psi- v, psi+ psi- v; note psi- psi+ v = -psi+ psi- v
         return Gl11MatrixModule(
-            4,
             (EVEN, ODD, ODD, EVEN),
-            {(0, 0): n, (1, 1): n + 1, (2, 2): n - 1, (3, 3): n},
-            {},
+            ((0, n), (0, n + 1), (0, n - 1), (0, n)),
             {(1, 0): 1, (3, 2): 1},
             {(2, 0): 1, (3, 1): -1},
         )
@@ -234,46 +238,39 @@ def realize(label: FinLabel) -> Gl11MatrixModule:
 def tensor(a: Gl11MatrixModule, b: Gl11MatrixModule) -> Gl11MatrixModule:
     """Graded tensor product with the coproduct action X -> X(x)1 + 1(x)X.
 
-    Basis vector v_i (x) w_j has index i * b.dim + j.  On it the second term
-    carries the Koszul sign (-1)^{|X||v_i|}, so for the odd generators the
-    identity factor is replaced by the parity sign of the first tensor leg.
-    Only nonzero entries of the factors are visited.
+    Basis vector v_i (x) w_j has index i * b.dim + j, and its weight is the
+    sum of the weights of v_i and w_j.  For psi+- the second term carries
+    the Koszul sign (-1)^{|v_i|}, so the identity factor is replaced by the
+    parity sign of the first tensor leg.  Only nonzero entries of the
+    factors are visited.
     """
     bd = b.dim
 
-    def build(xa: Entries, xb: Entries, odd: bool) -> Entries:
+    def build(xa: Entries, xb: Entries) -> Entries:
         out = {(k * bd + j, i * bd + j): v for (k, i), v in xa.items() for j in range(bd)}
-        for i in range(a.dim):
-            negate = odd and a.parity[i] == ODD
+        for i, p in enumerate(a.parity):
             for (l, j), v in xb.items():
                 key = (i * bd + l, i * bd + j)
-                out[key] = out.get(key, _ZERO) + (-v if negate else v)
+                out[key] = out.get(key, _ZERO) + (-v if p == ODD else v)
         return out
 
     parity = tuple((p + q) % 2 for p in a.parity for q in b.parity)
-    return Gl11MatrixModule(
-        a.dim * bd,
-        parity,
-        build(a.N, b.N, odd=False),
-        build(a.E, b.E, odd=False),
-        build(a.psi_p, b.psi_p, odd=True),
-        build(a.psi_m, b.psi_m, odd=True),
-    )
+    weights = tuple((ea + eb, na + nb) for ea, na in a.weights for eb, nb in b.weights)
+    return Gl11MatrixModule(parity, weights, build(a.psi_p, b.psi_p), build(a.psi_m, b.psi_m))
 
 
 def l0_top_matrix(m: Gl11MatrixModule, k) -> Entries:
-    """Zero-mode Virasoro action (1/k)(N E - psi+ psi-) + E/(2k) + E^2/(2k^2)."""
+    """Zero-mode Virasoro action (1/k)(N E - psi+ psi-) + E/(2k) + E^2/(2k^2).
+
+    N and E are diagonal, so every term but psi+ psi- is the diagonal
+    (e/k)(n + 1/2 + e/(2k)), read off the weights.
+    """
     k = _f(k)
     if k == 0:
         raise ValueError("level k must be nonzero")
-    return combine(
-        (
-            (1 / k, mul(m.N, m.E)),
-            (-1 / k, mul(m.psi_p, m.psi_m)),
-            (Fraction(1, 2) / k, m.E),
-            (Fraction(1, 2) / (k * k), mul(m.E, m.E)),
-        )
-    )
+    half = Fraction(1, 2)
+    diagonal = {(i, i): e / k * (n + half + half * e / k) for i, (e, n) in enumerate(m.weights)}
+    return combine(((1, diagonal), (-1 / k, mul(m.psi_p, m.psi_m))))
 
 
 def fin_label_of(label) -> FinLabel:
@@ -303,21 +300,22 @@ def fin_label_of(label) -> FinLabel:
 def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
     """Decompose into Verma / Atypical / Projective labels with multiplicity.
 
-    The module must be given in a weight basis: N and E diagonal, so basis
-    vector i has weight (e, n) = (E[i, i], N[i, i]), and every nonzero entry
-    of psi+- maps weight (e, n) into (e, n +- 1).  Anything else raises
-    :class:`OracleError`.  Basis vectors are grouped by e and then by n.  On
-    an e != 0 block the N-spectrum is matched greedily into pairs
-    (c + 1/2, c - 1/2) giving Verma multiplicities.  On the e = 0 block each
-    rank is the rank of a small block between weight spaces: psi+ from n to
-    n+1, psi- from n to n-1, and the weight-n block of the product psi+ psi-,
-    which passes through weight n-1.  The Projective count at
+    Every nonzero entry of psi+- must map weight (e, n) into (e, n +- 1), or
+    :class:`OracleError` is raised.  Parity and the odd relations (psi+^2 =
+    psi-^2 = 0, {psi+, psi-} = E) are not checked here; call
+    :meth:`Gl11MatrixModule.validate` for them.  Basis vectors are grouped by
+    e and then by n.  On an e != 0 block the N-spectrum is matched greedily
+    into pairs (c + 1/2, c - 1/2) giving Verma multiplicities.  On the e = 0
+    block each rank is the rank of a small block between weight spaces: psi+
+    from n to n+1, psi- from n to n-1, and the weight-n block of the product
+    psi+ psi-, which passes through weight n-1.  The Projective count at
     n is rank(psi+ psi- | N=n); the Verma and Atypical multiplicities are
     solved from the N-spectrum and the psi+- ranks, and any statistic
     mismatch raises :class:`OracleError`.
     """
+    _check_weight_steps(m)
     spaces: dict[Fraction, dict[Fraction, list[int]]] = {}
-    for i, (e_val, n_val) in enumerate(_weights(m)):
+    for i, (e_val, n_val) in enumerate(m.weights):
         spaces.setdefault(e_val, {}).setdefault(n_val, []).append(i)
     result: dict[FinLabel, int] = {}
     for e_val, n_bases in sorted(spaces.items()):
@@ -326,19 +324,6 @@ def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
         else:
             _decompose_zero_block(m, n_bases, result)
     return result
-
-
-def _weights(m: Gl11MatrixModule) -> list[tuple[Fraction, Fraction]]:
-    """Weight (e, n) of each basis vector; OracleError unless a weight basis."""
-    if any(r != c for r, c in m.N) or any(r != c for r, c in m.E):
-        raise OracleError("N and E must be diagonal (a weight basis)")
-    weights = [(m.E.get((i, i), _ZERO), m.N.get((i, i), _ZERO)) for i in range(m.dim)]
-    for a, step in ((m.psi_p, 1), (m.psi_m, -1)):
-        for r, c in a:
-            e_val, n_val = weights[r]
-            if weights[c] != (e_val, n_val - step):
-                raise OracleError("psi+- must map weight (e, n) into (e, n +- 1)")
-    return weights
 
 
 def _decompose_typical_block(e_val, n_bases, result) -> None:
@@ -390,9 +375,7 @@ def _decompose_zero_block(m, n_bases, result) -> None:
     found += [(Verma(c, Fraction(0)), v) for c, v in verma.items()]
     rest = {n: len(b) for n, b in n_bases.items()}
     for label, count in found:
-        candidate = realize(label)
-        for i in range(candidate.dim):
-            n_val = candidate.N.get((i, i), _ZERO)
+        for _, n_val in realize(label).weights:
             rest[n_val] = rest.get(n_val, 0) - count
     if any(a < 0 for a in rest.values()):
         raise OracleError("N-spectrum statistics infeasible on the E=0 block")

@@ -135,21 +135,23 @@ class Projective:
 
 @dataclass(frozen=True)
 class Gl11MatrixModule:
-    dim: int
     parity: tuple
-    N: Entries
-    E: Entries
+    weights: tuple
     psi_p: Entries
     psi_m: Entries
 
     def __post_init__(self):
-        if len(self.parity) != self.dim:
-            raise OracleError(f"parity has {len(self.parity)} entries, not dim = {self.dim}")
-        for name in ("N", "E", "psi_p", "psi_m"):
+        dim = len(self.parity)
+        if any(p not in (0, 1) for p in self.parity):
+            raise OracleError("parity entries must be 0 or 1")
+        if len(self.weights) != dim:
+            raise OracleError(f"weights has {len(self.weights)} entries, not dim = {dim}")
+        object.__setattr__(self, "weights", tuple((_f(e), _f(n)) for e, n in self.weights))
+        for name in ("psi_p", "psi_m"):
             kept = {}
             for (r, c), v in getattr(self, name).items():
-                if not (0 <= r < self.dim and 0 <= c < self.dim):
-                    raise OracleError(f"{name} entry ({r}, {c}) lies outside a {self.dim}-dim module")
+                if not (0 <= r < dim and 0 <= c < dim):
+                    raise OracleError(f"{name} entry ({r}, {c}) lies outside a {dim}-dim module")
                 if _f(v) != 0:
                     kept[r, c] = _f(v)
             object.__setattr__(self, name, kept)

@@ -1,4 +1,4 @@
-"""Fraction arithmetic budgets of the label and character layers' hot paths.
+"""Fraction arithmetic budgets of the label, character and oracle layers' hot paths.
 
 Label arithmetic is exact, and a ``Fraction`` operator call costs about a
 microsecond, so these paths are written to reuse the values they know.
@@ -14,6 +14,7 @@ import pytest
 
 from gl11kl import characters as ch
 from gl11kl import extensions as ex
+from gl11kl import oracle as o
 from gl11kl.labels import TypicalV, VermaV0, epsilon2
 
 from test_extensions import _grid_labels
@@ -83,3 +84,21 @@ def test_character_exponents_do_no_fraction_arithmetic(fraction_ops):
                 lhs, _ = ch.char_induced_typical(n, ehat, m_range, q_cutoff)
                 assert not lhs.is_zero
     assert fraction_ops[0] == 0
+
+
+def test_oracle_tensor_and_decompose_budgets(fraction_ops):
+    # tensor adds the two weights of each product basis vector (two calls per
+    # vector) and adds each psi+- entry of the second leg onto the map, once
+    # per basis vector of the first; decompose multiplies psi+ psi- on the
+    # E = 0 block and row-reduces the blocks between weight spaces
+    p = o.realize(o.Projective(0))
+    v = o.realize(o.Verma(Fraction(1, 2), Fraction(1, 3)))
+    counts = []
+    for step in (lambda: o.tensor(p, p), lambda: o.tensor(o.tensor(p, p), v)):
+        before = fraction_ops[0]
+        module = step()
+        counts.append(fraction_ops[0] - before)
+        before = fraction_ops[0]
+        o.decompose(module)
+        counts.append(fraction_ops[0] - before)
+    assert counts == [48, 210, 144, 128]

@@ -69,8 +69,14 @@ def _field_values(rng: Random, cls) -> list:
         return [_number(rng)]
     assert name == "Gl11MatrixModule"
     module = rng.choice(_MODULES)
-    dim = module.dim if rng.random() < 0.8 else rng.choice((1, 2, 4))
-    return [dim, module.parity, *(_entries(rng, getattr(module, f), dim) for f in cls.__slots__[2:])]
+    parity = list(module.parity)
+    if rng.random() < 0.1:
+        parity[rng.randrange(len(parity))] = rng.choice((2, -1, "1"))
+    weights = [tuple(rng.choice((v, str(v))) for v in w) for w in module.weights]
+    if rng.random() < 0.1:
+        del weights[rng.randrange(len(weights))]
+    entries = (_entries(rng, getattr(module, f), module.dim) for f in cls.__slots__[2:])
+    return [tuple(parity), weights if rng.random() < 0.5 else tuple(weights), *entries]
 
 
 def _entries(rng: Random, entries: dict, dim: int) -> dict:
