@@ -142,19 +142,19 @@ def test_zero_entries_are_dropped():
 
 def test_validate_rejects_broken_modules():
     v = o.realize(o.Verma(F(1, 2), 1))
-    broken = {
+    broken = [
         # psi- doubled: {psi+, psi-} = 2E, every other relation holds
-        "[psi+, psi-]": o.Gl11MatrixModule(v.parity, v.weights, v.psi_p, o.combine([(2, v.psi_m)])),
+        ("[psi+, psi-]", o.Gl11MatrixModule(v.parity, v.weights, v.psi_p, o.combine([(2, v.psi_m)]))),
         # the Verma's own matrices on two even vectors: psi+- keep parity
-        "psi+ breaks": o.Gl11MatrixModule((0, 0), v.weights, v.psi_p, v.psi_m),
+        ("psi+ breaks", o.Gl11MatrixModule((0, 0), v.weights, v.psi_p, v.psi_m)),
         # psi+ climbs 0 -> 1 -> 2 on E = 0 weights: psi+ psi+ sends the bottom to the top
-        "psi+ squared": _module((0, 1, 0), [0, 1, 2], [[0, 0, 0], [1, 0, 0], [0, 1, 0]], []),
+        ("psi+ squared", _module((0, 1, 0), [0, 1, 2], [[0, 0, 0], [1, 0, 0], [0, 1, 0]], [])),
         # psi+ joins N-weights 0 and 2, a step of 2
-        "psi+- must map weight": _module((0, 1), [0, 2], [[0, 0], [1, 0]], []),
-        # psi+ keeps n but changes e, a weight step in E
-        "psi+- must map": _module((0, 1), [0, 1], [[0, 0], [1, 0]], [], e=[0, 1]),
-    }
-    for where, m in broken.items():
+        ("psi+- must map weight", _module((0, 1), [0, 2], [[0, 0], [1, 0]], [])),
+        # psi+ steps n from 0 to 1 but also moves e from 0 to 1
+        ("psi+- must map weight", _module((0, 1), [0, 1], [[0, 0], [1, 0]], [], e=[0, 1])),
+    ]
+    for where, m in broken:
         with pytest.raises(OracleError, match=re.escape(where)):
             m.validate()
         with pytest.raises(OracleError):
@@ -191,12 +191,12 @@ def _perturbed_product(rng) -> o.Gl11MatrixModule:
     m = o.realize(rng.choice(labels))
     if rng.random() < 0.5:
         m = o.tensor(m, o.realize(rng.choice(labels)))
-    if rng.random() < 0.5:
-        psi = dict(rng.choice((m.psi_p, m.psi_m)) or m.psi_m)
-        if psi:
-            key = rng.choice(sorted(psi))
-            psi[key] += rng.choice((-1, 1))
-            m = o.Gl11MatrixModule(m.parity, m.weights, *((psi, m.psi_m) if key in m.psi_p else (m.psi_p, psi)))
+    maps = {"psi_p": m.psi_p, "psi_m": m.psi_m}
+    which = rng.choice(sorted(maps))
+    if maps[which] and rng.random() < 0.5:
+        psi = maps[which] = dict(maps[which])
+        psi[rng.choice(sorted(psi))] += rng.choice((-1, 1))
+        m = o.Gl11MatrixModule(m.parity, m.weights, **maps)
     return m
 
 
