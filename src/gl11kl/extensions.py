@@ -15,12 +15,13 @@ m-th generator moves V(n;ehat) to V(n + m step; ehat + m b) and A(n;l) or
 P(n;l) to the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).
 Below, summand(m) is fuse(s, generator_of(m)), the m-th summand of the
 induction of s.  One private walk, ``_orbit``, gives these summands for a run
-of m, adding step and b once per summand: ``generator_of(m)`` is the run of
-the unit A(0;0) of length one, ``induce`` is the run from -m_range to
-m_range, and ``induced_equivalent`` walks the one summand that can match.
+of m, adding step and b once per summand: ``induce`` is the run from
+-m_range to m_range, and ``induced_equivalent`` walks the one summand that
+can match; ``generator_of(m)`` is the closed form above, built from ints.
 The monodromy of a simple s (x = ehat(s)) against A(c;l) is
 x (c + l - kappa) + l (n(s) - kappa), kappa = eps(l) for a typical s and
-eps2(ell(s), l) for an atypical one; the summand weights are
+eps2(ell(s), l) for an atypical one, kept as an int pair (num, den) until a
+value is returned, and ``is_local`` tests num % den; the summand weights are
 b (step + b/2) m^2 + lin m + const, plus |l + m b|/2 for a base A(n;l); and
 the one m that can make two simples induce alike is their ehat offset over
 b, or for b = 0 their n offset over step.
@@ -79,9 +80,12 @@ class ExtensionSpec(Frozen):
     def generator_of(self, m: int) -> AtypicalA:
         """The m-th summand: the m-th fusion power of the base generator.
 
-        That is A(m step + eps(m b); m b), the m-th point of the unit's orbit.
+        That is A(m step + eps(m b); m b), the m-th point of the unit's orbit:
+        for a = p/q, A((2mp + sign(b)(sign(m) - m)q) / 2q; mb).
         """
-        return _orbit(_UNIT, self.step, self.b, _int(m), 1)[0]
+        m, b, a = _int(m), self.b, self.a
+        num = 2 * m * a.numerator + ((b > 0) - (b < 0)) * ((m > 0) - (m < 0) - m) * a.denominator
+        return AtypicalA(Fraction(num, 2 * a.denominator), m * b)
 
     @classmethod
     def custom(cls, a, b) -> "ExtensionSpec":
@@ -133,7 +137,7 @@ def _orbit(base: ModuleLabel, step: Fraction, b: int, start: int, count: int) ->
         return out
     if kind is AtypicalA or kind is ProjectiveP:
         n, ell = base.n, base.ell
-        if start:  # the unit, which generator_of walks, starts at n = 0
+        if start:  # a base at n = 0, such as the unit, skips one addition
             n = n + start * step if n else start * step
         out, sign = [], (ell > 0) - (ell < 0)
         ell += start * b
@@ -150,30 +154,40 @@ def _orbit(base: ModuleLabel, step: Fraction, b: int, start: int, count: int) ->
     return [fuse(base, c).single() for c in _orbit(_UNIT, step, b, start, count)]
 
 
-def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
-    """Delta(fuse(s, c)) - Delta(s) - Delta(c) for a simple-current c.
+def _monodromy(s: ModuleLabel, c: ModuleLabel) -> tuple[int, int]:
+    """The monodromy exponent of s against c as an unreduced (num, den) pair.
 
-    The monodromy operator is exp(2 pi i <exponent>); triviality is
-    integrality of the exponent.  For a simple s, x = ehat(s), and an
-    atypical c = A(c.n; l) it is x (c.n + l - kappa) + l (s.n - kappa), with
-    kappa = eps(l) for a typical s and eps2(s.ell, l) for an atypical one;
-    an atypical s against a typical c is that pair swapped.  Any other pair
+    For a simple s, x = ehat(s), and an atypical c = A(c.n; l) it is
+    x (c.n + l - kappa) + l (s.n - kappa), with kappa = eps(l) for a typical
+    s and eps2(s.ell, l) for an atypical one; an atypical s against a typical
+    c is that pair swapped.  With x = xp/xq, c.n = cp/cq, s.n = sp/sq and
+    k2 = 2 kappa, the numerator of kappa (0 or +-1/2), the denominator is
+    2 xq cq sq.  Any other pair
     raises, as no such fusion is a single simple label.
     """
     if type(s) is AtypicalA and type(c) is TypicalV:
         s, c = c, s
     kind = type(s)
-    if type(c) is AtypicalA and (kind is TypicalV or kind is AtypicalA):
-        ell = c.ell
-        if kind is TypicalV:
-            x, kappa = s.ehat, epsilon(ell)
-        else:
-            x, kappa = s.ell, epsilon2(s.ell, ell)
-        if kappa:
-            return x * (c.n + ell - kappa) + ell * (s.n - kappa)
-        return x * (c.n + ell) + ell * s.n
-    fuse(s, c).single()
-    raise Gl11Error("monodromy is defined against a simple fusion output")
+    if type(c) is not AtypicalA or (kind is not TypicalV and kind is not AtypicalA):
+        fuse(s, c).single()
+        raise Gl11Error("monodromy is defined against a simple fusion output")
+    ell = c.ell
+    if kind is TypicalV:
+        xp, xq, k2 = s.ehat.numerator, s.ehat.denominator, epsilon(ell).numerator
+    else:
+        xp, xq, k2 = s.ell, 1, epsilon2(s.ell, ell).numerator
+    cp, cq, sp, sq = c.n.numerator, c.n.denominator, s.n.numerator, s.n.denominator
+    num = xp * (2 * cp + (2 * ell - k2) * cq) * sq + ell * (2 * sp - k2 * sq) * xq * cq
+    return num, 2 * xq * cq * sq
+
+
+def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
+    """Delta(fuse(s, c)) - Delta(s) - Delta(c) for a simple-current c.
+
+    The monodromy operator is exp(2 pi i <exponent>); triviality is
+    integrality of the exponent, whose closed form ``_monodromy`` states.
+    """
+    return Fraction(*_monodromy(s, c))
 
 
 def is_local(s: ModuleLabel, ext: ExtensionSpec) -> bool:
@@ -184,7 +198,8 @@ def is_local(s: ModuleLabel, ext: ExtensionSpec) -> bool:
     """
     s = strip_parity(s)
     for m in (1, -1):
-        if monodromy_exponent(s, ext.generator_of(m)).denominator != 1:
+        num, den = _monodromy(s, ext.generator_of(m))
+        if num % den:
             return False
     return True
 

@@ -11,12 +11,22 @@ rules give every product:
 3. Two typicals V(n;e), V(n';e') give V(n + n' +- 1/2; e + e') when e + e'
    is not an integer, and P(n + n' + eps(l); l) when it is the integer l.
 
+The rules run on int keys at an even scale d, the lcm of 2 and the
+denominators of the inputs: A(n;l) and P(n;l) are (kind, n d, l), and
+V(n;e) is (TypicalV, n d, e d).  Then eps(l) d is the numerator of eps(l),
+which is 0 or +-1/2, times d/2, and so is eps2 d: every coordinate of a
+product is again an int at scale d, and a label, with one Fraction per
+coordinate, is built only for a product that is returned.
+
 Reducible Verma labels are rejected because their products are not part of
 the classification this package implements.  Outputs are always formal sums,
 even when a single label, so results compose uniformly.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .errors import NotDeterminedError
 from .labels import (
@@ -26,16 +36,61 @@ from .labels import (
     ProjectiveP,
     TypicalV,
     VermaV0,
-    _HALF,
-    _spread,
     epsilon,
     epsilon2,
-    k_decompose,
-    k_decompose_sum,
     strip_parity,
 )
 
 _RULE_ORDER = {AtypicalA: 0, ProjectiveP: 1, TypicalV: 2}
+
+
+def _checked(a: ModuleLabel, b: ModuleLabel):
+    """The unflipped inputs, or the error fusing them raises."""
+    a, b = strip_parity(a), strip_parity(b)
+    if isinstance(a, VermaV0) or isinstance(b, VermaV0):
+        raise NotDeterminedError("fusion against a reducible Verma label is not determined")
+    if type(a) not in _RULE_ORDER or type(b) not in _RULE_ORDER:
+        raise TypeError(f"cannot fuse {a!r} and {b!r}")
+    return a, b
+
+
+def _scale(a: ModuleLabel, b: ModuleLabel) -> int:
+    """The even scale d of a pair: the lcm of 2 and the denominators."""
+    typical = [x.ehat.denominator for x in (a, b) if type(x) is TypicalV]
+    return lcm(2, a.n.denominator, b.n.denominator, *typical)
+
+
+def _key(x: ModuleLabel, d: int) -> tuple:
+    n = x.n.numerator * (d // x.n.denominator)
+    if type(x) is TypicalV:
+        return TypicalV, n, x.ehat.numerator * (d // x.ehat.denominator)
+    return type(x), n, x.ell
+
+
+def _spread(key: tuple, d: int) -> dict:
+    """Rule 2's 1-2-1 spread of a key: n - 1, twice n, and n + 1."""
+    kind, n, second = key
+    return {(kind, n - d, second): 1, key: 2, (kind, n + d, second): 1}
+
+
+def _rules(x: tuple, y: tuple, d: int) -> dict:
+    """Rules 1-3 on two keys at the even scale d, as {key: multiplicity}."""
+    if _RULE_ORDER[x[0]] > _RULE_ORDER[y[0]]:
+        x, y = y, x
+    kind, n, ell = x
+    other, n2, second = y
+    half = d // 2
+    if kind is TypicalV:  # rule 3; ell and second are e d and e' d here
+        e = ell + second
+        if e % d:
+            return {(TypicalV, n + n2 + half, e): 1, (TypicalV, n + n2 - half, e): 1}
+        ell = e // d
+        return {(ProjectiveP, n + n2 + epsilon(ell).numerator * half, ell): 1}
+    if other is TypicalV:  # rule 1, translating a typical
+        out = (TypicalV, n + n2 - epsilon(ell).numerator * half, second + ell * d)
+    else:
+        out = (other, n + n2 - epsilon2(ell, second).numerator * half, ell + second)
+    return {out: 1} if kind is AtypicalA else _spread(out, d)  # rule 1 or 2
 
 
 def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:
@@ -44,36 +99,13 @@ def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:
     Parity flips on the inputs are ignored; parity is not propagated through
     fusion.  Raises :class:`NotDeterminedError` on reducible Verma inputs.
     """
-    a, b = strip_parity(a), strip_parity(b)
-    if isinstance(a, VermaV0) or isinstance(b, VermaV0):
-        raise NotDeterminedError("fusion against a reducible Verma label is not determined")
-    try:
-        swap = _RULE_ORDER[type(a)] > _RULE_ORDER[type(b)]
-    except KeyError:
-        raise TypeError(f"cannot fuse {a!r} and {b!r}") from None
-    if swap:
-        a, b = b, a
-    if type(a) is AtypicalA:  # rule 1
-        return FormalSum(_translate(a, b))
-    if type(a) is ProjectiveP:  # rule 2
-        return _spread(_translate(AtypicalA(a.n, a.ell), b))
-    e_sum = a.ehat + b.ehat  # rule 3
-    n_sum = a.n + b.n
-    if e_sum.denominator != 1:
-        return FormalSum([TypicalV(n_sum + _HALF, e_sum), TypicalV(n_sum - _HALF, e_sum)])
-    ell = int(e_sum)
-    return FormalSum(ProjectiveP(n_sum + epsilon(ell), ell))
-
-
-def _translate(c: AtypicalA, x: ModuleLabel) -> ModuleLabel:
-    """A(c;l) times a simple or projective x: one label of x's kind."""
-    n, ell = c.n + x.n, c.ell
-    if type(x) is TypicalV:
-        if not ell:  # A(c;0) moves n alone
-            return TypicalV(n, x.ehat)
-        return TypicalV(n - epsilon(ell), x.ehat + ell)
-    kappa = epsilon2(ell, x.ell)
-    return type(x)(n - kappa if kappa else n, ell + x.ell)
+    a, b = _checked(a, b)
+    d = _scale(a, b)
+    out = _rules(_key(a, d), _key(b, d), d)
+    kind, _, second = next(iter(out))  # the summands share their kind and second coordinate
+    if kind is TypicalV:
+        second = Fraction(second, d)
+    return FormalSum._trusted({kind(Fraction(n, d), second): m for (_, n, _), m in out.items()})
 
 
 def fuse_formal(a: FormalSum, b: FormalSum) -> FormalSum:
@@ -86,13 +118,32 @@ def fuse_formal(a: FormalSum, b: FormalSum) -> FormalSum:
     return FormalSum._trusted(out)
 
 
+def _factors(keys: dict, d: int) -> dict:
+    """Composition factors of a sum of keys: P(n;l) is A(n;l) twice and A(n +- 1;l) once."""
+    out: dict = {}
+    for (kind, n, second), m in keys.items():
+        if kind is ProjectiveP:
+            kind, parts = AtypicalA, ((n - d, m), (n, 2 * m), (n + d, m))
+        else:
+            parts = ((n, m),)
+        for n, w in parts:
+            out[kind, n, second] = out.get((kind, n, second), 0) + w
+    return out
+
+
 def k_ring_check(a: ModuleLabel, b: ModuleLabel) -> bool:
     """Does fusion commute with passing to composition factors?
 
     Compares the factors of the fusion product against the factor-wise
-    fusion of the composition factors of the inputs, both as formal sums of
-    simple labels.
+    fusion of the composition factors of the inputs, both as sums of keys
+    of simple labels.  Raises as :func:`fuse` does.
     """
-    lhs = k_decompose_sum(fuse(a, b))
-    rhs = k_decompose_sum(fuse_formal(k_decompose(a), k_decompose(b)))
-    return lhs == rhs
+    a, b = _checked(a, b)
+    d = _scale(a, b)
+    x, y = _key(a, d), _key(b, d)
+    rhs: dict = {}
+    for fx, mx in _factors({x: 1}, d).items():
+        for fy, my in _factors({y: 1}, d).items():
+            for key, m in _rules(fx, fy, d).items():
+                rhs[key] = rhs.get(key, 0) + mx * my * m
+    return _factors(_rules(x, y, d), d) == _factors(rhs, d)

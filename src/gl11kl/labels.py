@@ -326,27 +326,9 @@ def k_decompose(label: ModuleLabel) -> FormalSum:
             [AtypicalA(label.n, label.ell), AtypicalA(label.n + shift, label.ell)]
         )
     if isinstance(label, ProjectiveP):
-        return _spread(AtypicalA(label.n, label.ell))
+        n, ell = label.n, label.ell
+        return FormalSum._trusted({AtypicalA(n - 1, ell): 1, AtypicalA(n, ell): 2, AtypicalA(n + 1, ell): 1})
     raise TypeError(f"unknown label {label!r}")
-
-
-def _spread(label: ModuleLabel) -> FormalSum:
-    """The 1-2-1 spread of an unflipped label: n - 1, twice n, and n + 1."""
-    kind, second, n = type(label), _ehat_or_ell(label), label.n
-    return FormalSum._trusted({kind(n - 1, second): 1, label: 2, kind(n + 1, second): 1})
-
-
-def k_decompose_sum(s: FormalSum) -> FormalSum:
-    """Linear extension of :func:`k_decompose` to formal sums."""
-    out: dict[ModuleLabel, int] = {}
-    for label, mult in s.items():
-        if is_simple(label):  # its own single factor
-            label = strip_parity(label)
-            out[label] = out.get(label, 0) + mult
-            continue
-        for factor, m in k_decompose(label).items():
-            out[factor] = out.get(factor, 0) + mult * m
-    return FormalSum._trusted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,9 @@ def tensor(a: Gl11MatrixModule, b: Gl11MatrixModule) -> Gl11MatrixModule:
         for i, p in enumerate(a.parity):
             for (l, j), v in xb.items():
                 key = (i * bd + l, i * bd + j)
-                out[key] = out.get(key, _ZERO) + (-v if p == ODD else v)
+                v = -v if p == ODD else v
+                # only a diagonal psi entry in both factors lands on a key twice
+                out[key] = out[key] + v if key in out else v
         return out
 
     parity = tuple((p + q) % 2 for p in a.parity for q in b.parity)

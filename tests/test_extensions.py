@@ -1,5 +1,7 @@
 """Simple-current extensions: monodromy, locality, induction, weight growth."""
 
+import inspect
+import textwrap
 import warnings
 from fractions import Fraction
 from random import Random
@@ -482,6 +484,22 @@ def test_monodromy_matches_fusion_on_grid():
             kinds.add(got[0] if isinstance(got, tuple) else Fraction)
     # a value, a non-simple output, two summands, and a reducible Verma
     assert kinds == {Fraction, Gl11Error, ValueError, NotDeterminedError}
+
+
+def test_monodromy_with_kappa_negated_is_caught(monkeypatch):
+    # the mutant: _monodromy with 2 kappa replaced by -2 kappa before use
+    source = textwrap.dedent(inspect.getsource(ex._monodromy))
+    anchor = "    num = "
+    assert source.count(anchor) == 1
+    namespace = dict(vars(ex))
+    exec(source.replace(anchor, "    k2 = -k2\n" + anchor), namespace)
+    monkeypatch.setattr(ex, "_monodromy", namespace["_monodromy"])
+    labels = _grid_labels()
+    assert any(
+        _outcome(ex.monodromy_exponent, s, c) != _outcome(monodromy_by_fusion, s, c)
+        for s in labels
+        for c in labels
+    )
 
 
 def test_is_local_matches_fusion_on_grid():

@@ -15,9 +15,11 @@ import pytest
 from gl11kl import characters as ch
 from gl11kl import extensions as ex
 from gl11kl import oracle as o
+from gl11kl.errors import NotDeterminedError
+from gl11kl.fusion import fuse, k_ring_check
 from gl11kl.labels import TypicalV, VermaV0, epsilon2
 
-from test_extensions import _grid_labels
+from test_extensions import _grid_extensions, _grid_labels
 
 _OPS = ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow")
 
@@ -50,6 +52,43 @@ def test_epsilon2_does_no_fraction_arithmetic(fraction_ops):
     for ell in range(-6, 7):
         for ell2 in range(-6, 7):
             epsilon2(ell, ell2)
+    assert fraction_ops[0] == 0
+
+
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # a raise is an outcome: it must not do arithmetic either
+        return type(exc)
+
+
+def test_fusion_does_no_fraction_arithmetic(fraction_ops):
+    # the rules run on int keys; a Fraction is constructed per coordinate of
+    # a returned label, and k_ring_check returns none
+    labels = _grid_labels()
+    outcomes = set()
+    for a in labels:
+        for b in labels:
+            _attempt(fuse, a, b)
+            outcomes.add(_attempt(k_ring_check, a, b))
+    assert fraction_ops[0] == 0
+    assert outcomes == {True, NotDeterminedError}
+
+
+def test_extension_monodromy_does_no_fraction_arithmetic(fraction_ops):
+    # generator_of is a closed form over the ints of a; the exponent is an
+    # int pair, reduced once by monodromy_exponent and never by is_local
+    labels = _grid_labels()
+    for ext in _grid_extensions():
+        currents = [ext.generator_of(m) for m in range(-3, 4)]
+        for s in labels:
+            _attempt(ex.is_local, s, ext)
+            for c in currents:
+                _attempt(ex.monodromy_exponent, s, c)
+                _attempt(ex.monodromy_exponent, c, s)
+    for s in labels:
+        for c in labels:
+            _attempt(ex.monodromy_exponent, s, c)
     assert fraction_ops[0] == 0
 
 
@@ -88,9 +127,10 @@ def test_character_exponents_do_no_fraction_arithmetic(fraction_ops):
 
 def test_oracle_tensor_and_decompose_budgets(fraction_ops):
     # tensor adds the two weights of each product basis vector (two calls per
-    # vector) and adds each psi+- entry of the second leg onto the map, once
-    # per basis vector of the first; decompose multiplies psi+ psi- on the
-    # E = 0 block and row-reduces the blocks between weight spaces
+    # vector) and sets each psi+- entry of the second leg, adding only onto a
+    # diagonal entry of the first leg, which no module has; decompose
+    # multiplies psi+ psi- on the E = 0 block and row-reduces the blocks
+    # between weight spaces
     p = o.realize(o.Projective(0))
     v = o.realize(o.Verma(Fraction(1, 2), Fraction(1, 3)))
     counts = []
@@ -101,4 +141,4 @@ def test_oracle_tensor_and_decompose_budgets(fraction_ops):
         before = fraction_ops[0]
         o.decompose(module)
         counts.append(fraction_ops[0] - before)
-    assert counts == [48, 210, 144, 128]
+    assert counts == [32, 210, 96, 128]

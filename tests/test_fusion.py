@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from gl11kl import oracle
+from gl11kl import fusion, oracle
 from gl11kl.errors import NotDeterminedError
 from gl11kl.fusion import fuse, fuse_formal, k_ring_check
 from gl11kl.labels import (
@@ -20,7 +20,6 @@ from gl11kl.labels import (
     epsilon,
     epsilon2,
     k_decompose,
-    k_decompose_sum,
     strip_parity,
 )
 
@@ -197,7 +196,7 @@ def _chain_add(x, y):
 
 
 def k_decompose_by_chain(s):
-    """The former k_decompose_sum: an ``out = out + mult * factors`` chain."""
+    """Composition factors of a formal sum by an ``out = out + mult * factors`` chain."""
     out = FormalSum()
     for label, mult in s.items():
         factors = FormalSum([(lbl, mult * m) for lbl, m in k_decompose(label).items()])
@@ -236,9 +235,6 @@ def test_sums_accumulate_like_the_add_chain():
     rng = Random(40)
     for _ in range(200):
         a, b = _random_sum(rng, with_verma=True), _random_sum(rng)
-        got = k_decompose_sum(a)
-        assert got == k_decompose_by_chain(a)
-        _assert_clean(got)
         c = _random_sum(rng)
         got = fuse_formal(b, c)
         assert got == fuse_formal_by_chain(b, c)
@@ -327,3 +323,34 @@ def test_fuse_matches_nine_cases_on_grid():
             assert got == _outcome(fuse_nine_cases, a, b), (a, b)
             kinds.add(type(got) if isinstance(got, FormalSum) else got[0])
     assert kinds == {FormalSum, NotDeterminedError, TypeError}
+
+
+def k_ring_check_by_labels(a, b):
+    """The former k_ring_check: both sides as formal sums of labels."""
+    lhs = k_decompose_by_chain(fuse(a, b))
+    rhs = k_decompose_by_chain(fuse_formal(k_decompose(a), k_decompose(b)))
+    return lhs == rhs
+
+
+def test_k_ring_check_matches_labels_on_grid():
+    labels = _grid_labels()
+    outcomes = set()
+    for a in labels:
+        for b in labels:
+            got = _outcome(k_ring_check, a, b)
+            assert got == _outcome(k_ring_check_by_labels, a, b), (a, b)
+            outcomes.add(got if type(got) is bool else got[0])
+    assert outcomes == {True, NotDeterminedError, TypeError}
+
+
+def test_k_ring_check_catches_a_one_one_one_spread(monkeypatch):
+    # rule 2 spread 1-1-1 still has P's 1-2-1 composition factors on the
+    # factor-wise side, so the two sides part
+    def spread_111(key, d):
+        kind, n, second = key
+        return {(kind, n - d, second): 1, key: 1, (kind, n + d, second): 1}
+
+    monkeypatch.setattr(fusion, "_spread", spread_111)
+    labels = _grid_labels()
+    pairs = [(p, v) for p in labels if type(p) is ProjectiveP for v in labels if type(v) is TypicalV]
+    assert not all(k_ring_check(p, v) for p, v in pairs)

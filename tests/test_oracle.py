@@ -246,6 +246,37 @@ def test_tensor_is_a_module_map():
         o.tensor(b, a).validate()
 
 
+def tensor_by_zero_adds(a, b):
+    """The former tensor: each second-leg psi entry is added onto the map, from zero if absent."""
+    bd = b.dim
+
+    def build(xa, xb):
+        out = {(k * bd + j, i * bd + j): v for (k, i), v in xa.items() for j in range(bd)}
+        for i, p in enumerate(a.parity):
+            for (l, j), v in xb.items():
+                key = (i * bd + l, i * bd + j)
+                out[key] = out.get(key, F(0)) + (-v if p == o.ODD else v)
+        return out
+
+    parity = tuple((p + q) % 2 for p in a.parity for q in b.parity)
+    weights = tuple((ea + eb, na + nb) for ea, na in a.weights for eb, nb in b.weights)
+    return o.Gl11MatrixModule(parity, weights, build(a.psi_p, b.psi_p), build(a.psi_m, b.psi_m))
+
+
+def test_tensor_matches_zero_adds():
+    # no module has a diagonal psi entry, so a key is hit twice only on these
+    # hand-built inputs: the sums include v + v, v - v (dropped) and -v + v
+    diagonal = _module([0, 1], [0, 1], [[2, 1], [0, 2]], [[1, 0], [3, -1]])
+    other = _module([1, 0], [0, 0], [[2, 0], [1, 1]], [[0, 0], [0, 1]])
+    cases = [(diagonal, diagonal), (diagonal, other), (other, diagonal), (other, other)]
+    cases += [(o.realize(o.Projective(0)), o.realize(o.Verma(F(1, 2), F(1, 3)))),
+              (o.realize(o.Atypical(F(1, 2))), o.realize(o.Projective(1)))]
+    for a, b in cases:
+        assert o.tensor(a, b) == tensor_by_zero_adds(a, b), (a, b)
+    square = o.tensor(diagonal, diagonal).psi_p
+    assert square[0, 0] == 4 and (3, 3) not in square  # 2 + 2, and 2 - 2 dropped
+
+
 def test_tensor_verma_verma_spectrum():
     # direct 4x4 expectation: N eigenvalues are sums of factor eigenvalues
     a = o.realize(o.Verma(F(1, 2), 1))
