@@ -10,14 +10,10 @@ realizations used for sl(2|1):
   A(m - eps(m); -2m).
 * ``SL21_LEVEL1``: generator steps (a, b) = (1/2, 1), summands A(eps(m); m).
 
-Nothing here fuses a simple with a generator.  With step = a - eps(b), the
-m-th generator moves V(n;ehat) to V(n + m step; ehat + m b) and A(n;l) or
-P(n;l) to the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).
-Below, summand(m) is fuse(s, generator_of(m)), the m-th summand of the
-induction of s.  One private walk, ``_orbit``, gives these summands for a run
-of m, adding step and b once per summand: ``induce`` is the run from
--m_range to m_range, and ``induced_equivalent`` walks the one summand that
-can match; ``generator_of(m)`` is the closed form above, built from ints.
+Induction is fusion rule 1 applied to the generator powers: summand(m), the
+m-th summand of the induction of s, is fuse(s, generator_of(m)), which
+``_summands`` reads off ``fusion._rules`` on int keys.  With step =
+a - eps(b), summand(m) has ehat(s) + m b and, for b = 0, n(s) + m step.
 The monodromy of a simple s (x = ehat(s)) against A(c;l) is
 x (c + l - kappa) + l (n(s) - kappa), kappa = eps(l) for a typical s and
 eps2(ell(s), l) for an atypical one, kept as an int pair (num, den) until a
@@ -38,10 +34,11 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from math import lcm
 
 from .errors import Gl11Error
 from .frozen import Frozen
-from .fusion import fuse
+from .fusion import _key, _label, _rules, fuse
 from .labels import (
     AtypicalA,
     ModuleLabel,
@@ -80,12 +77,10 @@ class ExtensionSpec(Frozen):
     def generator_of(self, m: int) -> AtypicalA:
         """The m-th summand: the m-th fusion power of the base generator.
 
-        That is A(m step + eps(m b); m b), the m-th point of the unit's orbit:
-        for a = p/q, A((2mp + sign(b)(sign(m) - m)q) / 2q; mb).
+        That is A(m step + eps(m b); m b), with n = _numerator / 2q for a = p/q.
         """
-        m, b, a = _int(m), self.b, self.a
-        num = 2 * m * a.numerator + ((b > 0) - (b < 0)) * ((m > 0) - (m < 0) - m) * a.denominator
-        return AtypicalA(Fraction(num, 2 * a.denominator), m * b)
+        m = _int(m)
+        return AtypicalA(Fraction(_numerator(self, m), 2 * self.a.denominator), m * self.b)
 
     @classmethod
     def custom(cls, a, b) -> "ExtensionSpec":
@@ -113,45 +108,25 @@ SL21_MINUS_HALF = ExtensionSpec("sl21-neg-half", Fraction(1, 2), -2)
 SL21_LEVEL1 = ExtensionSpec("sl21-level1", Fraction(1, 2), 1)
 
 
-_UNIT = AtypicalA(Fraction(0), 0)
+def _numerator(ext: ExtensionSpec, m: int) -> int:
+    """2q n(generator_of(m)) for a = p/q: 2mp + sign(b)(sign(m) - m)q."""
+    b, a = ext.b, ext.a
+    return 2 * m * a.numerator + ((b > 0) - (b < 0)) * ((m > 0) - (m < 0) - m) * a.denominator
 
 
-def _orbit(base: ModuleLabel, step: Fraction, b: int, start: int, count: int) -> list:
-    """fuse(base, generator_of(m)) for m = start .. start + count - 1.
+def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
+    """fuse(base, ext.generator_of(m)).single() for each m in ms.
 
-    V(n;ehat) goes to V(n + m step; ehat + m b), and A(n;l) and P(n;l) go to
-    the same kind at (n + m step - eps(l) + eps(l + m b); l + m b).  The walk
-    adds step and b once per summand; eps(l + m b) moves only where the sign
-    of l + m b changes, at most twice along the orbit.  Any other base is
-    fused with each generator, so it raises as :func:`fuse` does.
+    Base and every generator power have int keys at d = lcm(2q, the
+    denominators of base), for a = p/q, and rule 1 gives one key each.
     """
     kind = type(base)
-    if kind is TypicalV:
-        n, e = base.n, base.ehat
-        if start:
-            n, e = n + start * step, e + start * b
-        out = [TypicalV(n, e)]
-        for _ in range(count - 1):
-            n, e = n + step, e + b
-            out.append(TypicalV(n, e))
-        return out
-    if kind is AtypicalA or kind is ProjectiveP:
-        n, ell = base.n, base.ell
-        if start:  # a base at n = 0, such as the unit, skips one addition
-            n = n + start * step if n else start * step
-        out, sign = [], (ell > 0) - (ell < 0)
-        ell += start * b
-        for i in range(count):
-            if i:
-                n, ell = n + step, ell + b
-            now = (ell > 0) - (ell < 0)
-            if now != sign:  # eps moves by d/2: eps(d) at d = +-1, an integer at +-2
-                d = now - sign
-                n += epsilon(d) if d % 2 else d // 2
-                sign = now
-            out.append(kind(n, ell))
-        return out
-    return [fuse(base, c).single() for c in _orbit(_UNIT, step, b, start, count)]
+    if kind not in (TypicalV, AtypicalA, ProjectiveP):
+        return [fuse(base, ext.generator_of(m)).single() for m in ms]  # raises as fuse does
+    q2 = 2 * ext.a.denominator
+    d = lcm(q2, base.n.denominator, base.ehat.denominator if kind is TypicalV else 1)
+    key, r, b = _key(base, d), d // q2, ext.b
+    return [_label(*_rules(key, (AtypicalA, _numerator(ext, m) * r, m * b), d), d) for m in ms]
 
 
 def _monodromy(s: ModuleLabel, c: ModuleLabel) -> tuple[int, int]:
@@ -209,7 +184,7 @@ def induce(s: ModuleLabel, ext: ExtensionSpec, m_range: int) -> list[ModuleLabel
     m_range = _int(m_range)
     if m_range < 0:
         raise ValueError(f"m_range must be non-negative, got {m_range}")
-    return _orbit(strip_parity(s), ext.step, ext.b, -m_range, 2 * m_range + 1)
+    return _summands(strip_parity(s), ext, range(-m_range, m_range + 1))
 
 
 def induced_equivalent(s: ModuleLabel, s2: ModuleLabel, ext: ExtensionSpec) -> bool:
@@ -230,7 +205,7 @@ def induced_equivalent(s: ModuleLabel, s2: ModuleLabel, ext: ExtensionSpec) -> b
         m = (s2.n - s.n) / ext.step
     else:
         return s == s2
-    return m.denominator == 1 and _orbit(s, ext.step, ext.b, int(m), 1)[0] == s2
+    return m.denominator == 1 and _summands(s, ext, (int(m),))[0] == s2
 
 
 def induced_projective_cover(

@@ -93,6 +93,12 @@ def _rules(x: tuple, y: tuple, d: int) -> dict:
     return {out: 1} if kind is AtypicalA else _spread(out, d)  # rule 1 or 2
 
 
+def _label(key: tuple, d: int) -> ModuleLabel:
+    """The label of a key at scale d: one Fraction per scaled coordinate."""
+    kind, n, second = key
+    return kind(Fraction(n, d), Fraction(second, d) if kind is TypicalV else second)
+
+
 def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:
     """Fusion product of two labels as a formal sum of labels.
 
@@ -102,10 +108,7 @@ def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:
     a, b = _checked(a, b)
     d = _scale(a, b)
     out = _rules(_key(a, d), _key(b, d), d)
-    kind, _, second = next(iter(out))  # the summands share their kind and second coordinate
-    if kind is TypicalV:
-        second = Fraction(second, d)
-    return FormalSum._trusted({kind(Fraction(n, d), second): m for (_, n, _), m in out.items()})
+    return FormalSum._trusted({_label(key, d): m for key, m in out.items()})
 
 
 def fuse_formal(a: FormalSum, b: FormalSum) -> FormalSum:

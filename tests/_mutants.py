@@ -1,0 +1,192 @@
+"""Replayable mutants: each edits a copy of the code, and Tier-1 must fail on it.
+
+Usage, from anywhere::
+
+    python tests/_mutants.py              # every mutant
+    python tests/_mutants.py --only ID    # one mutant (repeat --only for more)
+
+For each mutant the runner copies ``src/``, ``tests/``, ``bench/`` (whose
+names ``tests/test_surface.py`` reads) and ``pyproject.toml`` into a
+temporary directory, replaces the mutant's old text, which must occur
+exactly once in its file, and runs the Tier-1 command there with ``-x -q``.
+An unmutated copy runs first and must pass, so that a broken copy cannot
+count as a caught mutant.  The survivors are listed, and the exit status is
+1 if there is any, 2 if a mutant does not apply or the unmutated copy fails.
+
+Pytest does not collect this file: its name does not start with ``test_``.
+
+A mutant is (id, origin, file, old text, new text), where the origin names
+the change that first ran it by hand or added it here.  Mutants are added,
+never deleted or re-aimed to make the run pass; a survivor is a defect of
+the tests.  CHANGES.md records the hand-run mutants whose code is gone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider")
+
+EXT = "src/gl11kl/extensions.py"
+FUSION = "src/gl11kl/fusion.py"
+KZ = "src/gl11kl/kz.py"
+ORACLE = "src/gl11kl/oracle.py"
+CHARS = "src/gl11kl/characters.py"
+SERIES = "src/gl11kl/series.py"
+LABELS = "src/gl11kl/labels.py"
+CLI = "src/gl11kl/cli.py"
+
+MUTANTS = [
+    ("generator-numerator-plus-m", "induction-by-rule-1", EXT, "((m > 0) - (m < 0) - m)", "((m > 0) - (m < 0) + m)"),
+    ("summand-scale-without-2q", "induction-by-rule-1", EXT, "d = lcm(q2, base.n.denominator", "d = lcm(2, base.n.denominator"),
+    ("label-v-second-undivided", "induction-by-rule-1", FUSION, "Fraction(second, d) if kind is TypicalV else second", "second"),
+    (
+        "summand-other-kinds-unfused",
+        "induction-by-rule-1",
+        EXT,
+        "        return [fuse(base, ext.generator_of(m)).single() for m in ms]  # raises as fuse does\n",
+        "        pass\n",
+    ),
+    ("induce-range-short", "induction-by-rule-1", EXT, "range(-m_range, m_range + 1)", "range(-m_range, m_range)"),
+    ("cli-value-error-escapes", "induction-by-rule-1", CLI, "except (Gl11Error, UsageError, ValueError) as exc:", "except (Gl11Error, UsageError) as exc:"),
+    ("digit-bound-raised", "induction-by-rule-1", LABELS, "MAX_DIGITS = 1000\n", "MAX_DIGITS = 1500\n"),
+    ("spread-one-one-one", "fusion-on-keys", FUSION, "key: 2, (kind, n + d, second): 1}", "key: 1, (kind, n + d, second): 1}"),
+    ("monodromy-kappa-negated", "fusion-on-keys", EXT, "    num = xp * (2 * cp", "    k2 = -k2\n    num = xp * (2 * cp"),
+    (
+        "validate-no-psi-square",
+        "oracle-weights",
+        ORACLE,
+        '            if mul(x, x):\n                raise OracleError(f"{name} squared is not zero")\n',
+        "",
+    ),
+    (
+        "validate-no-parity",
+        "oracle-weights",
+        ORACLE,
+        '            if any(self.parity[i] == self.parity[j] for i, j in x):\n'
+        '                raise OracleError(f"{name} breaks the parity of the module")\n',
+        "",
+    ),
+    ("tensor-no-koszul-sign", "oracle-weights", ORACLE, "                v = -v if p == ODD else v\n", ""),
+    ("kz-direct-a0", "kz-grid", KZ, "2 * d * (2 * d - 1) / (1 - z)", "2 * d * (2 * d + 1) / (1 - z)"),
+    ("kz-m01-sign", "kz-grid", KZ, "m01 = tuple(-x / (1 - _Jet(z, 1))", "m01 = tuple(x / (1 - _Jet(z, 1))"),
+    ("kz-jet-quotient-rule", "kz-grid", KZ, "return _Jet(q, -q * self.d / self.v)", "return _Jet(q, q * self.d / self.v)"),
+    ("kz-log-tail-dropped", "kz-numerics", KZ, "    return prod * math.exp(log_tail)", "    return prod"),
+    ("kz-euler-maclaurin-fifth", "kz-numerics", KZ, "1.0 / (6 * n**3)", "1.0 / (5 * n**3)"),
+    (
+        "kz-x-bound-dropped",
+        "kz-numerics",
+        KZ,
+        '    if abs(xf) > _X_MAX:\n        raise ValueError("parameter too large for the z = 1 evaluation")\n',
+        "",
+    ),
+    ("induced-cut-strict", "scaled-int-characters", CHARS, "top = (bound - q) // scale", "top = (bound - q - 1) // scale"),
+    ("induced-left-d-times-b", "scaled-int-characters", CHARS, "(2 * g * (a + m * d) + d * e)", "(2 * g * (a + m * d) + d * b)"),
+    ("atypical0-telescope-sign", "integer-offset-series", CHARS, "total = row[k] - total", "total = row[k] + total"),
+    ("verma-window-floor", "integer-offset-series", CHARS, "math.ceil(lo - key[1]) - dz", "math.floor(lo - key[1]) - dz"),
+    ("below-strict", "integer-offset-series", SERIES, "if k[0] <= top}", "if k[0] < top}"),
+    (
+        "split-truncates",
+        "integer-offset-series",
+        SERIES,
+        "whole, rest = divmod(x.numerator, x.denominator)",
+        "whole = int(x)\n    rest = x.numerator - whole * x.denominator",
+    ),
+    ("digits-unicode", "src-keeps-what-runs", LABELS, '_DIGITS = rf"[0-9]{{1,{MAX_DIGITS}}}"', '_DIGITS = rf"\\d{{1,{MAX_DIGITS}}}"'),
+    ("m-range-plain-int", "src-keeps-what-runs", CLI, '"--m-range", type=_flag_int', '"--m-range", type=int'),
+    (
+        "unused-definition",
+        "src-keeps-what-runs",
+        LABELS,
+        "def strip_parity(",
+        "def _never_called():\n    return None\n\n\ndef strip_parity(",
+    ),
+    ("equivalent-off-by-one", "src-keeps-what-runs", EXT, "_summands(s, ext, (int(m),))", "_summands(s, ext, (int(m) + 1,))"),
+    ("monodromy-swap-dropped", "closed-form-extensions", EXT, "    if type(s) is AtypicalA and type(c) is TypicalV:\n        s, c = c, s\n", ""),
+    ("growth-half-b-sign", "closed-form-extensions", EXT, "            lin = lin_mid + half_b", "            lin = lin_mid - half_b"),
+    # (> for the first >= of this test is an equivalent mutant: at l = b both branches give lin_mid + b/2)
+    ("growth-one-sign-strict", "closed-form-extensions", EXT, "if ell - b >= 0 and ell + 2 * b >= 0:", "if ell - b >= 0 and ell + 2 * b > 0:"),
+    ("equivalent-b0-solve", "closed-form-extensions", EXT, "m = (s2.n - s.n) / ext.step", "m = (s2.n - s.n) / (ext.step + 1)"),
+    ("equivalent-flat-true", "closed-form-extensions", EXT, "        return s == s2", "        return True"),
+    ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "epsilon2(ell, second).numerator", "epsilon(ell).numerator"),
+]
+
+
+def _copy(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", "out")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=skip)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _apply(dest: Path, mutant: tuple) -> None:
+    mid, _, file, old, new = mutant
+    path = dest / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        print(f"mutant {mid}: its old text occurs {text.count(old)} times in {file}, not once", file=sys.stderr)
+        raise SystemExit(2)
+    path.write_text(text.replace(old, new))
+
+
+def _tier1(dest: Path) -> tuple[bool, str]:
+    """Did Tier-1 pass in dest, and the first failing test's line if not."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, *TIER1], cwd=dest, env=env, capture_output=True, text=True)
+    lines = run.stdout.strip().splitlines() or [""]
+    return run.returncode == 0, next((x for x in lines if x.startswith(("FAILED", "ERROR"))), lines[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--only", action="append", metavar="ID", help="run only this mutant")
+    args = parser.parse_args(argv)
+    known = {m[0]: m for m in MUTANTS}
+    if len(known) != len(MUTANTS):
+        parser.error("mutant ids must be unique")
+    unknown = set(args.only or ()) - set(known)
+    if unknown:
+        parser.error(f"unknown mutant ids: {sorted(unknown)}")
+    chosen = [known[mid] for mid in args.only] if args.only else MUTANTS
+    with tempfile.TemporaryDirectory() as tmp:
+        for mutant in chosen:  # every old text must match before anything runs
+            dest = Path(tmp) / mutant[0]
+            dest.mkdir()
+            _copy(dest)
+            _apply(dest, mutant)
+        base = Path(tmp) / "unmutated"
+        base.mkdir()
+        _copy(base)
+        passed, detail = _tier1(base)
+        if not passed:
+            print(f"the unmutated copy fails Tier-1: {detail}")
+            return 2
+        survivors = []
+        for mutant in chosen:
+            start = time.perf_counter()
+            passed, detail = _tier1(Path(tmp) / mutant[0])
+            took = time.perf_counter() - start
+            print(f"{'SURVIVED' if passed else 'caught  '} {mutant[0]} ({mutant[1]}, {took:.1f} s) {detail}", flush=True)
+            if passed:
+                survivors.append(mutant[0])
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants caught")
+    if survivors:
+        print("survivors: " + ", ".join(survivors))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

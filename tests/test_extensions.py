@@ -526,9 +526,10 @@ def test_induced_equivalent_matches_two_branch_on_grid():
     assert found
 
 
-def test_orbit_matches_fusion_on_grid():
-    # induce and generator_of share one orbit walk; each is checked against
-    # fusing with the former closed-form generator
+def test_induce_matches_fusion_on_grid():
+    # generator_of is checked against the former closed-form generator and
+    # against fusing the unit with it; induce, which applies fusion's rule 1
+    # to the generator keys, against fusing each summand
     unit = AtypicalA(0, 0)
     raised = 0
     for ext in _grid_extensions():
