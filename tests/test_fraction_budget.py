@@ -17,7 +17,7 @@ from gl11kl import extensions as ex
 from gl11kl import oracle as o
 from gl11kl.errors import NotDeterminedError
 from gl11kl.fusion import fuse, k_ring_check
-from gl11kl.labels import epsilon2
+from gl11kl.labels import TypicalV, VermaV0, epsilon2
 
 from test_extensions import _grid_extensions, _grid_labels
 
@@ -106,6 +106,22 @@ def test_induce_does_no_fraction_arithmetic(fraction_ops):
                 _attempt(ex.induced_projective_cover, base, ext, m_range)
     assert fraction_ops[0] == 0
     assert outcomes == {list, NotDeterminedError}
+
+
+@pytest.mark.parametrize("ext", [ex.SL21_MINUS_HALF, ex.SL21_LEVEL1], ids=lambda e: e.name)
+def test_induce_adds_once_per_coordinate_per_summand(fraction_ops, ext):
+    # the bound the per-summand walk kept: at most one call per coordinate of
+    # each summand (V moves two, A and P one) and five more.  Induction on
+    # int keys now stays at zero, which test_induce_does_no_fraction_arithmetic
+    # pins; this keeps the per-call form of the bound for each base
+    for base in _grid_labels():
+        if type(base) is VermaV0:
+            continue
+        coordinates = 2 if type(base) is TypicalV else 1
+        for m_range in range(6):
+            before = fraction_ops[0]
+            out = ex.induce(base, ext, m_range)
+            assert fraction_ops[0] - before <= coordinates * len(out) + 5, (base, m_range)
 
 
 def test_character_exponents_do_no_fraction_arithmetic(fraction_ops):
