@@ -19,14 +19,15 @@ weight checks visit nonzero entries only; :func:`mat_rank` works on the
 small dense blocks between neighbouring weight spaces that :func:`decompose`
 slices out.
 
-:func:`decompose` checks only the weight steps: every nonzero entry of psi+-
-must map weight (e, n) into (e, n +- 1), or it raises
-:class:`~gl11kl.errors.OracleError`.  It does not check parity, psi+^2 =
-psi-^2 = 0 or {psi+, psi-} = E; :meth:`Gl11MatrixModule.validate` does, and
-a module that breaks them may still come back decomposed.  :func:`realize`
-and :func:`tensor` always produce modules.  In a weight basis every rank
-:func:`decompose` needs is the rank of a small block between neighbouring
-weight spaces, never of a full-dimensional matrix.  Everything is
+:func:`decompose` first holds its input to every relation that
+:meth:`Gl11MatrixModule.validate` checks (the weight steps, psi+- swapping
+parity, psi+^2 = psi-^2 = 0 and {psi+, psi-} = E), through the one check
+both share, so a non-module raises :class:`~gl11kl.errors.OracleError` with
+validate's text and never comes back decomposed.  That check works on
+integers scaled by common denominators, and so does the decomposition after
+it; Fractions are built only for the labels returned.  In a weight basis
+every rank :func:`decompose` needs is the rank of a small block between
+neighbouring weight spaces, never of a full-dimensional matrix.  Everything is
 independent of the label arithmetic in :mod:`gl11kl.fusion`, which is the
 point: it is the cross-check.
 """
@@ -34,12 +35,13 @@ point: it is the cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import OracleError
 from .frozen import Frozen
 from .labels import _f
 
-Matrix = tuple  # tuple of row tuples of Fraction
+Matrix = tuple  # sequence of rows of ints or Fractions
 Entries = dict  # {(row, col): Fraction}, nonzero entries only
 EVEN, ODD = 0, 1
 
@@ -60,7 +62,7 @@ def mul(a: Entries, b: Entries) -> Entries:
     out: Entries = {}
     for (i, k), x in a.items():
         for j, y in b_rows.get(k, ()):
-            out[i, j] = out.get((i, j), _ZERO) + x * y
+            out[i, j] = out.get((i, j), 0) + x * y
     return {key: v for key, v in out.items() if v}
 
 
@@ -77,22 +79,30 @@ def combine(terms) -> Entries:
 
 
 def mat_rank(a: Matrix) -> int:
-    rows = [list(r) for r in a]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+    """Rank over Q of a matrix of ints or Fractions, given as a sequence of rows.
+
+    Each row is scaled to ints by the lcm of its denominators, and the rows
+    below each pivot are eliminated without division; each reduced row is
+    divided by the gcd of its entries, which keeps the entries small.
+    """
+    rows = []
+    for row in a:
+        scale = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
     rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w if w else v for v, w in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                row = [pv * v - f * w for v, w in zip(rows[r], top)]
+                g = gcd(*row)
+                rows[r] = [v // g for v in row] if g > 1 else row
         rank += 1
         if rank == len(rows):
             break
@@ -190,25 +200,40 @@ class Gl11MatrixModule(Frozen):
         swap parity, psi+^2 = psi-^2 = 0 and psi+ psi- + psi- psi+ = E.
         Raises :class:`OracleError` on the first failure.
         """
-        _check_weight_steps(self)
-        for name, x in (("psi+", self.psi_p), ("psi-", self.psi_m)):
-            if any(self.parity[i] == self.parity[j] for i, j in x):
-                raise OracleError(f"{name} breaks the parity of the module")
-            if mul(x, x):
-                raise OracleError(f"{name} squared is not zero")
-        e_diag = {(i, i): e for i, (e, _) in enumerate(self.weights) if e}
-        if combine(((1, mul(self.psi_p, self.psi_m)), (1, mul(self.psi_m, self.psi_p)))) != e_diag:
-            raise OracleError("[psi+, psi-] does not act as E")
+        _relations(self)
 
 
-def _check_weight_steps(m: Gl11MatrixModule) -> None:
-    """OracleError unless every psi+- entry maps weight (e, n) into (e, n +- 1)."""
-    weights = m.weights
-    for a, step in ((m.psi_p, 1), (m.psi_m, -1)):
-        for r, c in a:
-            e_val, n_val = weights[r]
-            if weights[c] != (e_val, n_val - step):
+def _relations(m: Gl11MatrixModule) -> tuple:
+    """The checks of :meth:`Gl11MatrixModule.validate`, on scaled integers.
+
+    With d the lcm of the weight denominators, weight (e, n) becomes the int
+    key (e d, n d); with s = lcm(d, the psi+- entry denominators), p = s psi+
+    and q = s psi- are int entry maps, and E = pq + qp reads e s^2 on the
+    diagonal.  Returns (d, keys, p, q, pq), keys in basis order, pq = p q.
+    """
+    d = lcm(*(x.denominator for w in m.weights for x in w))
+    keys = [(e.numerator * (d // e.denominator), n.numerator * (d // n.denominator)) for e, n in m.weights]
+    for x, step in ((m.psi_p, d), (m.psi_m, -d)):
+        for r, c in x:
+            e, n = keys[c]
+            if keys[r] != (e, n + step):
                 raise OracleError("psi+- must map weight (e, n) into (e, n +- 1)")
+    s = lcm(d, *(v.denominator for x in (m.psi_p, m.psi_m) for v in x.values()))
+    p, q = ({key: v.numerator * (s // v.denominator) for key, v in x.items()} for x in (m.psi_p, m.psi_m))
+    parity = m.parity
+    for name, x in (("psi+", p), ("psi-", q)):
+        if any(parity[i] == parity[j] for i, j in x):
+            raise OracleError(f"{name} breaks the parity of the module")
+        if mul(x, x):
+            raise OracleError(f"{name} squared is not zero")
+    pq = mul(p, q)
+    anti = dict(pq)
+    for key, v in mul(q, p).items():
+        anti[key] = anti.get(key, 0) + v
+    e_scale = (s // d) * s
+    if {key: v for key, v in anti.items() if v} != {(i, i): e * e_scale for i, (e, _) in enumerate(keys) if e}:
+        raise OracleError("[psi+, psi-] does not act as E")
+    return d, keys, p, q, pq
 
 
 def realize(label: FinLabel) -> Gl11MatrixModule:
@@ -302,85 +327,66 @@ def fin_label_of(label) -> FinLabel:
 def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
     """Decompose into Verma / Atypical / Projective labels with multiplicity.
 
-    Every nonzero entry of psi+- must map weight (e, n) into (e, n +- 1), or
-    :class:`OracleError` is raised.  Parity and the odd relations (psi+^2 =
-    psi-^2 = 0, {psi+, psi-} = E) are not checked here; call
-    :meth:`Gl11MatrixModule.validate` for them.  Basis vectors are grouped by
-    e and then by n.  On an e != 0 block the N-spectrum is matched greedily
-    into pairs (c + 1/2, c - 1/2) giving Verma multiplicities.  On the e = 0
-    block each rank is the rank of a small block between weight spaces: psi+
-    from n to n+1, psi- from n to n-1, and the weight-n block of the product
-    psi+ psi-, which passes through weight n-1.  The Projective count at
-    n is rank(psi+ psi- | N=n); the Verma and Atypical multiplicities are
-    solved from the N-spectrum and the psi+- ranks, and any statistic
-    mismatch raises :class:`OracleError`.
+    The module is first held to every relation that
+    :meth:`Gl11MatrixModule.validate` checks, and a failure raises
+    :class:`OracleError` with validate's text.  The rest runs on that check's
+    integers: weights scaled by their common denominator d, psi+- by s.
+    Basis vectors are grouped by e and then by n.  On an e != 0 block psi-
+    maps the Verma tops at n one-to-one into weight n - 1, so from the top
+    down the N-spectrum pairs into (c + 1/2, c - 1/2).  On the e = 0 block
+    each rank is the rank of a small block between weight spaces: psi+ from
+    n to n+1, psi- from n to n-1, and the weight-n block of psi+ psi-.  The
+    Projective count at n is rank(psi+ psi- | N=n), and unless each psi+ rank
+    is the sum those counts predict, :class:`OracleError` is raised; the
+    Verma and Atypical counts are what the psi- ranks and the N-spectrum
+    leave.
     """
-    _check_weight_steps(m)
-    spaces: dict[Fraction, dict[Fraction, list[int]]] = {}
-    for i, (e_val, n_val) in enumerate(m.weights):
-        spaces.setdefault(e_val, {}).setdefault(n_val, []).append(i)
-    result: dict[FinLabel, int] = {}
-    for e_val, n_bases in sorted(spaces.items()):
-        if e_val != 0:
-            _decompose_typical_block(e_val, n_bases, result)
+    d, keys, p, q, pq = _relations(m)
+    spaces: dict[int, dict[int, list[int]]] = {}
+    for i, (e, n) in enumerate(keys):
+        spaces.setdefault(e, {}).setdefault(n, []).append(i)
+    tops: dict[tuple[int, int], int] = {}  # (e, top n) of each Verma, scaled by d
+    proj, atyp = {}, {}
+    for e, n_bases in spaces.items():
+        if e:
+            spectrum = {n: len(b) for n, b in n_bases.items()}
+            for top in sorted(spectrum, reverse=True):
+                if spectrum[top]:
+                    tops[e, top] = spectrum[top]
+                    spectrum[top - d] -= spectrum[top]
         else:
-            _decompose_zero_block(m, n_bases, result)
+            proj, atyp = _zero_block(d, n_bases, p, q, pq, tops)
+    result: dict[FinLabel, int] = {Projective(Fraction(n, d)): c for n, c in proj.items()}
+    result.update((Verma(Fraction(2 * t - d, 2 * d), Fraction(e, d)), c) for (e, t), c in tops.items())
+    result.update((Atypical(Fraction(n, d)), c) for n, c in atyp.items())
     return result
 
 
-def _decompose_typical_block(e_val, n_bases, result) -> None:
-    spectrum: dict[Fraction, int] = {n: len(b) for n, b in n_bases.items()}
-    while spectrum:
-        top = max(spectrum)
-        below = top - 1
-        if spectrum.get(below, 0) < 1:
-            raise OracleError("N-spectrum on a typical block does not pair up")
-        label = Verma(top - Fraction(1, 2), e_val)
-        result[label] = result.get(label, 0) + 1
-        for key in (top, below):
-            spectrum[key] -= 1
-            if spectrum[key] == 0:
-                del spectrum[key]
+def _zero_block(d, n_bases, p, q, pq, tops) -> tuple[dict, dict]:
+    """Projective and Atypical counts by n key; Verma counts go into tops.
 
+    For a module (pq + qp = 0, q^2 = 0) the psi- rank at n is at least the
+    Projective counts at n and n - 1, and the N-spectrum left after the
+    Projectives and Vermas is the homology of psi-, so no count below can
+    go negative.
+    """
 
-def _decompose_zero_block(m, n_bases, result) -> None:
-    def block(a: Entries, n_to, n_from) -> Matrix:
+    def rank(x: Entries, n_to, n_from) -> int:
         cols = n_bases[n_from]
-        return tuple(tuple(a.get((r, c), _ZERO) for c in cols) for r in n_bases.get(n_to, ()))
+        return mat_rank([[x.get((r, c), 0) for c in cols] for r in n_bases.get(n_to, ())])
 
-    # psi- lowers n by one and psi+ raises it, so the weight-n block of
-    # psi+ psi- is the product of the blocks through weight n - 1
-    ppm = mul(m.psi_p, m.psi_m)
-    proj = {}
-    for n_val in n_bases:
-        r = mat_rank(block(ppm, n_val, n_val))
-        if r:
-            proj[n_val] = r
-    rank_p = {n: mat_rank(block(m.psi_p, n + 1, n)) for n in n_bases}
-    rank_m = {n: mat_rank(block(m.psi_m, n - 1, n)) for n in n_bases}
-    # psi+ ranks are determined by the projective counts alone
-    for n_val in set(n_bases) | set(proj):
-        expect = proj.get(n_val, 0) + proj.get(n_val + 1, 0)
-        if rank_p.get(n_val, 0) != expect:
+    proj = {n: r for n in n_bases if (r := rank(pq, n, n))}
+    for n in n_bases:
+        if rank(p, n + d, n) != proj.get(n, 0) + proj.get(n + d, 0):
             raise OracleError("psi+ rank statistics infeasible on the E=0 block")
-    # Verma(c, 0) count from psi- ranks after removing projective contributions
-    verma = {}
-    for n_val in set(rank_m) | set(proj):
-        v = rank_m.get(n_val, 0) - proj.get(n_val, 0) - proj.get(n_val - 1, 0)
-        if v < 0:
-            raise OracleError("psi- rank statistics infeasible on the E=0 block")
-        if v:
-            verma[n_val - Fraction(1, 2)] = v
-    # atypicals: what the realized candidates' N-spectra leave of the block's
-    # N-multiset
-    found = [(Projective(n), p) for n, p in proj.items()]
-    found += [(Verma(c, Fraction(0)), v) for c, v in verma.items()]
     rest = {n: len(b) for n, b in n_bases.items()}
-    for label, count in found:
-        for _, n_val in realize(label).weights:
-            rest[n_val] = rest.get(n_val, 0) - count
-    if any(a < 0 for a in rest.values()):
-        raise OracleError("N-spectrum statistics infeasible on the E=0 block")
-    found += [(Atypical(n), a) for n, a in rest.items() if a]
-    for label, count in found:
-        result[label] = result.get(label, 0) + count
+    for n, c in proj.items():
+        for k, share in ((n, 2), (n + d, 1), (n - d, 1)):
+            rest[k] -= share * c
+    for n in n_bases:
+        v = rank(q, n - d, n) - proj.get(n, 0) - proj.get(n - d, 0)
+        if v:
+            tops[0, n] = v
+            rest[n] -= v
+            rest[n - d] -= v
+    return proj, {n: a for n, a in rest.items() if a}

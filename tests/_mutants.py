@@ -18,7 +18,9 @@ Pytest does not collect this file: its name does not start with ``test_``.
 A mutant is (id, origin, file, old text, new text), where the origin names
 the change that first ran it by hand or added it here.  Mutants are added,
 never deleted or re-aimed to make the run pass; a survivor is a defect of
-the tests.  CHANGES.md records the hand-run mutants whose code is gone.
+the tests.  When the code a mutant edits moves, the mutant follows it with
+the same edit, and CHANGES.md says so.  CHANGES.md records the hand-run
+mutants whose code is gone.
 """
 
 from __future__ import annotations
@@ -61,19 +63,21 @@ MUTANTS = [
     ("digit-bound-raised", "induction-by-rule-1", LABELS, "MAX_DIGITS = 1000\n", "MAX_DIGITS = 1500\n"),
     ("spread-one-one-one", "fusion-on-keys", FUSION, "key: 2, (kind, n + d, second): 1}", "key: 1, (kind, n + d, second): 1}"),
     ("monodromy-kappa-negated", "fusion-on-keys", EXT, "    num = xp * (2 * cp", "    k2 = -k2\n    num = xp * (2 * cp"),
+    # these two checks moved from validate's body into _relations, which
+    # validate and decompose share; the mutants drop the same checks there
     (
         "validate-no-psi-square",
         "oracle-weights",
         ORACLE,
-        '            if mul(x, x):\n                raise OracleError(f"{name} squared is not zero")\n',
+        '        if mul(x, x):\n            raise OracleError(f"{name} squared is not zero")\n',
         "",
     ),
     (
         "validate-no-parity",
         "oracle-weights",
         ORACLE,
-        '            if any(self.parity[i] == self.parity[j] for i, j in x):\n'
-        '                raise OracleError(f"{name} breaks the parity of the module")\n',
+        '        if any(parity[i] == parity[j] for i, j in x):\n'
+        '            raise OracleError(f"{name} breaks the parity of the module")\n',
         "",
     ),
     ("tensor-no-koszul-sign", "oracle-weights", ORACLE, "                v = -v if p == ODD else v\n", ""),
@@ -118,6 +122,19 @@ MUTANTS = [
     ("equivalent-b0-solve", "closed-form-extensions", EXT, "m = (s2.n - s.n) / ext.step", "m = (s2.n - s.n) / (ext.step + 1)"),
     ("equivalent-flat-true", "closed-form-extensions", EXT, "        return s == s2", "        return True"),
     ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "epsilon2(ell, second).numerator", "epsilon(ell).numerator"),
+    ("relations-e-scale-s", "oracle-on-ints", ORACLE, "e_scale = (s // d) * s", "e_scale = s"),
+    ("relations-step-one", "oracle-on-ints", ORACLE, "((m.psi_p, d), (m.psi_m, -d))", "((m.psi_p, 1), (m.psi_m, -1))"),
+    (
+        "relations-no-anticommutator",
+        "oracle-on-ints",
+        ORACLE,
+        '        raise OracleError("[psi+, psi-] does not act as E")\n',
+        "        pass\n",
+    ),
+    ("zero-block-p-share-one", "oracle-on-ints", ORACLE, "((n, 2), (n + d, 1), (n - d, 1))", "((n, 1), (n + d, 1), (n - d, 1))"),
+    ("zero-block-verma-above", "oracle-on-ints", ORACLE, "            rest[n - d] -= v\n", "            rest[n + d] -= v\n"),
+    ("typical-pair-step-one", "oracle-on-ints", ORACLE, "spectrum[top - d] -= spectrum[top]", "spectrum[top - 1] -= spectrum[top]"),
+    ("rank-no-pivot-scale", "oracle-on-ints", ORACLE, "[pv * v - f * w for v, w", "[v - f * w for v, w"),
 ]
 
 

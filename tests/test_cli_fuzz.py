@@ -9,10 +9,18 @@ The draws cover labels of every kind, near-miss labels, numbers of 1000 and
 1001 digits, non-ASCII digits and spaces, and every flag at and beyond its
 bound.  ``--help`` is left out: its usage text on stdout is pinned in
 ``test_cli.py``.
+
+Tier-1 runs the draws of ``SEED``; :func:`fuzz` runs any seed and count
+outside pytest, for a larger run::
+
+    PYTHONPATH=src:tests python -c "import test_cli_fuzz as f; print(f.fuzz(2025, 3000))"
 """
 
+import io
 import json
 import time
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from random import Random
 
@@ -126,14 +134,14 @@ def _argv(rng):
     return argv
 
 
-def _draws():
-    rng = Random(SEED)
+def _draws(seed=SEED, count=DRAWS):
+    rng = Random(seed)
     pinned = [
         ["induce", "A(1/3;2)", "--ext", f"custom:{a},{b}", "--m-range", str(m)]
         for a, b in (("2/3", "0"), ("0", "3"), (WIDE + "/7", "-2"))
         for m in (0, MAX_INDUCE_M_RANGE, MAX_INDUCE_M_RANGE + 1)
     ]
-    return pinned + [_argv(rng) for _ in range(DRAWS)]
+    return pinned + [_argv(rng) for _ in range(count)]
 
 
 def _one_json_object(text):
@@ -143,28 +151,52 @@ def _one_json_object(text):
     return value
 
 
+def _call(argv):
+    """Exit code and seconds of one ``main`` call; an escaping exception breaks the contract."""
+    start = time.perf_counter()
+    try:
+        code = main(list(argv))
+    except Exception as exc:
+        raise AssertionError(f"{argv!r} raised {exc!r}") from exc
+    return code, time.perf_counter() - start
+
+
+def _hold(argv, code, took, out, err):
+    """Hold one finished call, with what it wrote to stdout and stderr, to the contract."""
+    context = (argv, code, out[:200], err[:200])
+    assert code in (0, 1, 2), context
+    assert took < CALL_BUDGET, (argv, took)
+    for text in (out, err):
+        assert "Traceback" not in text and "int_max_str_digits" not in text, context
+    if code == 0:
+        _one_json_object(out)
+        assert err == "", context
+    elif argv[:2] == ["kz", "verify"] and code == 1 and out:
+        assert _one_json_object(out)["all_pass"] is False and err == "", context
+    else:
+        assert out == "", context
+        assert set(_one_json_object(err)) == {"error"}, context
+
+
 def test_cli_fuzz_keeps_the_contract(capsys):
     codes = set()
     for argv in _draws():
-        start = time.perf_counter()
-        try:
-            code = main(list(argv))
-        except Exception as exc:  # an escaping exception breaks the contract
-            raise AssertionError(f"{argv!r} raised {exc!r}") from exc
-        took = time.perf_counter() - start
-        out, err = capsys.readouterr()
-        context = (argv, code, out[:200], err[:200])
-        assert code in (0, 1, 2), context
-        assert took < CALL_BUDGET, (argv, took)
-        for text in (out, err):
-            assert "Traceback" not in text and "int_max_str_digits" not in text, context
-        if code == 0:
-            _one_json_object(out)
-            assert err == "", context
-        elif argv[:2] == ["kz", "verify"] and code == 1 and out:
-            assert _one_json_object(out)["all_pass"] is False and err == "", context
-        else:
-            assert out == "", context
-            assert set(_one_json_object(err)) == {"error"}, context
+        code, took = _call(argv)
+        _hold(argv, code, took, *capsys.readouterr())
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def fuzz(seed, count) -> Counter:
+    """The draws of one seed held to the contract outside pytest; the count of each exit code.
+
+    Raises AssertionError on the first call that breaks the contract.
+    """
+    codes = Counter()
+    for argv in _draws(seed, count):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code, took = _call(argv)
+        _hold(argv, code, took, out.getvalue(), err.getvalue())
+        codes[code] += 1
+    return codes

@@ -140,20 +140,32 @@ def test_character_exponents_do_no_fraction_arithmetic(fraction_ops):
     assert fraction_ops[0] == 0
 
 
+def _oracle_products():
+    p = o.realize(o.Projective(0))
+    v = o.realize(o.Verma(Fraction(1, 2), Fraction(1, 3)))
+    return (lambda: o.tensor(p, p), lambda: o.tensor(o.tensor(p, p), v))
+
+
 def test_oracle_tensor_and_decompose_budgets(fraction_ops):
     # tensor adds the two weights of each product basis vector (two calls per
     # vector) and sets each psi+- entry of the second leg, adding only onto a
-    # diagonal entry of the first leg, which no module has; decompose
-    # multiplies psi+ psi- on the E = 0 block and row-reduces the blocks
-    # between weight spaces
-    p = o.realize(o.Projective(0))
-    v = o.realize(o.Verma(Fraction(1, 2), Fraction(1, 3)))
+    # diagonal entry of the first leg, which no module has; decompose checks
+    # the relations and takes its ranks on ints scaled by common denominators,
+    # and builds Fractions only for the returned labels, with no arithmetic
     counts = []
-    for step in (lambda: o.tensor(p, p), lambda: o.tensor(o.tensor(p, p), v)):
+    for step in _oracle_products():
         before = fraction_ops[0]
         module = step()
         counts.append(fraction_ops[0] - before)
         before = fraction_ops[0]
         o.decompose(module)
         counts.append(fraction_ops[0] - before)
-    assert counts == [32, 210, 96, 128]
+    assert counts == [32, 0, 96, 0]
+
+
+def test_oracle_validate_does_no_fraction_arithmetic(fraction_ops):
+    modules = [step() for step in _oracle_products()]
+    before = fraction_ops[0]
+    for module in modules:
+        module.validate()
+    assert fraction_ops[0] == before

@@ -200,6 +200,17 @@ def _perturbed_product(rng) -> o.Gl11MatrixModule:
     return m
 
 
+def _draw_families(rng) -> dict:
+    """Seeded weight-basis draws and perturbed products; many are not modules."""
+    return {
+        "E = 0": [_weight_draw(rng, (0,)) for _ in range(1200)],
+        "e != 0": [_weight_draw(rng, (0, 1, F(-1, 2))) for _ in range(300)],
+        "off-step": [_weight_draw(rng, (0, 1), off_step=0.2) for _ in range(300)],
+        "parity": [_weight_draw(rng, (0,), flip=0.2) for _ in range(300)],
+        "products": [_perturbed_product(rng) for _ in range(200)],
+    }
+
+
 def _passes(check, m) -> bool:
     try:
         check(m)
@@ -211,15 +222,7 @@ def _passes(check, m) -> bool:
 def test_validate_agrees_with_bracket_reference():
     # validate checks four relations; the reference checks all sixteen
     # brackets and the parity of all four basis elements
-    rng = Random(61)
-    families = {
-        "E = 0": [_weight_draw(rng, (0,)) for _ in range(1200)],
-        "e != 0": [_weight_draw(rng, (0, 1, F(-1, 2))) for _ in range(300)],
-        "off-step": [_weight_draw(rng, (0, 1), off_step=0.2) for _ in range(300)],
-        "parity": [_weight_draw(rng, (0,), flip=0.2) for _ in range(300)],
-        "products": [_perturbed_product(rng) for _ in range(200)],
-    }
-    for family, draws in families.items():
+    for family, draws in _draw_families(Random(61)).items():
         verdicts = set()
         for m in draws:
             verdict = _passes(o.Gl11MatrixModule.validate, m)
@@ -348,17 +351,21 @@ def test_decompose_rejects_lowest_weight_type():
     m = o.Gl11MatrixModule(parity=(0, 1), weights=((0, 0), (0, 1)), psi_p={(1, 0): 1}, psi_m={})
     m.validate()
     ref.check_brackets(m)
-    with pytest.raises(OracleError):
+    with pytest.raises(OracleError, match="psi\\+ rank statistics infeasible"):
         o.decompose(m)
 
 
 def test_decompose_rejects_overused_weight():
-    # psi- chains weights 1 -> 0 -> -1 through one vector at 0 (psi- squared
-    # is not zero): the ranks ask for Vermas at 1/2 and -1/2, which would
-    # both use that vector, and psi+ = 0 passes every rank check
+    # psi- chains weights 1 -> 0 -> -1 through one vector at 0, so psi-
+    # squared is not zero and the relation check refuses the module before
+    # any rank is taken; the former decompose, which skipped that check, got
+    # past its ranks (Vermas at 1/2 and -1/2, both using the vector at 0) and
+    # refused it only on the N-spectrum
     m = _module((0, 1, 0), [1, 0, -1], [], [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    with pytest.raises(OracleError, match="N-spectrum"):
+    with pytest.raises(OracleError, match="psi- squared is not zero"):
         o.decompose(m)
+    with pytest.raises(OracleError, match="N-spectrum"):
+        decompose_by_fractions(m)
 
 
 def test_decompose_rejects_psi_off_weight_step():
@@ -370,6 +377,221 @@ def test_decompose_rejects_psi_off_weight_step():
     m = o.Gl11MatrixModule(parity=(0, 1), weights=((1, 1), (0, 0)), psi_p={}, psi_m={(1, 0): 1})
     with pytest.raises(OracleError, match="psi"):
         o.decompose(m)
+
+
+def validate_by_fractions(m) -> None:
+    """The former ``Gl11MatrixModule.validate``: the relations on Fraction entry maps."""
+    _weight_steps_by_fractions(m)
+    for name, x in (("psi+", m.psi_p), ("psi-", m.psi_m)):
+        if any(m.parity[i] == m.parity[j] for i, j in x):
+            raise OracleError(f"{name} breaks the parity of the module")
+        if o.mul(x, x):
+            raise OracleError(f"{name} squared is not zero")
+    e_diag = {(i, i): e for i, (e, _) in enumerate(m.weights) if e}
+    if o.combine(((1, o.mul(m.psi_p, m.psi_m)), (1, o.mul(m.psi_m, m.psi_p)))) != e_diag:
+        raise OracleError("[psi+, psi-] does not act as E")
+
+
+def _weight_steps_by_fractions(m) -> None:
+    for a, step in ((m.psi_p, 1), (m.psi_m, -1)):
+        for r, c in a:
+            e_val, n_val = m.weights[r]
+            if m.weights[c] != (e_val, n_val - step):
+                raise OracleError("psi+- must map weight (e, n) into (e, n +- 1)")
+
+
+def rank_by_division(a) -> int:
+    """The former ``mat_rank``: Gauss-Jordan elimination over Fraction, dividing by each pivot."""
+    rows = [[F(v) for v in r] for r in a]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [v / pv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w if w else v for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def decompose_by_fractions(m) -> dict:
+    """The former ``decompose``: Fraction weights and ranks, and only the weight steps checked.
+
+    It returns labels for some inputs that are not modules, which is why the
+    tests compare with it only on modules, and on non-modules only to show
+    that it let them through.
+    """
+    _weight_steps_by_fractions(m)
+    spaces = {}
+    for i, (e_val, n_val) in enumerate(m.weights):
+        spaces.setdefault(e_val, {}).setdefault(n_val, []).append(i)
+    result = {}
+    for e_val, n_bases in sorted(spaces.items()):
+        if e_val == 0:
+            _zero_block_by_fractions(m, n_bases, result)
+            continue
+        spectrum = {n: len(b) for n, b in n_bases.items()}
+        while spectrum:
+            top = max(spectrum)
+            if spectrum.get(top - 1, 0) < 1:
+                raise OracleError("N-spectrum on a typical block does not pair up")
+            label = o.Verma(top - F(1, 2), e_val)
+            result[label] = result.get(label, 0) + 1
+            for key in (top, top - 1):
+                spectrum[key] -= 1
+                if spectrum[key] == 0:
+                    del spectrum[key]
+    return result
+
+
+def _zero_block_by_fractions(m, n_bases, result) -> None:
+    def block(a, n_to, n_from):
+        return [[a.get((r, c), F(0)) for c in n_bases[n_from]] for r in n_bases.get(n_to, ())]
+
+    ppm = o.mul(m.psi_p, m.psi_m)
+    proj = {n: r for n in n_bases if (r := rank_by_division(block(ppm, n, n)))}
+    rank_p = {n: rank_by_division(block(m.psi_p, n + 1, n)) for n in n_bases}
+    rank_m = {n: rank_by_division(block(m.psi_m, n - 1, n)) for n in n_bases}
+    for n_val in n_bases:
+        if rank_p[n_val] != proj.get(n_val, 0) + proj.get(n_val + 1, 0):
+            raise OracleError("psi+ rank statistics infeasible on the E=0 block")
+    verma = {}
+    for n_val in n_bases:
+        v = rank_m[n_val] - proj.get(n_val, 0) - proj.get(n_val - 1, 0)
+        if v < 0:
+            raise OracleError("psi- rank statistics infeasible on the E=0 block")
+        if v:
+            verma[n_val - F(1, 2)] = v
+    found = [(o.Projective(n), p) for n, p in proj.items()]
+    found += [(o.Verma(c, F(0)), v) for c, v in verma.items()]
+    rest = {n: len(b) for n, b in n_bases.items()}
+    for label, count in found:
+        for _, n_val in o.realize(label).weights:
+            rest[n_val] = rest.get(n_val, 0) - count
+    if any(a < 0 for a in rest.values()):
+        raise OracleError("N-spectrum statistics infeasible on the E=0 block")
+    found += [(o.Atypical(n), a) for n, a in rest.items() if a]
+    for label, count in found:
+        result[label] = result.get(label, 0) + count
+
+
+def _outcome(fn, m):
+    """fn(m), or the text of the OracleError it raises."""
+    try:
+        return fn(m)
+    except OracleError as exc:
+        return str(exc)
+
+
+def _products(rng, count):
+    """Seeded tensor products of one to three realized modules, up to 64 dims."""
+    for _ in range(count):
+        labels = [
+            rng.choice(
+                (
+                    o.Verma(_draws.rational(rng), rng.choice((F(0), _draws.rational(rng)))),
+                    o.Atypical(_draws.rational(rng)),
+                    o.Projective(F(rng.randint(-3, 3), rng.choice((1, 2)))),
+                )
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        module = o.realize(labels[0])
+        for lbl in labels[1:]:
+            module = o.tensor(module, o.realize(lbl))
+        yield module
+
+
+def test_validate_texts_match_fraction_reference():
+    # the same verdict and the same first failure, in the former order
+    texts = set()
+    for draws in _draw_families(Random(71)).values():
+        for m in draws:
+            want = _outcome(validate_by_fractions, m)
+            assert _outcome(o.Gl11MatrixModule.validate, m) == want, m
+            texts.add(want)
+    assert texts == {
+        None,
+        "psi+- must map weight (e, n) into (e, n +- 1)",
+        "psi+ breaks the parity of the module",
+        "psi- breaks the parity of the module",
+        "psi+ squared is not zero",
+        "psi- squared is not zero",
+        "[psi+, psi-] does not act as E",
+    }
+
+
+def test_decompose_matches_fraction_reference_on_products():
+    outcomes = set()
+    for m in _products(Random(72), 300):
+        want = decompose_by_fractions(m)
+        assert o.decompose(m) == want, m
+        outcomes.add(frozenset(type(lbl) for lbl in want))
+    assert {o.Verma, o.Atypical, o.Projective} == set().union(*outcomes)
+
+
+def test_decompose_matches_fraction_reference_on_modules():
+    # on draws that validate accepts, the same labels or the same error text;
+    # the only error the former decompose raised on a module is the psi+
+    # ranks', so its psi- rank, E = 0 N-spectrum and typical pairing errors,
+    # gone from decompose, never fired on one
+    errors, decomposed = set(), 0
+    for draws in _draw_families(Random(73)).values():
+        for m in draws:
+            if not _passes(o.Gl11MatrixModule.validate, m):
+                continue
+            want = _outcome(decompose_by_fractions, m)
+            assert _outcome(o.decompose, m) == want, m
+            if isinstance(want, str):
+                errors.add(want)
+            else:
+                decomposed += 1
+    assert errors == {"psi+ rank statistics infeasible on the E=0 block"}
+    assert decomposed > 1000
+
+
+def test_decompose_refuses_every_non_module():
+    # the recipe of the draws that found the former decompose returning labels
+    # for non-modules: E = 0, integer N, parity n mod 2, plus the other
+    # families; decompose now raises validate's text on each of them
+    rng = Random(74)
+    families = {"recipe": [_weight_draw(rng, (0,)) for _ in range(4000)], **_draw_families(rng)}
+    for family, draws in families.items():
+        rejected = let_through = 0
+        for m in draws:
+            text = _outcome(o.Gl11MatrixModule.validate, m)
+            if text is None:
+                continue
+            rejected += 1
+            assert _outcome(o.decompose, m) == text, (family, m)
+            let_through += not isinstance(_outcome(decompose_by_fractions, m), str)
+        # the former decompose returned labels for some of each family
+        assert rejected > 80 and let_through >= 4, (family, rejected, let_through)
+
+
+def test_hand_built_copy_decomposes_like_realize():
+    # no mark on realize or tensor output: a module built by hand from the
+    # same data, given as ints and strings, is the same module
+    v, p = o.Verma(F(2, 3), F(5, 7)), o.Projective(F(1, 2))
+    for labels in ([v], [p], [o.Atypical(F(-3, 4))], [p, v], [v, o.Verma(F(-2, 3), F(-5, 7))], [p, p, v]):
+        m = o.realize(labels[0])
+        for lbl in labels[1:]:
+            m = o.tensor(m, o.realize(lbl))
+        copy = o.Gl11MatrixModule(
+            tuple(int(x) for x in m.parity),
+            [(str(e), str(n)) for e, n in m.weights],
+            {key: int(x) if x.denominator == 1 else str(x) for key, x in m.psi_p.items()},
+            {key: str(x) for key, x in m.psi_m.items()},
+        )
+        assert copy == m and copy is not m
+        assert o.decompose(copy) == o.decompose(m) == decompose_by_fractions(m), labels
 
 
 def _fin_triple(rng, kinds):
