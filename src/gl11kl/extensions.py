@@ -18,9 +18,11 @@ The monodromy of a simple s (x = ehat(s)) against A(c;l) is
 x (c + l - kappa) + l (n(s) - kappa), kappa = eps(l) for a typical s and
 eps2(ell(s), l) for an atypical one, kept as an int pair (num, den) until a
 value is returned, and ``is_local`` tests num % den; the summand weights are
-b (step + b/2) m^2 + lin m + const, plus |l + m b|/2 for a base A(n;l); and
-the one m that can make two simples induce alike is their ehat offset over
-b, or for b = 0 their n offset over step.
+b (step + b/2) m^2 + lin m + const, plus |l + m b|/2 for a base A(n;l),
+which ``weight_growth`` takes on ints, at the scale 2q for a = p/q and at
+d = lcm(2q g, n.den) for lin, g the ehat denominator (1 for A); and the one
+m that can make two simples induce alike is their ehat offset over b, or
+for b = 0 their n offset over step.
 
 Locality of an induced module is decided by integrality of the monodromy
 exponents against the generators at m = +-1; the exponent is affine in m
@@ -227,42 +229,45 @@ class WeightGrowth(Frozen):
 def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     """Delta(summand(m)) as an exact polynomial of degree <= 2 in m.
 
-    With step = a - eps(b), the weights grow with quad = b (step + b/2).  A
-    typical base V(n;ehat) follows one polynomial for every m, with linear
-    coefficient b n + ehat (step + b).  An atypical base A(n;l) has weights
-    quad m^2 + lin m + const + |l + m b|/2, lin = l (step + b/2) +
-    b (n - eps(l) + l/2), so lin+- = lin +- |b|/2 as m -> +-inf.  The linear
-    coefficient reported is lin + b/2 or lin - b/2 when l + m b is >= 0 or
-    <= 0 on all of m = -1..2 (a polynomial there), and lin+ otherwise; quad
-    is always reported, even at 2l + b = 0, where those four points also lie
-    on a parabola of coefficient quad + |b|/4 that the weights do not follow.
+    With step = a - eps(b) and rate = step + b/2, the weights grow with
+    quad = b rate.  A typical base V(n;ehat) follows one polynomial for every
+    m, with linear coefficient b n + ehat (rate + b/2).  An atypical base
+    A(n;l) has weights quad m^2 + lin m + const + |l + m b|/2, lin =
+    l rate + b (n - eps(l) + l/2), so lin+- = lin +- |b|/2 as m -> +-inf.
+    The linear coefficient reported is the one of m = -1..2: lin- when all
+    four points lie on the m -> -inf side of the kink of |l + m b|, that is
+    when b (l + 2b) <= 0, and lin+ otherwise; quad is always reported, even
+    at 2l + b = 0, where those four points also lie on a parabola of
+    coefficient quad + |b|/4 that the weights do not follow.
     The classification consults both directions so that flat or falling
     ones are never missed: positive quadratic growth is
     ``lowest_weight``; with no quadratic term, a direction along which the
     weights fall is ``spectral_flow_unbounded`` and an exactly flat
     direction is ``relaxed_flat``.
+
+    On ints, for a = p/q: r = 2q rate = 2p + (b - sign b) q, and lin, lin+-
+    are taken at d = lcm(2q g, n.den), g = ehat.den for V and 1 for A; one
+    Fraction is built per returned coefficient.
     """
     s = strip_parity(s)
     if not is_simple(s):
         raise ValueError("weight growth applies to simple labels")
-    b, step = ext.b, ext.step
-    half_b = Fraction(b, 2)
-    rate = step + half_b
-    quad = b * rate
+    b, p, q = ext.b, ext.a.numerator, ext.a.denominator
+    r = 2 * p + (b - (b > 0) + (b < 0)) * q
+    n, nq = s.n.numerator, s.n.denominator
     if isinstance(s, TypicalV):
-        lin = lin_pos = lin_neg = b * s.n + s.ehat * (step + b)
+        e, g = s.ehat.numerator, s.ehat.denominator
+        d = lcm(2 * q * g, nq)
+        lin = lin_pos = lin_neg = b * n * (d // nq) + e * (r + b * q) * (d // (2 * q * g))
     else:
         ell = s.ell
-        # l/2 - eps(l) = (l - sign(l))/2, and b eps(b) = |b|/2
-        lin_mid = ell * rate + b * (s.n + Fraction(ell - (ell > 0) + (ell < 0), 2))
-        spread = Fraction(abs(b), 2)
-        lin_pos, lin_neg = lin_mid + spread, lin_mid - spread
-        if ell - b >= 0 and ell + 2 * b >= 0:
-            lin = lin_mid + half_b
-        elif ell - b <= 0 and ell + 2 * b <= 0:
-            lin = lin_mid - half_b
-        else:
-            lin = lin_pos
+        d = lcm(2 * q, nq)
+        h = d // 2
+        # b (l/2 - eps(l)) = b (l - sign(l))/2, and b eps(b) = |b|/2
+        lin = ell * r * (d // (2 * q)) + b * (n * (d // nq) + (ell - (ell > 0) + (ell < 0)) * h)
+        lin_pos, lin_neg = lin + abs(b) * h, lin - abs(b) * h
+        lin = lin_neg if b * (ell + 2 * b) <= 0 else lin_pos
+    quad = b * r
     if quad > 0:
         cls = "lowest_weight"
     elif quad < 0:
@@ -273,5 +278,4 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
         cls = "relaxed_flat"
     else:
         cls = "lowest_weight"
-    return WeightGrowth(quad, lin, cls)
-
+    return WeightGrowth(Fraction(quad, 2 * q), Fraction(lin, d), cls)

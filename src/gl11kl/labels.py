@@ -162,23 +162,25 @@ def spectral_flow(label: ModuleLabel, ell: int) -> ModuleLabel:
     projective labels compose with the conjugation automorphism, matching the
     definition of the flowed projective covers.  A reducible Verma away from
     ehat = 0 may only be flowed straight back to ehat = 0 (the inverse flow);
-    anything else is rejected as undetermined.
+    anything else is rejected as undetermined.  For n = p/q the flowed n is
+    built as one Fraction over q or 2q, with no Fraction arithmetic.
     """
     ell = _int(ell)
     if ell == 0:
         return label
     if isinstance(label, VermaV0):
-        if label.ell == 0:
-            return VermaV0(label.n - ell, ell, label.parity_flip)
-        if ell == -label.ell:
-            return VermaV0(label.n + label.ell, 0, label.parity_flip)
+        if label.ell == 0 or ell == -label.ell:  # n - ell, to ell or back to 0
+            p, q = label.n.numerator, label.n.denominator
+            return VermaV0(Fraction(p - ell * q, q), label.ell + ell, label.parity_flip)
         raise NotDeterminedError("spectral flow from ehat != 0 is only defined back to ehat = 0")
     if isinstance(label, (AtypicalA, ProjectiveP)):
         if label.ell != 0:
             raise NotDeterminedError("spectral flow of an atypical or projective label requires ehat = 0")
+        p, q = label.n.numerator, label.n.denominator
+        # n - ell - 1/2, and for a positive flow -n - ell + 1/2
         if ell < 0:
-            return type(label)(label.n - ell - _HALF, ell, label.parity_flip)
-        return type(label)(-label.n - ell + _HALF, ell, label.parity_flip)
+            return type(label)(Fraction(2 * p - (2 * ell + 1) * q, 2 * q), ell, label.parity_flip)
+        return type(label)(Fraction((1 - 2 * ell) * q - 2 * p, 2 * q), ell, label.parity_flip)
     raise NotDeterminedError("spectral flow of a typical label is not defined here")
 
 

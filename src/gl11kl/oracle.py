@@ -161,10 +161,11 @@ class Gl11MatrixModule(Frozen):
     Basis vector i has parity ``parity[i]`` (0 even, 1 odd) and weight
     ``weights[i] = (e, n)``: E acts on it by e and N by n.  ``psi_p`` and
     ``psi_m`` map (row, col) to the nonzero entries of psi+ and psi-.  The
-    constructor converts weights and entries to Fraction and drops zero
-    entries, so a stored zero equals an absent entry.  It raises
-    :class:`OracleError` unless every parity is 0 or 1, ``weights`` has
-    ``dim = len(parity)`` entries and every key lies in ``range(dim)``.
+    constructor stores parity as a tuple, converts weights and entries to
+    Fraction and drops zero entries, so a stored zero equals an absent
+    entry.  It raises :class:`OracleError` unless every parity is 0 or 1,
+    ``weights`` has ``dim = len(parity)`` entries and every key lies in
+    ``range(dim)``.
     """
 
     __slots__ = ("parity", "weights", "psi_p", "psi_m")
@@ -175,7 +176,7 @@ class Gl11MatrixModule(Frozen):
             raise OracleError("parity entries must be 0 or 1")
         if len(weights) != dim:
             raise OracleError(f"weights has {len(weights)} entries, not dim = {dim}")
-        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "parity", tuple(parity))
         object.__setattr__(self, "weights", tuple((_f(e), _f(n)) for e, n in weights))
         for name, entries in (("psi_p", psi_p), ("psi_m", psi_m)):
             kept = {}

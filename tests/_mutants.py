@@ -116,9 +116,13 @@ MUTANTS = [
     ),
     ("equivalent-off-by-one", "src-keeps-what-runs", EXT, "_summands(s, ext, (int(m),))", "_summands(s, ext, (int(m) + 1,))"),
     ("monodromy-swap-dropped", "closed-form-extensions", EXT, "    if type(s) is AtypicalA and type(c) is TypicalV:\n        s, c = c, s\n", ""),
-    ("growth-half-b-sign", "closed-form-extensions", EXT, "            lin = lin_mid + half_b", "            lin = lin_mid - half_b"),
-    # (> for the first >= of this test is an equivalent mutant: at l = b both branches give lin_mid + b/2)
-    ("growth-one-sign-strict", "closed-form-extensions", EXT, "if ell - b >= 0 and ell + 2 * b >= 0:", "if ell - b >= 0 and ell + 2 * b > 0:"),
+    # these two followed weight_growth onto ints, where one sign test picks
+    # lin- or lin+: the first flips the half-b spread reported, the second
+    # makes the l + 2b test strict.  The former ell - b >= 0 test is gone:
+    # it only chose between branches that give the same lin, which is why
+    # its > mutant was equivalent.
+    ("growth-half-b-sign", "closed-form-extensions", EXT, "lin = lin_neg if b * (ell + 2 * b) <= 0 else lin_pos", "lin = lin_pos if b * (ell + 2 * b) <= 0 else lin_neg"),
+    ("growth-one-sign-strict", "closed-form-extensions", EXT, "if b * (ell + 2 * b) <= 0 else", "if b * (ell + 2 * b) < 0 else"),
     ("equivalent-b0-solve", "closed-form-extensions", EXT, "m = (s2.n - s.n) / ext.step", "m = (s2.n - s.n) / (ext.step + 1)"),
     ("equivalent-flat-true", "closed-form-extensions", EXT, "        return s == s2", "        return True"),
     ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "epsilon2(ell, second).numerator", "epsilon(ell).numerator"),
@@ -135,6 +139,15 @@ MUTANTS = [
     ("zero-block-verma-above", "oracle-on-ints", ORACLE, "            rest[n - d] -= v\n", "            rest[n + d] -= v\n"),
     ("typical-pair-step-one", "oracle-on-ints", ORACLE, "spectrum[top - d] -= spectrum[top]", "spectrum[top - 1] -= spectrum[top]"),
     ("rank-no-pivot-scale", "oracle-on-ints", ORACLE, "[pv * v - f * w for v, w", "[v - f * w for v, w"),
+    ("growth-spread-b", "label-outputs-on-ints", EXT, "lin + abs(b) * h, lin - abs(b) * h", "lin + b * h, lin - b * h"),
+    ("growth-atypical-scale-without-2", "label-outputs-on-ints", EXT, "d = lcm(2 * q, nq)", "d = lcm(q, nq)"),
+    ("growth-typical-scale-without-2", "label-outputs-on-ints", EXT, "d = lcm(2 * q * g, nq)", "d = lcm(q * g, nq)"),
+    ("growth-rate-sign-b-flipped", "label-outputs-on-ints", EXT, "(b - (b > 0) + (b < 0)) * q", "(b + (b > 0) - (b < 0)) * q"),
+    ("flow-negative-numerator", "label-outputs-on-ints", LABELS, "(2 * ell + 1) * q", "(2 * ell - 1) * q"),
+    ("flow-positive-numerator", "label-outputs-on-ints", LABELS, "(1 - 2 * ell) * q - 2 * p", "(1 - 2 * ell) * q + 2 * p"),
+    ("flow-verma-back-keeps-ell", "label-outputs-on-ints", LABELS, "label.ell + ell, label.parity_flip", "ell, label.parity_flip"),
+    ("oracle-parity-as-passed", "label-outputs-on-ints", ORACLE, 'object.__setattr__(self, "parity", tuple(parity))', 'object.__setattr__(self, "parity", parity)'),
+    ("kz-verify-fail-exits-zero", "label-outputs-on-ints", CLI, 'payload.get("all_pass", True):\n        return 1', 'payload.get("all_pass", True):\n        return 0'),
 ]
 
 

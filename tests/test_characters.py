@@ -256,6 +256,10 @@ def test_bad_arguments():
         ch.char_verma(0, 0, -1)
     with pytest.raises(ValueError):
         ch.char_atypical0(0, 1, (2, 1))
+    with pytest.raises(ValueError, match="q_cutoff must be nonnegative"):
+        ch.char_atypical0(0, -1, (1, 2))
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        ch._universal_product(-1)
     with pytest.raises(ValueError):
         ch.char_induced_typical(0, F(1, 2), 0, 1)
 

@@ -154,6 +154,16 @@ def test_kz_verify(capsys):
     assert len(payload["checks"]) == 5
 
 
+def test_failing_kz_verify_exits_one_after_its_report(capsys, monkeypatch):
+    from gl11kl import kz
+
+    report = [{"check": "passing", "status": "pass"}, {"check": "failing", "status": "fail"}]
+    monkeypatch.setattr(kz, "verification_report", lambda tol: report)
+    code, out, err = run(capsys, "kz", "verify")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"checks": report, "all_pass": False}
+
+
 def test_output_deterministic(capsys):
     first = run(capsys, "fuse", "P(1/2;1)", "P(-1/2;-1)")
     second = run(capsys, "fuse", "P(1/2;1)", "P(-1/2;-1)")

@@ -19,7 +19,9 @@ from gl11kl.labels import (
     VermaV0,
     delta,
     epsilon,
+    _int,
     is_simple,
+    spectral_flow,
     strip_parity,
 )
 from gl11kl.series import jacobi_equal_to_cutoff
@@ -329,6 +331,63 @@ def sampled_weight_growth(s, ext):
     return ex.WeightGrowth(quad, report_lin, cls)
 
 
+def weight_growth_by_fractions(s, ext):
+    """The former weight_growth: the closed form in Fraction arithmetic."""
+    s = strip_parity(s)
+    if not is_simple(s):
+        raise ValueError("weight growth applies to simple labels")
+    b, step = ext.b, ext.step
+    half_b = Fraction(b, 2)
+    rate = step + half_b
+    quad = b * rate
+    if isinstance(s, TypicalV):
+        lin = lin_pos = lin_neg = b * s.n + s.ehat * (step + b)
+    else:
+        ell = s.ell
+        # l/2 - eps(l) = (l - sign(l))/2, and b eps(b) = |b|/2
+        lin_mid = ell * rate + b * (s.n + Fraction(ell - (ell > 0) + (ell < 0), 2))
+        spread = Fraction(abs(b), 2)
+        lin_pos, lin_neg = lin_mid + spread, lin_mid - spread
+        if ell - b >= 0 and ell + 2 * b >= 0:
+            lin = lin_mid + half_b
+        elif ell - b <= 0 and ell + 2 * b <= 0:
+            lin = lin_mid - half_b
+        else:
+            lin = lin_pos
+    if quad > 0:
+        cls = "lowest_weight"
+    elif quad < 0:
+        raise Gl11Error("summand weights are unbounded above and below")
+    elif lin_pos < 0 or lin_neg > 0:
+        cls = "spectral_flow_unbounded"
+    elif lin_pos == 0 or lin_neg == 0:
+        cls = "relaxed_flat"
+    else:
+        cls = "lowest_weight"
+    return ex.WeightGrowth(quad, lin, cls)
+
+
+def spectral_flow_by_fractions(label, ell):
+    """The former labels.spectral_flow, in Fraction arithmetic."""
+    ell = _int(ell)
+    if ell == 0:
+        return label
+    half = Fraction(1, 2)
+    if isinstance(label, VermaV0):
+        if label.ell == 0:
+            return VermaV0(label.n - ell, ell, label.parity_flip)
+        if ell == -label.ell:
+            return VermaV0(label.n + label.ell, 0, label.parity_flip)
+        raise NotDeterminedError("spectral flow from ehat != 0 is only defined back to ehat = 0")
+    if isinstance(label, (AtypicalA, ProjectiveP)):
+        if label.ell != 0:
+            raise NotDeterminedError("spectral flow of an atypical or projective label requires ehat = 0")
+        if ell < 0:
+            return type(label)(label.n - ell - half, ell, label.parity_flip)
+        return type(label)(-label.n - ell + half, ell, label.parity_flip)
+    raise NotDeterminedError("spectral flow of a typical label is not defined here")
+
+
 def _random_extension(rng):
     """A named extension or a custom generator A(a; b) with b in [-4, 4]."""
     r = rng.random()
@@ -607,6 +666,45 @@ def test_weight_growth_across_the_kink_at_minus_half():
     summands = ex.induce(AtypicalA(F(3, 2), 1), MH, 20)
     weights = [delta(summands[20 + m]) for m in (0, 1, 3, 20)]
     assert weights == [2, -1, -5, -39]
+
+
+def test_weight_growth_matches_fraction_body_on_grid():
+    # the int closed form against its former Fraction body, by value, type,
+    # repr, and exception type and text; the draws add custom extensions
+    labels = _grid_labels()
+    rng = Random(62)
+    draws = [(_random_extension(rng), rng.choice([_draws.typical(rng), _draws.atypical(rng, max_ell=5)])) for _ in range(600)]
+    seen = set()
+    for ext, s in [(ext, s) for ext in _grid_extensions() for s in labels] + draws:
+        got = _outcome(ex.weight_growth, s, ext)
+        assert got == _outcome(weight_growth_by_fractions, s, ext), (s, ext)
+        if isinstance(got, tuple):
+            seen.add(got[0])
+        else:
+            assert repr(got) == repr(weight_growth_by_fractions(s, ext))
+            assert type(got.quadratic_coeff) is type(got.linear_coeff) is Fraction
+            seen.add(got.classification)
+    assert seen == {ValueError, Gl11Error, "lowest_weight", "spectral_flow_unbounded", "relaxed_flat"}
+
+
+def test_spectral_flow_matches_fraction_body_on_grid():
+    # every grid label, supported or not, and the Vermas at ehat != 0 flowed
+    # back to ehat = 0, at flows -3..3
+    rng = Random(63)
+    sources = _grid_labels() + [VermaV0(_draws.rational(rng, 40, 9), 0) for _ in range(40)]
+    sources += [k(_draws.rational(rng, 40, 9), 0, rng.random() < 0.5) for k in (AtypicalA, ProjectiveP) for _ in range(40)]
+    flowed = set()
+    for src in sources:
+        for ell in range(-3, 4):
+            got = _outcome(spectral_flow, src, ell)
+            assert got == _outcome(spectral_flow_by_fractions, src, ell), (src, ell)
+            if not isinstance(got, tuple) and ell:
+                assert type(got.n) is Fraction and got.parity_flip == src.parity_flip
+                flowed.add((type(src), ell > 0, src.ell == 0))
+    # both flows of every kind from ehat = 0, and Vermas back from either side
+    assert flowed == {(k, up, True) for k in (AtypicalA, ProjectiveP, VermaV0) for up in (False, True)} | {
+        (VermaV0, up, False) for up in (False, True)
+    }
 
 
 def test_closed_forms_do_not_fuse(monkeypatch):

@@ -15,11 +15,11 @@ import pytest
 from gl11kl import characters as ch
 from gl11kl import extensions as ex
 from gl11kl import oracle as o
-from gl11kl.errors import NotDeterminedError
+from gl11kl.errors import Gl11Error, NotDeterminedError
 from gl11kl.fusion import fuse, k_ring_check
-from gl11kl.labels import TypicalV, VermaV0, epsilon2
+from gl11kl.labels import AtypicalA, ProjectiveP, TypicalV, VermaV0, epsilon2, spectral_flow
 
-from test_extensions import _grid_extensions, _grid_labels
+from test_extensions import GRID_NS, _grid_extensions, _grid_labels
 
 _OPS = ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow")
 
@@ -40,6 +40,20 @@ def fraction_ops(monkeypatch):
         for name in (f"__{op}__", f"__r{op}__"):
             monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
     return calls
+
+
+@pytest.fixture
+def fraction_builds(monkeypatch):
+    """A one-item list holding the number of Fractions constructed so far."""
+    built = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return built
 
 
 def test_counter_sees_forward_and_reflected_calls(fraction_ops):
@@ -106,6 +120,47 @@ def test_induce_does_no_fraction_arithmetic(fraction_ops):
                 _attempt(ex.induced_projective_cover, base, ext, m_range)
     assert fraction_ops[0] == 0
     assert outcomes == {list, NotDeterminedError}
+
+
+def test_weight_growth_does_no_fraction_arithmetic(fraction_ops):
+    # a closed form over the ints of a, b and the label, at one scale for
+    # the linear coefficients; a raise does no arithmetic either
+    outcomes = set()
+    for ext in _grid_extensions():
+        for s in _grid_labels():
+            got = _attempt(ex.weight_growth, s, ext)
+            outcomes.add(got if isinstance(got, type) else type(got))
+    assert fraction_ops[0] == 0
+    assert outcomes == {ex.WeightGrowth, ValueError, Gl11Error}
+
+
+def test_weight_growth_builds_one_fraction_per_coefficient(fraction_builds):
+    # two on a return, none on a raise
+    for ext in _grid_extensions():
+        for s in _grid_labels():
+            before = fraction_builds[0]
+            got = _attempt(ex.weight_growth, s, ext)
+            assert fraction_builds[0] - before == (2 if type(got) is ex.WeightGrowth else 0), (s, ext)
+
+
+def test_fraction_builds_counter_sees_constructions(fraction_builds):
+    Fraction(1, 2), Fraction(3), Fraction("1/3")
+    assert fraction_builds[0] == 3
+
+
+def test_spectral_flow_does_no_fraction_arithmetic(fraction_ops):
+    # every supported source: A, P and Verma0 at ehat = 0, and Verma0 away
+    # from it flowed back; each flowed n is one Fraction over q or 2q
+    for n in GRID_NS:
+        for ell in range(-3, 4):
+            for kind in (AtypicalA, ProjectiveP, VermaV0):
+                spectral_flow(kind(n, 0), ell)
+                spectral_flow(kind(n, 0, True), ell)
+            spectral_flow(VermaV0(n, ell), -ell)
+    for label in _grid_labels():  # the unsupported ones raise without arithmetic
+        for ell in range(-3, 4):
+            _attempt(spectral_flow, label, ell)
+    assert fraction_ops[0] == 0
 
 
 @pytest.mark.parametrize("ext", [ex.SL21_MINUS_HALF, ex.SL21_LEVEL1], ids=lambda e: e.name)

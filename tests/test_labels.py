@@ -9,6 +9,7 @@ from gl11kl.errors import NotDeterminedError
 from gl11kl.labels import (
     AtypicalA,
     FormalSum,
+    ModuleLabel,
     ProjectiveP,
     TypicalV,
     VermaV0,
@@ -161,6 +162,12 @@ def test_projective_cover():
         projective_cover(ProjectiveP(0, 0))
 
 
+class _Unknown(ModuleLabel):
+    """A label kind that no function of the package knows."""
+
+    __slots__ = ("n", "parity_flip")
+
+
 def test_k_decompose_cases():
     assert k_decompose(VermaV0(0, 0)) == FormalSum(
         [AtypicalA(F(-1, 2), 0), AtypicalA(F(1, 2), 0)]
@@ -176,6 +183,8 @@ def test_k_decompose_cases():
     )
     v = TypicalV(n, F(1, 2))
     assert k_decompose(v) == FormalSum(v)
+    with pytest.raises(TypeError, match="unknown label"):
+        k_decompose(_Unknown(n, False))
 
 
 def test_k_decompose_multiplicity_and_top_dims():
@@ -202,6 +211,8 @@ def test_top_dim_values():
     assert top_dim(VermaV0(0, 0)) == 2
     assert top_dim(ProjectiveP(0, 0)) == 4
     assert top_dim(ProjectiveP(0, -1)) == 2
+    with pytest.raises(TypeError, match="unknown label"):
+        top_dim(_Unknown(0, False))
 
 
 def test_render_parse_round_trip():
@@ -305,5 +316,7 @@ def test_formal_sum_scaling_is_checked():
             bad * s
         with pytest.raises(ValueError, match="expected an integer"):
             s * bad
+    with pytest.raises(ValueError, match="scaling must be nonnegative"):
+        -1 * s
     assert 2.0 * s == 2 * s == s * Fraction(2)
     assert all(type(m) is int for _, m in 2.0 * s)

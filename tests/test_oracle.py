@@ -9,7 +9,7 @@ import pytest
 from gl11kl import oracle as o
 from gl11kl.errors import OracleError
 from gl11kl.fusion import fuse, fuse_formal
-from gl11kl.labels import AtypicalA, FormalSum, ProjectiveP, TypicalV
+from gl11kl.labels import AtypicalA, FormalSum, ProjectiveP, TypicalV, VermaV0
 
 import _bracket_oracle as ref
 import _draws
@@ -91,6 +91,11 @@ def test_realized_modules_satisfy_brackets():
             label = o.Projective(n)
         o.realize(label).validate()
         ref.check_brackets(o.realize(label))
+    shadow = o.fin_label_of(VermaV0(F(-5, 2), 0))
+    assert shadow == o.Verma(F(-5, 2), 0)
+    ref.check_brackets(o.realize(shadow))
+    with pytest.raises(TypeError, match="unknown label"):
+        o.realize(AtypicalA(0, 0))  # a category label, not its finite shadow
 
 
 def _module(parity, n, psi_p, psi_m, e=None):
@@ -578,20 +583,23 @@ def test_decompose_refuses_every_non_module():
 
 def test_hand_built_copy_decomposes_like_realize():
     # no mark on realize or tensor output: a module built by hand from the
-    # same data, given as ints and strings, is the same module
+    # same data, given as ints and strings and its parity as a tuple or a
+    # list, is the same module
     v, p = o.Verma(F(2, 3), F(5, 7)), o.Projective(F(1, 2))
     for labels in ([v], [p], [o.Atypical(F(-3, 4))], [p, v], [v, o.Verma(F(-2, 3), F(-5, 7))], [p, p, v]):
         m = o.realize(labels[0])
         for lbl in labels[1:]:
             m = o.tensor(m, o.realize(lbl))
-        copy = o.Gl11MatrixModule(
-            tuple(int(x) for x in m.parity),
-            [(str(e), str(n)) for e, n in m.weights],
-            {key: int(x) if x.denominator == 1 else str(x) for key, x in m.psi_p.items()},
-            {key: str(x) for key, x in m.psi_m.items()},
-        )
-        assert copy == m and copy is not m
-        assert o.decompose(copy) == o.decompose(m) == decompose_by_fractions(m), labels
+        for parity in (tuple, list):
+            copy = o.Gl11MatrixModule(
+                parity(int(x) for x in m.parity),
+                [(str(e), str(n)) for e, n in m.weights],
+                {key: int(x) if x.denominator == 1 else str(x) for key, x in m.psi_p.items()},
+                {key: str(x) for key, x in m.psi_m.items()},
+            )
+            assert copy == m and copy is not m
+            assert o.decompose(copy) == o.decompose(m) == decompose_by_fractions(m), labels
+    assert o.Gl11MatrixModule(m.parity, m.weights, m.psi_p, m.psi_m).parity is m.parity
 
 
 def _fin_triple(rng, kinds):

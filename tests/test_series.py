@@ -57,6 +57,8 @@ def test_negative_window_rejected():
         jacobi_equal_to_cutoff(a, b, -1)
     with pytest.raises(ValueError, match="nonnegative"):
         jacobi_equal_to_cutoff(JacobiSeries(), JacobiSeries(), Fraction(-1, 2))
+    with pytest.raises(ValueError, match="q_cutoff must be nonnegative"):
+        S({(0, 0, 0): 1}, cutoff=-1)
     assert not jacobi_equal_to_cutoff(a, b, 0)
 
 
@@ -104,7 +106,7 @@ def test_exponents_split_by_floor():
 
 def test_emptied_series_is_the_empty_series():
     got = ch.characters(TypicalV(F(-7, 3), F(5, 2)), 3, (F(1, 2), F(2, 3)))
-    assert got == S({}, 3)
+    assert got == S({}, 3) and jacobi_equal_to_cutoff(got, S({}, 3), 3)
     assert got.is_zero and got.min_q() is None
     assert got.terms == {} and list(got.sorted_terms()) == []
     assert repr(got) == "JacobiSeries(0 terms, min_q=None, q_cutoff=3)"
