@@ -121,7 +121,7 @@ MUTANTS = [
     # makes the l + 2b test strict.  The former ell - b >= 0 test is gone:
     # it only chose between branches that give the same lin, which is why
     # its > mutant was equivalent.
-    ("growth-half-b-sign", "closed-form-extensions", EXT, "lin = lin_neg if b * (ell + 2 * b) <= 0 else lin_pos", "lin = lin_pos if b * (ell + 2 * b) <= 0 else lin_neg"),
+    ("growth-half-b-sign", "closed-form-extensions", EXT, "lin_neg if b * (ell + 2 * b) <= 0 else lin_pos", "lin_pos if b * (ell + 2 * b) <= 0 else lin_neg"),
     ("growth-one-sign-strict", "closed-form-extensions", EXT, "if b * (ell + 2 * b) <= 0 else", "if b * (ell + 2 * b) < 0 else"),
     ("equivalent-b0-solve", "closed-form-extensions", EXT, "m = (s2.n - s.n) / ext.step", "m = (s2.n - s.n) / (ext.step + 1)"),
     ("equivalent-flat-true", "closed-form-extensions", EXT, "        return s == s2", "        return True"),
@@ -146,8 +146,14 @@ MUTANTS = [
     ("flow-negative-numerator", "label-outputs-on-ints", LABELS, "(2 * ell + 1) * q", "(2 * ell - 1) * q"),
     ("flow-positive-numerator", "label-outputs-on-ints", LABELS, "(1 - 2 * ell) * q - 2 * p", "(1 - 2 * ell) * q + 2 * p"),
     ("flow-verma-back-keeps-ell", "label-outputs-on-ints", LABELS, "label.ell + ell, label.parity_flip", "ell, label.parity_flip"),
-    ("oracle-parity-as-passed", "label-outputs-on-ints", ORACLE, 'object.__setattr__(self, "parity", tuple(parity))', 'object.__setattr__(self, "parity", parity)'),
-    ("kz-verify-fail-exits-zero", "label-outputs-on-ints", CLI, 'payload.get("all_pass", True):\n        return 1', 'payload.get("all_pass", True):\n        return 0'),
+    ("oracle-parity-as-passed", "label-outputs-on-ints", ORACLE, '"parity", tuple(parity))', '"parity", parity)'),
+    (
+        "kz-verify-fail-exits-zero",
+        "label-outputs-on-ints",
+        CLI,
+        'payload.get("all_pass", True):\n        return 1',
+        'payload.get("all_pass", True):\n        return 0',
+    ),
 ]
 
 

@@ -673,7 +673,10 @@ def test_weight_growth_matches_fraction_body_on_grid():
     # repr, and exception type and text; the draws add custom extensions
     labels = _grid_labels()
     rng = Random(62)
-    draws = [(_random_extension(rng), rng.choice([_draws.typical(rng), _draws.atypical(rng, max_ell=5)])) for _ in range(600)]
+    draws = []
+    for _ in range(600):
+        ext = _random_extension(rng)
+        draws.append((ext, rng.choice([_draws.typical(rng), _draws.atypical(rng, max_ell=5)])))
     seen = set()
     for ext, s in [(ext, s) for ext in _grid_extensions() for s in labels] + draws:
         got = _outcome(ex.weight_growth, s, ext)
@@ -691,8 +694,9 @@ def test_spectral_flow_matches_fraction_body_on_grid():
     # every grid label, supported or not, and the Vermas at ehat != 0 flowed
     # back to ehat = 0, at flows -3..3
     rng = Random(63)
-    sources = _grid_labels() + [VermaV0(_draws.rational(rng, 40, 9), 0) for _ in range(40)]
-    sources += [k(_draws.rational(rng, 40, 9), 0, rng.random() < 0.5) for k in (AtypicalA, ProjectiveP) for _ in range(40)]
+    sources = _grid_labels()
+    for kind in (AtypicalA, ProjectiveP, VermaV0):
+        sources += [kind(_draws.rational(rng, 40, 9), 0, rng.random() < 0.5) for _ in range(40)]
     flowed = set()
     for src in sources:
         for ell in range(-3, 4):
