@@ -9,7 +9,7 @@ coefficients are cached once per truncation depth as one read-only block
 exponents, split once into a fractional base and an integer shift: every
 Verma at one depth holds the same block, and no term carries a Fraction of
 its own.  With n = a/d and ehat = b/g the exponents are integers over one
-common denominator, made Fractions only as class keys.  Atypical ell = 0
+common denominator, reduced by one gcd to the int class key.  Atypical ell = 0
 characters are alternating telescoping sums of Verma characters, summed
 once per depth on the block before any exponent is formed; the induced
 identity is verified by expanding both of its sides, each summand the block
@@ -29,8 +29,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import NotDeterminedError
-from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, _int, conformal_weight, ehat
-from .series import JacobiSeries, _canon, _split, jacobi_equal_to_cutoff
+from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, _int, ehat
+from .series import JacobiSeries, _canon, _key, _ratio, jacobi_equal_to_cutoff
 
 
 def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> JacobiSeries:
@@ -52,14 +52,13 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
         series = char_verma(label.n, ehat(label), q_cutoff)
         if z_window is None:
             return series
-        lo, hi = z_window
-        kept = {}
-        for key, (dq, dz, _, block) in series._classes.items():
-            m_lo, m_hi = math.ceil(lo - key[1]) - dz, math.floor(hi - key[1]) - dz  # lo <= z <= hi
-            inside = {k: c for k, c in block.items() if m_lo <= k[1] <= m_hi}
-            if inside:
-                kept[key] = _canon(inside, dq, dz)
-        return JacobiSeries._trusted(kept, q_cutoff)
+        (lo, r), (hi, t) = _ratio(z_window[0]), _ratio(z_window[1])
+        ((key, (dq, dz, _, block)),) = series._classes.items()  # a Verma is one class
+        z0, den = key[1], key[3]
+        m_lo = -((z0 * r - lo * den) // (r * den)) - dz  # lo <= z0/den + dz + M <= hi
+        m_hi = (hi * den - z0 * t) // (t * den) - dz
+        inside = {k: c for k, c in block.items() if m_lo <= k[1] <= m_hi}
+        return JacobiSeries._trusted({key: _canon(inside, dq, dz)} if inside else {}, q_cutoff)
     if isinstance(label, AtypicalA) and label.ell == 0:
         if z_window is None:
             raise ValueError("atypical characters need a z window")
@@ -111,11 +110,13 @@ def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
     Valid for every ehat: this is the Verma character whether or not the
     module is irreducible.
     """
-    n, ehat, q_cutoff = _f(n), _f(ehat), _f(q_cutoff)
-    if q_cutoff < 0:
+    (a, d), (b, g), q_cutoff = _ratio(n), _ratio(ehat), _f(q_cutoff)
+    if q_cutoff.numerator < 0:
         raise ValueError("q_cutoff must be nonnegative")
-    (q0, dq), (z0, dz) = _split(conformal_weight(n, ehat)), _split(n)
-    return JacobiSeries._trusted({(q0, z0, ehat): _moved(dq, dz, int(q_cutoff))}, q_cutoff)
+    scale = 2 * d * g * g  # Delta = b(2ag + bd) / 2dg^2, n = 2ag^2 / scale, ehat = 2bdg / scale
+    (dq, q0), (dz, z0) = divmod(b * (2 * a * g + b * d), scale), divmod(a, d)
+    key = _key(q0, 2 * z0 * g * g, 2 * b * d * g, scale)
+    return JacobiSeries._trusted({key: _moved(dq, dz, int(q_cutoff))}, q_cutoff)
 
 
 def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
@@ -130,19 +131,20 @@ def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
     are restricted to z_window, so the window must cover every exponent the
     caller needs.
     """
-    n, q_cutoff = _f(n), _f(q_cutoff)
-    z_lo, z_hi = (_f(z_window[0]), _f(z_window[1]))
-    if z_lo > z_hi:
+    (a, d), q_cutoff = _ratio(n), _f(q_cutoff)
+    (lo, r), (hi, t) = _ratio(z_window[0]), _ratio(z_window[1])
+    if lo * t > hi * r:
         raise ValueError("empty z window")
-    if q_cutoff < 0:
+    if q_cutoff.numerator < 0:
         raise ValueError("q_cutoff must be nonnegative")
     depth = int(q_cutoff)
-    centre, low = n - Fraction(1, 2), _low_m(depth)
-    # k runs over the block's z offsets: z = centre + low + k
-    k_lo, k_hi = math.ceil(z_lo - centre) - low, math.floor(z_hi - centre) - low
+    centre, den, low = 2 * a - d, 2 * d, _low_m(depth)  # n - 1/2 = centre / den
+    # k runs over the block's z offsets: z = centre/den + low + k
+    k_lo = -((centre * r - lo * den) // (r * den)) - low
+    k_hi = (hi * den - centre * t) // (t * den) - low
     sums = {key: c for key, c in _telescoped(depth).items() if k_lo <= key[1] <= k_hi}
-    z0, dz = _split(centre)
-    classes = {(Fraction(0), z0, Fraction(0)): _canon(sums, 0, dz + low)} if sums else {}
+    dz, z0 = divmod(centre, den)
+    classes = {_key(0, z0, 0, den): _canon(sums, 0, dz + low)} if sums else {}
     return JacobiSeries._trusted(classes, q_cutoff)
 
 
@@ -179,36 +181,35 @@ def char_induced_typical(n, ehat, m_range: int, q_cutoff) -> tuple[JacobiSeries,
     (b - 2mg)(2g(a + md) + d(b - 2mg)) / 2dg^2, on the right
     Delta - m(2n + ehat), so the two sides stay independent.
     """
-    n, ehat, q_cutoff, m_range = _f(n), _f(ehat), _f(q_cutoff), _int(m_range)
+    (a, d), (b, g), (c, h), m_range = _ratio(n), _ratio(ehat), _ratio(q_cutoff), _int(m_range)
     if m_range < 1:
         raise ValueError("m_range must be at least 1")
-    a, d, b, g = n.numerator, n.denominator, ehat.numerator, ehat.denominator
-    scale = math.lcm(2 * d * g * g, q_cutoff.denominator)  # Q; every exponent below is times Q
+    scale = math.lcm(2 * d * g * g, h)  # Q; every exponent below is times Q
     unit = scale // (2 * d * g * g)
     shift = 2 * g * (2 * a * g + b * d) * unit  # 2n + ehat = (2ag + bd) / dg
-    depth = q_cutoff.numerator * (scale // q_cutoff.denominator) + m_range * abs(shift)
+    depth = c * (scale // h) + m_range * abs(shift)
     if depth < 0:
         raise ValueError("q_cutoff must be nonnegative")
     delta = b * (2 * a * g + b * d) * unit
     bound = delta + depth - m_range * abs(shift)
-    z0, whole = _split(n)
-    lhs, rhs = {}, {}  # a Fraction is built only for a class key and the cutoff
+    whole, z0 = divmod(a, d)
+    lhs, rhs = {}, {}  # a Fraction is built only for the cutoff
     for m in range(-m_range, m_range + 1):
         e = b - 2 * m * g  # ehat - 2m = e / g
-        y = Fraction(e, g)
+        y = 2 * e * d * g * unit  # over Q
         for side, q in ((lhs, e * (2 * g * (a + m * d) + d * e) * unit), (rhs, delta - m * shift)):
             top = (bound - q) // scale
             if top >= 0:  # a shorter cut is the universal product to that depth
                 dq, q0 = divmod(q, scale)
-                side[(Fraction(q0, scale), z0, y)] = _moved(dq, whole + m, top)
+                side[_key(q0, 2 * z0 * g * g * unit, y, scale)] = _moved(dq, whole + m, top)
     cutoff = Fraction(depth, scale)
     return JacobiSeries._trusted(lhs, cutoff), JacobiSeries._trusted(rhs, cutoff)
 
 
 def induced_window(n, ehat, m_range: int, q_cutoff) -> Fraction:
-    """Comparison window on which both sides of the identity are complete."""
-    shift = 2 * _f(n) + _f(ehat)
-    return _f(q_cutoff) + _int(m_range) * abs(shift)
+    """The window q_cutoff + m_range |2n + ehat| on which both sides of the identity are complete."""
+    (a, d), (b, g), (c, h) = _ratio(n), _ratio(ehat), _ratio(q_cutoff)  # 2n + ehat = (2ag + bd) / dg
+    return Fraction(c * d * g + _int(m_range) * abs(2 * a * g + b * d) * h, h * d * g)
 
 
 def verify_induced_identity(n, ehat, m_range: int, q_cutoff) -> bool:

@@ -4,8 +4,9 @@ A subclass names its fields in ``__slots__``, in constructor order.  Unless
 it defines ``__init__`` itself (to convert or validate, setting each field
 with ``object.__setattr__``), it gets one that stores its arguments.  Its
 instances compare equal only to instances of the same class with equal
-fields, hash as the tuple of their fields, print as a dataclass would,
-refuse assignment and deletion, and copy and pickle through the constructor.
+fields, hash as the tuple of their fields (unless ``__hash__ = None``, as
+with a dict field), print as a dataclass would, refuse assignment and
+deletion, and copy and pickle through the constructor.
 Unlike ``dataclasses``, which imports ``inspect``, this module imports
 nothing, so a fresh ``gl11kl`` process pays no start-up time for its value
 types.

@@ -165,10 +165,11 @@ class Gl11MatrixModule(Frozen):
     Fraction and drops zero entries, so a stored zero equals an absent
     entry.  It raises :class:`OracleError` unless every parity is 0 or 1,
     ``weights`` has ``dim = len(parity)`` entries and every key lies in
-    ``range(dim)``.
+    ``range(dim)``.  Modules compare by fields; their dicts make them unhashable.
     """
 
     __slots__ = ("parity", "weights", "psi_p", "psi_m")
+    __hash__ = None
 
     def __init__(self, parity, weights, psi_p, psi_m):
         dim = len(parity)

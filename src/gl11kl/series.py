@@ -8,17 +8,20 @@ Two truncated series are compared with ``jacobi_equal_to_cutoff`` on a
 window that neither cutoff undercuts.
 
 Every character lies on an integer grid over a few base monomials, so the
-terms are stored by fractional class: (q0, z0, y), 0 <= q0, z0 < 1, maps to
-(dq, dz, n_top, block), the terms c q^(q0+dq+N) z^(z0+dz+M) y^y of a
-read-only block {(N, M): c} whose least N and M are 0 and largest N n_top.
-So the terms fix the tuple: the form is canonical and equality structural.
-Characters share one block per depth (``characters._universal_product``),
-hence read-only blocks; classes over one shared block compare by shifts
-alone.  ``terms`` is the Fraction-keyed view, built on first read.
+terms are stored by fractional class: the int key (q0, z0, y, den), for
+q0/den, z0/den, y/den with 0 <= q0, z0 < den and gcd(q0, z0, y, den) = 1,
+maps to (dq, dz, n_top, block), the terms c q^(q0/den+dq+N)
+z^(z0/den+dz+M) y^(y/den) of a read-only block {(N, M): c} whose least N
+and M are 0 and largest N n_top.  So the terms fix the tuple: the form is
+canonical and equality structural.  Characters share one block per depth
+(``characters._universal_product``), hence read-only blocks; classes over
+one shared block compare by shifts alone.  Cuts and comparisons run on
+ints; ``terms``, ``min_q`` and the rest build Fractions when read.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional
@@ -28,10 +31,16 @@ from .labels import _f, _int
 _Key = tuple  # (q_exp, z_exp, y_exp), all Fraction
 
 
-def _split(x: Fraction) -> tuple[Fraction, int]:
-    """x as (x0, N) with x = x0 + N, N = floor(x) and 0 <= x0 < 1."""
-    whole, rest = divmod(x.numerator, x.denominator)
-    return Fraction(rest, x.denominator), whole
+def _ratio(v) -> tuple:
+    """v as (numerator, denominator), building no Fraction for an int or a Fraction."""
+    v = v if isinstance(v, (int, Fraction)) else Fraction(v)
+    return v.numerator, v.denominator
+
+
+def _key(q0: int, z0: int, y: int, den: int) -> tuple:
+    """The class key of q0/den, z0/den and y/den, 0 <= q0, z0 < den, over their least denominator."""
+    g = math.gcd(q0, z0, y, den)
+    return q0 // g, z0 // g, y // g, den // g
 
 
 def _canon(offsets: dict, dq: int = 0, dz: int = 0) -> tuple:
@@ -41,12 +50,23 @@ def _canon(offsets: dict, dq: int = 0, dz: int = 0) -> tuple:
     return dq + n_lo, dz + m_lo, max(n for n, _ in block), MappingProxyType(block)
 
 
-def _below(classes: dict, limit: Fraction) -> dict:
-    """The classes cut to their terms at q <= limit: uncut ones as they are, empty ones dropped."""
-    l0, whole = _split(limit)
+def _low(*parts: dict):
+    """The least q exponent of the classes as (numerator, denominator), None if there are none."""
+    low = None
+    for classes in parts:
+        for (q0, _, _, den), value in classes.items():
+            num = value[0] * den + q0  # (dq, q0) as q0/den + dq
+            if low is None or num * low[1] < low[0] * den:
+                low = num, den
+    return low
+
+
+def _below(classes: dict, low: tuple, w: int, h: int) -> dict:
+    """The classes cut to q <= low + w/h, low as (numerator, denominator), uncut ones as they are."""
+    num, den = low[0] * h + w * low[1], low[1] * h  # the limit
     out = classes.copy()  # keeps each key's hash
     for key, (dq, dz, n_top, block) in classes.items():
-        top = whole - (key[0] > l0) - dq  # floor(limit - q0) - dq, so q0 + dq + N <= limit
+        top = (num * key[3] - key[0] * den) // (den * key[3]) - dq  # floor(limit - q0) - dq
         if top < 0:
             del out[key]
         elif top < n_top:  # the block holds N = 0, so the cut is not empty
@@ -68,11 +88,13 @@ class JacobiSeries:
             for (q, z, y), v in terms.items():
                 v = _int(v)
                 if v:
-                    (q0, n), (z0, m) = _split(_f(q)), _split(_f(z))
-                    classes.setdefault((q0, z0, _f(y)), {})[(n, m)] = v
+                    q, z, y = _f(q), _f(z), _f(y)
+                    den = q.denominator * z.denominator * y.denominator
+                    (n, q0), (m, z0) = (divmod(x.numerator * den // x.denominator, den) for x in (q, z))
+                    classes.setdefault(_key(q0, z0, y.numerator * den // y.denominator, den), {})[n, m] = v
         self._classes = classes = {key: _canon(offsets) for key, offsets in classes.items()}
         if cutoff is not None and classes:
-            self._classes = _below(classes, self.min_q() + cutoff)
+            self._classes = _below(classes, _low(classes), cutoff.numerator, cutoff.denominator)
         self.q_cutoff = cutoff
         self._terms = None
 
@@ -80,9 +102,10 @@ class JacobiSeries:
     def _trusted(cls, classes: dict, q_cutoff: Fraction | None) -> "JacobiSeries":
         """Wrap classes that are already canonical, without copying or checking.
 
-        The caller guarantees: keys are (q0, z0, y) Fraction triples with
-        0 <= q0, z0 < 1, each maps to a canonical class (dq, dz, n_top,
-        block) as ``_canon`` builds it, with nonzero int coefficients,
+        The caller guarantees: keys are (q0, z0, y, den) int tuples with
+        0 <= q0, z0 < den and gcd(q0, z0, y, den) == 1, as ``_key`` builds
+        them; each maps to a canonical class (dq, dz, n_top, block) as
+        ``_canon`` builds it, with nonzero int coefficients,
         ``q_cutoff`` is None or a nonnegative Fraction, and no term lies more
         than ``q_cutoff`` above the lowest q exponent.
         """
@@ -95,7 +118,8 @@ class JacobiSeries:
     def _rows(self) -> list:
         """(N, q0, M, z0, y, q, z, c) per term, one Fraction per distinct q and z of a class."""
         rows = []
-        for (q0, z0, y), (dq, dz, _, block) in self._classes.items():
+        for (q0, z0, y, den), (dq, dz, _, block) in self._classes.items():
+            q0, z0, y = Fraction(q0, den), Fraction(z0, den), Fraction(y, den)
             qs = {n: q0 + dq + n for n in {n for n, _ in block}}
             zs = {m: z0 + dz + m for m in {m for _, m in block}}
             rows += [(dq + n, q0, dz + m, z0, y, qs[n], zs[m], c) for (n, m), c in block.items()]
@@ -113,8 +137,8 @@ class JacobiSeries:
         return not self._classes
 
     def min_q(self) -> Optional[Fraction]:
-        low = min(((value[0], key[0]) for key, value in self._classes.items()), default=None)
-        return None if low is None else low[0] + low[1]  # (dq, q0) orders as q0 + dq
+        low = _low(self._classes)
+        return None if low is None else Fraction(*low)
 
     def sorted_terms(self) -> Iterator[tuple[_Key, int]]:
         # (N, q0, M, z0, y) orders as (q, z, y), and no two terms share it
@@ -140,14 +164,13 @@ def jacobi_equal_to_cutoff(a: JacobiSeries, b: JacobiSeries, window) -> bool:
     The common minimum is the smaller of the two minimal q exponents.  Raises
     if the window is negative or exceeds either series' cutoff.
     """
-    window = Fraction(window)
-    if window < 0:
+    w, h = _ratio(window)
+    if w < 0:
         raise ValueError("comparison window must be nonnegative")
-    for s in (a, b):
-        if s.q_cutoff is not None and window > s.q_cutoff:
+    for c in (a.q_cutoff, b.q_cutoff):
+        if c is not None and w * c.denominator > c.numerator * h:
             raise ValueError("comparison window exceeds a series cutoff")
-    mins = [m for m in (a.min_q(), b.min_q()) if m is not None]
-    if not mins:
+    low = _low(a._classes, b._classes)
+    if low is None:
         return True
-    limit = min(mins) + window
-    return _below(a._classes, limit) == _below(b._classes, limit)
+    return _below(a._classes, low, w, h) == _below(b._classes, low, w, h)

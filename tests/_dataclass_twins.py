@@ -139,6 +139,7 @@ class Gl11MatrixModule:
     weights: tuple
     psi_p: Entries
     psi_m: Entries
+    __hash__ = None  # the entry maps are dicts; dataclass keeps an explicit None
 
     def __post_init__(self):
         dim = len(self.parity)

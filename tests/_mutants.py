@@ -96,14 +96,17 @@ MUTANTS = [
     ("induced-cut-strict", "scaled-int-characters", CHARS, "top = (bound - q) // scale", "top = (bound - q - 1) // scale"),
     ("induced-left-d-times-b", "scaled-int-characters", CHARS, "(2 * g * (a + m * d) + d * e)", "(2 * g * (a + m * d) + d * b)"),
     ("atypical0-telescope-sign", "integer-offset-series", CHARS, "total = row[k] - total", "total = row[k] + total"),
-    ("verma-window-floor", "integer-offset-series", CHARS, "math.ceil(lo - key[1]) - dz", "math.floor(lo - key[1]) - dz"),
+    # the Verma window's ceil moved onto ints: the same ceil-to-floor edit
+    ("verma-window-floor", "integer-offset-series", CHARS, "-((z0 * r - lo * den) // (r * den)) - dz", "(lo * den - z0 * r) // (r * den) - dz"),
     ("below-strict", "integer-offset-series", SERIES, "if k[0] <= top}", "if k[0] < top}"),
+    # _split is gone: its floor split is the constructor's divmod on ints,
+    # and the mutant truncates there instead
     (
         "split-truncates",
         "integer-offset-series",
         SERIES,
-        "whole, rest = divmod(x.numerator, x.denominator)",
-        "whole = int(x)\n    rest = x.numerator - whole * x.denominator",
+        "divmod(x.numerator * den // x.denominator, den)",
+        "(int(x), x.numerator * den // x.denominator - int(x) * den)",
     ),
     ("digits-unicode", "src-keeps-what-runs", LABELS, '_DIGITS = rf"[0-9]{{1,{MAX_DIGITS}}}"', '_DIGITS = rf"\\d{{1,{MAX_DIGITS}}}"'),
     ("m-range-plain-int", "src-keeps-what-runs", CLI, '"--m-range", type=_flag_int', '"--m-range", type=int'),
@@ -154,6 +157,17 @@ MUTANTS = [
         'payload.get("all_pass", True):\n        return 1',
         'payload.get("all_pass", True):\n        return 0',
     ),
+    ("key-no-gcd", "int-class-keys", SERIES, "    g = math.gcd(q0, z0, y, den)\n", "    g = 1\n"),
+    ("low-comparison-flipped", "int-class-keys", SERIES, "num * low[1] < low[0] * den", "num * low[1] > low[0] * den"),
+    ("atypical0-k-lo-floor", "int-class-keys", CHARS, "-((centre * r - lo * den) // (r * den)) - low", "(lo * den - centre * r) // (r * den) - low"),
+    (
+        "below-truncates-negative",
+        "int-class-keys",
+        SERIES,
+        "(num * key[3] - key[0] * den) // (den * key[3]) - dq",
+        "int((num * key[3] - key[0] * den) / (den * key[3])) - dq",
+    ),
+    ("module-hash-from-fields", "int-class-keys", ORACLE, "    __hash__ = None\n", ""),
 ]
 
 

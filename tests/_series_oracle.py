@@ -10,12 +10,19 @@ The character builders at the end are the former bodies of
 every term by its Fraction exponents: the oracle of the package's
 integer-offset form.  They take the conformal weight from ``weight``, the
 former body of ``labels.delta``, not from the package.
+
+The class functions after them are the former Fraction-keyed bodies of the
+``JacobiSeries`` constructor, ``_below``, ``min_q`` and
+``jacobi_equal_to_cutoff``, whose class keys were (q0, z0, y) Fraction
+triples with 0 <= q0, z0 < 1: the oracle of the package's int class keys.
 """
 
 import math
 from fractions import Fraction
 
 from gl11kl.characters import _universal_product
+from gl11kl.labels import _f, _int
+from gl11kl.series import _canon
 
 
 def _known_to(series):
@@ -163,3 +170,63 @@ def induced_typical(n, ehat, m_range: int, q_cutoff):
         zs_m = {j: z + m for j, z in zs.items()}
         rhs.update(_terms(offsets, qs_m, zs_m, y))
     return (lhs, depth), (rhs, depth)
+
+
+def split(x: Fraction):
+    """x as (x0, N) with x = x0 + N, N = floor(x) and 0 <= x0 < 1."""
+    whole, rest = divmod(x.numerator, x.denominator)
+    return Fraction(rest, x.denominator), whole
+
+
+def below_by_fractions(classes: dict, limit: Fraction) -> dict:
+    """The Fraction-keyed classes cut to their terms at q <= limit, empty ones dropped."""
+    l0, whole = split(limit)
+    out = classes.copy()
+    for key, (dq, dz, n_top, block) in classes.items():
+        top = whole - (key[0] > l0) - dq  # floor(limit - q0) - dq, so q0 + dq + N <= limit
+        if top < 0:
+            del out[key]
+        elif top < n_top:  # the block holds N = 0, so the cut is not empty
+            out[key] = _canon({k: c for k, c in block.items() if k[0] <= top}, dq, dz)
+    return out
+
+
+def min_q_by_fractions(classes: dict):
+    """The least q exponent of the Fraction-keyed classes, None if there are none."""
+    low = min(((value[0], key[0]) for key, value in classes.items()), default=None)
+    return None if low is None else low[0] + low[1]  # (dq, q0) orders as q0 + dq
+
+
+def classes_by_fractions(terms: dict, q_cutoff=None) -> dict:
+    """The Fraction-keyed classes of terms {(q, z, y): c}, cut q_cutoff above their least q."""
+    cutoff = None if q_cutoff is None else Fraction(q_cutoff)
+    classes: dict = {}
+    for (q, z, y), v in terms.items():
+        v = _int(v)
+        if v:
+            (q0, n), (z0, m) = split(_f(q)), split(_f(z))
+            classes.setdefault((q0, z0, _f(y)), {})[(n, m)] = v
+    classes = {key: _canon(offsets) for key, offsets in classes.items()}
+    if cutoff is not None and classes:
+        classes = below_by_fractions(classes, min_q_by_fractions(classes) + cutoff)
+    return classes
+
+
+def equal_by_fractions(a, b, window) -> bool:
+    """The former ``jacobi_equal_to_cutoff`` on (Fraction-keyed classes, cutoff) pairs."""
+    window = Fraction(window)
+    if window < 0:
+        raise ValueError("comparison window must be nonnegative")
+    for _, cutoff in (a, b):
+        if cutoff is not None and window > cutoff:
+            raise ValueError("comparison window exceeds a series cutoff")
+    mins = [m for m in (min_q_by_fractions(a[0]), min_q_by_fractions(b[0])) if m is not None]
+    if not mins:
+        return True
+    limit = min(mins) + window
+    return below_by_fractions(a[0], limit) == below_by_fractions(b[0], limit)
+
+
+def fraction_keys(classes: dict) -> dict:
+    """Int-keyed classes {(q0, z0, y, den): value} re-keyed by (q0/den, z0/den, y/den)."""
+    return {(Fraction(q0, den), Fraction(z0, den), Fraction(y, den)): v for (q0, z0, y, den), v in classes.items()}

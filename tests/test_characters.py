@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from gl11kl import characters as ch
-from gl11kl.labels import TypicalV, VermaV0
+from gl11kl.labels import TypicalV, VermaV0, conformal_weight
 from gl11kl.series import JacobiSeries, jacobi_equal_to_cutoff
 
 import _draws
@@ -111,7 +111,7 @@ def test_verma_against_brute_force():
     depth = 3
     want = brute_product_slices(depth)
     n, e = F(1, 4), F(1, 2)
-    d = ch.conformal_weight(n, e)
+    d = conformal_weight(n, e)
     got = ch.char_verma(n, e, depth)
     assert {(q - d, z - n): c for (q, z, y), c in got.terms.items()} == {
         k: v for k, v in want.items()
@@ -152,7 +152,7 @@ def test_verma_coefficients_nonnegative_and_top_dimension():
         n, e = _draws.rational(rng), _draws.rational(rng)
         s = ch.char_verma(n, e, 2)
         assert all(v > 0 for v in s.terms.values())
-        d = ch.conformal_weight(n, e)
+        d = conformal_weight(n, e)
         top = [v for (q, z, y), v in s.terms.items() if q == d]
         assert sum(top) == 2  # q^0 specialization at y = z = 1
 
@@ -214,8 +214,8 @@ def test_delta_shift_of_summands():
     for _ in range(30):
         n, e = _draws.rational(rng), _draws.rational(rng)
         for m in range(-3, 4):
-            lhs = ch.conformal_weight(n + m, e - 2 * m)
-            assert lhs == ch.conformal_weight(n, e) - m * (2 * n + e)
+            lhs = conformal_weight(n + m, e - 2 * m)
+            assert lhs == conformal_weight(n, e) - m * (2 * n + e)
 
 
 def test_induced_identity_exact():
@@ -340,7 +340,7 @@ def test_int_offsets_match_fraction_keyed_oracle():
             # every depth 0..20 once, then mostly shallow ones
             depth = draw // 3 if draw < 63 else rng.randint(0, rng.randint(0, 20))
             cutoff = depth + rng.choice((0, F(1, 2), F(2, 3)))
-            delta = ch.conformal_weight(n, e)
+            delta = conformal_weight(n, e)
             negative_fractional_delta += delta < 0 and delta.denominator > 1
             label = VermaV0(n, e) if e.denominator == 1 else TypicalV(n, e)
             want = oracle.verma(n, e, cutoff)

@@ -79,6 +79,12 @@ ARGVS = [
     # windows below z = 0 at negative non-integer n and Delta
     ["char", "V(-7/3;5/2)", "--cutoff", "3", "--z-window=-4,-1"],
     ["char", "A(-5/4;0)", "--cutoff", "3", "--z-window=-5,-1"],
+    # deeper cutoffs whose q, z and y denominators all differ, windows with
+    # rational bounds: they pin the order of the terms byte for byte
+    ["char", "V(1/3;2/5)", "--cutoff", "4"],
+    ["char", "V(-7/6;3/4)", "--cutoff", "5", "--z-window=-3,2"],
+    ["char", "V(5/7;-3/2)", "--cutoff", "7/2", "--z-window=-1/2,3/2"],
+    ["char", "A(-7/4;0)", "--cutoff", "4", "--z-window=-5/2,3"],
     # oracle
     ["oracle", "A(0)", "V(1/2;1/3)"],
     ["oracle", "V(0;1/2)", "V(0;-1/2)"],

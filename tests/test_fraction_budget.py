@@ -9,6 +9,7 @@ value stays right.
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -17,8 +18,10 @@ from gl11kl import extensions as ex
 from gl11kl import oracle as o
 from gl11kl.errors import Gl11Error, NotDeterminedError
 from gl11kl.fusion import fuse, k_ring_check
-from gl11kl.labels import AtypicalA, ProjectiveP, TypicalV, VermaV0, epsilon2, spectral_flow
+from gl11kl.labels import AtypicalA, ProjectiveP, TypicalV, VermaV0, conformal_weight, epsilon2, spectral_flow
+from gl11kl.series import jacobi_equal_to_cutoff
 
+from _draws import nonintegral, rational
 from test_extensions import GRID_NS, _grid_extensions, _grid_labels
 
 _OPS = ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow")
@@ -54,6 +57,25 @@ def fraction_builds(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counted)
     return built
+
+
+@pytest.fixture
+def fraction_hashes(monkeypatch):
+    """A one-item list holding the number of Fraction hashes so far."""
+    hashed = [0]
+    method = Fraction.__hash__
+
+    def counted(self):
+        hashed[0] += 1
+        return method(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    return hashed
+
+
+def test_fraction_hashes_counter_sees_dict_keys(fraction_hashes):
+    {Fraction(1, 2): 1}, hash(Fraction(3)), Fraction(1, 3) in {}
+    assert fraction_hashes[0] == 3
 
 
 def test_counter_sees_forward_and_reflected_calls(fraction_ops):
@@ -186,13 +208,51 @@ def test_character_exponents_do_no_fraction_arithmetic(fraction_ops):
     # (2n + ehat = 0 in the third and fourth)
     draws = [(Fraction(1, 4), Fraction(1, 2)), (Fraction(-1, 3), Fraction(5, 7)), (Fraction(-3, 4), Fraction(3, 2))]
     for n, ehat in draws + [(Fraction(1, 2), -1), (2, 0)]:
-        ch.conformal_weight(n, ehat)
+        conformal_weight(n, ehat)
         ch.char_verma(n, ehat, Fraction(7, 2))
         for m_range in range(1, 7):
             for q_cutoff in (0, Fraction(3, 4), 2):
                 lhs, _ = ch.char_induced_typical(n, ehat, m_range, q_cutoff)
                 assert not lhs.is_zero
     assert fraction_ops[0] == 0
+
+
+def _char_sweep_calls(rng: Random) -> list:
+    """(Fractions built, function, args) of one char-sweep block, drawn as it draws them."""
+    calls = [(1, ch.char_verma, (rational(rng), rational(rng), depth)) for depth in range(21)]
+    for cutoff in range(11):
+        lo = rng.randint(-8, 8)
+        calls.append((1, ch.char_atypical0, (Fraction(rng.randint(-12, 12), 4), cutoff, (lo, rng.randint(lo, 8)))))
+    for m_range in (1, 2, 3, 1, 2, 3, 3):
+        while True:
+            n, e = rational(rng, 3), nonintegral(rng)
+            room = 12 - m_range * abs(2 * n + e)
+            if room >= 0:
+                break
+        args = n, e, m_range, rng.randint(0, int(room))
+        calls += [(1, ch.char_induced_typical, args), (1, ch.induced_window, args), (0, jacobi_equal_to_cutoff, args)]
+    return calls
+
+
+def test_char_sweep_ops_compute_and_hash_no_fraction(fraction_ops, fraction_hashes, fraction_builds):
+    # every op shape of the char-sweep workload, with the argument types it
+    # passes (Fraction labels, int cutoffs and z bounds): the class keys are
+    # int tuples and the exponents scaled ints, so no Fraction is computed
+    # or hashed, and a call builds one Fraction, its stored cutoff or the
+    # window, and the comparison none
+    calls = [call for seed in range(20) for call in _char_sweep_calls(Random(seed))]
+    ops, hashes = fraction_ops[0], fraction_hashes[0]
+    sides = window = None
+    for builds, fn, args in calls:
+        before = fraction_builds[0]
+        if fn is jacobi_equal_to_cutoff:  # the sides and window of the two calls before it
+            assert fn(*sides, window) is True, args
+        elif fn is ch.induced_window:
+            window = fn(*args)
+        else:
+            sides = fn(*args)
+        assert fraction_builds[0] - before == builds, (fn.__name__, args)
+    assert fraction_ops[0] == ops and fraction_hashes[0] == hashes
 
 
 def _oracle_products():

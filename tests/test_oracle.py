@@ -602,6 +602,19 @@ def test_hand_built_copy_decomposes_like_realize():
     assert o.Gl11MatrixModule(m.parity, m.weights, m.psi_p, m.psi_m).parity is m.parity
 
 
+def test_modules_are_unhashable_and_compare_by_fields():
+    # the psi+- maps are dicts, so the field tuple cannot hash: the error
+    # names the class, and equality still reads the fields
+    m = o.realize(o.Projective(0))
+    with pytest.raises(TypeError, match="unhashable type: 'Gl11MatrixModule'"):
+        hash(m)
+    with pytest.raises(TypeError, match="unhashable"):
+        {m}
+    same = o.Gl11MatrixModule(list(m.parity), m.weights, dict(m.psi_p), dict(m.psi_m))
+    assert same == m and not same != m and same is not m
+    assert o.realize(o.Projective(1)) != m and m.__eq__(m.weights) is NotImplemented
+
+
 def _fin_triple(rng, kinds):
     """Labels of the given kinds ("V", "A", "P" at ell = 0) and their fusion."""
     while True:

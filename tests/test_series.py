@@ -1,13 +1,15 @@
 """The character result type, its windowed equality, and the test oracle's window rules."""
 
+import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 import _series_oracle as oracle
 from gl11kl import characters as ch
-from gl11kl.labels import TypicalV
-from gl11kl.series import JacobiSeries, _below, _split, jacobi_equal_to_cutoff
+from gl11kl.labels import TypicalV, VermaV0
+from gl11kl.series import JacobiSeries, _below, jacobi_equal_to_cutoff
 
 
 F = Fraction
@@ -15,6 +17,17 @@ F = Fraction
 
 def S(terms, cutoff=None):
     return JacobiSeries(terms, cutoff)
+
+
+def below(classes: dict, limit) -> dict:
+    """``_below`` at a Fraction limit."""
+    limit = F(limit)
+    return _below(classes, (limit.numerator, limit.denominator), 0, 1)
+
+
+def _canonical(key) -> bool:
+    q0, z0, y, den = key
+    return 0 <= q0 < den and 0 <= z0 < den and math.gcd(q0, z0, y, den) == 1
 
 
 def test_mul_truncates_to_window():
@@ -90,18 +103,20 @@ def test_restrict_z_window():
 
 
 def test_exponents_split_by_floor():
-    assert _split(F(-1, 3)) == (F(2, 3), -1)
-    assert _split(F(-2)) == (F(0), -2)
-    assert _split(F(7, 2)) == (F(1, 2), 3)
-    # q = -1/3 is 2/3 - 1 and z = -3/2 is 1/2 - 2
+    # q = -1/3 is 2/3 - 1 and z = -3/2 is 1/2 - 2; each key (q0, z0, y, den)
+    # is over the least common denominator of its exponents
     s = S({(F(-1, 3), -2, 0): 4, (F(2, 3), F(-3, 2), 0): 5})
     # each class is (dq, dz, n_top, block), its one term at block offset (0, 0)
     assert s._classes == {
-        (F(2, 3), F(0), F(0)): (-1, -2, 0, {(0, 0): 4}),
-        (F(2, 3), F(1, 2), F(0)): (0, -2, 0, {(0, 0): 5}),
+        (2, 0, 0, 3): (-1, -2, 0, {(0, 0): 4}),
+        (4, 3, 0, 6): (0, -2, 0, {(0, 0): 5}),
     }
     assert list(s.sorted_terms()) == [((F(-1, 3), F(-2), F(0)), 4), ((F(2, 3), F(-3, 2), F(0)), 5)]
     assert s.min_q() == F(-1, 3)
+    # -2 is 0 - 2, 7/2 is 1/2 + 3, and y = -1/5 stays whole in the key
+    t = S({(F(-2), F(7, 2), F(-1, 5)): 1, (F(-1, 3), F(1, 3), F(1, 3)): 2}, 2)
+    assert t._classes == {(0, 5, -2, 10): (-2, 3, 0, {(0, 0): 1}), (2, 1, 1, 3): (-1, 0, 0, {(0, 0): 2})}
+    assert t.min_q() == -2 and all(map(_canonical, t._classes))
 
 
 def test_emptied_series_is_the_empty_series():
@@ -156,16 +171,95 @@ def test_constructor_keeps_terms_within_cutoff():
 def test_below_keeps_an_uncut_class_as_the_same_object():
     s = ch.char_verma(F(1, 3), F(2, 5), 6)
     ((key, value),) = s._classes.items()
+    assert key == (16, 25, 30, 75)  # q0 = Delta = 16/75, z0 = 1/3, y = 2/5
     for above in (6, F(13, 2), 100):
-        assert _below(s._classes, s.min_q() + above)[key] is value
+        assert below(s._classes, s.min_q() + above)[key] is value
     # one short of the top is a cut: the Verma at depth 5, its least M raised
-    cut = _below(s._classes, s.min_q() + 5)[key]
+    cut = below(s._classes, s.min_q() + 5)[key]
     assert cut == ch.char_verma(F(1, 3), F(2, 5), 5)._classes[key] != value
     assert cut[1] > value[1] and cut[2] == 5
-    assert _below(s._classes, s.min_q() - F(1, 2)) == {}
+    # the limit lies under q0: a negative numerator, floored to drop the class
+    assert below(s._classes, s.min_q() - F(1, 2)) == {} == below(s._classes, -F(1, 7))
     # the comparison of the induced sides cuts nothing
     lhs, rhs = ch.char_induced_typical(F(1, 4), F(1, 2), 2, 1)
     window = ch.induced_window(F(1, 4), F(1, 2), 2, 1)
     for side in (lhs, rhs):
-        kept = _below(side._classes, min(lhs.min_q(), rhs.min_q()) + window)
+        kept = below(side._classes, min(lhs.min_q(), rhs.min_q()) + window)
         assert all(kept[k] is v for k, v in side._classes.items())
+
+
+_DENS = (1, 2, 3, 4, 5, 6, 7, 9)
+
+
+def _terms(rng: Random) -> dict:
+    """Terms over one to three classes, with negative exponents and mixed denominators."""
+    bases = [tuple(F(rng.randint(-9, 9), rng.choice(_DENS)) for _ in range(3)) for _ in range(rng.randint(1, 3))]
+    terms = {}
+    for _ in range(rng.randint(0, 10)):
+        q, z, y = rng.choice(bases)
+        terms[(q + rng.randint(-3, 3), z + rng.randint(-3, 3), y)] = rng.choice((-2, -1, 0, 1, 3))
+    return terms
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_int_classes_match_fraction_bodies():
+    # the constructor, min_q, _below and jacobi_equal_to_cutoff on int keys
+    # against their former Fraction-keyed bodies: the same classes, the same
+    # uncut values kept as the same objects, and the same verdicts or errors
+    rng = Random(27)
+    seen = dict.fromkeys(("mixed", "negative_floor", "cut", "uncut", "equal", "unequal", "raised"), 0)
+    for _ in range(600):
+        cutoff = rng.choice((None, F(rng.randint(0, 8), rng.choice((1, 2, 3)))))
+        terms = _terms(rng)
+        s, want = S(terms, cutoff), oracle.classes_by_fractions(terms, cutoff)
+        assert oracle.fraction_keys(s._classes) == want and all(map(_canonical, s._classes))
+        assert s.min_q() == oracle.min_q_by_fractions(want)
+        seen["mixed"] += len({key[3] for key in s._classes}) > 1
+        limit = (s.min_q() or 0) + F(rng.randint(-6, 12), rng.choice((1, 2, 3, 4)))
+        got, ref = below(s._classes, limit), oracle.below_by_fractions(want, limit)
+        assert oracle.fraction_keys(got) == ref
+        same = oracle.fraction_keys({k: got[k] is v for k, v in s._classes.items() if k in got})
+        assert same == {k: ref[k] is v for k, v in want.items() if k in ref}
+        seen["cut"] += not all(same.values())
+        seen["uncut"] += any(same.values())
+        gaps = [limit - F(k[0], k[3]) for k in s._classes]  # floor(gap) is -1 or less
+        seen["negative_floor"] += any(gap < 0 and gap.denominator > 1 for gap in gaps)
+        other_terms = dict(terms) if rng.random() < 0.5 else _terms(rng)
+        if other_terms and rng.random() < 0.5:
+            other_terms[rng.choice(list(other_terms))] = 5
+        other_cutoff = rng.choice((None, cutoff, F(rng.randint(0, 8), rng.choice((1, 2, 3)))))
+        other = S(other_terms, other_cutoff)
+        w = F(rng.randint(-1, 9), rng.choice((1, 2, 3)))
+        verdict = _outcome(jacobi_equal_to_cutoff, s, other, w)
+        pairs = (want, cutoff), (oracle.classes_by_fractions(other_terms, other_cutoff), other_cutoff)
+        assert verdict == _outcome(oracle.equal_by_fractions, *pairs, w)
+        seen[{True: "equal", False: "unequal"}.get(verdict, "raised")] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_character_keys_are_those_the_constructor_builds():
+    # each builder forms its keys from its own ints with one gcd: they are
+    # reduced exactly as the constructor's are from the terms
+    rng = Random(28)
+    made = []
+    for _ in range(120):
+        n, e = F(rng.randint(-20, 20), rng.randint(1, 9)), F(rng.randint(-20, 20), rng.randint(1, 9))
+        cutoff = F(rng.randint(0, 10), rng.randint(1, 3))
+        lo = F(rng.randint(-12, 4), rng.randint(1, 4))
+        window = (lo, lo + F(rng.randint(0, 16), rng.randint(1, 3)))
+        label = VermaV0(n, e) if e.denominator == 1 else TypicalV(n, e)
+        made += [ch.char_verma(n, e, cutoff), ch.characters(label, cutoff, window), ch.char_atypical0(n, cutoff, window)]
+        m_range = rng.randint(1, 3)
+        if 0 <= ch.induced_window(n, e, m_range, cutoff) <= 6:
+            made += ch.char_induced_typical(n, e, m_range, cutoff)
+    assert len(made) >= 400
+    for s in made:
+        assert all(map(_canonical, s._classes))
+        assert JacobiSeries(s.terms, s.q_cutoff)._classes == s._classes
+        assert oracle.fraction_keys(s._classes) == oracle.classes_by_fractions(s.terms, s.q_cutoff)
