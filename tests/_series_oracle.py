@@ -227,6 +227,12 @@ def equal_by_fractions(a, b, window) -> bool:
     return below_by_fractions(a[0], limit) == below_by_fractions(b[0], limit)
 
 
+def canonical(key) -> bool:
+    """Is an int class key (q0, z0, y, den) reduced, with 0 <= q0, z0 < den?"""
+    q0, z0, y, den = key
+    return 0 <= q0 < den and 0 <= z0 < den and math.gcd(q0, z0, y, den) == 1
+
+
 def fraction_keys(classes: dict) -> dict:
     """Int-keyed classes {(q0, z0, y, den): value} re-keyed by (q0/den, z0/den, y/den)."""
     return {(Fraction(q0, den), Fraction(z0, den), Fraction(y, den)): v for (q0, z0, y, den), v in classes.items()}

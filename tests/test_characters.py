@@ -443,8 +443,10 @@ def test_vermas_share_one_read_only_block():
 
 
 def test_oracle_draws_keep_the_form_canonical(monkeypatch):
-    # every series the oracle test draws: its terms rebuild it, a cut of it
-    # is the series of the kept terms, and no cached block has changed
+    # every series the oracle test draws: its terms rebuild it, its int keys
+    # are over their least denominator and re-key to the former Fraction
+    # keys, a cut of it is the series of the kept terms, and no cached block
+    # has changed
     made = []
     for name in ("characters", "char_atypical0", "char_induced_typical"):
 
@@ -460,6 +462,8 @@ def test_oracle_draws_keep_the_form_canonical(monkeypatch):
     raised = own_blocks = 0
     for s in made:
         assert JacobiSeries(s.terms, s.q_cutoff) == s
+        assert all(map(oracle.canonical, s._classes))
+        assert oracle.fraction_keys(s._classes) == oracle.classes_by_fractions(s.terms, s.q_cutoff)
         if s.is_zero:
             continue
         cut = s.q_cutoff / 2

@@ -1,6 +1,5 @@
 """The character result type, its windowed equality, and the test oracle's window rules."""
 
-import math
 from fractions import Fraction
 from random import Random
 
@@ -8,7 +7,7 @@ import pytest
 
 import _series_oracle as oracle
 from gl11kl import characters as ch
-from gl11kl.labels import TypicalV, VermaV0
+from gl11kl.labels import TypicalV
 from gl11kl.series import JacobiSeries, _below, jacobi_equal_to_cutoff
 
 
@@ -23,11 +22,6 @@ def below(classes: dict, limit) -> dict:
     """``_below`` at a Fraction limit."""
     limit = F(limit)
     return _below(classes, (limit.numerator, limit.denominator), 0, 1)
-
-
-def _canonical(key) -> bool:
-    q0, z0, y, den = key
-    return 0 <= q0 < den and 0 <= z0 < den and math.gcd(q0, z0, y, den) == 1
 
 
 def test_mul_truncates_to_window():
@@ -116,7 +110,7 @@ def test_exponents_split_by_floor():
     # -2 is 0 - 2, 7/2 is 1/2 + 3, and y = -1/5 stays whole in the key
     t = S({(F(-2), F(7, 2), F(-1, 5)): 1, (F(-1, 3), F(1, 3), F(1, 3)): 2}, 2)
     assert t._classes == {(0, 5, -2, 10): (-2, 3, 0, {(0, 0): 1}), (2, 1, 1, 3): (-1, 0, 0, {(0, 0): 2})}
-    assert t.min_q() == -2 and all(map(_canonical, t._classes))
+    assert t.min_q() == -2 and all(map(oracle.canonical, t._classes))
 
 
 def test_emptied_series_is_the_empty_series():
@@ -218,7 +212,7 @@ def test_int_classes_match_fraction_bodies():
         cutoff = rng.choice((None, F(rng.randint(0, 8), rng.choice((1, 2, 3)))))
         terms = _terms(rng)
         s, want = S(terms, cutoff), oracle.classes_by_fractions(terms, cutoff)
-        assert oracle.fraction_keys(s._classes) == want and all(map(_canonical, s._classes))
+        assert oracle.fraction_keys(s._classes) == want and all(map(oracle.canonical, s._classes))
         assert s.min_q() == oracle.min_q_by_fractions(want)
         seen["mixed"] += len({key[3] for key in s._classes}) > 1
         limit = (s.min_q() or 0) + F(rng.randint(-6, 12), rng.choice((1, 2, 3, 4)))
@@ -242,24 +236,3 @@ def test_int_classes_match_fraction_bodies():
         seen[{True: "equal", False: "unequal"}.get(verdict, "raised")] += 1
     assert min(seen.values()) >= 100, seen
 
-
-def test_character_keys_are_those_the_constructor_builds():
-    # each builder forms its keys from its own ints with one gcd: they are
-    # reduced exactly as the constructor's are from the terms
-    rng = Random(28)
-    made = []
-    for _ in range(120):
-        n, e = F(rng.randint(-20, 20), rng.randint(1, 9)), F(rng.randint(-20, 20), rng.randint(1, 9))
-        cutoff = F(rng.randint(0, 10), rng.randint(1, 3))
-        lo = F(rng.randint(-12, 4), rng.randint(1, 4))
-        window = (lo, lo + F(rng.randint(0, 16), rng.randint(1, 3)))
-        label = VermaV0(n, e) if e.denominator == 1 else TypicalV(n, e)
-        made += [ch.char_verma(n, e, cutoff), ch.characters(label, cutoff, window), ch.char_atypical0(n, cutoff, window)]
-        m_range = rng.randint(1, 3)
-        if 0 <= ch.induced_window(n, e, m_range, cutoff) <= 6:
-            made += ch.char_induced_typical(n, e, m_range, cutoff)
-    assert len(made) >= 400
-    for s in made:
-        assert all(map(_canonical, s._classes))
-        assert JacobiSeries(s.terms, s.q_cutoff)._classes == s._classes
-        assert oracle.fraction_keys(s._classes) == oracle.classes_by_fractions(s.terms, s.q_cutoff)
