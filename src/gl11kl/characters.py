@@ -52,11 +52,8 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
         series = char_verma(label.n, ehat(label), q_cutoff)
         if z_window is None:
             return series
-        (lo, r), (hi, t) = _ratio(z_window[0]), _ratio(z_window[1])
         ((key, (dq, dz, _, block)),) = series._classes.items()  # a Verma is one class
-        z0, den = key[1], key[3]
-        m_lo = -((z0 * r - lo * den) // (r * den)) - dz  # lo <= z0/den + dz + M <= hi
-        m_hi = (hi * den - z0 * t) // (t * den) - dz
+        m_lo, m_hi = _z_span(key[1] + dz * key[3], key[3], z_window)  # z = key[1]/key[3] + dz + M
         inside = {k: c for k, c in block.items() if m_lo <= k[1] <= m_hi}
         return JacobiSeries._trusted({key: _canon(inside, dq, dz)} if inside else {}, q_cutoff)
     if isinstance(label, AtypicalA) and label.ell == 0:
@@ -64,6 +61,14 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
             raise ValueError("atypical characters need a z window")
         return char_atypical0(label.n, q_cutoff, z_window)
     raise NotDeterminedError("characters are available for Verma labels and atypicals at ell = 0")
+
+
+def _z_span(z0: int, den: int, window) -> tuple[int, int]:
+    """The least and greatest integer M with lo <= z0/den + M <= hi, for window (lo, hi)."""
+    (lo, r), (hi, t) = _ratio(window[0]), _ratio(window[1])
+    if lo * t > hi * r:
+        raise ValueError("empty z window")
+    return -((z0 * r - lo * den) // (r * den)), (hi * den - z0 * t) // (t * den)
 
 
 def _low_m(depth: int) -> int:
@@ -132,16 +137,13 @@ def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
     caller needs.
     """
     (a, d), q_cutoff = _ratio(n), _f(q_cutoff)
-    (lo, r), (hi, t) = _ratio(z_window[0]), _ratio(z_window[1])
-    if lo * t > hi * r:
-        raise ValueError("empty z window")
+    centre, den = 2 * a - d, 2 * d  # n - 1/2 = centre / den
+    m_lo, m_hi = _z_span(centre, den, z_window)  # z = centre/den + m
     if q_cutoff.numerator < 0:
         raise ValueError("q_cutoff must be nonnegative")
     depth = int(q_cutoff)
-    centre, den, low = 2 * a - d, 2 * d, _low_m(depth)  # n - 1/2 = centre / den
-    # k runs over the block's z offsets: z = centre/den + low + k
-    k_lo = -((centre * r - lo * den) // (r * den)) - low
-    k_hi = (hi * den - centre * t) // (t * den) - low
+    low = _low_m(depth)
+    k_lo, k_hi = m_lo - low, m_hi - low  # k runs over the block's z offsets, m = low + k
     sums = {key: c for key, c in _telescoped(depth).items() if k_lo <= key[1] <= k_hi}
     dz, z0 = divmod(centre, den)
     classes = {_key(0, z0, 0, den): _canon(sums, 0, dz + low)} if sums else {}

@@ -22,16 +22,18 @@ from .labels import AtypicalA, FormalSum, k_decompose, parse_label, parse_ration
 from .labels import _int, _number_error
 
 
+#: the --ext names and the extensions attribute each selects; the first is the default
+_EXTENSIONS = {"sl21-neg-half": "SL21_MINUS_HALF", "sl21-level1": "SL21_LEVEL1"}
+
+
 def _ext_from_flag(text: str) -> tuple[extensions.ExtensionSpec, list[str]]:
     """The extension a flag names, with the admissibility warnings it raised."""
-    if text not in ("sl21-neg-half", "sl21-level1") and not text.startswith("custom:"):
+    if text not in _EXTENSIONS and not text.startswith("custom:"):
         raise UsageError(f"unknown extension {text!r}")
     from . import extensions
 
-    if text == "sl21-neg-half":
-        return extensions.SL21_MINUS_HALF, []
-    if text == "sl21-level1":
-        return extensions.SL21_LEVEL1, []
+    if text in _EXTENSIONS:
+        return getattr(extensions, _EXTENSIONS[text]), []
     body = text[len("custom:"):]
     try:
         a_text, b_text = body.split(",")
@@ -46,9 +48,16 @@ def _ext_from_flag(text: str) -> tuple[extensions.ExtensionSpec, list[str]]:
     return ext, [str(w.message) for w in caught]
 
 
-def _warnings_json(caught: list[str]) -> dict:
-    """A ``warnings`` key, present only when a warning fired."""
-    return {"warnings": caught} if caught else {}
+def _with_ext(body):
+    """A handler that parses the label, then the extension, and returns both, body's keys and warnings."""
+
+    def handler(args) -> dict:
+        label = parse_label(args.label)
+        ext, caught = _ext_from_flag(args.ext)
+        out = {"label": render_label(label), "extension": ext.name, **body(args, label, ext)}
+        return {**out, "warnings": caught} if caught else out
+
+    return handler
 
 
 class UsageError(Exception):
@@ -146,56 +155,30 @@ def _cmd_char(args) -> dict:
     return {"label": render_label(label), "terms": terms}
 
 
-def _cmd_induce(args) -> dict:
-    label = parse_label(args.label)
-    ext, caught = _ext_from_flag(args.ext)
+@_with_ext
+def _cmd_induce(args, label, ext) -> dict:
     if args.m_range > MAX_INDUCE_M_RANGE:
         raise UsageError(f"--m-range must be at most {MAX_INDUCE_M_RANGE}, got {args.m_range}")
     from . import extensions
 
-    out = extensions.induce(label, ext, args.m_range)
-    return {
-        "label": render_label(label),
-        "extension": ext.name,
-        "summands": [
-            {"m": m, "label": render_label(lbl)}
-            for m, lbl in zip(range(-args.m_range, args.m_range + 1), out)
-        ],
-        **_warnings_json(caught),
-    }
+    summands = zip(range(-args.m_range, args.m_range + 1), extensions.induce(label, ext, args.m_range))
+    return {"summands": [{"m": m, "label": render_label(lbl)} for m, lbl in summands]}
 
 
-def _cmd_monodromy(args) -> dict:
-    label = parse_label(args.label)
-    ext, caught = _ext_from_flag(args.ext)
+@_with_ext
+def _cmd_monodromy(args, label, ext) -> dict:
     from . import extensions
 
-    rows = []
-    for m in (-2, -1, 1, 2):
-        exponent = extensions.monodromy_exponent(label, ext.generator_of(m))
-        rows.append(
-            {"m": m, "exponent": str(exponent), "integral": exponent.denominator == 1}
-        )
-    return {
-        "label": render_label(label),
-        "extension": ext.name,
-        "exponents": rows,
-        "local": all(row["integral"] for row in rows if row["m"] in (-1, 1)),
-        **_warnings_json(caught),
-    }
+    exponents = [(m, extensions.monodromy_exponent(label, ext.generator_of(m))) for m in (-2, -1, 1, 2)]
+    rows = [{"m": m, "exponent": str(e), "integral": e.denominator == 1} for m, e in exponents]
+    return {"exponents": rows, "local": all(row["integral"] for row in rows if row["m"] in (-1, 1))}
 
 
-def _cmd_local(args) -> dict:
-    label = parse_label(args.label)
-    ext, caught = _ext_from_flag(args.ext)
+@_with_ext
+def _cmd_local(args, label, ext) -> dict:
     from . import extensions
 
-    return {
-        "label": render_label(label),
-        "extension": ext.name,
-        "local": extensions.is_local(label, ext),
-        **_warnings_json(caught),
-    }
+    return {"local": extensions.is_local(label, ext)}
 
 
 def _cmd_oracle(args) -> dict:
@@ -223,59 +206,39 @@ def _cmd_kz(args) -> dict:
     return {"checks": report, "all_pass": all(c["status"] == "pass" for c in report)}
 
 
+#: (name, handler, help, positionals) of each subcommand; build_parser adds the flags
+_COMMANDS = (
+    ("fuse", _cmd_fuse, "fusion product of two labels", ("a", "b")),
+    ("kdec", _cmd_kdec, "composition factors of a label", ("label",)),
+    ("char", _cmd_char, "character expansion of a label", ("label",)),
+    ("induce", _cmd_induce, "summands of an induced module", ("label",)),
+    ("monodromy", _cmd_monodromy, "monodromy exponents against the generators", ("label",)),
+    ("local", _cmd_local, "does the label induce to a local module", ("label",)),
+    ("oracle", _cmd_oracle, "tensor-decompose two finite modules", ("a", "b")),
+    ("kz", _cmd_kz, "differential-equation verification suite", ("action",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="gl11kl",
-        description="Exact fusion, characters and extension analysis for affine gl(1|1)",
-    )
+    parser = _Parser(prog="gl11kl", description="Exact fusion, characters and extension analysis for affine gl(1|1)")
     parser.add_argument("--json", action="store_true", help="JSON output (the default)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fuse", help="fusion product of two labels")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_fuse)
-
-    p = sub.add_parser("kdec", help="composition factors of a label")
-    p.add_argument("label")
-    p.set_defaults(func=_cmd_kdec)
-
-    p = sub.add_parser("char", help="character expansion of a label")
-    p.add_argument("label")
-    p.add_argument(
+    subs = {}
+    for name, func, help_text, positionals in _COMMANDS:
+        subs[name] = p = sub.add_parser(name, help=help_text)
+        for dest in positionals:
+            p.add_argument(dest)
+        p.set_defaults(func=func)
+    subs["char"].add_argument(
         "--cutoff", default="2", help=f"q-window above the lowest weight, at most {MAX_CHAR_CUTOFF}"
     )
-    p.add_argument("--z-window", default=None, help="lo,hi bounds on z exponents")
-    p.set_defaults(func=_cmd_char)
-
-    p = sub.add_parser("induce", help="summands of an induced module")
-    p.add_argument("label")
-    p.add_argument("--ext", default="sl21-neg-half")
-    p.add_argument(
+    subs["char"].add_argument("--z-window", default=None, help="lo,hi bounds on z exponents")
+    for name in ("induce", "monodromy", "local"):
+        subs[name].add_argument("--ext", default=next(iter(_EXTENSIONS)))
+    subs["induce"].add_argument(
         "--m-range", type=_flag_int, default=3, help=f"summands m = -M..M, M at most {MAX_INDUCE_M_RANGE}"
     )
-    p.set_defaults(func=_cmd_induce)
-
-    p = sub.add_parser("monodromy", help="monodromy exponents against the generators")
-    p.add_argument("label")
-    p.add_argument("--ext", default="sl21-neg-half")
-    p.set_defaults(func=_cmd_monodromy)
-
-    p = sub.add_parser("local", help="does the label induce to a local module")
-    p.add_argument("label")
-    p.add_argument("--ext", default="sl21-neg-half")
-    p.set_defaults(func=_cmd_local)
-
-    p = sub.add_parser("oracle", help="tensor-decompose two finite modules")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("kz", help="differential-equation verification suite")
-    p.add_argument("action")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=_cmd_kz)
-
+    subs["kz"].add_argument("--tol", type=float, default=1e-12)
     return parser
 
 
@@ -293,6 +256,3 @@ def main(argv=None) -> int:
         return 1
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -31,8 +31,9 @@ elimination and r1' = (w'/w)' in the transform, come from ``_Jet``, an
 exact (value, d/dz) pair.
 
 Floating-point evaluation is double precision; the z = 1 constant meets
-``tol`` down to 1e-15, and the ODE residual is taken on 0.1 <= z <= 0.9,
-|x| <= 50.
+``tol`` down to 1e-15.  The ODE residual substitutes into the same
+coefficients as ``correlator_ode`` and the same gauge jet as the transform,
+on 0.1 <= z <= 0.9, |x| <= 50.
 """
 
 from __future__ import annotations
@@ -89,10 +90,15 @@ class SecondOrderOde(Frozen):
         return _ode((a2 * s, a1 * s, a0 * s) for s, a2, a1, a0 in zip(scales, self.a2, self.a1, self.a0))
 
 
+def _gauge_jet(d, z) -> _Jet:
+    """2 Delta (1/(1-z) - 1/z) as a jet: w'/w for w = z^{-2D}(1-z)^{-2D}, and its derivative."""
+    return 2 * d * (1 / (1 - _Jet(z, 1)) - 1 / _Jet(z, 1))
+
+
 @cache  # the system, the transform and the scalar pair share it; no caller mutates a jet
 def _gauge() -> tuple:
-    """2 Delta (1/(1-z) - 1/z) as jets: the system's diagonal, and w'/w for w = z^{-2D}(1-z)^{-2D}."""
-    return tuple(2 * d * (1 / (1 - _Jet(z, 1)) - 1 / _Jet(z, 1)) for d, _, z in _GRID)
+    """``_gauge_jet`` at the points of ``_GRID``: the system's diagonal, and w'/w."""
+    return tuple(_gauge_jet(d, z) for d, _, z in _GRID)
 
 
 def build_first_order_system() -> tuple:
@@ -125,17 +131,19 @@ def eliminate_to_second_order(m: tuple) -> SecondOrderOde:
     return _ode(rows).normalized()
 
 
+def _correlator_row(d, x, z) -> tuple:
+    """(a2, a1, a0) of the correlator ODE at one (Delta, x, z), entered directly."""
+    a0 = 4 * d * d / z + 2 * d * (2 * d - 1) / (1 - z) + (x * x - 16 * d * d)
+    return z * (1 - z), (4 * d + 1) - (8 * d + 1) * z, a0
+
+
 def correlator_ode() -> SecondOrderOde:
     """The second-order ODE with its coefficients entered directly.
 
     z(1-z) f'' + [(4D+1) - (8D+1) z] f' +
     [4D^2/z + 2D(2D-1)/(1-z) + (x^2 - 16D^2)] f = 0, D = Delta.
     """
-    rows = []
-    for d, x, z in _GRID:
-        a0 = 4 * d * d / z + 2 * d * (2 * d - 1) / (1 - z) + (x * x - 16 * d * d)
-        rows.append((z * (1 - z), (4 * d + 1) - (8 * d + 1) * z, a0))
-    return _ode(rows)
+    return _ode(_correlator_row(d, x, z) for d, x, z in _GRID)
 
 
 def hypergeometric_ode() -> SecondOrderOde:
@@ -268,7 +276,7 @@ def ode_residual(x, delta, z: float, tol: float = 1e-14) -> float:
     """Absolute residual of the fundamental solution in the correlator ODE.
 
     Evaluates f(z) = z^{-2D}(1-z)^{-2D} F(z) and its first two derivatives
-    termwise and substitutes into the directly-entered ODE coefficients.
+    termwise and substitutes into the coefficients of ``correlator_ode`` at z.
     The gauge factor is pulled out of the bracket and the six products are
     combined with compensated summation.  The domain is 0.1 <= z <= 0.9 and
     |x| <= 50, and ``tol``, the bound on the series' tails, must be positive.
@@ -288,18 +296,13 @@ def ode_residual(x, delta, z: float, tol: float = 1e-14) -> float:
         raise ValueError("parameter too large for the residual")
     big_f, big_f1, big_f2 = _gauss_series(xf, z, tol)
     zq = Fraction(z)  # exact: binary floats are dyadic rationals
-    r1 = -2 * dq / zq + 2 * dq / (1 - zq)
-    r1p = 2 * dq / (zq * zq) + 2 * dq / ((1 - zq) * (1 - zq))
-    r2 = r1 * r1 + r1p
-    a2 = zq * (1 - zq)
-    a1 = (4 * dq + 1) - (8 * dq + 1) * zq
-    a0 = 4 * dq * dq / zq + 2 * dq * (2 * dq - 1) / (1 - zq) + (xq * xq - 16 * dq * dq)
+    r1, (a2, a1, a0) = _gauge_jet(dq, zq), _correlator_row(dq, xq, zq)  # w''/w = r1^2 + r1'
     bracket = math.fsum(
         (
-            float(a2 * r2) * big_f,
-            float(2 * a2 * r1) * big_f1,
+            float(a2 * (r1.v * r1.v + r1.d)) * big_f,
+            float(2 * a2 * r1.v) * big_f1,
             float(a2) * big_f2,
-            float(a1 * r1) * big_f,
+            float(a1 * r1.v) * big_f,
             float(a1) * big_f1,
             float(a0) * big_f,
         )

@@ -96,8 +96,9 @@ MUTANTS = [
     ("induced-cut-strict", "scaled-int-characters", CHARS, "top = (bound - q) // scale", "top = (bound - q - 1) // scale"),
     ("induced-left-d-times-b", "scaled-int-characters", CHARS, "(2 * g * (a + m * d) + d * e)", "(2 * g * (a + m * d) + d * b)"),
     ("atypical0-telescope-sign", "integer-offset-series", CHARS, "total = row[k] - total", "total = row[k] + total"),
-    # the Verma window's ceil moved onto ints: the same ceil-to-floor edit
-    ("verma-window-floor", "integer-offset-series", CHARS, "-((z0 * r - lo * den) // (r * den)) - dz", "(lo * den - z0 * r) // (r * den) - dz"),
+    # the Verma window's ceil moved onto ints, and then into _z_span, which
+    # char_atypical0 shares: both mutants make the same ceil-to-floor edit there
+    ("verma-window-floor", "integer-offset-series", CHARS, "-((z0 * r - lo * den) // (r * den))", "(lo * den - z0 * r) // (r * den)"),
     ("below-strict", "integer-offset-series", SERIES, "if k[0] <= top}", "if k[0] < top}"),
     # _split is gone: its floor split is the constructor's divmod on ints,
     # and the mutant truncates there instead
@@ -159,7 +160,8 @@ MUTANTS = [
     ),
     ("key-no-gcd", "int-class-keys", SERIES, "    g = math.gcd(q0, z0, y, den)\n", "    g = 1\n"),
     ("low-comparison-flipped", "int-class-keys", SERIES, "num * low[1] < low[0] * den", "num * low[1] > low[0] * den"),
-    ("atypical0-k-lo-floor", "int-class-keys", CHARS, "-((centre * r - lo * den) // (r * den)) - low", "(lo * den - centre * r) // (r * den) - low"),
+    # followed its ceil into _z_span: the statement verma-window-floor edits
+    ("atypical0-k-lo-floor", "int-class-keys", CHARS, "-((z0 * r - lo * den) // (r * den))", "(lo * den - z0 * r) // (r * den)"),
     (
         "below-truncates-negative",
         "int-class-keys",
@@ -168,6 +170,17 @@ MUTANTS = [
         "int((num * key[3] - key[0] * den) / (den * key[3])) - dq",
     ),
     ("module-hash-from-fields", "int-class-keys", ORACLE, "    __hash__ = None\n", ""),
+    ("ext-warnings-dropped", "each-thing-once", CLI, '{**out, "warnings": caught} if caught else out', "out"),
+    (
+        "ext-default-level1",
+        "each-thing-once",
+        CLI,
+        '{"sl21-neg-half": "SL21_MINUS_HALF", "sl21-level1": "SL21_LEVEL1"}',
+        '{"sl21-level1": "SL21_LEVEL1", "sl21-neg-half": "SL21_MINUS_HALF"}',
+    ),
+    ("z-span-hi-ceil", "each-thing-once", CHARS, "(hi * den - z0 * t) // (t * den)", "-((z0 * t - hi * den) // (t * den))"),
+    ("residual-without-r1-prime", "each-thing-once", KZ, "float(a2 * (r1.v * r1.v + r1.d))", "float(a2 * (r1.v * r1.v))"),
+    ("monodromy-local-reads-two", "each-thing-once", CLI, 'if row["m"] in (-1, 1)', 'if row["m"] in (-2, 2)'),
 ]
 
 

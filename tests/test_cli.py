@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gl11kl
+from gl11kl import cli
 from gl11kl.cli import main
 
 
@@ -241,6 +242,27 @@ def test_argument_errors_are_json(capsys):
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "")
     assert "usage" in out
+
+
+#: each subcommand's shortest argv and every dest it parses to, defaults included
+_PARSED = [
+    (["fuse", "a", "b"], {"a": "a", "b": "b"}),
+    (["kdec", "x"], {"label": "x"}),
+    (["char", "x"], {"label": "x", "cutoff": "2", "z_window": None}),
+    (["induce", "x"], {"label": "x", "ext": "sl21-neg-half", "m_range": 3}),
+    (["monodromy", "x"], {"label": "x", "ext": "sl21-neg-half"}),
+    (["local", "x"], {"label": "x", "ext": "sl21-neg-half"}),
+    (["oracle", "a", "b"], {"a": "a", "b": "b"}),
+    (["kz", "verify"], {"action": "verify", "tol": 1e-12}),
+]
+
+
+@pytest.mark.parametrize("argv, dests", _PARSED, ids=[c[0][0] for c in _PARSED])
+def test_parsed_defaults_are_pinned(argv, dests):
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert parsed.pop("func") is getattr(cli, f"_cmd_{argv[0]}")
+    want = {"json": False, "command": argv[0], **dests}
+    assert {k: (v, type(v)) for k, v in parsed.items()} == {k: (v, type(v)) for k, v in want.items()}
 
 
 def test_induce_m_range_is_bounded(capsys):
