@@ -1,32 +1,19 @@
 """Simple-current extension analysis: monodromy, locality, induction.
 
 An extension is generated under fusion by a single atypical simple; the m-th
-summand of the extension algebra is the m-th fusion power of the generator,
-which has the closed form A(m a - m eps(b) + eps(m b); m b) when the first
-power is A(a; b).  The two named extensions are the level -1/2 and level 1
-realizations used for sl(2|1):
+summand of the extension algebra is the m-th fusion power of the generator.
+The two named extensions are the level -1/2 and level 1 realizations used
+for sl(2|1):
 
 * ``SL21_MINUS_HALF``: generator steps (a, b) = (1/2, -2), summands
   A(m - eps(m); -2m).
 * ``SL21_LEVEL1``: generator steps (a, b) = (1/2, 1), summands A(eps(m); m).
 
-Induction is fusion rule 1 applied to the generator powers: summand(m), the
-m-th summand of the induction of s, is fuse(s, generator_of(m)), which
-``_summands`` reads off ``fusion._rules`` on int keys.  With step =
-a - eps(b), summand(m) has ehat(s) + m b and, for b = 0, n(s) + m step.
-The monodromy of a simple s (x = ehat(s)) against A(c;l) is
-x (c + l - kappa) + l (n(s) - kappa), kappa = eps(l) for a typical s and
-eps2(ell(s), l) for an atypical one, kept as an int pair (num, den) until a
-value is returned, and ``is_local`` tests num % den; the summand weights are
-b (step + b/2) m^2 + lin m + const, plus |l + m b|/2 for a base A(n;l),
-which ``weight_growth`` takes on ints, at the scale 2q for a = p/q and at
-d = lcm(2q g, n.den) for lin, g the ehat denominator (1 for A); and the one
-m that can make two simples induce alike is their ehat offset over b, or
-for b = 0 their n offset over step.
-
-Locality of an induced module is decided by integrality of the monodromy
-exponents against the generators at m = +-1; the exponent is affine in m
-modulo the integers, which the additivity property test certifies.
+Induction is fusion rule 1 applied to the generator powers.  Induction,
+monodromy, locality and weight growth run on int keys or int pairs, and
+each function's docstring states its closed form.  The monodromy exponent
+is affine in m modulo the integers, which ``is_local`` relies on and the
+additivity property test certifies.
 ``induced_equivalent`` and ``induced_projective_cover`` are library API like
 ``induce`` and ``is_local``, though nothing in the package calls them: they
 state the paper's results on equivalent inductions and on projective covers.
@@ -40,11 +27,10 @@ from math import lcm
 
 from .errors import Gl11Error
 from .frozen import Frozen
-from .fusion import _key, _label, _rules, fuse
+from .fusion import _RULE_ORDER, _checked, _key, _label, _rules, fuse
 from .labels import (
     AtypicalA,
     ModuleLabel,
-    ProjectiveP,
     TypicalV,
     _f,
     _int,
@@ -123,8 +109,8 @@ def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
     denominators of base), for a = p/q, and rule 1 gives one key each.
     """
     kind = type(base)
-    if kind not in (TypicalV, AtypicalA, ProjectiveP):
-        return [fuse(base, ext.generator_of(m)).single() for m in ms]  # raises as fuse does
+    if kind not in _RULE_ORDER:
+        _checked(base, ext.generator_of(ms[0]))  # raises as fuse does
     q2 = 2 * ext.a.denominator
     d = lcm(q2, base.n.denominator, base.ehat.denominator if kind is TypicalV else 1)
     key, r, b = _key(base, d), d // q2, ext.b
@@ -173,7 +159,6 @@ def is_local(s: ModuleLabel, ext: ExtensionSpec) -> bool:
     The exponent against generator_of(m) is affine in m modulo the integers,
     so integrality at m = +-1 decides every m.
     """
-    s = strip_parity(s)
     for m in (1, -1):
         num, den = _monodromy(s, ext.generator_of(m))
         if num % den:
@@ -186,7 +171,7 @@ def induce(s: ModuleLabel, ext: ExtensionSpec, m_range: int) -> list[ModuleLabel
     m_range = _int(m_range)
     if m_range < 0:
         raise ValueError(f"m_range must be non-negative, got {m_range}")
-    return _summands(strip_parity(s), ext, range(-m_range, m_range + 1))
+    return _summands(s, ext, range(-m_range, m_range + 1))
 
 
 def induced_equivalent(s: ModuleLabel, s2: ModuleLabel, ext: ExtensionSpec) -> bool:
@@ -214,7 +199,6 @@ def induced_projective_cover(
     s: ModuleLabel, ext: ExtensionSpec, m_range: int
 ) -> list[ModuleLabel]:
     """Summands of the projective cover of the induction of a local simple."""
-    s = strip_parity(s)
     if not is_local(s, ext):
         raise Gl11Error("projective covers of inductions require a local base")
     return induce(projective_cover(s), ext, m_range)
@@ -249,7 +233,6 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     are taken at d = lcm(2q g, n.den), g = ehat.den for V and 1 for A; one
     Fraction is built per returned coefficient.
     """
-    s = strip_parity(s)
     if not is_simple(s):
         raise ValueError("weight growth applies to simple labels")
     b, p, q = ext.b, ext.a.numerator, ext.a.denominator

@@ -44,14 +44,12 @@ from .labels import (
 _RULE_ORDER = {AtypicalA: 0, ProjectiveP: 1, TypicalV: 2}
 
 
-def _checked(a: ModuleLabel, b: ModuleLabel):
-    """The unflipped inputs, or the error fusing them raises."""
-    a, b = strip_parity(a), strip_parity(b)
+def _checked(a: ModuleLabel, b: ModuleLabel) -> None:
+    """Raise what fusing a and b raises; no strip is needed, as ``_key`` ignores parity."""
     if isinstance(a, VermaV0) or isinstance(b, VermaV0):
         raise NotDeterminedError("fusion against a reducible Verma label is not determined")
     if type(a) not in _RULE_ORDER or type(b) not in _RULE_ORDER:
-        raise TypeError(f"cannot fuse {a!r} and {b!r}")
-    return a, b
+        raise TypeError(f"cannot fuse {strip_parity(a)!r} and {strip_parity(b)!r}")
 
 
 def _scale(a: ModuleLabel, b: ModuleLabel) -> int:
@@ -105,7 +103,7 @@ def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:
     Parity flips on the inputs are ignored; parity is not propagated through
     fusion.  Raises :class:`NotDeterminedError` on reducible Verma inputs.
     """
-    a, b = _checked(a, b)
+    _checked(a, b)
     d = _scale(a, b)
     out = _rules(_key(a, d), _key(b, d), d)
     return FormalSum._trusted({_label(key, d): m for key, m in out.items()})
@@ -141,7 +139,7 @@ def k_ring_check(a: ModuleLabel, b: ModuleLabel) -> bool:
     fusion of the composition factors of the inputs, both as sums of keys
     of simple labels.  Raises as :func:`fuse` does.
     """
-    a, b = _checked(a, b)
+    _checked(a, b)
     d = _scale(a, b)
     x, y = _key(a, d), _key(b, d)
     rhs: dict = {}

@@ -337,8 +337,10 @@ def k_decompose(label: ModuleLabel) -> FormalSum:
 # rendering and parsing
 # ---------------------------------------------------------------------------
 
-_KIND_NAMES = {TypicalV: "V", AtypicalA: "A", ProjectiveP: "P", VermaV0: "Verma0"}
-_KIND_ORDER = {AtypicalA: 0, TypicalV: 1, VermaV0: 2, ProjectiveP: 3}
+#: each kind's name, in the order labels sort by
+_KIND_NAMES = {AtypicalA: "A", TypicalV: "V", VermaV0: "Verma0", ProjectiveP: "P"}
+_KIND_ORDER = {kind: i for i, kind in enumerate(_KIND_NAMES)}
+_KIND_BY_NAME = {name.lower(): kind for kind, name in _KIND_NAMES.items()}
 
 
 def render_label(label: ModuleLabel) -> str:
@@ -392,7 +394,7 @@ def parse_label(text: str) -> ModuleLabel:
     if not m:
         raise _number_error(f"cannot parse label {text!r}", text)
     pi, kind, n_text, second_text = m.groups()
-    cls = {"v": TypicalV, "a": AtypicalA, "p": ProjectiveP, "verma0": VermaV0}[kind.lower()]
+    cls = _KIND_BY_NAME[kind.lower()]
     flip = pi is not None
     n = Fraction(n_text)
     second = Fraction(second_text)

@@ -19,17 +19,8 @@ weight checks visit nonzero entries only; :func:`mat_rank` works on the
 small dense blocks between neighbouring weight spaces that :func:`decompose`
 slices out.
 
-:func:`decompose` first holds its input to every relation that
-:meth:`Gl11MatrixModule.validate` checks (the weight steps, psi+- swapping
-parity, psi+^2 = psi-^2 = 0 and {psi+, psi-} = E), through the one check
-both share, so a non-module raises :class:`~gl11kl.errors.OracleError` with
-validate's text and never comes back decomposed.  That check works on
-integers scaled by common denominators, and so does the decomposition after
-it; Fractions are built only for the labels returned.  In a weight basis
-every rank :func:`decompose` needs is the rank of a small block between
-neighbouring weight spaces, never of a full-dimensional matrix.  Everything is
-independent of the label arithmetic in :mod:`gl11kl.fusion`, which is the
-point: it is the cross-check.
+Everything is independent of the label arithmetic in :mod:`gl11kl.fusion`,
+which is the point: it is the cross-check.
 """
 
 from __future__ import annotations
@@ -39,7 +30,7 @@ from math import gcd, lcm
 
 from .errors import OracleError
 from .frozen import Frozen
-from .labels import _f
+from .labels import AtypicalA, ProjectiveP, TypicalV, VermaV0, _f
 
 Matrix = tuple  # sequence of rows of ints or Fractions
 Entries = dict  # {(row, col): Fraction}, nonzero entries only
@@ -119,6 +110,10 @@ class FinLabel(Frozen):
 
     __slots__ = ()
 
+    def __repr__(self):
+        """The class's initial and its fields, V(n;e), A(n) or P(n), as the CLI reads them."""
+        return f"{type(self).__name__[0]}({';'.join(map(str, self._values()))})"
+
 
 class Verma(FinLabel):
     """Two-dimensional module V_{n,e}; n is the average of the N-eigenvalues."""
@@ -129,9 +124,6 @@ class Verma(FinLabel):
         object.__setattr__(self, "n", _f(n))
         object.__setattr__(self, "e", _f(e))
 
-    def __repr__(self):
-        return f"V({self.n};{self.e})"
-
 
 class Atypical(FinLabel):
     """One-dimensional module A_n with N acting by n and E, psi+- by zero."""
@@ -141,18 +133,12 @@ class Atypical(FinLabel):
     def __init__(self, n: Fraction):
         object.__setattr__(self, "n", _f(n))
 
-    def __repr__(self):
-        return f"A({self.n})"
-
 
 class Projective(FinLabel):
     """Four-dimensional projective cover P_n of A_n."""
 
     __slots__ = ("n",)
     __init__ = Atypical.__init__
-
-    def __repr__(self):
-        return f"P({self.n})"
 
 
 class Gl11MatrixModule(Frozen):
@@ -308,8 +294,6 @@ def fin_label_of(label) -> FinLabel:
     Typical labels map to the Verma at (n, e = ehat); atypical and
     projective labels need ell = 0 to have a finite analog.
     """
-    from .labels import AtypicalA, ProjectiveP, TypicalV, VermaV0
-
     if isinstance(label, TypicalV):
         return Verma(label.n, label.ehat)
     if isinstance(label, VermaV0) and label.ell == 0:

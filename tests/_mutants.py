@@ -51,11 +51,13 @@ MUTANTS = [
     ("generator-numerator-plus-m", "induction-by-rule-1", EXT, "((m > 0) - (m < 0) - m)", "((m > 0) - (m < 0) + m)"),
     ("summand-scale-without-2q", "induction-by-rule-1", EXT, "d = lcm(q2, base.n.denominator", "d = lcm(2, base.n.denominator"),
     ("label-v-second-undivided", "induction-by-rule-1", FUSION, "Fraction(second, d) if kind is TypicalV else second", "second"),
+    # the fallback now raises through fusion's own input check, not one
+    # fusion per m: the mutant drops that line with the same edit
     (
         "summand-other-kinds-unfused",
         "induction-by-rule-1",
         EXT,
-        "        return [fuse(base, ext.generator_of(m)).single() for m in ms]  # raises as fuse does\n",
+        "        _checked(base, ext.generator_of(ms[0]))  # raises as fuse does\n",
         "        pass\n",
     ),
     ("induce-range-short", "induction-by-rule-1", EXT, "range(-m_range, m_range + 1)", "range(-m_range, m_range)"),
@@ -181,6 +183,23 @@ MUTANTS = [
     ("z-span-hi-ceil", "each-thing-once", CHARS, "(hi * den - z0 * t) // (t * den)", "-((z0 * t - hi * den) // (t * den))"),
     ("residual-without-r1-prime", "each-thing-once", KZ, "float(a2 * (r1.v * r1.v + r1.d))", "float(a2 * (r1.v * r1.v))"),
     ("monodromy-local-reads-two", "each-thing-once", CLI, 'if row["m"] in (-1, 1)', 'if row["m"] in (-2, 2)'),
+    (
+        "kind-order-a-v-swapped",
+        "one-owner-per-rule",
+        LABELS,
+        '{AtypicalA: "A", TypicalV: "V", VermaV0',
+        '{TypicalV: "V", AtypicalA: "A", VermaV0',
+    ),
+    ("fin-label-repr-comma", "one-owner-per-rule", ORACLE, "({';'.join(map(str, self._values()))})", "({','.join(map(str, self._values()))})"),
+    (
+        "checked-error-unstripped",
+        "one-owner-per-rule",
+        FUSION,
+        'f"cannot fuse {strip_parity(a)!r} and {strip_parity(b)!r}"',
+        'f"cannot fuse {a!r} and {b!r}"',
+    ),
+    ("report-entry-gt", "one-owner-per-rule", KZ, '"pass" if worst < threshold', '"pass" if worst > threshold'),
+    ("residual-tail-loose", "one-owner-per-rule", KZ, "_RESIDUAL_TAIL = 1e-14", "_RESIDUAL_TAIL = 1e-6"),
 ]
 
 

@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import gl11kl
 from gl11kl import cli
 from gl11kl.cli import main
+from gl11kl.oracle import Atypical, Projective, Verma
 
 
 def run(capsys, *argv):
@@ -342,6 +345,18 @@ def test_oracle_labels_take_exact_rationals(capsys):
     code, out, _ = run(capsys, "oracle", "V(-1/2;2/04)", "A( 1 )")
     assert code == 0
     assert json.loads(out)["factors"] == ["V(-1/2;1/2)", "A(1)"]
+
+
+def test_finite_labels_read_back_from_their_repr():
+    # the oracle prints its factors with repr, and the CLI's finite-label
+    # grammar reads that text back to the same label
+    rng = Random(30)
+    fixed = (Fraction(-3), Fraction(0), Fraction(5), Fraction(-7, 4), Fraction(2, 9))
+    draws = [(n, e) for n in fixed for e in fixed]
+    draws += [[Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12))) for _ in "ne"] for _ in range(35)]
+    for n, e in draws:
+        for label in (Verma(n, e), Atypical(n), Projective(n)):
+            assert cli._parse_fin_label(repr(label)) == label, label
 
 
 # Each subcommand loads only its own layer, and no subcommand loads

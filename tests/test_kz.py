@@ -394,15 +394,14 @@ def test_ode_residual_rejects_endpoints():
         kz.ode_residual(F(1, 2), F(0), 1.0)
 
 
-def test_ode_residual_rejects_nonpositive_tol_at_once():
-    # no tail bound meets such a tol, so summing would never stop
-    for tol in (0.0, -1.0, math.nan):
+def test_gauss_series_stops_at_a_tiny_tail_bound():
+    # a tail bound of 1e-300 is met once z^n underflows, at once even at the
+    # slowest corner of ode_residual's domain, and it moves the sums by rounding only
+    for x, z in ((0.5, 0.5), (99 / 2, 0.9), (-99 / 2, 0.9)):
         t0 = time.perf_counter()
-        with pytest.raises(ValueError, match="tol"):
-            kz.ode_residual(F(1, 2), F(3, 8), 0.5, tol)
-        assert time.perf_counter() - t0 < 0.1, tol
-    # a tiny positive tol is met once z^n underflows
-    assert kz.ode_residual(F(1, 2), F(3, 8), 0.5, 1e-300) < 1e-10
+        sums = kz._gauss_series(x, z, 1e-300)
+        assert time.perf_counter() - t0 < 0.1, (x, z)
+        assert sums == pytest.approx(kz._gauss_series(x, z, 1e-14), rel=1e-12, abs=1e-12), (x, z)
 
 
 # the (x, Delta) points of ``verification_report`` and its z samples
@@ -500,7 +499,7 @@ def test_ode_residual_parameter_size():
     # at once, and no bound is claimed there (about 1e21)
     for x in (F(99, 2), F(-99, 2)):
         t0 = time.perf_counter()
-        assert kz.ode_residual(x, F(3, 8), 0.9, 1e-300) > 0
+        assert kz.ode_residual(x, F(3, 8), 0.9) > 0
         assert time.perf_counter() - t0 < 0.1, x
     for x in (F(101, 2), F(-101, 2)):
         with pytest.raises(ValueError, match="too large"):

@@ -287,6 +287,10 @@ def test_formal_sum_repr_hash_and_size():
     assert FormalSum(p).single() == p
     with pytest.raises(ValueError, match="multiplicity-free"):
         FormalSum([(a, 2)]).single()
+    # the sort is by kind, in the order A, V, Verma0, P, then by ehat, n and
+    # parity; each later kind here has the smaller ehat and n
+    mixed = [ProjectiveP(-3, -2), VermaV0(-2, -1), TypicalV(-1, F(-1, 2)), AtypicalA(5, 4, True), AtypicalA(5, 4)]
+    assert repr(FormalSum(mixed)) == "A(5;4) + PiA(5;4) + V(-1;-1/2) + Verma0(-2;-1) + P(-3;-2)"
 
 
 def test_formal_sum_copies_a_formal_sum():
