@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 from .errors import NotDeterminedError
 from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, _int, ehat
-from .series import JacobiSeries, _canon, _key, _ratio, jacobi_equal_to_cutoff
+from .series import JacobiSeries, _canon, _cutoff, _key, _ratio, jacobi_equal_to_cutoff
 
 
 def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> JacobiSeries:
@@ -40,9 +40,7 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
     cutoff and the window are checked before the label's kind, so a bad
     argument is a ValueError even where no character is available.
     """
-    q_cutoff = _f(q_cutoff)
-    if q_cutoff < 0:
-        raise ValueError("q_cutoff must be nonnegative")
+    q_cutoff = _cutoff(q_cutoff)
     if z_window is not None:
         lo, hi = z_window
         z_window = (_f(lo), _f(hi))
@@ -53,9 +51,8 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
         if z_window is None:
             return series
         ((key, (dq, dz, _, block)),) = series._classes.items()  # a Verma is one class
-        m_lo, m_hi = _z_span(key[1] + dz * key[3], key[3], z_window)  # z = key[1]/key[3] + dz + M
-        inside = {k: c for k, c in block.items() if m_lo <= k[1] <= m_hi}
-        return JacobiSeries._trusted({key: _canon(inside, dq, dz)} if inside else {}, q_cutoff)
+        span = _z_span(key[1] + dz * key[3], key[3], z_window)  # z = key[1]/key[3] + dz + M
+        return _z_cut(key, dq, dz, block, span, q_cutoff)
     if isinstance(label, AtypicalA) and label.ell == 0:
         if z_window is None:
             raise ValueError("atypical characters need a z window")
@@ -69,6 +66,13 @@ def _z_span(z0: int, den: int, window) -> tuple[int, int]:
     if lo * t > hi * r:
         raise ValueError("empty z window")
     return -((z0 * r - lo * den) // (r * den)), (hi * den - z0 * t) // (t * den)
+
+
+def _z_cut(key: tuple, dq: int, dz: int, block, span: tuple, q_cutoff: Fraction) -> JacobiSeries:
+    """The series of the one class key: (dq, dz, block), cut to the block's z offsets lo <= M <= hi."""
+    lo, hi = span
+    inside = {k: c for k, c in block.items() if lo <= k[1] <= hi}
+    return JacobiSeries._trusted({key: _canon(inside, dq, dz)} if inside else {}, q_cutoff)
 
 
 def _low_m(depth: int) -> int:
@@ -115,9 +119,7 @@ def char_verma(n, ehat, q_cutoff) -> JacobiSeries:
     Valid for every ehat: this is the Verma character whether or not the
     module is irreducible.
     """
-    (a, d), (b, g), q_cutoff = _ratio(n), _ratio(ehat), _f(q_cutoff)
-    if q_cutoff.numerator < 0:
-        raise ValueError("q_cutoff must be nonnegative")
+    (a, d), (b, g), q_cutoff = _ratio(n), _ratio(ehat), _cutoff(q_cutoff)
     scale = 2 * d * g * g  # Delta = b(2ag + bd) / 2dg^2, n = 2ag^2 / scale, ehat = 2bdg / scale
     (dq, q0), (dz, z0) = divmod(b * (2 * a * g + b * d), scale), divmod(a, d)
     key = _key(q0, 2 * z0 * g * g, 2 * b * d * g, scale)
@@ -136,18 +138,14 @@ def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
     are restricted to z_window, so the window must cover every exponent the
     caller needs.
     """
-    (a, d), q_cutoff = _ratio(n), _f(q_cutoff)
+    a, d = _ratio(n)
     centre, den = 2 * a - d, 2 * d  # n - 1/2 = centre / den
     m_lo, m_hi = _z_span(centre, den, z_window)  # z = centre/den + m
-    if q_cutoff.numerator < 0:
-        raise ValueError("q_cutoff must be nonnegative")
+    q_cutoff = _cutoff(q_cutoff)
     depth = int(q_cutoff)
-    low = _low_m(depth)
-    k_lo, k_hi = m_lo - low, m_hi - low  # k runs over the block's z offsets, m = low + k
-    sums = {key: c for key, c in _telescoped(depth).items() if k_lo <= key[1] <= k_hi}
+    low = _low_m(depth)  # the block's z offset k is m - low
     dz, z0 = divmod(centre, den)
-    classes = {_key(0, z0, 0, den): _canon(sums, 0, dz + low)} if sums else {}
-    return JacobiSeries._trusted(classes, q_cutoff)
+    return _z_cut(_key(0, z0, 0, den), 0, dz + low, _telescoped(depth), (m_lo - low, m_hi - low), q_cutoff)
 
 
 @lru_cache(maxsize=None)

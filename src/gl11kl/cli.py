@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import Gl11Error
 from .fusion import fuse
 from .labels import AtypicalA, FormalSum, k_decompose, parse_label, parse_rational, render_label
-from .labels import _int, _number_error
+from .labels import WHITESPACE, _int, _number_error
 
 
 #: the --ext names and the extensions attribute each selects; the first is the default
@@ -103,12 +103,12 @@ def _flag_int(text: str) -> int:
 
 
 def _parse_fin_label(text: str) -> oracle.FinLabel:
-    """Finite-module grammar: V(n;e), A(n), P(n), numbers as in labels."""
-    body = text.strip()
+    """Finite-module grammar: V(n;e), A(n), P(n), numbers and whitespace as in labels."""
+    body = text.strip(WHITESPACE)
     kind = body[:1].upper()
     if not (kind in "VAP" and body[1:2] == "(" and body.endswith(")")):
         raise UsageError(f"cannot parse finite label {text!r}")
-    args = [part.strip() for part in body[2:-1].split(";")]
+    args = [part.strip(WHITESPACE) for part in body[2:-1].split(";")]
     try:
         if kind == "V" and len(args) != 2:
             raise ValueError("V takes (n;e)")

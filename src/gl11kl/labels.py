@@ -217,23 +217,21 @@ class FormalSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        acc: dict[ModuleLabel, int] = {}
+        """A sum of one label, or of the (label, multiplicity) items of a FormalSum, dict or iterable.
+
+        An iterable may also hold bare labels, each of multiplicity 1.
+        """
         if isinstance(terms, ModuleLabel):
-            acc[terms] = 1
-        elif isinstance(terms, FormalSum):
-            acc = dict(terms._terms)
-        elif terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for entry in items:
-                if isinstance(entry, ModuleLabel):
-                    label, mult = entry, 1
-                else:
-                    label, mult = entry
-                mult = _int(mult)
-                if mult < 0:
-                    raise ValueError("multiplicities must be nonnegative")
-                if mult:
-                    acc[label] = acc.get(label, 0) + mult
+            self._terms = {terms: 1}
+            return
+        acc: dict[ModuleLabel, int] = {}
+        for entry in terms.items() if isinstance(terms, (dict, FormalSum)) else terms or ():
+            label, mult = (entry, 1) if isinstance(entry, ModuleLabel) else entry
+            mult = _int(mult)
+            if mult < 0:
+                raise ValueError("multiplicities must be nonnegative")
+            if mult:
+                acc[label] = acc.get(label, 0) + mult
         self._terms = acc
 
     def items(self):
@@ -366,6 +364,8 @@ _LABEL_RE = re.compile(
     rf"^\s*(Pi)?(Verma0|V|A|P)\s*\(\s*({_RATIONAL})\s*;\s*({_RATIONAL})\s*\)\s*$",
     re.IGNORECASE | re.ASCII,
 )
+#: the whitespace both label grammars skip: what ``\s`` matches under ``re.ASCII``
+WHITESPACE = "".join(c for c in map(chr, range(128)) if re.match(r"\s", c, re.ASCII))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -14,10 +14,9 @@ stored, each as a map ``{(row, col): Fraction}`` of its nonzero entries.
 Nearly every entry is zero: a realized P(n) has 4 nonzero psi+- entries in
 32 slots, and in a tensor product of realized modules each odd operator has
 at most one nonzero entry per column and tensor factor.  Products
-(:func:`mul`), linear combinations (:func:`combine`), tensor products and the
-weight checks visit nonzero entries only; :func:`mat_rank` works on the
-small dense blocks between neighbouring weight spaces that :func:`decompose`
-slices out.
+(:func:`mul`), tensor products and the weight checks visit nonzero entries
+only; :func:`mat_rank` works on the small dense blocks between neighbouring
+weight spaces that :func:`decompose` slices out.
 
 Everything is independent of the label arithmetic in :mod:`gl11kl.fusion`,
 which is the point: it is the cross-check.
@@ -42,9 +41,6 @@ EVEN, ODD = 0, 1
 # ---------------------------------------------------------------------------
 
 
-_ZERO = Fraction(0)
-
-
 def mul(a: Entries, b: Entries) -> Entries:
     """Product a b of two entry maps; zero sums are dropped."""
     b_rows: dict[int, list] = {}
@@ -54,18 +50,6 @@ def mul(a: Entries, b: Entries) -> Entries:
     for (i, k), x in a.items():
         for j, y in b_rows.get(k, ()):
             out[i, j] = out.get((i, j), 0) + x * y
-    return {key: v for key, v in out.items() if v}
-
-
-def combine(terms) -> Entries:
-    """Linear combination sum c X over (c, X) pairs; zero sums are dropped."""
-    out: Entries = {}
-    for c, x in terms:
-        c = _f(c)
-        if not c:
-            continue
-        for key, v in x.items():
-            out[key] = out.get(key, _ZERO) + c * v
     return {key: v for key, v in out.items() if v}
 
 
@@ -278,14 +262,16 @@ def l0_top_matrix(m: Gl11MatrixModule, k) -> Entries:
     """Zero-mode Virasoro action (1/k)(N E - psi+ psi-) + E/(2k) + E^2/(2k^2).
 
     N and E are diagonal, so every term but psi+ psi- is the diagonal
-    (e/k)(n + 1/2 + e/(2k)), read off the weights.
+    (e/k)(n + 1/2 + e/(2k)), read off the weights; zero sums are dropped.
     """
     k = _f(k)
     if k == 0:
         raise ValueError("level k must be nonzero")
     half = Fraction(1, 2)
-    diagonal = {(i, i): e / k * (n + half + half * e / k) for i, (e, n) in enumerate(m.weights)}
-    return combine(((1, diagonal), (-1 / k, mul(m.psi_p, m.psi_m))))
+    out = {(i, i): e / k * (n + half + half * e / k) for i, (e, n) in enumerate(m.weights)}
+    for key, v in mul(m.psi_p, m.psi_m).items():
+        out[key] = out.get(key, 0) - v / k
+    return {key: v for key, v in out.items() if v}
 
 
 def fin_label_of(label) -> FinLabel:

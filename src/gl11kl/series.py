@@ -37,6 +37,14 @@ def _ratio(v) -> tuple:
     return v.numerator, v.denominator
 
 
+def _cutoff(q) -> Fraction:
+    """q as a Fraction, which must be nonnegative: the check of every character's q_cutoff."""
+    q = _f(q)
+    if q.numerator < 0:
+        raise ValueError("q_cutoff must be nonnegative")
+    return q
+
+
 def _key(q0: int, z0: int, y: int, den: int) -> tuple:
     """The class key of q0/den, z0/den and y/den, 0 <= q0, z0 < den, over their least denominator."""
     g = math.gcd(q0, z0, y, den)
@@ -75,14 +83,19 @@ def _below(classes: dict, low: tuple, w: int, h: int) -> dict:
 
 
 class JacobiSeries:
-    """Truncated series in q, z, y with integer coefficients."""
+    """Truncated series in q, z, y with integer coefficients.
+
+    The general constructor is public API: it builds any series from its
+    terms {(q, z, y): c}, cut ``q_cutoff`` above the least q exponent, and
+    ``q_cutoff=None`` marks an exact series.  The package itself builds
+    characters through ``_trusted``; the constructor's callers are the
+    tests' expected series and the perturbed series of ``bench/selftest.py``.
+    """
 
     __slots__ = ("_classes", "q_cutoff", "_terms")
 
     def __init__(self, terms: Mapping[_Key, int] | None = None, q_cutoff: Fraction | None = None):
-        cutoff = None if q_cutoff is None else Fraction(q_cutoff)
-        if cutoff is not None and cutoff < 0:
-            raise ValueError("q_cutoff must be nonnegative")
+        cutoff = None if q_cutoff is None else _cutoff(q_cutoff)
         classes: dict = {}
         if terms:
             for (q, z, y), v in terms.items():

@@ -7,12 +7,14 @@ table and the parity of all four basis elements.  The package stores a
 weight per basis vector instead of N and E, and its ``validate`` checks only
 the relations that a weight basis leaves open; the tests hold it to this
 check, run on N and E rebuilt as diagonal entry maps by :func:`operators`.
+:func:`mul` and :func:`combine` are this file's own entry-map arithmetic, so
+the references share no code with the package's relations check.
 """
 
 from __future__ import annotations
 
 from gl11kl.errors import OracleError
-from gl11kl.oracle import EVEN, ODD, combine, mul
+from gl11kl.oracle import EVEN, ODD
 
 BASIS = ("N", "E", "psi+", "psi-")
 #: parity of each basis element, in the order of BASIS
@@ -21,6 +23,25 @@ PARITY = (EVEN, EVEN, ODD, ODD)
 #: [N, psi+-] = +-psi+- and {psi+, psi-} = E; every other bracket is zero
 BRACKETS = {(0, 2): {2: 1}, (2, 0): {2: -1}, (0, 3): {3: -1}, (3, 0): {3: 1},
             (2, 3): {1: 1}, (3, 2): {1: 1}}
+
+
+def mul(a: dict, b: dict) -> dict:
+    """Product a b of two entry maps {(row, col): value}; zero sums are dropped."""
+    out: dict = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                out[i, j] = out.get((i, j), 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def combine(terms) -> dict:
+    """Linear combination sum c X over (c, X) pairs, X an entry map; zero sums are dropped."""
+    out: dict = {}
+    for c, x in terms:
+        for key, v in x.items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
 def cartan(m) -> tuple:

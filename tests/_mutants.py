@@ -200,6 +200,12 @@ MUTANTS = [
     ),
     ("report-entry-gt", "one-owner-per-rule", KZ, '"pass" if worst < threshold', '"pass" if worst > threshold'),
     ("residual-tail-loose", "one-owner-per-rule", KZ, "_RESIDUAL_TAIL = 1e-14", "_RESIDUAL_TAIL = 1e-6"),
+    ("formal-sum-allows-minus-one", "one-owner-round-3", LABELS, "if mult < 0:", "if mult < -1:"),
+    ("cutoff-rejects-zero", "one-owner-round-3", SERIES, "    if q.numerator < 0:\n", "    if q.numerator <= 0:\n"),
+    ("z-cut-upper-strict", "one-owner-round-3", CHARS, "if lo <= k[1] <= hi}", "if lo <= k[1] < hi}"),
+    ("l0-psi-term-added", "one-owner-round-3", ORACLE, "out.get(key, 0) - v / k", "out.get(key, 0) + v / k"),
+    ("fin-label-strips-unicode", "one-owner-round-3", CLI, "body = text.strip(WHITESPACE)", "body = text.strip()"),
+    ("fin-label-parts-strip-unicode", "one-owner-round-3", CLI, "[part.strip(WHITESPACE) for part", "[part.strip() for part"),
 ]
 
 

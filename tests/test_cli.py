@@ -347,6 +347,30 @@ def test_oracle_labels_take_exact_rationals(capsys):
     assert json.loads(out)["factors"] == ["V(-1/2;1/2)", "A(1)"]
 
 
+def test_both_label_grammars_skip_only_ascii_whitespace(capsys):
+    # the finite-label grammar strips what the category-label grammar's \s
+    # matches under re.ASCII, so a non-ASCII space fails both alike
+    for space in ("\u00a0", "\u3000"):
+        for fin, label in (
+            (f"{space}A(1)", f"{space}A(1;0)"),
+            (f"A({space}1)", f"A({space}1;0)"),
+            (f"A(1{space})", f"A(1{space};0)"),
+            (f"V(1/2;1/3{space})", f"V(1/2;1/3{space})"),
+            (f"P(0){space}", f"P(0;0){space}"),
+        ):
+            for argv in (("oracle", fin, "A(0)"), ("fuse", label, "A(0;0)")):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, ""), argv
+                assert json.loads(err)["error"].startswith("cannot parse"), argv
+    for space in (" ", "\t", " \t "):
+        code, out, _ = run(capsys, "oracle", f"{space}V({space}1/2{space};{space}1{space}){space}", f"A({space}1)")
+        assert code == 0, repr(space)
+        assert json.loads(out)["factors"] == ["V(1/2;1)", "A(1)"]
+        code, out, _ = run(capsys, "fuse", f"{space}V({space}1/2{space};{space}1/3{space}){space}", "A(0;0)")
+        assert code == 0, repr(space)
+        assert json.loads(out)["summands"] == [{"label": "V(1/2;1/3)", "multiplicity": 1}]
+
+
 def test_finite_labels_read_back_from_their_repr():
     # the oracle prints its factors with repr, and the CLI's finite-label
     # grammar reads that text back to the same label

@@ -11,11 +11,14 @@ bound.  ``--help`` is left out: its usage text on stdout is pinned in
 ``test_cli.py``.
 
 Tier-1 runs the draws of ``SEED``; :func:`fuzz` runs any seed and count
-outside pytest, for a larger run::
+outside pytest, for a larger run, and :func:`digest` also hashes what each
+call wrote, so that two trees can be compared call by call::
 
     PYTHONPATH=src:tests python -c "import test_cli_fuzz as f; print(f.fuzz(2025, 3000))"
+    PYTHONPATH=src:tests python -c "import test_cli_fuzz as f; print(f.digest(2025, 3000))"
 """
 
+import hashlib
 import io
 import json
 import time
@@ -192,11 +195,21 @@ def fuzz(seed, count) -> Counter:
 
     Raises AssertionError on the first call that breaks the contract.
     """
-    codes = Counter()
+    return digest(seed, count)[1]
+
+
+def digest(seed, count) -> tuple:
+    """(sha256, exit-code counts) of the draws of one seed, each held to the contract.
+
+    The sha256 is over one ``json.dumps([argv, code, stdout, stderr])`` line
+    per call, each ended by a newline, in draw order.
+    """
+    codes, sha = Counter(), hashlib.sha256()
     for argv in _draws(seed, count):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code, took = _call(argv)
         _hold(argv, code, took, out.getvalue(), err.getvalue())
         codes[code] += 1
-    return codes
+        sha.update((json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n").encode())
+    return sha.hexdigest(), codes

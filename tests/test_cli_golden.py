@@ -139,6 +139,9 @@ ARGVS = [
     ["fuse", "P\u0131V(1/2;1/3)", "V(1/4;1/2)"],
     ["kdec", "P\u0130V(1/2;1/3)"],
     ["fuse", "\u3000A(0;0)", "A(1;0)"],
+    ["oracle", "A(1\u00a0)", "A(1)"],
+    ["oracle", "\u3000P(0)", "A(1)"],
+    ["oracle", "V(1/2;1)\u00a0", "A(0)"],
 ]
 
 
