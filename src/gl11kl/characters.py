@@ -29,7 +29,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import NotDeterminedError
-from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _f, _int, ehat
+from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _int, ehat
 from .series import JacobiSeries, _canon, _cutoff, _key, _ratio, jacobi_equal_to_cutoff
 
 
@@ -41,17 +41,13 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
     argument is a ValueError even where no character is available.
     """
     q_cutoff = _cutoff(q_cutoff)
-    if z_window is not None:
-        lo, hi = z_window
-        z_window = (_f(lo), _f(hi))
-        if z_window[0] > z_window[1]:
-            raise ValueError("empty z window")
+    window = None if z_window is None else _window(z_window)
     if isinstance(label, (TypicalV, VermaV0)):
         series = char_verma(label.n, ehat(label), q_cutoff)
         if z_window is None:
             return series
         ((key, (dq, dz, _, block)),) = series._classes.items()  # a Verma is one class
-        span = _z_span(key[1] + dz * key[3], key[3], z_window)  # z = key[1]/key[3] + dz + M
+        span = _z_span(key[1] + dz * key[3], key[3], window)  # z = key[1]/key[3] + dz + M
         return _z_cut(key, dq, dz, block, span, q_cutoff)
     if isinstance(label, AtypicalA) and label.ell == 0:
         if z_window is None:
@@ -60,11 +56,18 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
     raise NotDeterminedError("characters are available for Verma labels and atypicals at ell = 0")
 
 
-def _z_span(z0: int, den: int, window) -> tuple[int, int]:
-    """The least and greatest integer M with lo <= z0/den + M <= hi, for window (lo, hi)."""
-    (lo, r), (hi, t) = _ratio(window[0]), _ratio(window[1])
+def _window(z_window) -> tuple[int, int, int, int]:
+    """(lo, r, hi, t) for a z window (lo/r, hi/t); the one check that it is not empty."""
+    lo, hi = z_window
+    (lo, r), (hi, t) = _ratio(lo), _ratio(hi)
     if lo * t > hi * r:
         raise ValueError("empty z window")
+    return lo, r, hi, t
+
+
+def _z_span(z0: int, den: int, window: tuple) -> tuple[int, int]:
+    """The least and greatest integer M with lo/r <= z0/den + M <= hi/t, for window (lo, r, hi, t)."""
+    lo, r, hi, t = window
     return -((z0 * r - lo * den) // (r * den)), (hi * den - z0 * t) // (t * den)
 
 
@@ -140,7 +143,7 @@ def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
     """
     a, d = _ratio(n)
     centre, den = 2 * a - d, 2 * d  # n - 1/2 = centre / den
-    m_lo, m_hi = _z_span(centre, den, z_window)  # z = centre/den + m
+    m_lo, m_hi = _z_span(centre, den, _window(z_window))  # z = centre/den + m
     q_cutoff = _cutoff(q_cutoff)
     depth = int(q_cutoff)
     low = _low_m(depth)  # the block's z offset k is m - low

@@ -30,6 +30,7 @@ from .frozen import Frozen
 from .fusion import _RULE_ORDER, _checked, _key, _label, _rules, fuse
 from .labels import (
     AtypicalA,
+    _new,
     ModuleLabel,
     TypicalV,
     _f,
@@ -68,7 +69,7 @@ class ExtensionSpec(Frozen):
         That is A(m step + eps(m b); m b), with n = _numerator / 2q for a = p/q.
         """
         m = _int(m)
-        return AtypicalA(Fraction(_numerator(self, m), 2 * self.a.denominator), m * self.b)
+        return _new(AtypicalA, _numerator(self, m), 2 * self.a.denominator, m * self.b, 1)
 
     @classmethod
     def custom(cls, a, b) -> "ExtensionSpec":
@@ -108,38 +109,27 @@ def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
     Base and every generator power have int keys at d = lcm(2q, the
     denominators of base), for a = p/q, and rule 1 gives one key each.
     """
-    kind = type(base)
-    if kind not in _RULE_ORDER:
+    if type(base) not in _RULE_ORDER:
         _checked(base, ext.generator_of(ms[0]))  # raises as fuse does
     q2 = 2 * ext.a.denominator
-    d = lcm(q2, base.n.denominator, base.ehat.denominator if kind is TypicalV else 1)
+    d = lcm(q2, base._nq, base._eq)
     key, r, b = _key(base, d), d // q2, ext.b
     return [_label(*_rules(key, (AtypicalA, _numerator(ext, m) * r, m * b), d), d) for m in ms]
 
 
-def _monodromy(s: ModuleLabel, c: ModuleLabel) -> tuple[int, int]:
-    """The monodromy exponent of s against c as an unreduced (num, den) pair.
+_SIMPLE = (TypicalV, AtypicalA)
 
-    For a simple s, x = ehat(s), and an atypical c = A(c.n; l) it is
-    x (c.n + l - kappa) + l (s.n - kappa), with kappa = eps(l) for a typical
-    s and eps2(s.ell, l) for an atypical one; an atypical s against a typical
-    c is that pair swapped.  With x = xp/xq, c.n = cp/cq, s.n = sp/sq and
-    k2 = 2 kappa, the numerator of kappa (0 or +-1/2), the denominator is
-    2 xq cq sq.  Any other pair
-    raises, as no such fusion is a single simple label.
+
+def _monodromy(s: ModuleLabel, cp: int, cq: int, ell: int) -> tuple[int, int]:
+    """The monodromy exponent of a simple s against c = A(cp/cq; l) as an unreduced (num, den) pair.
+
+    With x = ehat(s) it is x (c.n + l - kappa) + l (s.n - kappa), with
+    kappa = eps(l) for a typical s and eps2(s.ell, l) for an atypical one.
+    With x = xp/xq, s.n = sp/sq and k2 = 2 kappa, the numerator of kappa
+    (0 or +-1/2), the denominator is 2 xq cq sq; cp/cq need not be reduced.
     """
-    if type(s) is AtypicalA and type(c) is TypicalV:
-        s, c = c, s
-    kind = type(s)
-    if type(c) is not AtypicalA or (kind is not TypicalV and kind is not AtypicalA):
-        fuse(s, c).single()
-        raise Gl11Error("monodromy is defined against a simple fusion output")
-    ell = c.ell
-    if kind is TypicalV:
-        xp, xq, k2 = s.ehat.numerator, s.ehat.denominator, epsilon(ell).numerator
-    else:
-        xp, xq, k2 = s.ell, 1, epsilon2(s.ell, ell).numerator
-    cp, cq, sp, sq = c.n.numerator, c.n.denominator, s.n.numerator, s.n.denominator
+    xp, xq, sp, sq = s._ep, s._eq, s._np, s._nq  # x = ell over 1 for an atypical s
+    k2 = (epsilon(ell) if type(s) is TypicalV else epsilon2(xp, ell)).numerator
     num = xp * (2 * cp + (2 * ell - k2) * cq) * sq + ell * (2 * sp - k2 * sq) * xq * cq
     return num, 2 * xq * cq * sq
 
@@ -149,18 +139,30 @@ def monodromy_exponent(s: ModuleLabel, c: AtypicalA) -> Fraction:
 
     The monodromy operator is exp(2 pi i <exponent>); triviality is
     integrality of the exponent, whose closed form ``_monodromy`` states.
+    A simple s against an atypical c, or an atypical s against a typical c,
+    which is that pair swapped; any other pair raises, as no such fusion is
+    a single simple label.
     """
-    return Fraction(*_monodromy(s, c))
+    if type(s) is AtypicalA and type(c) is TypicalV:
+        s, c = c, s
+    if type(c) is not AtypicalA or type(s) not in _SIMPLE:
+        fuse(s, c).single()
+        raise Gl11Error("monodromy is defined against a simple fusion output")
+    return Fraction(*_monodromy(s, c._np, c._nq, c.ell))
 
 
 def is_local(s: ModuleLabel, ext: ExtensionSpec) -> bool:
     """Trivial monodromy against the whole extension.
 
     The exponent against generator_of(m) is affine in m modulo the integers,
-    so integrality at m = +-1 decides every m.
+    so integrality at m = +-1 decides every m.  generator_of(m) is
+    A(_numerator / 2q; m b) for a = p/q, and no label of it is built.
     """
+    if type(s) not in _SIMPLE:
+        monodromy_exponent(s, ext.generator_of(1))  # raises
+    q2 = 2 * ext.a.denominator
     for m in (1, -1):
-        num, den = _monodromy(s, ext.generator_of(m))
+        num, den = _monodromy(s, _numerator(ext, m), q2, m * ext.b)
         if num % den:
             return False
     return True
@@ -237,9 +239,9 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
         raise ValueError("weight growth applies to simple labels")
     b, p, q = ext.b, ext.a.numerator, ext.a.denominator
     r = 2 * p + (b - (b > 0) + (b < 0)) * q
-    n, nq = s.n.numerator, s.n.denominator
+    n, nq = s._np, s._nq
     if isinstance(s, TypicalV):
-        e, g = s.ehat.numerator, s.ehat.denominator
+        e, g = s._ep, s._eq
         d = lcm(2 * q * g, nq)
         lin = lin_pos = lin_neg = b * n * (d // nq) + e * (r + b * q) * (d // (2 * q * g))
     else:

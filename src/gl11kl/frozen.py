@@ -6,7 +6,10 @@ with ``object.__setattr__``), it gets one that stores its arguments.  Its
 instances compare equal only to instances of the same class with equal
 fields, hash as the tuple of their fields (unless ``__hash__ = None``, as
 with a dict field), print as a dataclass would, refuse assignment and
-deletion, and copy and pickle through the constructor.
+deletion, and copy and pickle through the constructor.  A subclass that
+stores its fields in another form names them in ``_fields`` and writes its
+own ``__init__``, ``__eq__`` and ``__hash__``; ``__slots__`` then holds
+what it stores.
 Unlike ``dataclasses``, which imports ``inspect``, this module imports
 nothing, so a fresh ``gl11kl`` process pays no start-up time for its value
 types.
@@ -21,8 +24,9 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = cls.__slots__
-        if not names:
+        if not names or "_fields" in cls.__dict__:
             return
+        cls._fields = names
         # Written out field by field, as dataclasses does: a generic getter
         # adds a call to every hash and comparison, and labels are dict keys.
         mine = "".join(f"self.{name}, " for name in names)
@@ -50,11 +54,11 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __reduce__(self):
         return self.__class__, self._values()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{self.__class__.__qualname__}({fields})"

@@ -13,10 +13,11 @@ rules give every product:
 
 The rules run on int keys at an even scale d, the lcm of 2 and the
 denominators of the inputs: A(n;l) and P(n;l) are (kind, n d, l), and
-V(n;e) is (TypicalV, n d, e d).  Then eps(l) d is the numerator of eps(l),
-which is 0 or +-1/2, times d/2, and so is eps2 d: every coordinate of a
-product is again an int at scale d, and a label, with one Fraction per
-coordinate, is built only for a product that is returned.
+V(n;e) is (TypicalV, n d, e d), read off the ints a label stores.  Then
+eps(l) d is the numerator of eps(l), which is 0 or +-1/2, times d/2, and so
+is eps2 d: every coordinate of a product is again an int at scale d, and a
+label is built from ints, with no Fraction, only for a product that is
+returned.
 
 Reducible Verma labels are rejected because their products are not part of
 the classification this package implements.  Outputs are always formal sums,
@@ -25,7 +26,6 @@ even when a single label, so results compose uniformly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import NotDeterminedError
@@ -36,6 +36,7 @@ from .labels import (
     ProjectiveP,
     TypicalV,
     VermaV0,
+    _new,
     epsilon,
     epsilon2,
     strip_parity,
@@ -53,16 +54,15 @@ def _checked(a: ModuleLabel, b: ModuleLabel) -> None:
 
 
 def _scale(a: ModuleLabel, b: ModuleLabel) -> int:
-    """The even scale d of a pair: the lcm of 2 and the denominators."""
-    typical = [x.ehat.denominator for x in (a, b) if type(x) is TypicalV]
-    return lcm(2, a.n.denominator, b.n.denominator, *typical)
+    """The even scale d of a pair: the lcm of 2 and the denominators (ehat's is 1 but for V)."""
+    return lcm(2, a._nq, b._nq, a._eq, b._eq)
 
 
 def _key(x: ModuleLabel, d: int) -> tuple:
-    n = x.n.numerator * (d // x.n.denominator)
+    n = x._np * (d // x._nq)
     if type(x) is TypicalV:
-        return TypicalV, n, x.ehat.numerator * (d // x.ehat.denominator)
-    return type(x), n, x.ell
+        return TypicalV, n, x._ep * (d // x._eq)
+    return type(x), n, x._ep  # ell
 
 
 def _spread(key: tuple, d: int) -> dict:
@@ -92,9 +92,9 @@ def _rules(x: tuple, y: tuple, d: int) -> dict:
 
 
 def _label(key: tuple, d: int) -> ModuleLabel:
-    """The label of a key at scale d: one Fraction per scaled coordinate."""
+    """The label of a key at scale d, built from its ints."""
     kind, n, second = key
-    return kind(Fraction(n, d), Fraction(second, d) if kind is TypicalV else second)
+    return _new(kind, n, d, second, d if kind is TypicalV else 1)
 
 
 def fuse(a: ModuleLabel, b: ModuleLabel) -> FormalSum:

@@ -4,13 +4,19 @@ Labels carry the pair (n, e/k): the level enters every formula only through
 the ratio ehat = e/k, so k itself is display metadata.  Atypical directions
 are indexed by the integer ell with ehat = ell; typical labels require a
 non-integral ehat.  ``parity_flip`` marks the parity-reversed partner; it is
-cosmetic except for contragredients of typical labels.
+cosmetic except for contragredients of typical labels.  A label stores ints,
+n and ehat as numerator and denominator in lowest terms: its ``n`` and
+``ehat`` are exact Fraction views, the one a public constructor was given or
+one built on each read.  Equality compares the ints, and the hash is that of
+the Fraction fields, computed from the ints.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import NotDeterminedError
 from .frozen import Frozen
@@ -30,47 +36,111 @@ def _int(v) -> int:
 
 
 class ModuleLabel(Frozen):
-    """Base class of the label tagged union."""
+    """Base class of the label tagged union: n = _np/_nq and ehat = _ep/_eq, each in lowest terms."""
 
-    __slots__ = ()
+    __slots__ = ("_np", "_nq", "_ep", "_eq", "parity_flip", "_n", "_ehat")
+    _fields = ()  # each kind names its own
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._np, self._nq, self._ep, self._eq, self.parity_flip) == (
+                other._np, other._nq, other._ep, other._eq, other.parity_flip)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((_hash(self._np, self._nq), _hash(self._ep, self._eq), self.parity_flip))
+
+    @property
+    def n(self) -> Fraction:
+        try:
+            return self._n  # the Fraction a public constructor was given
+        except AttributeError:  # built from ints
+            return Fraction(self._np, self._nq)
 
 
 class TypicalV(ModuleLabel):
     """Simple typical Verma module with ehat = e/k not an integer."""
 
-    __slots__ = ("n", "ehat", "parity_flip")
+    __slots__ = ()
+    _fields = ("n", "ehat", "parity_flip")
 
-    def __init__(self, n: Fraction, ehat: Fraction, parity_flip: bool = False):
-        object.__setattr__(self, "n", _f(n))
-        object.__setattr__(self, "ehat", _f(ehat))
-        object.__setattr__(self, "parity_flip", parity_flip)
-        if self.ehat.denominator == 1:
+    def __new__(cls, n: Fraction, ehat: Fraction, parity_flip: bool = False):
+        n, ehat = _f(n), _f(ehat)
+        if ehat.denominator == 1:
             raise ValueError("typical label requires ehat not an integer")
+        label = _new(cls, n.numerator, n.denominator, ehat.numerator, ehat.denominator, parity_flip)
+        _set(label, "_n", n)
+        _set(label, "_ehat", ehat)
+        return label
+
+    @property
+    def ehat(self) -> Fraction:
+        try:
+            return self._ehat
+        except AttributeError:
+            return Fraction(self._ep, self._eq)
 
 
-class AtypicalA(ModuleLabel):
+class _Integral(ModuleLabel):
+    """The kinds at an integer ehat = ell, which they store as ell over 1."""
+
+    __slots__ = ()
+    _fields = ("n", "ell", "parity_flip")
+    ell = property(lambda self: self._ep)
+
+    def __new__(cls, n: Fraction, ell: int, parity_flip: bool = False):
+        n = _f(n)
+        label = _new(cls, n.numerator, n.denominator, _int(ell), 1, parity_flip)
+        _set(label, "_n", n)
+        return label
+
+
+class AtypicalA(_Integral):
     """Simple atypical module at ehat = ell, an integer."""
 
-    __slots__ = ("n", "ell", "parity_flip")
-
-    def __init__(self, n: Fraction, ell: int, parity_flip: bool = False):
-        object.__setattr__(self, "n", _f(n))
-        object.__setattr__(self, "ell", _int(ell))
-        object.__setattr__(self, "parity_flip", parity_flip)
+    __slots__ = ()
 
 
-class VermaV0(ModuleLabel):
+class VermaV0(_Integral):
     """Reducible (length-2) Verma module at ehat = ell, an integer."""
 
-    __slots__ = ("n", "ell", "parity_flip")
-    __init__ = AtypicalA.__init__
+    __slots__ = ()
 
 
-class ProjectiveP(ModuleLabel):
+class ProjectiveP(_Integral):
     """Length-4 projective cover of the atypical simple at (n, ell)."""
 
-    __slots__ = ("n", "ell", "parity_flip")
-    __init__ = AtypicalA.__init__
+    __slots__ = ()
+
+
+_set, _object_new = object.__setattr__, object.__new__
+_MODULUS = sys.hash_info.modulus
+
+
+def _new(kind, np: int, nq: int, ep: int, eq: int, parity_flip=False) -> ModuleLabel:
+    """The label of kind at n = np/nq and ehat = ep/eq, from ints with nq, eq > 0.
+
+    Both are reduced here, and no Fraction is built.  An integral kind's ehat
+    is ell over 1, and a typical's ehat is trusted not to be an integer.
+    """
+    g, h = gcd(np, nq), gcd(ep, eq)
+    label = _object_new(kind)
+    _set(label, "_np", np // g)
+    _set(label, "_nq", nq // g)
+    _set(label, "_ep", ep // h)
+    _set(label, "_eq", eq // h)
+    _set(label, "parity_flip", parity_flip)
+    return label
+
+
+def _hash(p: int, q: int) -> int:
+    """hash(Fraction(p, q)) for p/q in lowest terms and q > 0, computed on the ints."""
+    if q == 1:
+        return hash(p)
+    try:
+        return hash(p * pow(q, -1, _MODULUS))
+    except ValueError:  # q is a multiple of the modulus, which Fraction hashes as infinity
+        return hash(Fraction(p, q))
 
 
 def is_simple(label: ModuleLabel) -> bool:
@@ -80,16 +150,12 @@ def is_simple(label: ModuleLabel) -> bool:
 def strip_parity(label: ModuleLabel) -> ModuleLabel:
     if not label.parity_flip:
         return label
-    return type(label)(label.n, _ehat_or_ell(label), parity_flip=False)
-
-
-def _ehat_or_ell(label: ModuleLabel):
-    return label.ehat if isinstance(label, TypicalV) else label.ell
+    return _new(type(label), label._np, label._nq, label._ep, label._eq)
 
 
 def ehat(label: ModuleLabel) -> Fraction:
     """The ratio e/k of the label, as an exact rational."""
-    return _f(_ehat_or_ell(label))
+    return label.ehat if type(label) is TypicalV else Fraction(label._ep)
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +186,19 @@ def epsilon2(ell: int, ell2: int) -> Fraction:
     return epsilon((ell > 0) - (ell < 0) + (ell2 > 0) - (ell2 < 0) - (total > 0) + (total < 0))
 
 
-def conformal_weight(n, ehat) -> Fraction:
-    """Delta = ehat * (n + ehat/2), for n = a/d and ehat = b/g the one Fraction b(2ag + bd) / 2dg^2."""
-    n, ehat = _f(n), _f(ehat)
-    a, d, b, g = n.numerator, n.denominator, ehat.numerator, ehat.denominator
-    return Fraction(b * (2 * a * g + b * d), 2 * d * g * g)
-
-
 def delta(label: ModuleLabel) -> Fraction:
     """Lowest conformal weight, minimized over constituents.
 
     For a projective label with ell != 0 the minimum over its two Verma
     constituents is Delta_{n - 2*eps(ell), ell}; at ell = 0 the weight is 0.
+    Delta_{n, ehat} = ehat (n + ehat/2) is, for n = a/d and ehat = b/g, the
+    one Fraction b(2ag + bd) / 2dg^2.
     """
-    n = label.n
-    if isinstance(label, ProjectiveP) and label.ell != 0:
-        n -= 2 * epsilon(label.ell)
-    return conformal_weight(n, ehat(label))
+    a, d = label._np, label._nq
+    if type(label) is ProjectiveP:  # 2 eps(ell) is the sign of ell
+        a -= ((label.ell > 0) - (label.ell < 0)) * d
+    b, g = label._ep, label._eq
+    return Fraction(b * (2 * a * g + b * d), 2 * d * g * g)
 
 
 def top_dim(label: ModuleLabel) -> int:
@@ -163,35 +225,32 @@ def spectral_flow(label: ModuleLabel, ell: int) -> ModuleLabel:
     definition of the flowed projective covers.  A reducible Verma away from
     ehat = 0 may only be flowed straight back to ehat = 0 (the inverse flow);
     anything else is rejected as undetermined.  For n = p/q the flowed n is
-    built as one Fraction over q or 2q, with no Fraction arithmetic.
+    an int over q or 2q, and no Fraction is built.
     """
     ell = _int(ell)
     if ell == 0:
         return label
     if isinstance(label, VermaV0):
         if label.ell == 0 or ell == -label.ell:  # n - ell, to ell or back to 0
-            p, q = label.n.numerator, label.n.denominator
-            return VermaV0(Fraction(p - ell * q, q), label.ell + ell, label.parity_flip)
+            p, q = label._np, label._nq
+            return _new(VermaV0, p - ell * q, q, label.ell + ell, 1, label.parity_flip)
         raise NotDeterminedError("spectral flow from ehat != 0 is only defined back to ehat = 0")
     if isinstance(label, (AtypicalA, ProjectiveP)):
         if label.ell != 0:
             raise NotDeterminedError("spectral flow of an atypical or projective label requires ehat = 0")
-        p, q = label.n.numerator, label.n.denominator
+        p, q = label._np, label._nq
         # n - ell - 1/2, and for a positive flow -n - ell + 1/2
         if ell < 0:
-            return type(label)(Fraction(2 * p - (2 * ell + 1) * q, 2 * q), ell, label.parity_flip)
-        return type(label)(Fraction((1 - 2 * ell) * q - 2 * p, 2 * q), ell, label.parity_flip)
+            return _new(type(label), 2 * p - (2 * ell + 1) * q, 2 * q, ell, 1, label.parity_flip)
+        return _new(type(label), (1 - 2 * ell) * q - 2 * p, 2 * q, ell, 1, label.parity_flip)
     raise NotDeterminedError("spectral flow of a typical label is not defined here")
 
 
 def contragredient(label: ModuleLabel) -> ModuleLabel:
     """Graded dual: (n, e) -> (-n, -e); typical duals flip parity."""
-    if isinstance(label, AtypicalA):
-        return AtypicalA(-label.n, -label.ell, label.parity_flip)
-    if isinstance(label, TypicalV):
-        return TypicalV(-label.n, -label.ehat, not label.parity_flip)
-    if isinstance(label, ProjectiveP) and label.ell == 0:
-        return ProjectiveP(-label.n, 0, label.parity_flip)
+    kind, flip = type(label), label.parity_flip
+    if kind is TypicalV or kind is AtypicalA or kind is ProjectiveP and label.ell == 0:
+        return _new(kind, -label._np, label._nq, -label._ep, label._eq, not flip if kind is TypicalV else flip)
     raise NotDeterminedError(
         "contragredient is only defined for simples and ell = 0 projectives"
     )
@@ -202,7 +261,7 @@ def projective_cover(label: ModuleLabel) -> ModuleLabel:
     if isinstance(label, TypicalV):
         return label
     if isinstance(label, AtypicalA):
-        return ProjectiveP(label.n, label.ell, label.parity_flip)
+        return _new(ProjectiveP, label._np, label._nq, label.ell, 1, label.parity_flip)
     raise ValueError("projective cover is defined for simple labels only")
 
 
@@ -315,20 +374,18 @@ def k_decompose(label: ModuleLabel) -> FormalSum:
     a projective label has the atypical at its own (n, ell) twice plus the
     two neighbours n +- 1.
     """
-    label = strip_parity(label)
     if is_simple(label):
-        return FormalSum(label)
-    if isinstance(label, VermaV0):
-        if label.ell == 0:
-            return FormalSum([AtypicalA(label.n - _HALF, 0), AtypicalA(label.n + _HALF, 0)])
-        shift = 1 if label.ell > 0 else -1
-        return FormalSum(
-            [AtypicalA(label.n, label.ell), AtypicalA(label.n + shift, label.ell)]
-        )
-    if isinstance(label, ProjectiveP):
-        n, ell = label.n, label.ell
-        return FormalSum._trusted({AtypicalA(n - 1, ell): 1, AtypicalA(n, ell): 2, AtypicalA(n + 1, ell): 1})
-    raise TypeError(f"unknown label {label!r}")
+        return FormalSum(strip_parity(label))
+    kind = type(label)
+    if kind is not VermaV0 and kind is not ProjectiveP:
+        raise TypeError(f"unknown label {strip_parity(label)!r}")
+    p, q, ell = label._np, label._nq, label.ell
+    if kind is ProjectiveP:
+        return FormalSum._trusted({_new(AtypicalA, p + i * q, q, ell, 1): 2 - abs(i) for i in (-1, 0, 1)})
+    if ell == 0:  # n -+ 1/2
+        return FormalSum([_new(AtypicalA, 2 * p - q, 2 * q, 0, 1), _new(AtypicalA, 2 * p + q, 2 * q, 0, 1)])
+    shift = q if ell > 0 else -q
+    return FormalSum([_new(AtypicalA, p, q, ell, 1), _new(AtypicalA, p + shift, q, ell, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +401,13 @@ _KIND_BY_NAME = {name.lower(): kind for kind, name in _KIND_NAMES.items()}
 def render_label(label: ModuleLabel) -> str:
     """Canonical text form, e.g. ``V(1/4;1/2)``; parity flips prefix ``Pi``."""
     kind = _KIND_NAMES[type(label)]
-    body = f"{kind}({label.n};{_ehat_or_ell(label)})"
+    body = f"{kind}({_text(label._np, label._nq)};{_text(label._ep, label._eq)})"
     return ("Pi" + body) if label.parity_flip else body
+
+
+def _text(p: int, q: int) -> str:
+    """p/q as ``str(Fraction(p, q))`` writes it, for p/q in lowest terms."""
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 def label_sort_key(label: ModuleLabel):
@@ -395,13 +457,15 @@ def parse_label(text: str) -> ModuleLabel:
         raise _number_error(f"cannot parse label {text!r}", text)
     pi, kind, n_text, second_text = m.groups()
     cls = _KIND_BY_NAME[kind.lower()]
-    flip = pi is not None
-    n = Fraction(n_text)
-    second = Fraction(second_text)
-    if cls is TypicalV:
-        if second.denominator == 1:
-            raise ValueError(f"{text!r}: integer ehat is not typical; use A, P or Verma0")
-        return TypicalV(n, second, flip)
-    if second.denominator != 1:
+    (np, nq), (ep, eq) = _ints(n_text), _ints(second_text)
+    if cls is TypicalV and ep % eq == 0:
+        raise ValueError(f"{text!r}: integer ehat is not typical; use A, P or Verma0")
+    if cls is not TypicalV and ep % eq:
         raise ValueError(f"{text!r}: {_KIND_NAMES[cls]} labels need an integer ell")
-    return cls(n, int(second), flip)
+    return _new(cls, np, nq, ep, eq, pi is not None)
+
+
+def _ints(text: str) -> tuple[int, int]:
+    """The numerator and denominator written in a matched ``_RATIONAL``, not reduced."""
+    p, _, q = text.partition("/")
+    return int(p), int(q or 1)

@@ -49,8 +49,11 @@ CLI = "src/gl11kl/cli.py"
 
 MUTANTS = [
     ("generator-numerator-plus-m", "induction-by-rule-1", EXT, "((m > 0) - (m < 0) - m)", "((m > 0) - (m < 0) + m)"),
-    ("summand-scale-without-2q", "induction-by-rule-1", EXT, "d = lcm(q2, base.n.denominator", "d = lcm(2, base.n.denominator"),
-    ("label-v-second-undivided", "induction-by-rule-1", FUSION, "Fraction(second, d) if kind is TypicalV else second", "second"),
+    # these two followed the label's denominators onto the ints it stores:
+    # the scale still drops 2q, and a V's second coordinate is still not
+    # divided by d
+    ("summand-scale-without-2q", "induction-by-rule-1", EXT, "d = lcm(q2, base._nq", "d = lcm(2, base._nq"),
+    ("label-v-second-undivided", "induction-by-rule-1", FUSION, "d if kind is TypicalV else 1)", "1)"),
     # the fallback now raises through fusion's own input check, not one
     # fusion per m: the mutant drops that line with the same edit
     (
@@ -151,7 +154,8 @@ MUTANTS = [
     ("growth-rate-sign-b-flipped", "label-outputs-on-ints", EXT, "(b - (b > 0) + (b < 0)) * q", "(b + (b > 0) - (b < 0)) * q"),
     ("flow-negative-numerator", "label-outputs-on-ints", LABELS, "(2 * ell + 1) * q", "(2 * ell - 1) * q"),
     ("flow-positive-numerator", "label-outputs-on-ints", LABELS, "(1 - 2 * ell) * q - 2 * p", "(1 - 2 * ell) * q + 2 * p"),
-    ("flow-verma-back-keeps-ell", "label-outputs-on-ints", LABELS, "label.ell + ell, label.parity_flip", "ell, label.parity_flip"),
+    # followed the flowed label onto the int constructor, with the same edit
+    ("flow-verma-back-keeps-ell", "label-outputs-on-ints", LABELS, "label.ell + ell, 1, label.parity_flip", "ell, 1, label.parity_flip"),
     ("oracle-parity-as-passed", "label-outputs-on-ints", ORACLE, '"parity", tuple(parity))', '"parity", parity)'),
     (
         "kz-verify-fail-exits-zero",
@@ -206,6 +210,20 @@ MUTANTS = [
     ("l0-psi-term-added", "one-owner-round-3", ORACLE, "out.get(key, 0) - v / k", "out.get(key, 0) + v / k"),
     ("fin-label-strips-unicode", "one-owner-round-3", CLI, "body = text.strip(WHITESPACE)", "body = text.strip()"),
     ("fin-label-parts-strip-unicode", "one-owner-round-3", CLI, "[part.strip(WHITESPACE) for part", "[part.strip() for part"),
+    ("label-n-unreduced", "labels-carry-ints", LABELS, "g, h = gcd(np, nq), gcd(ep, eq)", "g, h = 1, gcd(ep, eq)"),
+    ("label-ehat-unreduced", "labels-carry-ints", LABELS, "g, h = gcd(np, nq), gcd(ep, eq)", "g, h = gcd(np, nq), 1"),
+    ("key-scale-off-by-one", "labels-carry-ints", FUSION, "n = x._np * (d // x._nq)", "n = x._np * (d // x._nq + 1)"),
+    ("label-hash-drops-parity", "labels-carry-ints", LABELS, "_hash(self._ep, self._eq), self.parity_flip))", "_hash(self._ep, self._eq)))"),
+    ("label-hash-inverse-negated", "labels-carry-ints", LABELS, "hash(p * pow(q, -1, _MODULUS))", "hash(-p * pow(q, -1, _MODULUS))"),
+    ("label-eq-ignores-denominator", "labels-carry-ints", LABELS, "(self._np, self._nq, self._ep, self._eq, self.parity_flip) == (", "(self._np, self._ep, self._eq, self.parity_flip) == ("),
+    ("is-local-reads-two", "labels-carry-ints", EXT, "    for m in (1, -1):\n", "    for m in (2, -2):\n"),
+    ("is-local-generator-over-q", "labels-carry-ints", EXT, "    q2 = 2 * ext.a.denominator\n    for m", "    q2 = ext.a.denominator\n    for m"),
+    ("parse-ell-unchecked", "labels-carry-ints", LABELS, "    if cls is not TypicalV and ep % eq:\n", "    if False:\n"),
+    ("render-over-one", "labels-carry-ints", LABELS, 'return f"{p}/{q}" if q != 1 else str(p)', 'return f"{p}/{q}"'),
+    ("view-rebuilds-given-fraction", "labels-carry-ints", LABELS, "return self._n  # the Fraction", "return Fraction(self._np, self._nq)  # the Fraction"),
+    ("contragredient-typical-keeps-parity", "labels-carry-ints", LABELS, "not flip if kind is TypicalV else flip)", "flip)"),
+    ("scale-skips-typical-ehat", "labels-carry-ints", FUSION, "lcm(2, a._nq, b._nq, a._eq, b._eq)", "lcm(2, a._nq, b._nq)"),
+    ("z-window-check-dropped", "labels-carry-ints", CHARS, "    window = None if z_window is None else _window(z_window)\n", "    window = z_window and _window(z_window) if isinstance(label, (TypicalV, VermaV0)) else None\n"),
 ]
 
 

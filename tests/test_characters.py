@@ -7,13 +7,18 @@ from random import Random
 import pytest
 
 from gl11kl import characters as ch
-from gl11kl.labels import TypicalV, VermaV0, conformal_weight
+from gl11kl.labels import TypicalV, VermaV0, delta
 from gl11kl.series import JacobiSeries, jacobi_equal_to_cutoff
 
 import _draws
 import _series_oracle as oracle
 
 F = Fraction
+
+
+def conformal_weight(n, e):
+    """Delta of the Verma at (n, e), as ``labels.delta`` computes it."""
+    return delta(VermaV0(n, e) if F(e).denominator == 1 else TypicalV(n, e))
 
 
 def brute_product_slices(depth: int) -> dict:

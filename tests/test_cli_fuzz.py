@@ -16,15 +16,23 @@ call wrote, so that two trees can be compared call by call::
 
     PYTHONPATH=src:tests python -c "import test_cli_fuzz as f; print(f.fuzz(2025, 3000))"
     PYTHONPATH=src:tests python -c "import test_cli_fuzz as f; print(f.digest(2025, 3000))"
+
+Run as a script, it computes the digest that ``fuzz_digest.json`` pins and
+exits 1 if the two differ.  A change that alters CLI output on purpose
+updates that file and says why::
+
+    PYTHONPATH=src:tests python tests/test_cli_fuzz.py
 """
 
 import hashlib
 import io
 import json
+import sys
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 from gl11kl.cli import MAX_CHAR_CUTOFF, MAX_INDUCE_M_RANGE, main
@@ -213,3 +221,19 @@ def digest(seed, count) -> tuple:
         codes[code] += 1
         sha.update((json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n").encode())
     return sha.hexdigest(), codes
+
+
+def check_pinned(path=Path(__file__).with_name("fuzz_digest.json")) -> bool:
+    """Print the digest of the pinned seed and count; is it the pinned one?"""
+    pinned = json.loads(path.read_text())
+    sha, codes = digest(pinned["seed"], pinned["count"])
+    got = {"sha256": sha, "exits": {str(code): codes[code] for code in sorted(codes)}}
+    print(f"CLI fuzz digest({pinned['seed']}, {pinned['count']}): {got['sha256']}, exits {got['exits']}")
+    same = got == {"sha256": pinned["sha256"], "exits": pinned["exits"]}
+    if not same:
+        print(f"{path.name} pins {pinned['sha256']}, exits {pinned['exits']}")
+    return same
+
+
+if __name__ == "__main__":
+    sys.exit(0 if check_pinned() else 1)

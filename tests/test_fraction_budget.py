@@ -18,11 +18,21 @@ from gl11kl import extensions as ex
 from gl11kl import oracle as o
 from gl11kl.errors import Gl11Error, NotDeterminedError
 from gl11kl.fusion import fuse, k_ring_check
-from gl11kl.labels import AtypicalA, ProjectiveP, TypicalV, VermaV0, conformal_weight, epsilon2, spectral_flow
+from gl11kl.labels import (
+    AtypicalA,
+    ProjectiveP,
+    TypicalV,
+    VermaV0,
+    epsilon2,
+    parse_label,
+    render_label,
+    spectral_flow,
+)
 from gl11kl.series import jacobi_equal_to_cutoff
 
 from _draws import nonintegral, rational
 from test_extensions import GRID_NS, _grid_extensions, _grid_labels
+from test_characters import conformal_weight
 
 _OPS = ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow")
 
@@ -253,6 +263,72 @@ def test_char_sweep_ops_compute_and_hash_no_fraction(fraction_ops, fraction_hash
             sides = fn(*args)
         assert fraction_builds[0] - before == builds, (fn.__name__, args)
     assert fraction_ops[0] == ops and fraction_hashes[0] == hashes
+
+
+#: the Fractions each label-stream op shape may build: only a public output
+#: that is a Fraction, the one monodromy exponent; ``induce`` is per summand
+LABEL_STREAM_BUILDS = {
+    "parse_label": 0,
+    "fuse": 0,
+    "k_ring_check": 0,
+    "induce": 0,
+    "is_local": 0,
+    "monodromy_exponent": 1,
+    "spectral_flow": 0,
+}
+
+
+def _stream_label(rng: Random, kind: str):
+    """A label drawn as label-stream draws it: V, or A or P with ell in [-3, 3], from Fractions."""
+    if kind == "V":
+        return TypicalV(rational(rng), nonintegral(rng))
+    return (AtypicalA if kind == "A" else ProjectiveP)(rational(rng), rng.randint(-3, 3))
+
+
+def _label_stream_calls(rng: Random) -> list:
+    """(function, args) of every op shape of one label-stream block, on its kind pairs."""
+    calls = []
+    for pair in ("PP", "PV", "VP", "PA", "AP", "VV", "VA", "AV", "AA"):
+        a, b = (_stream_label(rng, kind) for kind in pair)
+        flow = rng.choice((-3, -2, -1, 1, 2, 3))
+        calls += [(parse_label, (render_label(a),)), (parse_label, (render_label(b),))]
+        calls += [(fuse, (a, b)), (fuse, (b, a)), (k_ring_check, (a, b))]
+        for x in (a, b):
+            if type(x) is not TypicalV:
+                calls += [(spectral_flow, (type(x)(x.n, 0), flow)), (spectral_flow, (VermaV0(x.n, 0), flow))]
+            if type(x) is not ProjectiveP:
+                for ext in (ex.SL21_MINUS_HALF, ex.SL21_LEVEL1):
+                    calls += [(ex.is_local, (x, ext)), (ex.induce, (x, ext, 3))]
+                    calls.append((ex.monodromy_exponent, (x, ext.generator_of(1))))
+    return calls
+
+
+def test_label_stream_ops_build_and_hash_no_fraction(fraction_builds, fraction_hashes):
+    # labels store ints: parsing, fusion, induction, locality and spectral
+    # flow build no Fraction and hash none, on labels built from Fractions as
+    # label-stream builds them; the monodromy exponent builds its own value
+    calls = [call for seed in range(20) for call in _label_stream_calls(Random(seed))]
+    assert {fn.__name__ for fn, _ in calls} == set(LABEL_STREAM_BUILDS)
+    hashes = fraction_hashes[0]
+    for fn, args in calls:
+        before = fraction_builds[0]
+        out = fn(*args)
+        per = len(out) if fn is ex.induce else 1
+        assert fraction_builds[0] - before == LABEL_STREAM_BUILDS[fn.__name__] * per, (fn.__name__, args)
+    assert fraction_hashes[0] == hashes
+
+
+def test_label_views_reuse_the_fractions_given(fraction_builds):
+    # a label built from Fractions by its public constructor hands the same
+    # Fractions back, so the oracle's label conversion builds none
+    rng = Random(3)
+    labels = [_stream_label(rng, kind) for kind in "VAP" * 20]
+    labels = [x if type(x) is TypicalV else type(x)(x.n, 0) for x in labels]
+    before = fraction_builds[0]
+    for x in labels:
+        assert x.n is x.n and (type(x) is not TypicalV or x.ehat is x.ehat)
+        o.fin_label_of(x)
+    assert fraction_builds[0] == before
 
 
 def _oracle_products():

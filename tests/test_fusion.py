@@ -11,10 +11,10 @@ from gl11kl.fusion import fuse, fuse_formal, k_ring_check
 from gl11kl.labels import (
     AtypicalA,
     FormalSum,
-    ModuleLabel,
     ProjectiveP,
     TypicalV,
     VermaV0,
+    _Integral,
     contragredient,
     delta,
     epsilon,
@@ -287,11 +287,10 @@ def fuse_nine_cases(a, b):
     raise TypeError(f"cannot fuse {a!r} and {b!r}")
 
 
-class _OtherLabel(ModuleLabel):
+class _OtherLabel(_Integral):
     """A label kind that fusion does not know."""
 
-    __slots__ = ("n", "ell", "parity_flip")
-    __init__ = AtypicalA.__init__
+    __slots__ = ()
 
 
 def _outcome(fn, a, b):
