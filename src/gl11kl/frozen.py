@@ -8,8 +8,8 @@ fields, hash as the tuple of their fields (unless ``__hash__ = None``, as
 with a dict field), print as a dataclass would, refuse assignment and
 deletion, and copy and pickle through the constructor.  A subclass that
 stores its fields in another form names them in ``_fields`` and writes its
-own ``__init__``, ``__eq__`` and ``__hash__``; ``__slots__`` then holds
-what it stores.
+own constructor, ``__eq__`` and ``__hash__``; ``__slots__`` then holds what
+it stores.
 Unlike ``dataclasses``, which imports ``inspect``, this module imports
 nothing, so a fresh ``gl11kl`` process pays no start-up time for its value
 types.
