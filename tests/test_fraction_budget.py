@@ -31,8 +31,8 @@ from gl11kl.labels import (
 from gl11kl.series import jacobi_equal_to_cutoff
 
 from _draws import nonintegral, rational
-from test_extensions import GRID_NS, _grid_extensions, _grid_labels
 from test_characters import conformal_weight
+from test_extensions import GRID_NS, _grid_extensions, _grid_labels
 
 _OPS = ("add", "sub", "mul", "truediv", "floordiv", "mod", "divmod", "pow")
 
