@@ -52,7 +52,7 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
     if isinstance(label, AtypicalA) and label.ell == 0:
         if z_window is None:
             raise ValueError("atypical characters need a z window")
-        return char_atypical0(label.n, q_cutoff, z_window)
+        return _atypical0(label._np, label._nq, q_cutoff, window)
     raise NotDeterminedError("characters are available for Verma labels and atypicals at ell = 0")
 
 
@@ -141,10 +141,14 @@ def char_atypical0(n, q_cutoff, z_window) -> JacobiSeries:
     are restricted to z_window, so the window must cover every exponent the
     caller needs.
     """
-    a, d = _ratio(n)
+    (a, d), window = _ratio(n), _window(z_window)
+    return _atypical0(a, d, _cutoff(q_cutoff), window)
+
+
+def _atypical0(a: int, d: int, q_cutoff: Fraction, window: tuple) -> JacobiSeries:
+    """``char_atypical0`` at n = a/d on a checked cutoff and a checked window (lo, r, hi, t)."""
     centre, den = 2 * a - d, 2 * d  # n - 1/2 = centre / den
-    m_lo, m_hi = _z_span(centre, den, _window(z_window))  # z = centre/den + m
-    q_cutoff = _cutoff(q_cutoff)
+    m_lo, m_hi = _z_span(centre, den, window)  # z = centre/den + m
     depth = int(q_cutoff)
     low = _low_m(depth)  # the block's z offset k is m - low
     dz, z0 = divmod(centre, den)

@@ -35,10 +35,11 @@ from .labels import (
     TypicalV,
     _f,
     _int,
+    _twice_epsilon,
+    _twice_epsilon2,
     delta,
     ehat,
     epsilon,
-    epsilon2,
     is_simple,
     projective_cover,
     strip_parity,
@@ -48,15 +49,19 @@ from .labels import (
 class ExtensionSpec(Frozen):
     """A fusion group of atypical simple currents indexed by the integers.
 
-    The m = 1 generator is A(a; b).
+    The m = 1 generator is A(a; b).  The numerator and denominator of a are
+    also kept as ints, for the closed forms below.
     """
 
-    __slots__ = ("name", "a", "b")
+    __slots__ = ("name", "a", "b", "_ap", "_aq")
 
     def __init__(self, name: str, a: Fraction, b: int):
+        a = _f(a)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "a", _f(a))
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", _int(b))
+        object.__setattr__(self, "_ap", a.numerator)
+        object.__setattr__(self, "_aq", a.denominator)
 
     @property
     def step(self) -> Fraction:
@@ -69,7 +74,7 @@ class ExtensionSpec(Frozen):
         That is A(m step + eps(m b); m b), with n = _numerator / 2q for a = p/q.
         """
         m = _int(m)
-        return _new(AtypicalA, _numerator(self, m), 2 * self.a.denominator, m * self.b, 1)
+        return _new(AtypicalA, _numerator(self, m), 2 * self._aq, m * self.b, 1)
 
     @classmethod
     def custom(cls, a, b) -> "ExtensionSpec":
@@ -99,8 +104,8 @@ SL21_LEVEL1 = ExtensionSpec("sl21-level1", Fraction(1, 2), 1)
 
 def _numerator(ext: ExtensionSpec, m: int) -> int:
     """2q n(generator_of(m)) for a = p/q: 2mp + sign(b)(sign(m) - m)q."""
-    b, a = ext.b, ext.a
-    return 2 * m * a.numerator + ((b > 0) - (b < 0)) * ((m > 0) - (m < 0) - m) * a.denominator
+    b = ext.b
+    return 2 * m * ext._ap + ((b > 0) - (b < 0)) * ((m > 0) - (m < 0) - m) * ext._aq
 
 
 def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
@@ -111,7 +116,7 @@ def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
     """
     if type(base) not in _RULE_ORDER:
         _checked(base, ext.generator_of(ms[0]))  # raises as fuse does
-    q2 = 2 * ext.a.denominator
+    q2 = 2 * ext._aq
     d = lcm(q2, base._nq, base._eq)
     key, r, b = _key(base, d), d // q2, ext.b
     return [_label(*_rules(key, (AtypicalA, _numerator(ext, m) * r, m * b), d), d) for m in ms]
@@ -129,7 +134,7 @@ def _monodromy(s: ModuleLabel, cp: int, cq: int, ell: int) -> tuple[int, int]:
     (0 or +-1/2), the denominator is 2 xq cq sq; cp/cq need not be reduced.
     """
     xp, xq, sp, sq = s._ep, s._eq, s._np, s._nq  # x = ell over 1 for an atypical s
-    k2 = (epsilon(ell) if type(s) is TypicalV else epsilon2(xp, ell)).numerator
+    k2 = _twice_epsilon(ell) if type(s) is TypicalV else _twice_epsilon2(xp, ell)
     num = xp * (2 * cp + (2 * ell - k2) * cq) * sq + ell * (2 * sp - k2 * sq) * xq * cq
     return num, 2 * xq * cq * sq
 
@@ -160,7 +165,7 @@ def is_local(s: ModuleLabel, ext: ExtensionSpec) -> bool:
     """
     if type(s) not in _SIMPLE:
         monodromy_exponent(s, ext.generator_of(1))  # raises
-    q2 = 2 * ext.a.denominator
+    q2 = 2 * ext._aq
     for m in (1, -1):
         num, den = _monodromy(s, _numerator(ext, m), q2, m * ext.b)
         if num % den:
@@ -237,7 +242,7 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     """
     if not is_simple(s):
         raise ValueError("weight growth applies to simple labels")
-    b, p, q = ext.b, ext.a.numerator, ext.a.denominator
+    b, p, q = ext.b, ext._ap, ext._aq
     r = 2 * p + (b - (b > 0) + (b < 0)) * q
     n, nq = s._np, s._nq
     if isinstance(s, TypicalV):

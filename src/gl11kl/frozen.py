@@ -2,14 +2,15 @@
 
 A subclass names its fields in ``__slots__``, in constructor order.  Unless
 it defines ``__init__`` itself (to convert or validate, setting each field
-with ``object.__setattr__``), it gets one that stores its arguments.  Its
-instances compare equal only to instances of the same class with equal
-fields, hash as the tuple of their fields (unless ``__hash__ = None``, as
-with a dict field), print as a dataclass would, refuse assignment and
-deletion, and copy and pickle through the constructor.  A subclass that
-stores its fields in another form names them in ``_fields`` and writes its
-own constructor, ``__eq__`` and ``__hash__``; ``__slots__`` then holds what
-it stores.
+with ``object.__setattr__``), it gets one that stores its arguments.  A slot
+whose name starts with an underscore is not a field: it holds a value that
+such an ``__init__`` derives from the fields.  Instances compare equal only
+to instances of the same class with equal fields, hash as the tuple of
+their fields (unless ``__hash__ = None``, as with a dict field), print as a
+dataclass would, refuse assignment and deletion, and copy and pickle
+through the constructor.  A subclass that stores its fields in another
+form names them in ``_fields`` and writes its own constructor, ``__eq__``
+and ``__hash__``; ``__slots__`` then holds what it stores.
 Unlike ``dataclasses``, which imports ``inspect``, this module imports
 nothing, so a fresh ``gl11kl`` process pays no start-up time for its value
 types.
@@ -23,7 +24,7 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
+        names = tuple(name for name in cls.__slots__ if name[0] != "_")
         if not names or "_fields" in cls.__dict__:
             return
         cls._fields = names

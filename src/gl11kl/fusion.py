@@ -37,8 +37,8 @@ from .labels import (
     TypicalV,
     VermaV0,
     _new,
-    epsilon,
-    epsilon2,
+    _twice_epsilon,
+    _twice_epsilon2,
     strip_parity,
 )
 
@@ -83,11 +83,11 @@ def _rules(x: tuple, y: tuple, d: int) -> dict:
         if e % d:
             return {(TypicalV, n + n2 + half, e): 1, (TypicalV, n + n2 - half, e): 1}
         ell = e // d
-        return {(ProjectiveP, n + n2 + epsilon(ell).numerator * half, ell): 1}
+        return {(ProjectiveP, n + n2 + _twice_epsilon(ell) * half, ell): 1}
     if other is TypicalV:  # rule 1, translating a typical
-        out = (TypicalV, n + n2 - epsilon(ell).numerator * half, second + ell * d)
+        out = (TypicalV, n + n2 - _twice_epsilon(ell) * half, second + ell * d)
     else:
-        out = (other, n + n2 - epsilon2(ell, second).numerator * half, ell + second)
+        out = (other, n + n2 - _twice_epsilon2(ell, second) * half, ell + second)
     return {out: 1} if kind is AtypicalA else _spread(out, d)  # rule 1 or 2
 
 

@@ -163,27 +163,33 @@ def ehat(label: ModuleLabel) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-_HALF, _ZERO, _MINUS_HALF = Fraction(1, 2), Fraction(0), Fraction(-1, 2)
+_HALVES = {1: Fraction(1, 2), 0: Fraction(0), -1: Fraction(-1, 2)}  # t/2 by t, shared
+
+
+def _twice_epsilon(ell: int) -> int:
+    """2 epsilon(ell), the sign of ell: the int that the fusion rules and monodromy read."""
+    return (ell > 0) - (ell < 0)
+
+
+def _twice_epsilon2(ell: int, ell2: int) -> int:
+    """2 epsilon2(ell, ell2) = sign(l) + sign(l') - sign(l + l'), which lies in -1..1."""
+    total = ell + ell2
+    return (ell > 0) - (ell < 0) + (ell2 > 0) - (ell2 < 0) - (total > 0) + (total < 0)
 
 
 def epsilon(ell: int) -> Fraction:
     """The half-integer step function: 1/2, 0, -1/2 for ell >, =, < 0."""
-    if ell > 0:
-        return _HALF
-    if ell < 0:
-        return _MINUS_HALF
-    return _ZERO
+    return _HALVES[_twice_epsilon(ell)]
 
 
 def epsilon2(ell: int, ell2: int) -> Fraction:
     """epsilon(l) + epsilon(l') - epsilon(l + l'), read off the three signs.
 
-    Twice the value, sign(l) + sign(l') - sign(l + l'), lies in -1..1, where
-    epsilon(t) = t/2: so one of epsilon's shared constants comes back, and no
-    Fraction arithmetic is done.
+    Twice the value, ``_twice_epsilon2``, lies in -1..1, where epsilon(t) =
+    t/2: so one of epsilon's shared constants comes back, and no Fraction
+    arithmetic is done.
     """
-    total = ell + ell2
-    return epsilon((ell > 0) - (ell < 0) + (ell2 > 0) - (ell2 < 0) - (total > 0) + (total < 0))
+    return _HALVES[_twice_epsilon2(ell, ell2)]
 
 
 def delta(label: ModuleLabel) -> Fraction:

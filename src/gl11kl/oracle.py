@@ -34,6 +34,7 @@ from .labels import AtypicalA, ProjectiveP, TypicalV, VermaV0, _f
 Matrix = tuple  # sequence of rows of ints or Fractions
 Entries = dict  # {(row, col): Fraction}, nonzero entries only
 EVEN, ODD = 0, 1
+_ZERO, _HALF, _ONE, _MINUS_ONE = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,10 @@ class Gl11MatrixModule(Frozen):
     entry.  It raises :class:`OracleError` unless every parity is 0 or 1,
     ``weights`` has ``dim = len(parity)`` entries and every key lies in
     ``range(dim)``.  Modules compare by fields; their dicts make them unhashable.
+    The constructor is public API; :func:`realize` and :func:`tensor` build
+    their modules through ``_trusted``, which stores data already in that
+    form.  Neither marks a module as valid: :func:`decompose` checks every
+    input.
     """
 
     __slots__ = ("parity", "weights", "psi_p", "psi_m")
@@ -147,8 +152,8 @@ class Gl11MatrixModule(Frozen):
             raise OracleError("parity entries must be 0 or 1")
         if len(weights) != dim:
             raise OracleError(f"weights has {len(weights)} entries, not dim = {dim}")
-        object.__setattr__(self, "parity", tuple(parity))
-        object.__setattr__(self, "weights", tuple((_f(e), _f(n)) for e, n in weights))
+        weights = tuple((_f(e), _f(n)) for e, n in weights)
+        maps = []
         for name, entries in (("psi_p", psi_p), ("psi_m", psi_m)):
             kept = {}
             for (r, c), v in entries.items():
@@ -157,7 +162,21 @@ class Gl11MatrixModule(Frozen):
                 v = _f(v)
                 if v:
                     kept[r, c] = v
-            object.__setattr__(self, name, kept)
+            maps.append(kept)
+        _store(self, tuple(parity), weights, *maps)
+
+    @classmethod
+    def _trusted(cls, parity: tuple, weights: tuple, psi_p: Entries, psi_m: Entries) -> "Gl11MatrixModule":
+        """Store fields already in the constructor's form, without converting or checking.
+
+        The caller guarantees: ``parity`` is a tuple of 0/1, ``weights`` a
+        tuple of ``len(parity)`` Fraction pairs, and ``psi_p``, ``psi_m``
+        dicts of its own, shared with no other module, whose keys lie in
+        ``range(dim)`` and whose values are nonzero Fractions.
+        """
+        module = object.__new__(cls)
+        _store(module, parity, weights, psi_p, psi_m)
+        return module
 
     @property
     def dim(self) -> int:
@@ -173,6 +192,15 @@ class Gl11MatrixModule(Frozen):
         Raises :class:`OracleError` on the first failure.
         """
         _relations(self)
+
+
+def _store(module: Gl11MatrixModule, parity, weights, psi_p, psi_m) -> None:
+    """Set a module's four fields: the one place both of its builders store them."""
+    _set = object.__setattr__
+    _set(module, "parity", parity)
+    _set(module, "weights", weights)
+    _set(module, "psi_p", psi_p)
+    _set(module, "psi_m", psi_m)
 
 
 def _relations(m: Gl11MatrixModule) -> tuple:
@@ -216,18 +244,18 @@ def realize(label: FinLabel) -> Gl11MatrixModule:
     """
     if isinstance(label, Verma):
         n, e = label.n, label.e
-        half = Fraction(1, 2)
-        return Gl11MatrixModule((EVEN, ODD), ((e, n + half), (e, n - half)), {(0, 1): e}, {(1, 0): 1})
+        psi_p = {(0, 1): e} if e else {}  # no entry at e = 0
+        return Gl11MatrixModule._trusted((EVEN, ODD), ((e, n + _HALF), (e, n - _HALF)), psi_p, {(1, 0): _ONE})
     if isinstance(label, Atypical):
-        return Gl11MatrixModule((EVEN,), ((0, label.n),), {}, {})
+        return Gl11MatrixModule._trusted((EVEN,), ((_ZERO, label.n),), {}, {})
     if isinstance(label, Projective):
         n = label.n
         # basis v, psi+ v, psi- v, psi+ psi- v; note psi- psi+ v = -psi+ psi- v
-        return Gl11MatrixModule(
+        return Gl11MatrixModule._trusted(
             (EVEN, ODD, ODD, EVEN),
-            ((0, n), (0, n + 1), (0, n - 1), (0, n)),
-            {(1, 0): 1, (3, 2): 1},
-            {(2, 0): 1, (3, 1): -1},
+            ((_ZERO, n), (_ZERO, n + 1), (_ZERO, n - 1), (_ZERO, n)),
+            {(1, 0): _ONE, (3, 2): _ONE},
+            {(2, 0): _ONE, (3, 1): _MINUS_ONE},
         )
     raise TypeError(f"unknown label {label!r}")
 
@@ -239,7 +267,7 @@ def tensor(a: Gl11MatrixModule, b: Gl11MatrixModule) -> Gl11MatrixModule:
     sum of the weights of v_i and w_j.  For psi+- the second term carries
     the Koszul sign (-1)^{|v_i|}, so the identity factor is replaced by the
     parity sign of the first tensor leg.  Only nonzero entries of the
-    factors are visited.
+    factors are visited, and a sum that cancels is dropped.
     """
     bd = b.dim
 
@@ -250,12 +278,16 @@ def tensor(a: Gl11MatrixModule, b: Gl11MatrixModule) -> Gl11MatrixModule:
                 key = (i * bd + l, i * bd + j)
                 v = -v if p == ODD else v
                 # only a diagonal psi entry in both factors lands on a key twice
-                out[key] = out[key] + v if key in out else v
+                if key in out:
+                    v += out.pop(key)
+                    if not v:
+                        continue
+                out[key] = v
         return out
 
     parity = tuple((p + q) % 2 for p in a.parity for q in b.parity)
     weights = tuple((ea + eb, na + nb) for ea, na in a.weights for eb, nb in b.weights)
-    return Gl11MatrixModule(parity, weights, build(a.psi_p, b.psi_p), build(a.psi_m, b.psi_m))
+    return Gl11MatrixModule._trusted(parity, weights, build(a.psi_p, b.psi_p), build(a.psi_m, b.psi_m))
 
 
 def l0_top_matrix(m: Gl11MatrixModule, k) -> Entries:
@@ -267,8 +299,7 @@ def l0_top_matrix(m: Gl11MatrixModule, k) -> Entries:
     k = _f(k)
     if k == 0:
         raise ValueError("level k must be nonzero")
-    half = Fraction(1, 2)
-    out = {(i, i): e / k * (n + half + half * e / k) for i, (e, n) in enumerate(m.weights)}
+    out = {(i, i): e / k * (n + _HALF + _HALF * e / k) for i, (e, n) in enumerate(m.weights)}
     for key, v in mul(m.psi_p, m.psi_m).items():
         out[key] = out.get(key, 0) - v / k
     return {key: v for key, v in out.items() if v}
@@ -283,7 +314,7 @@ def fin_label_of(label) -> FinLabel:
     if isinstance(label, TypicalV):
         return Verma(label.n, label.ehat)
     if isinstance(label, VermaV0) and label.ell == 0:
-        return Verma(label.n, Fraction(0))
+        return Verma(label.n, _ZERO)
     if isinstance(label, AtypicalA) and label.ell == 0:
         return Atypical(label.n)
     if isinstance(label, ProjectiveP) and label.ell == 0:

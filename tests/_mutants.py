@@ -45,6 +45,7 @@ ORACLE = "src/gl11kl/oracle.py"
 CHARS = "src/gl11kl/characters.py"
 SERIES = "src/gl11kl/series.py"
 LABELS = "src/gl11kl/labels.py"
+FROZEN = "src/gl11kl/frozen.py"
 CLI = "src/gl11kl/cli.py"
 
 MUTANTS = [
@@ -134,7 +135,8 @@ MUTANTS = [
     ("growth-one-sign-strict", "closed-form-extensions", EXT, "if b * (ell + 2 * b) <= 0 else", "if b * (ell + 2 * b) < 0 else"),
     ("equivalent-b0-solve", "closed-form-extensions", EXT, "m = (s2.n - s.n) / ext.step", "m = (s2.n - s.n) / (ext.step + 1)"),
     ("equivalent-flat-true", "closed-form-extensions", EXT, "        return s == s2", "        return True"),
-    ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "epsilon2(ell, second).numerator", "epsilon(ell).numerator"),
+    # followed epsilon's sign onto the int helpers, with the same edit
+    ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "_twice_epsilon2(ell, second) * half", "_twice_epsilon(ell) * half"),
     ("relations-e-scale-s", "oracle-on-ints", ORACLE, "e_scale = (s // d) * s", "e_scale = s"),
     ("relations-step-one", "oracle-on-ints", ORACLE, "((m.psi_p, d), (m.psi_m, -d))", "((m.psi_p, 1), (m.psi_m, -1))"),
     (
@@ -156,7 +158,8 @@ MUTANTS = [
     ("flow-positive-numerator", "label-outputs-on-ints", LABELS, "(1 - 2 * ell) * q - 2 * p", "(1 - 2 * ell) * q + 2 * p"),
     # followed the flowed label onto the int constructor, with the same edit
     ("flow-verma-back-keeps-ell", "label-outputs-on-ints", LABELS, "label.ell + ell, 1, label.parity_flip", "ell, 1, label.parity_flip"),
-    ("oracle-parity-as-passed", "label-outputs-on-ints", ORACLE, '"parity", tuple(parity))', '"parity", parity)'),
+    # followed the constructor's store into the helper both builders share
+    ("oracle-parity-as-passed", "label-outputs-on-ints", ORACLE, "_store(self, tuple(parity), weights", "_store(self, parity, weights"),
     (
         "kz-verify-fail-exits-zero",
         "label-outputs-on-ints",
@@ -217,13 +220,35 @@ MUTANTS = [
     ("label-hash-inverse-negated", "labels-carry-ints", LABELS, "hash(p * pow(q, -1, _MODULUS))", "hash(-p * pow(q, -1, _MODULUS))"),
     ("label-eq-ignores-denominator", "labels-carry-ints", LABELS, "(self._np, self._nq, self._ep, self._eq, self.parity_flip) == (", "(self._np, self._ep, self._eq, self.parity_flip) == ("),
     ("is-local-reads-two", "labels-carry-ints", EXT, "    for m in (1, -1):\n", "    for m in (2, -2):\n"),
-    ("is-local-generator-over-q", "labels-carry-ints", EXT, "    q2 = 2 * ext.a.denominator\n    for m", "    q2 = ext.a.denominator\n    for m"),
+    # followed the denominator of a onto the int the extension keeps
+    ("is-local-generator-over-q", "labels-carry-ints", EXT, "    q2 = 2 * ext._aq\n    for m", "    q2 = ext._aq\n    for m"),
     ("parse-ell-unchecked", "labels-carry-ints", LABELS, "    if cls is not TypicalV and ep % eq:\n", "    if False:\n"),
     ("render-over-one", "labels-carry-ints", LABELS, 'return f"{p}/{q}" if q != 1 else str(p)', 'return f"{p}/{q}"'),
     ("view-rebuilds-given-fraction", "labels-carry-ints", LABELS, "return self._n  # the Fraction", "return Fraction(self._np, self._nq)  # the Fraction"),
     ("contragredient-typical-keeps-parity", "labels-carry-ints", LABELS, "not flip if kind is TypicalV else flip)", "flip)"),
     ("scale-skips-typical-ehat", "labels-carry-ints", FUSION, "lcm(2, a._nq, b._nq, a._eq, b._eq)", "lcm(2, a._nq, b._nq)"),
     ("z-window-check-dropped", "labels-carry-ints", CHARS, "    window = None if z_window is None else _window(z_window)\n", "    window = z_window and _window(z_window) if isinstance(label, (TypicalV, VermaV0)) else None\n"),
+    ("tensor-keeps-cancelled-sum", "oracle-trusted-builder", ORACLE, "                    if not v:\n                        continue\n", ""),
+    ("realize-verma-keeps-zero-psi-p", "oracle-trusted-builder", ORACLE, "psi_p = {(0, 1): e} if e else {}", "psi_p = {(0, 1): e}"),
+    ("realize-projective-psi-m-sign", "oracle-trusted-builder", ORACLE, "(3, 1): _MINUS_ONE}", "(3, 1): _ONE}"),
+    ("realize-atypical-shares-a-dict", "oracle-trusted-builder", ORACLE, "((_ZERO, label.n),), {}, {})", "((_ZERO, label.n),), *[{}] * 2)"),
+    ("realize-atypical-int-weight", "oracle-trusted-builder", ORACLE, "(EVEN,), ((_ZERO, label.n)", "(EVEN,), ((0, label.n)"),
+    ("twice-eps2-total-sign", "oracle-trusted-builder", LABELS, "- (total > 0) + (total < 0)", "+ (total > 0) - (total < 0)"),
+    (
+        "monodromy-reads-epsilon-fraction",
+        "oracle-trusted-builder",
+        EXT,
+        "k2 = _twice_epsilon(ell) if type(s) is TypicalV",
+        "k2 = epsilon(ell).numerator if type(s) is TypicalV",
+    ),
+    (
+        "atypical-window-checked-twice",
+        "oracle-trusted-builder",
+        CHARS,
+        "return _atypical0(label._np, label._nq, q_cutoff, window)",
+        "return char_atypical0(label.n, q_cutoff, z_window)",
+    ),
+    ("derived-slot-as-field", "oracle-trusted-builder", FROZEN, 'names = tuple(name for name in cls.__slots__ if name[0] != "_")', "names = cls.__slots__"),
 ]
 
 

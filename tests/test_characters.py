@@ -299,6 +299,27 @@ def test_character_request_dispatch():
         ch.characters(ProjectiveP(0, 0), F(1), (2, 1))
 
 
+def test_each_z_window_is_checked_once(monkeypatch):
+    # characters() checks the window before the label's kind and hands the
+    # checked window on: char_atypical0's own check runs only when it is
+    # called directly
+    from gl11kl.labels import AtypicalA, ProjectiveP, TypicalV, VermaV0
+
+    calls = []
+    window = ch._window
+    monkeypatch.setattr(ch, "_window", lambda z_window: calls.append(z_window) or window(z_window))
+    for label in (AtypicalA(F(1, 3), 0), TypicalV(0, F(1, 2)), VermaV0(1, -2)):
+        before = len(calls)
+        got = ch.characters(label, 2, (-2, F(3, 2)))
+        assert len(calls) - before == 1, label
+    assert got == ch.characters(VermaV0(1, -2), 2, (-2, F(3, 2)))
+    before = len(calls)
+    assert ch.char_atypical0(F(1, 3), 2, (-2, F(3, 2))) == ch.characters(AtypicalA(F(1, 3), 0), 2, (-2, F(3, 2)))
+    assert len(calls) - before == 2
+    with pytest.raises(ValueError, match="empty z window"):
+        ch.characters(ProjectiveP(0, 0), F(1), (2, 1))
+
+
 def test_m_range_integers_are_checked():
     for m_range in (F(3, 2), 1.5, "3/2"):
         for call in (ch.char_induced_typical, ch.induced_window, ch.verify_induced_identity):

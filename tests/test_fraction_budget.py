@@ -83,6 +83,30 @@ def fraction_hashes(monkeypatch):
     return hashed
 
 
+@pytest.fixture
+def fraction_reads(monkeypatch):
+    """A one-item list holding the number of Fraction numerator and denominator reads so far."""
+    reads = [0]
+
+    def counted(getter):
+        def read(self):
+            reads[0] += 1
+            return getter(self)
+
+        return property(read)
+
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name).fget))
+    return reads
+
+
+def test_fraction_reads_counter_sees_both_properties(fraction_reads):
+    half = Fraction(1, 2)
+    before = fraction_reads[0]
+    half.numerator, half.denominator, half.numerator
+    assert fraction_reads[0] - before == 3
+
+
 def test_fraction_hashes_counter_sees_dict_keys(fraction_hashes):
     {Fraction(1, 2): 1}, hash(Fraction(3)), Fraction(1, 3) in {}
     assert fraction_hashes[0] == 3
@@ -318,6 +342,18 @@ def test_label_stream_ops_build_and_hash_no_fraction(fraction_builds, fraction_h
     assert fraction_hashes[0] == hashes
 
 
+def test_label_stream_ops_read_no_fraction(fraction_reads):
+    # the fusion rules and the monodromy read epsilon's sign as an int, and
+    # an extension keeps the ints of its a: no op shape reads a Fraction's
+    # numerator or denominator
+    calls = [call for seed in range(20) for call in _label_stream_calls(Random(seed))]
+    assert {fn.__name__ for fn, _ in calls} >= {"fuse", "k_ring_check", "induce", "is_local", "monodromy_exponent"}
+    for fn, args in calls:
+        before = fraction_reads[0]
+        fn(*args)
+        assert fraction_reads[0] == before, (fn.__name__, args)
+
+
 def test_label_views_reuse_the_fractions_given(fraction_builds):
     # a label built from Fractions by its public constructor hands the same
     # Fractions back, so the oracle's label conversion builds none
@@ -329,6 +365,21 @@ def test_label_views_reuse_the_fractions_given(fraction_builds):
         assert x.n is x.n and (type(x) is not TypicalV or x.ehat is x.ehat)
         o.fin_label_of(x)
     assert fraction_builds[0] == before
+
+
+# Fractions that realize builds per kind: n +- 1/2 for a Verma, n +- 1 for a
+# Projective; its constants are shared and its entries are the label's own
+REALIZE_BUILDS = {"Verma": 2, "Atypical": 0, "Projective": 2}
+
+
+def test_realize_builds_only_the_shifted_weights(fraction_builds):
+    rng = Random(4)
+    labels = [o.Verma(rational(rng), e) for e in (Fraction(0), Fraction(1, 3), Fraction(-2))]
+    labels += [o.fin_label_of(VermaV0(rational(rng), 0)), o.Atypical(rational(rng)), o.Projective(rational(rng))]
+    for label in labels:
+        before = fraction_builds[0]
+        o.realize(label)
+        assert fraction_builds[0] - before == REALIZE_BUILDS[type(label).__name__], label
 
 
 def _oracle_products():

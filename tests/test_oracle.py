@@ -616,6 +616,74 @@ def test_modules_are_unhashable_and_compare_by_fields():
     assert o.realize(o.Projective(1)) != m and m.__eq__(m.weights) is NotImplemented
 
 
+def _assert_as_constructed(m) -> None:
+    """m equals the public constructor's module on its own data, field by field and type by type."""
+    twin = o.Gl11MatrixModule(m.parity, m.weights, m.psi_p, m.psi_m)
+    for name in o.Gl11MatrixModule._fields:
+        assert getattr(m, name) == getattr(twin, name), name
+    assert type(m.parity) is tuple and all(type(p) is int and p in (0, 1) for p in m.parity)
+    assert type(m.weights) is tuple and all(type(w) is tuple and len(w) == 2 for w in m.weights)
+    assert all(type(x) is F for w in m.weights for x in w)
+    for x in (m.psi_p, m.psi_m):
+        assert type(x) is dict and all(type(v) is F and v != 0 for v in x.values())
+
+
+def _assert_no_shared_dicts(modules) -> None:
+    """No two modules share a psi dict, and none is a module-level dict of the oracle."""
+    ids = [id(x) for m in modules for x in (m.psi_p, m.psi_m)]
+    assert len(set(ids)) == len(ids)
+    assert not set(ids) & {id(v) for v in vars(o).values() if isinstance(v, dict)}
+
+
+def test_realize_builds_what_the_constructor_builds():
+    # realize stores through the trusted builder: the same fields and types
+    # as the checked constructor, with the zero psi+ entry of a Verma at
+    # e = 0 left out, and fresh dicts on every call
+    rng = Random(31)
+    labels = [o.fin_label_of(VermaV0(F(-5, 2), 0)), o.Verma(F(1, 2), 0), o.Verma(0, 1)]
+    labels += [o.Atypical(0), o.Projective(0)]
+    for _ in range(60):
+        n = _draws.rational(rng)
+        labels.append(rng.choice((o.Verma(n, _draws.rational(rng)), o.Verma(n, 0), o.Atypical(n), o.Projective(n))))
+    modules = []
+    for label in labels:
+        for _ in range(2):
+            m = o.realize(label)
+            _assert_as_constructed(m)
+            modules.append(m)
+    assert o.realize(labels[0]).psi_p == {}  # VermaV0(n; 0) maps to the Verma at e = 0
+    _assert_no_shared_dicts(modules)
+
+
+def test_tensor_builds_what_the_constructor_builds():
+    # seeded products of one to three factors, with each partial product:
+    # every module as the constructor would store it, and no dict shared
+    # with a factor, another product or the oracle module
+    rng = Random(32)
+    modules = []
+    for _ in range(40):
+        factors = [
+            rng.choice((o.Verma(_draws.rational(rng), rng.choice((F(0), _draws.rational(rng)))),
+                        o.Atypical(_draws.rational(rng)), o.Projective(F(rng.randint(-3, 3), rng.choice((1, 2))))))
+            for _ in range(rng.randint(1, 3))
+        ]
+        module = o.realize(factors[0])
+        modules.append(module)
+        for label in factors[1:]:
+            factor = o.realize(label)
+            module = o.tensor(module, factor)
+            modules += [factor, module]
+    for m in modules:
+        _assert_as_constructed(m)
+    _assert_no_shared_dicts(modules)
+    # hand-built factors with diagonal entries, where tensor sums a key twice
+    diagonal = _module([0, 1], [0, 1], [[2, 1], [0, 2]], [[1, 0], [3, -1]])
+    products = [o.tensor(diagonal, diagonal), o.tensor(diagonal, modules[0]), o.tensor(modules[0], diagonal)]
+    for m in products:
+        _assert_as_constructed(m)
+    _assert_no_shared_dicts([diagonal, *modules, *products])
+
+
 def _fin_triple(rng, kinds):
     """Labels of the given kinds ("V", "A", "P" at ell = 0) and their fusion."""
     while True:
