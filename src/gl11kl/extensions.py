@@ -29,13 +29,14 @@ from .errors import Gl11Error
 from .frozen import Frozen
 from .fusion import _RULE_ORDER, _checked, _key, _label, _rules, fuse
 from .labels import (
+    _SIMPLE,
     AtypicalA,
     _new,
     ModuleLabel,
     TypicalV,
     _f,
     _int,
-    _twice_epsilon,
+    _sign,
     _twice_epsilon2,
     delta,
     ehat,
@@ -104,8 +105,7 @@ SL21_LEVEL1 = ExtensionSpec("sl21-level1", Fraction(1, 2), 1)
 
 def _numerator(ext: ExtensionSpec, m: int) -> int:
     """2q n(generator_of(m)) for a = p/q: 2mp + sign(b)(sign(m) - m)q."""
-    b = ext.b
-    return 2 * m * ext._ap + ((b > 0) - (b < 0)) * ((m > 0) - (m < 0) - m) * ext._aq
+    return 2 * m * ext._ap + _sign(ext.b) * (_sign(m) - m) * ext._aq
 
 
 def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
@@ -122,9 +122,6 @@ def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
     return [_label(*_rules(key, (AtypicalA, _numerator(ext, m) * r, m * b), d), d) for m in ms]
 
 
-_SIMPLE = (TypicalV, AtypicalA)
-
-
 def _monodromy(s: ModuleLabel, cp: int, cq: int, ell: int) -> tuple[int, int]:
     """The monodromy exponent of a simple s against c = A(cp/cq; l) as an unreduced (num, den) pair.
 
@@ -134,7 +131,7 @@ def _monodromy(s: ModuleLabel, cp: int, cq: int, ell: int) -> tuple[int, int]:
     (0 or +-1/2), the denominator is 2 xq cq sq; cp/cq need not be reduced.
     """
     xp, xq, sp, sq = s._ep, s._eq, s._np, s._nq  # x = ell over 1 for an atypical s
-    k2 = _twice_epsilon(ell) if type(s) is TypicalV else _twice_epsilon2(xp, ell)
+    k2 = _sign(ell) if type(s) is TypicalV else _twice_epsilon2(xp, ell)
     num = xp * (2 * cp + (2 * ell - k2) * cq) * sq + ell * (2 * sp - k2 * sq) * xq * cq
     return num, 2 * xq * cq * sq
 
@@ -243,7 +240,7 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     if not is_simple(s):
         raise ValueError("weight growth applies to simple labels")
     b, p, q = ext.b, ext._ap, ext._aq
-    r = 2 * p + (b - (b > 0) + (b < 0)) * q
+    r = 2 * p + (b - _sign(b)) * q
     n, nq = s._np, s._nq
     if isinstance(s, TypicalV):
         e, g = s._ep, s._eq
@@ -254,7 +251,7 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
         d = lcm(2 * q, nq)
         h = d // 2
         # b (l/2 - eps(l)) = b (l - sign(l))/2, and b eps(b) = |b|/2
-        lin = ell * r * (d // (2 * q)) + b * (n * (d // nq) + (ell - (ell > 0) + (ell < 0)) * h)
+        lin = ell * r * (d // (2 * q)) + b * (n * (d // nq) + (ell - _sign(ell)) * h)
         lin_pos, lin_neg = lin + abs(b) * h, lin - abs(b) * h
         lin = lin_neg if b * (ell + 2 * b) <= 0 else lin_pos
     quad = b * r

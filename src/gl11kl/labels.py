@@ -7,14 +7,12 @@ non-integral ehat.  ``parity_flip`` marks the parity-reversed partner; it is
 cosmetic except for contragredients of typical labels.  A label stores ints,
 n and ehat as numerator and denominator in lowest terms: its ``n`` and
 ``ehat`` are exact Fraction views, the one a public constructor was given or
-one built on each read.  Equality compares the ints, and the hash is that of
-the Fraction fields, computed from the ints.
+one built on each read.  Equality and hash both read the stored ints.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -36,7 +34,11 @@ def _int(v) -> int:
 
 
 class ModuleLabel(Frozen):
-    """Base class of the label tagged union: n = _np/_nq and ehat = _ep/_eq, each in lowest terms."""
+    """Base class of the label tagged union: n = _np/_nq and ehat = _ep/_eq, each in lowest terms.
+
+    Equality and hash both read the stored ints and the parity flip, and
+    equality also compares the kind.
+    """
 
     __slots__ = ("_np", "_nq", "_ep", "_eq", "parity_flip", "_n", "_ehat")
     _fields = ()  # each kind names its own
@@ -48,7 +50,7 @@ class ModuleLabel(Frozen):
         return NotImplemented
 
     def __hash__(self):
-        return hash((_hash(self._np, self._nq), _hash(self._ep, self._eq), self.parity_flip))
+        return hash((self._np, self._nq, self._ep, self._eq, self.parity_flip))
 
     @property
     def n(self) -> Fraction:
@@ -114,7 +116,7 @@ class ProjectiveP(_Integral):
 
 
 _set, _object_new = object.__setattr__, object.__new__
-_MODULUS = sys.hash_info.modulus
+_SIMPLE = (TypicalV, AtypicalA)
 
 
 def _new(kind, np: int, nq: int, ep: int, eq: int, parity_flip=False) -> ModuleLabel:
@@ -133,18 +135,8 @@ def _new(kind, np: int, nq: int, ep: int, eq: int, parity_flip=False) -> ModuleL
     return label
 
 
-def _hash(p: int, q: int) -> int:
-    """hash(Fraction(p, q)) for p/q in lowest terms and q > 0, computed on the ints."""
-    if q == 1:
-        return hash(p)
-    try:
-        return hash(p * pow(q, -1, _MODULUS))
-    except ValueError:  # q is a multiple of the modulus, which Fraction hashes as infinity
-        return hash(Fraction(p, q))
-
-
 def is_simple(label: ModuleLabel) -> bool:
-    return isinstance(label, (TypicalV, AtypicalA))
+    return isinstance(label, _SIMPLE)
 
 
 def strip_parity(label: ModuleLabel) -> ModuleLabel:
@@ -166,20 +158,19 @@ def ehat(label: ModuleLabel) -> Fraction:
 _HALVES = {1: Fraction(1, 2), 0: Fraction(0), -1: Fraction(-1, 2)}  # t/2 by t, shared
 
 
-def _twice_epsilon(ell: int) -> int:
-    """2 epsilon(ell), the sign of ell: the int that the fusion rules and monodromy read."""
-    return (ell > 0) - (ell < 0)
+def _sign(x: int) -> int:
+    """The sign of x, as -1, 0 or 1; it is 2 epsilon(x), which the fusion rules and monodromy read."""
+    return (x > 0) - (x < 0)
 
 
 def _twice_epsilon2(ell: int, ell2: int) -> int:
     """2 epsilon2(ell, ell2) = sign(l) + sign(l') - sign(l + l'), which lies in -1..1."""
-    total = ell + ell2
-    return (ell > 0) - (ell < 0) + (ell2 > 0) - (ell2 < 0) - (total > 0) + (total < 0)
+    return _sign(ell) + _sign(ell2) - _sign(ell + ell2)
 
 
 def epsilon(ell: int) -> Fraction:
     """The half-integer step function: 1/2, 0, -1/2 for ell >, =, < 0."""
-    return _HALVES[_twice_epsilon(ell)]
+    return _HALVES[_sign(ell)]
 
 
 def epsilon2(ell: int, ell2: int) -> Fraction:
@@ -202,7 +193,7 @@ def delta(label: ModuleLabel) -> Fraction:
     """
     a, d = label._np, label._nq
     if type(label) is ProjectiveP:  # 2 eps(ell) is the sign of ell
-        a -= ((label.ell > 0) - (label.ell < 0)) * d
+        a -= _sign(label.ell) * d
     b, g = label._ep, label._eq
     return Fraction(b * (2 * a * g + b * d), 2 * d * g * g)
 
@@ -390,8 +381,7 @@ def k_decompose(label: ModuleLabel) -> FormalSum:
         return FormalSum._trusted({_new(AtypicalA, p + i * q, q, ell, 1): 2 - abs(i) for i in (-1, 0, 1)})
     if ell == 0:  # n -+ 1/2
         return FormalSum([_new(AtypicalA, 2 * p - q, 2 * q, 0, 1), _new(AtypicalA, 2 * p + q, 2 * q, 0, 1)])
-    shift = q if ell > 0 else -q
-    return FormalSum([_new(AtypicalA, p, q, ell, 1), _new(AtypicalA, p + shift, q, ell, 1)])
+    return FormalSum([_new(AtypicalA, p, q, ell, 1), _new(AtypicalA, p + _sign(ell) * q, q, ell, 1)])
 
 
 # ---------------------------------------------------------------------------

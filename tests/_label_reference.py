@@ -4,7 +4,7 @@ Each class stores its fields as Fractions (and an int ell), as the package's
 labels did before they stored ints; each function builds its result with
 Fraction arithmetic from those fields.  ``tests/test_label_ints.py`` holds
 the int path of ``gl11kl.labels`` and ``gl11kl.fusion`` to these, field by
-field and in ``repr``, rendering, hashing and pickling.
+field and in ``repr``, rendering and pickling.
 """
 
 from __future__ import annotations

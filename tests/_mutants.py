@@ -9,6 +9,9 @@ For each mutant the runner copies ``src/``, ``tests/``, ``bench/`` (whose
 names ``tests/test_surface.py`` reads) and ``pyproject.toml`` into a
 temporary directory, replaces the mutant's old text, which must occur
 exactly once in its file, and runs the Tier-1 command there with ``-x -q``.
+It leaves out ``tests/test_mutants.py``, which checks that every mutant
+applies to the unmutated code: in a mutated copy it would fail on the
+mutant's own edit, whatever the other tests do.
 An unmutated copy runs first and must pass, so that a broken copy cannot
 count as a caught mutant.  The survivors are listed, and the exit status is
 1 if there is any, 2 if a mutant does not apply or the unmutated copy fails.
@@ -36,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "bench", "pyproject.toml")
-TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py")
 
 EXT = "src/gl11kl/extensions.py"
 FUSION = "src/gl11kl/fusion.py"
@@ -49,7 +52,8 @@ FROZEN = "src/gl11kl/frozen.py"
 CLI = "src/gl11kl/cli.py"
 
 MUTANTS = [
-    ("generator-numerator-plus-m", "induction-by-rule-1", EXT, "((m > 0) - (m < 0) - m)", "((m > 0) - (m < 0) + m)"),
+    # followed the sign of m onto labels._sign, with the same edit
+    ("generator-numerator-plus-m", "induction-by-rule-1", EXT, "(_sign(m) - m)", "(_sign(m) + m)"),
     # these two followed the label's denominators onto the ints it stores:
     # the scale still drops 2q, and a V's second coordinate is still not
     # divided by d
@@ -135,8 +139,8 @@ MUTANTS = [
     ("growth-one-sign-strict", "closed-form-extensions", EXT, "if b * (ell + 2 * b) <= 0 else", "if b * (ell + 2 * b) < 0 else"),
     ("equivalent-b0-solve", "closed-form-extensions", EXT, "m = (s2.n - s.n) / ext.step", "m = (s2.n - s.n) / (ext.step + 1)"),
     ("equivalent-flat-true", "closed-form-extensions", EXT, "        return s == s2", "        return True"),
-    # followed epsilon's sign onto the int helpers, with the same edit
-    ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "_twice_epsilon2(ell, second) * half", "_twice_epsilon(ell) * half"),
+    # followed epsilon's sign onto the int helpers, and then onto _sign, with the same edit
+    ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "_twice_epsilon2(ell, second) * half", "_sign(ell) * half"),
     ("relations-e-scale-s", "oracle-on-ints", ORACLE, "e_scale = (s // d) * s", "e_scale = s"),
     ("relations-step-one", "oracle-on-ints", ORACLE, "((m.psi_p, d), (m.psi_m, -d))", "((m.psi_p, 1), (m.psi_m, -1))"),
     (
@@ -153,7 +157,8 @@ MUTANTS = [
     ("growth-spread-b", "label-outputs-on-ints", EXT, "lin + abs(b) * h, lin - abs(b) * h", "lin + b * h, lin - b * h"),
     ("growth-atypical-scale-without-2", "label-outputs-on-ints", EXT, "d = lcm(2 * q, nq)", "d = lcm(q, nq)"),
     ("growth-typical-scale-without-2", "label-outputs-on-ints", EXT, "d = lcm(2 * q * g, nq)", "d = lcm(q * g, nq)"),
-    ("growth-rate-sign-b-flipped", "label-outputs-on-ints", EXT, "(b - (b > 0) + (b < 0)) * q", "(b + (b > 0) - (b < 0)) * q"),
+    # followed the sign of b onto labels._sign, with the same edit
+    ("growth-rate-sign-b-flipped", "label-outputs-on-ints", EXT, "(b - _sign(b)) * q", "(b + _sign(b)) * q"),
     ("flow-negative-numerator", "label-outputs-on-ints", LABELS, "(2 * ell + 1) * q", "(2 * ell - 1) * q"),
     ("flow-positive-numerator", "label-outputs-on-ints", LABELS, "(1 - 2 * ell) * q - 2 * p", "(1 - 2 * ell) * q + 2 * p"),
     # followed the flowed label onto the int constructor, with the same edit
@@ -216,8 +221,10 @@ MUTANTS = [
     ("label-n-unreduced", "labels-carry-ints", LABELS, "g, h = gcd(np, nq), gcd(ep, eq)", "g, h = 1, gcd(ep, eq)"),
     ("label-ehat-unreduced", "labels-carry-ints", LABELS, "g, h = gcd(np, nq), gcd(ep, eq)", "g, h = gcd(np, nq), 1"),
     ("key-scale-off-by-one", "labels-carry-ints", FUSION, "n = x._np * (d // x._nq)", "n = x._np * (d // x._nq + 1)"),
-    ("label-hash-drops-parity", "labels-carry-ints", LABELS, "_hash(self._ep, self._eq), self.parity_flip))", "_hash(self._ep, self._eq)))"),
-    ("label-hash-inverse-negated", "labels-carry-ints", LABELS, "hash(p * pow(q, -1, _MODULUS))", "hash(-p * pow(q, -1, _MODULUS))"),
+    # these two followed the hash onto the tuple of stored ints, which
+    # __eq__ also spells: so each old text starts at "hash(("
+    ("label-hash-drops-parity", "labels-carry-ints", LABELS, "hash((self._np, self._nq, self._ep, self._eq, self.parity_flip))", "hash((self._np, self._nq, self._ep, self._eq))"),
+    ("label-hash-inverse-negated", "labels-carry-ints", LABELS, "hash((self._np, self._nq", "hash((-self._np, self._nq"),
     ("label-eq-ignores-denominator", "labels-carry-ints", LABELS, "(self._np, self._nq, self._ep, self._eq, self.parity_flip) == (", "(self._np, self._ep, self._eq, self.parity_flip) == ("),
     ("is-local-reads-two", "labels-carry-ints", EXT, "    for m in (1, -1):\n", "    for m in (2, -2):\n"),
     # followed the denominator of a onto the int the extension keeps
@@ -233,12 +240,13 @@ MUTANTS = [
     ("realize-projective-psi-m-sign", "oracle-trusted-builder", ORACLE, "(3, 1): _MINUS_ONE}", "(3, 1): _ONE}"),
     ("realize-atypical-shares-a-dict", "oracle-trusted-builder", ORACLE, "((_ZERO, label.n),), {}, {})", "((_ZERO, label.n),), *[{}] * 2)"),
     ("realize-atypical-int-weight", "oracle-trusted-builder", ORACLE, "(EVEN,), ((_ZERO, label.n)", "(EVEN,), ((0, label.n)"),
-    ("twice-eps2-total-sign", "oracle-trusted-builder", LABELS, "- (total > 0) + (total < 0)", "+ (total > 0) - (total < 0)"),
+    # these two followed the sign onto labels._sign, with the same edits
+    ("twice-eps2-total-sign", "oracle-trusted-builder", LABELS, "- _sign(ell + ell2)", "+ _sign(ell + ell2)"),
     (
         "monodromy-reads-epsilon-fraction",
         "oracle-trusted-builder",
         EXT,
-        "k2 = _twice_epsilon(ell) if type(s) is TypicalV",
+        "k2 = _sign(ell) if type(s) is TypicalV",
         "k2 = epsilon(ell).numerator if type(s) is TypicalV",
     ),
     (
@@ -249,6 +257,10 @@ MUTANTS = [
         "return char_atypical0(label.n, q_cutoff, z_window)",
     ),
     ("derived-slot-as-field", "oracle-trusted-builder", FROZEN, 'names = tuple(name for name in cls.__slots__ if name[0] != "_")', "names = cls.__slots__"),
+    ("sign-of-zero-is-one", "one-sign-owner", LABELS, "return (x > 0) - (x < 0)", "return (x >= 0) - (x < 0)"),
+    ("delta-projective-shift-flipped", "one-sign-owner", LABELS, "a -= _sign(label.ell) * d", "a += _sign(label.ell) * d"),
+    ("label-hash-drops-denominator", "one-sign-owner", LABELS, "hash((self._np, self._nq, self._ep", "hash((self._np, self._ep"),
+    ("verma-factor-shift-flipped", "one-sign-owner", LABELS, "p + _sign(ell) * q, q, ell, 1)])", "p - _sign(ell) * q, q, ell, 1)])"),
 ]
 
 

@@ -4,7 +4,8 @@ Each class is compared on seeded draws with its dataclass twin in
 ``_dataclass_twins``: construction (positional, keyword and defaults, with
 the same validation errors), equality within and across classes, hashing,
 ``repr``, refusal of assignment and deletion, and copy, deepcopy and pickle
-round trips.
+round trips.  Labels are the one exception in hashing: a label hashes the
+ints it stores, not its twin's fields.
 """
 
 import copy
@@ -153,7 +154,11 @@ def test_equality_and_hash_match_twin():
         assert a.__eq__(ta) is NotImplemented and a != ta
     for (a, ta), (b, _) in zip(pairs, again):
         assert a is not b and a == b and not a != b
-        assert _outcome(hash, a) == _outcome(hash, ta) == _outcome(hash, b), a
+        if isinstance(a, labels.ModuleLabel):
+            want = hash((a._np, a._nq, a._ep, a._eq, a.parity_flip)), None
+        else:
+            want = _outcome(hash, ta)
+        assert _outcome(hash, a) == want == _outcome(hash, b), a
     same_fields = [(labels.AtypicalA(0, 0), labels.ProjectiveP(0, 0)), (oracle.Atypical(1), oracle.Projective(1))]
     for a, b in same_fields:
         assert a != b and hash(a) == hash(b)

@@ -4,12 +4,13 @@
 extension grid's labels, on every key the fusion rules produce from them
 and on seeded draws, the int path (``fusion._label``, the public
 constructors, ``parse_label`` and the label functions) must give the same
-field values and types, ``repr``, rendering, hash and pickle round trips.
+field values and types, ``repr``, rendering and pickle round trips.  A label
+hashes as the tuple of the ints it stores, which its equality compares.
 """
 
 import pickle
+import sys
 from fractions import Fraction
-from math import gcd
 from random import Random
 
 import pytest
@@ -31,7 +32,7 @@ def _same(x, r) -> None:
     assert values == r._values() and [type(v) for v in values] == [type(v) for v in r._values()], (x, r)
     assert repr(x) == repr(r)
     assert lb.render_label(x) == ref.render_label(r)
-    assert hash(x) == hash(r)
+    assert hash(x) == hash((x._np, x._nq, x._ep, x._eq, x.parity_flip))
     assert x.__reduce__()[1] == r.__reduce__()[1]
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         again = pickle.loads(pickle.dumps(x, protocol))
@@ -162,14 +163,27 @@ def test_views_are_fractions_of_the_stored_ints():
         assert type(built.n) is Fraction and built.n == n / 2 and built.ehat == F(5, 6 * n.denominator)
 
 
+def test_distinct_grid_labels_of_one_kind_hash_apart():
+    # CPython hashes the int -1 as -2, so ell = -1 and ell = -2 hash alike;
+    # the rest hash apart
+    for kind in KINDS:
+        grid = {x for x in _grid_labels() if type(x) is kind and (x._ep, x._eq) != (-1, 1)}
+        assert len(grid) > 1 and len({hash(x) for x in grid}) == len(grid), kind
+
+
 def test_hash_of_a_multiple_of_the_modulus_denominator():
-    # Fraction hashes p/q with q a multiple of the hash modulus as infinity
-    q = lb._MODULUS * 3
+    # Fraction hashes p/q with q a multiple of the hash modulus as infinity; a
+    # label at such a denominator hashes its ints, however it was built
+    q = sys.hash_info.modulus * 3
     for p in (1, -1, 2, -7):
-        x = lb.AtypicalA(F(p, q), 0)
-        assert hash(x) == hash(ref.AtypicalA(F(p, q), 0)) and lb._hash(p, q) == hash(F(p, q))
-    rng = Random(94)
-    for _ in range(2000):
-        p, q = rng.randint(-10**30, 10**30), rng.randint(1, 10**30)
-        g = gcd(p, q)
-        assert lb._hash(p // g, q // g) == hash(F(p, q))
+        built = [
+            lb.AtypicalA(F(p, q), 0),
+            lb._new(lb.AtypicalA, 3 * p, 3 * q, 0, 1),
+            lb.parse_label(f"A({p}/{q};0)"),
+            lb.parse_label(f"A({2 * p}/{2 * q};0)"),
+        ]
+        for x in built:
+            assert x == built[0] and hash(x) == hash((p, q, 0, 1, False)), x
+        built = [lb.TypicalV(F(1, 3), F(p, q), True), lb._new(lb.TypicalV, 1, 3, p, q, True), lb.parse_label(f"PiV(1/3;{p}/{q})")]
+        for x in built:
+            assert x == built[0] and hash(x) == hash((1, 3, p, q, True)), x
