@@ -1,7 +1,10 @@
 """Command-line front end with deterministic JSON output.
 
 Exit codes: 0 on success, 1 when the requested quantity is outside the
-implemented classification (a mathematical scope limit), 2 on usage errors.
+implemented classification (a mathematical scope limit), 2 on usage errors,
+and 141 (128 + SIGPIPE, as a shell reports a process that a closed pipe
+ended) when stdout is closed before the output is written, with nothing
+written to stderr.
 All rational quantities are printed in exact p/q notation; only the
 kz-verification report contains floats.  Each subcommand imports the layer
 it runs only once its own arguments have passed their checks, so a fresh
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -251,8 +255,14 @@ def main(argv=None) -> int:
     except (Gl11Error, UsageError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1 if isinstance(exc, Gl11Error) else 2
-    print(json.dumps(payload))
+    try:
+        print(json.dumps(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes stdout again at exit, so
+        # it is pointed at devnull first, as the signal module's docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
     if args.command == "kz" and not payload.get("all_pass", True):
         return 1
     return 0
-

@@ -9,8 +9,10 @@ to instances of the same class with equal fields, hash as the tuple of
 their fields (unless ``__hash__ = None``, as with a dict field), print as a
 dataclass would, refuse assignment and deletion, and copy and pickle
 through the constructor.  A subclass that stores its fields in another
-form names them in ``_fields`` and writes its own constructor, ``__eq__``
-and ``__hash__``; ``__slots__`` then holds what it stores.
+form names them in ``_fields`` and writes its own constructor;
+``__slots__`` then holds what it stores, and it compares and hashes as the
+tuple of the fields it names unless it writes its own ``__eq__`` and
+``__hash__``.
 Unlike ``dataclasses``, which imports ``inspect``, this module imports
 nothing, so a fresh ``gl11kl`` process pays no start-up time for its value
 types.
@@ -56,6 +58,16 @@ class Frozen:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    # The contract read through _values, for a subclass that names _fields
+    # itself; the generated methods are the same, written out.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def __reduce__(self):
         return self.__class__, self._values()

@@ -10,13 +10,20 @@ spectral statistics.
 Every module here lies in the category where the Cartan subalgebra acts
 semisimply, and is stored in a weight basis: basis vector i carries its
 weight (e, n), the eigenvalues of E and N, and only psi+ and psi- are
-stored, each as a map ``{(row, col): Fraction}`` of its nonzero entries.
+stored, each as a map ``{(row, col): value}`` of its nonzero entries.
 Nearly every entry is zero: a realized P(n) has 4 nonzero psi+- entries in
 32 slots, and in a tensor product of realized modules each odd operator has
 at most one nonzero entry per column and tensor factor.  Products
 (:func:`mul`), tensor products and the weight checks visit nonzero entries
 only; :func:`mat_rank` works on the small dense blocks between neighbouring
 weight spaces that :func:`decompose` slices out.
+
+A module stores all of this on ints: each weight as the key (e d, n d)
+over one weight scale d, and psi+- times one entry scale s, a multiple of
+d.  Realizing, tensoring and checking build no Fraction, and decomposing
+builds only those of the labels it returns.  The Fraction-valued
+``weights``, ``psi_p`` and ``psi_m`` of a module are views, built when
+first read.
 
 Everything is independent of the label arithmetic in :mod:`gl11kl.fusion`,
 which is the point: it is the cross-check.
@@ -32,9 +39,9 @@ from .frozen import Frozen
 from .labels import AtypicalA, ProjectiveP, TypicalV, VermaV0, _f
 
 Matrix = tuple  # sequence of rows of ints or Fractions
-Entries = dict  # {(row, col): Fraction}, nonzero entries only
+Entries = dict  # {(row, col): int or Fraction}, nonzero entries only
 EVEN, ODD = 0, 1
-_ZERO, _HALF, _ONE, _MINUS_ONE = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1)
+_ZERO, _HALF = Fraction(0), Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -131,28 +138,40 @@ class Gl11MatrixModule(Frozen):
 
     Basis vector i has parity ``parity[i]`` (0 even, 1 odd) and weight
     ``weights[i] = (e, n)``: E acts on it by e and N by n.  ``psi_p`` and
-    ``psi_m`` map (row, col) to the nonzero entries of psi+ and psi-.  The
-    constructor stores parity as a tuple, converts weights and entries to
-    Fraction and drops zero entries, so a stored zero equals an absent
-    entry.  It raises :class:`OracleError` unless every parity is 0 or 1,
-    ``weights`` has ``dim = len(parity)`` entries and every key lies in
-    ``range(dim)``.  Modules compare by fields; their dicts make them unhashable.
-    The constructor is public API; :func:`realize` and :func:`tensor` build
-    their modules through ``_trusted``, which stores data already in that
-    form.  Neither marks a module as valid: :func:`decompose` checks every
-    input.
+    ``psi_m`` map (row, col) to the nonzero entries of psi+ and psi-.
+
+    A module stores the integer form that :func:`decompose` and
+    :meth:`validate` read: ``parity`` as a tuple of 0/1; one weight scale
+    d with the int key (e d, n d) of each basis vector in ``_keys``; and one
+    entry scale s, a multiple of d, with ``_p = s psi+`` and ``_q = s psi-``
+    as int entry maps of the nonzero entries.  ``weights``, ``psi_p`` and
+    ``psi_m`` are Fraction views of that form, built on first read and kept;
+    they are read-only.  d and s are common denominators, not always the
+    least ones (a tensor product takes the lcm of its factors' scales, and
+    its weight sums may need less), so the int form is not canonical:
+    equality compares the fields, parity and the three views.  Their dicts
+    make modules unhashable.
+
+    The constructor is public API.  It converts weights and entries to
+    Fraction, drops zero entries, and raises :class:`OracleError` unless
+    every parity is 0 or 1, ``weights`` has ``dim = len(parity)`` entries
+    and every key lies in ``range(dim)``; it then scales to ints by the
+    least d and s.  It stores them through ``_trusted``, which
+    :func:`realize` and :func:`tensor` call with an int form they built.
+    Nothing marks a module as valid: :func:`decompose` checks every input.
     """
 
-    __slots__ = ("parity", "weights", "psi_p", "psi_m")
+    __slots__ = ("parity", "_d", "_keys", "_s", "_p", "_q", "_fractions")
+    _fields = ("parity", "weights", "psi_p", "psi_m")
     __hash__ = None
 
-    def __init__(self, parity, weights, psi_p, psi_m):
+    def __new__(cls, parity, weights, psi_p, psi_m):
         dim = len(parity)
         if any(p not in (EVEN, ODD) for p in parity):
             raise OracleError("parity entries must be 0 or 1")
         if len(weights) != dim:
             raise OracleError(f"weights has {len(weights)} entries, not dim = {dim}")
-        weights = tuple((_f(e), _f(n)) for e, n in weights)
+        weights = [(_f(e), _f(n)) for e, n in weights]
         maps = []
         for name, entries in (("psi_p", psi_p), ("psi_m", psi_m)):
             kept = {}
@@ -163,20 +182,46 @@ class Gl11MatrixModule(Frozen):
                 if v:
                     kept[r, c] = v
             maps.append(kept)
-        _store(self, tuple(parity), weights, *maps)
+        d = lcm(*(x.denominator for w in weights for x in w))
+        s = lcm(d, *(v.denominator for x in maps for v in x.values()))
+        keys = tuple((e.numerator * (d // e.denominator), n.numerator * (d // n.denominator)) for e, n in weights)
+        p, q = ({key: v.numerator * (s // v.denominator) for key, v in x.items()} for x in maps)
+        return cls._trusted(tuple(parity), d, keys, s, p, q)
 
     @classmethod
-    def _trusted(cls, parity: tuple, weights: tuple, psi_p: Entries, psi_m: Entries) -> "Gl11MatrixModule":
-        """Store fields already in the constructor's form, without converting or checking.
+    def _trusted(cls, parity: tuple, d: int, keys: tuple, s: int, p: Entries, q: Entries) -> "Gl11MatrixModule":
+        """Store an int form as given, without converting or checking.
 
-        The caller guarantees: ``parity`` is a tuple of 0/1, ``weights`` a
-        tuple of ``len(parity)`` Fraction pairs, and ``psi_p``, ``psi_m``
-        dicts of its own, shared with no other module, whose keys lie in
-        ``range(dim)`` and whose values are nonzero Fractions.
+        The caller guarantees: ``parity`` is a tuple of 0/1, d > 0 and
+        ``keys`` a tuple of ``len(parity)`` int pairs (e d, n d); s > 0 is a
+        multiple of d, and ``p`` and ``q`` are the nonzero entries of
+        s psi+ and s psi- as ints, in dicts of their own, shared with no
+        other module, whose keys lie in ``range(dim)``.
         """
         module = object.__new__(cls)
-        _store(module, parity, weights, psi_p, psi_m)
+        _set = object.__setattr__
+        _set(module, "parity", parity)
+        _set(module, "_d", d)
+        _set(module, "_keys", keys)
+        _set(module, "_s", s)
+        _set(module, "_p", p)
+        _set(module, "_q", q)
         return module
+
+    def _views(self) -> tuple:
+        """(weights, psi_p, psi_m): the int form over d and s, as Fractions, built on first read and kept."""
+        try:
+            return self._fractions
+        except AttributeError:  # not read yet
+            d, s = self._d, self._s
+            weights = tuple((Fraction(e, d), Fraction(n, d)) for e, n in self._keys)
+            views = (weights, *({key: Fraction(v, s) for key, v in x.items()} for x in (self._p, self._q)))
+            object.__setattr__(self, "_fractions", views)
+            return views
+
+    weights = property(lambda self: self._views()[0], doc="Each basis vector's weight (e, n), as Fractions.")
+    psi_p = property(lambda self: self._views()[1], doc="The nonzero entries of psi+, as Fractions.")
+    psi_m = property(lambda self: self._views()[2], doc="The nonzero entries of psi-, as Fractions.")
 
     @property
     def dim(self) -> int:
@@ -194,32 +239,19 @@ class Gl11MatrixModule(Frozen):
         _relations(self)
 
 
-def _store(module: Gl11MatrixModule, parity, weights, psi_p, psi_m) -> None:
-    """Set a module's four fields: the one place both of its builders store them."""
-    _set = object.__setattr__
-    _set(module, "parity", parity)
-    _set(module, "weights", weights)
-    _set(module, "psi_p", psi_p)
-    _set(module, "psi_m", psi_m)
-
-
 def _relations(m: Gl11MatrixModule) -> tuple:
-    """The checks of :meth:`Gl11MatrixModule.validate`, on scaled integers.
+    """The checks of :meth:`Gl11MatrixModule.validate`, on the stored ints.
 
-    With d the lcm of the weight denominators, weight (e, n) becomes the int
-    key (e d, n d); with s = lcm(d, the psi+- entry denominators), p = s psi+
-    and q = s psi- are int entry maps, and E = pq + qp reads e s^2 on the
-    diagonal.  Returns (d, keys, p, q, pq), keys in basis order, pq = p q.
+    Weight (e, n) is the key (e d, n d), psi+- are p = s psi+ and q = s psi-,
+    and E = pq + qp reads e s^2 on the diagonal.  Returns
+    (d, keys, p, q, pq), keys in basis order, pq = p q.
     """
-    d = lcm(*(x.denominator for w in m.weights for x in w))
-    keys = [(e.numerator * (d // e.denominator), n.numerator * (d // n.denominator)) for e, n in m.weights]
-    for x, step in ((m.psi_p, d), (m.psi_m, -d)):
+    d, keys, s, p, q = m._d, m._keys, m._s, m._p, m._q
+    for x, step in ((p, d), (q, -d)):
         for r, c in x:
             e, n = keys[c]
             if keys[r] != (e, n + step):
                 raise OracleError("psi+- must map weight (e, n) into (e, n +- 1)")
-    s = lcm(d, *(v.denominator for x in (m.psi_p, m.psi_m) for v in x.values()))
-    p, q = ({key: v.numerator * (s // v.denominator) for key, v in x.items()} for x in (m.psi_p, m.psi_m))
     parity = m.parity
     for name, x in (("psi+", p), ("psi-", q)):
         if any(parity[i] == parity[j] for i, j in x):
@@ -237,26 +269,25 @@ def _relations(m: Gl11MatrixModule) -> tuple:
 
 
 def realize(label: FinLabel) -> Gl11MatrixModule:
-    """Standard matrix realization of a labelled module.
+    """Standard matrix realization of a labelled module, built on ints.
 
     Basis conventions: Verma (v, psi- v) with psi- acting by coefficient 1;
-    Projective (v, psi+ v, psi- v, psi+ psi- v).
+    Projective (v, psi+ v, psi- v, psi+ psi- v).  With n = a/b, both scales
+    are b, or lcm(2b, the denominator of e) for a Verma.
     """
+    a, b = label.n.numerator, label.n.denominator
     if isinstance(label, Verma):
-        n, e = label.n, label.e
+        c, g = label.e.numerator, label.e.denominator
+        d = lcm(2 * b, g)
+        e, h = c * (d // g), d // (2 * b)
         psi_p = {(0, 1): e} if e else {}  # no entry at e = 0
-        return Gl11MatrixModule._trusted((EVEN, ODD), ((e, n + _HALF), (e, n - _HALF)), psi_p, {(1, 0): _ONE})
+        return Gl11MatrixModule._trusted((EVEN, ODD), d, ((e, (2 * a + b) * h), (e, (2 * a - b) * h)), d, psi_p, {(1, 0): d})
     if isinstance(label, Atypical):
-        return Gl11MatrixModule._trusted((EVEN,), ((_ZERO, label.n),), {}, {})
+        return Gl11MatrixModule._trusted((EVEN,), b, ((0, a),), b, {}, {})
     if isinstance(label, Projective):
-        n = label.n
         # basis v, psi+ v, psi- v, psi+ psi- v; note psi- psi+ v = -psi+ psi- v
-        return Gl11MatrixModule._trusted(
-            (EVEN, ODD, ODD, EVEN),
-            ((_ZERO, n), (_ZERO, n + 1), (_ZERO, n - 1), (_ZERO, n)),
-            {(1, 0): _ONE, (3, 2): _ONE},
-            {(2, 0): _ONE, (3, 1): _MINUS_ONE},
-        )
+        keys = ((0, a), (0, a + b), (0, a - b), (0, a))
+        return Gl11MatrixModule._trusted((EVEN, ODD, ODD, EVEN), b, keys, b, {(1, 0): b, (3, 2): b}, {(2, 0): b, (3, 1): -b})
     raise TypeError(f"unknown label {label!r}")
 
 
@@ -266,17 +297,23 @@ def tensor(a: Gl11MatrixModule, b: Gl11MatrixModule) -> Gl11MatrixModule:
     Basis vector v_i (x) w_j has index i * b.dim + j, and its weight is the
     sum of the weights of v_i and w_j.  For psi+- the second term carries
     the Koszul sign (-1)^{|v_i|}, so the identity factor is replaced by the
-    parity sign of the first tensor leg.  Only nonzero entries of the
-    factors are visited, and a sum that cancels is dropped.
+    parity sign of the first tensor leg.  Keys are rescaled to the lcm of
+    the two weight scales and entries to the lcm of the two entry scales;
+    only nonzero entries of the factors are visited, and a sum that cancels
+    is dropped.
     """
     bd = b.dim
+    d, s = lcm(a._d, b._d), lcm(a._s, b._s)
+    fa, fb, ga, gb = d // a._d, d // b._d, s // a._s, s // b._s
 
     def build(xa: Entries, xb: Entries) -> Entries:
-        out = {(k * bd + j, i * bd + j): v for (k, i), v in xa.items() for j in range(bd)}
+        out = {(k * bd + j, i * bd + j): v * ga for (k, i), v in xa.items() for j in range(bd)}
+        even = [(l, j, v * gb) for (l, j), v in xb.items()]
+        odd = [(l, j, -v) for l, j, v in even]  # the Koszul sign
         for i, p in enumerate(a.parity):
-            for (l, j), v in xb.items():
-                key = (i * bd + l, i * bd + j)
-                v = -v if p == ODD else v
+            base = i * bd
+            for l, j, v in odd if p else even:
+                key = (base + l, base + j)
                 # only a diagonal psi entry in both factors lands on a key twice
                 if key in out:
                     v += out.pop(key)
@@ -286,8 +323,9 @@ def tensor(a: Gl11MatrixModule, b: Gl11MatrixModule) -> Gl11MatrixModule:
         return out
 
     parity = tuple((p + q) % 2 for p in a.parity for q in b.parity)
-    weights = tuple((ea + eb, na + nb) for ea, na in a.weights for eb, nb in b.weights)
-    return Gl11MatrixModule._trusted(parity, weights, build(a.psi_p, b.psi_p), build(a.psi_m, b.psi_m))
+    b_keys = [(e * fb, n * fb) for e, n in b._keys]
+    keys = tuple([(e * fa + eb, n * fa + nb) for e, n in a._keys for eb, nb in b_keys])
+    return Gl11MatrixModule._trusted(parity, d, keys, s, build(a._p, b._p), build(a._q, b._q))
 
 
 def l0_top_matrix(m: Gl11MatrixModule, k) -> Entries:

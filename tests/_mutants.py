@@ -90,7 +90,8 @@ MUTANTS = [
         '            raise OracleError(f"{name} breaks the parity of the module")\n',
         "",
     ),
-    ("tensor-no-koszul-sign", "oracle-weights", ORACLE, "                v = -v if p == ODD else v\n", ""),
+    # followed the Koszul sign onto the int entries tensor builds, with the same edit
+    ("tensor-no-koszul-sign", "oracle-weights", ORACLE, "odd = [(l, j, -v) for l, j, v in even]", "odd = [(l, j, v) for l, j, v in even]"),
     ("kz-direct-a0", "kz-grid", KZ, "2 * d * (2 * d - 1) / (1 - z)", "2 * d * (2 * d + 1) / (1 - z)"),
     ("kz-m01-sign", "kz-grid", KZ, "m01 = tuple(-x / (1 - _Jet(z, 1))", "m01 = tuple(x / (1 - _Jet(z, 1))"),
     ("kz-jet-quotient-rule", "kz-grid", KZ, "return _Jet(q, -q * self.d / self.v)", "return _Jet(q, q * self.d / self.v)"),
@@ -142,7 +143,8 @@ MUTANTS = [
     # followed epsilon's sign onto the int helpers, and then onto _sign, with the same edit
     ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "_twice_epsilon2(ell, second) * half", "_sign(ell) * half"),
     ("relations-e-scale-s", "oracle-on-ints", ORACLE, "e_scale = (s // d) * s", "e_scale = s"),
-    ("relations-step-one", "oracle-on-ints", ORACLE, "((m.psi_p, d), (m.psi_m, -d))", "((m.psi_p, 1), (m.psi_m, -1))"),
+    # followed the step check onto the stored int maps, with the same edit
+    ("relations-step-one", "oracle-on-ints", ORACLE, "((p, d), (q, -d))", "((p, 1), (q, -1))"),
     (
         "relations-no-anticommutator",
         "oracle-on-ints",
@@ -163,8 +165,9 @@ MUTANTS = [
     ("flow-positive-numerator", "label-outputs-on-ints", LABELS, "(1 - 2 * ell) * q - 2 * p", "(1 - 2 * ell) * q + 2 * p"),
     # followed the flowed label onto the int constructor, with the same edit
     ("flow-verma-back-keeps-ell", "label-outputs-on-ints", LABELS, "label.ell + ell, 1, label.parity_flip", "ell, 1, label.parity_flip"),
-    # followed the constructor's store into the helper both builders share
-    ("oracle-parity-as-passed", "label-outputs-on-ints", ORACLE, "_store(self, tuple(parity), weights", "_store(self, parity, weights"),
+    # followed the constructor's store into the helper both builders share,
+    # and then into its call of the trusted builder, with the same edit
+    ("oracle-parity-as-passed", "label-outputs-on-ints", ORACLE, "cls._trusted(tuple(parity), d", "cls._trusted(parity, d"),
     (
         "kz-verify-fail-exits-zero",
         "label-outputs-on-ints",
@@ -237,9 +240,12 @@ MUTANTS = [
     ("z-window-check-dropped", "labels-carry-ints", CHARS, "    window = None if z_window is None else _window(z_window)\n", "    window = z_window and _window(z_window) if isinstance(label, (TypicalV, VermaV0)) else None\n"),
     ("tensor-keeps-cancelled-sum", "oracle-trusted-builder", ORACLE, "                    if not v:\n                        continue\n", ""),
     ("realize-verma-keeps-zero-psi-p", "oracle-trusted-builder", ORACLE, "psi_p = {(0, 1): e} if e else {}", "psi_p = {(0, 1): e}"),
-    ("realize-projective-psi-m-sign", "oracle-trusted-builder", ORACLE, "(3, 1): _MINUS_ONE}", "(3, 1): _ONE}"),
-    ("realize-atypical-shares-a-dict", "oracle-trusted-builder", ORACLE, "((_ZERO, label.n),), {}, {})", "((_ZERO, label.n),), *[{}] * 2)"),
-    ("realize-atypical-int-weight", "oracle-trusted-builder", ORACLE, "(EVEN,), ((_ZERO, label.n)", "(EVEN,), ((0, label.n)"),
+    # these two followed realize onto the ints it stores, with the same edits
+    ("realize-projective-psi-m-sign", "oracle-trusted-builder", ORACLE, "(3, 1): -b}", "(3, 1): b}"),
+    ("realize-atypical-shares-a-dict", "oracle-trusted-builder", ORACLE, "((0, a),), b, {}, {})", "((0, a),), b, *[{}] * 2)"),
+    # an atypical's zero e is now an int key, and its Fraction type comes
+    # from the weight view: the mutant reads a zero e there as the int 0
+    ("realize-atypical-int-weight", "oracle-trusted-builder", ORACLE, "tuple((Fraction(e, d), Fraction(n, d))", "tuple((e and Fraction(e, d), Fraction(n, d))"),
     # these two followed the sign onto labels._sign, with the same edits
     ("twice-eps2-total-sign", "oracle-trusted-builder", LABELS, "- _sign(ell + ell2)", "+ _sign(ell + ell2)"),
     (
@@ -261,6 +267,13 @@ MUTANTS = [
     ("delta-projective-shift-flipped", "one-sign-owner", LABELS, "a -= _sign(label.ell) * d", "a += _sign(label.ell) * d"),
     ("label-hash-drops-denominator", "one-sign-owner", LABELS, "hash((self._np, self._nq, self._ep", "hash((self._np, self._ep"),
     ("verma-factor-shift-flipped", "one-sign-owner", LABELS, "p + _sign(ell) * q, q, ell, 1)])", "p - _sign(ell) * q, q, ell, 1)])"),
+    ("tensor-second-keys-unscaled", "oracle-int-form", ORACLE, "b_keys = [(e * fb, n * fb) for e, n in b._keys]", "b_keys = b._keys"),
+    ("tensor-koszul-sign-on-even", "oracle-int-form", ORACLE, "for l, j, v in odd if p else even:", "for l, j, v in even if p else odd:"),
+    ("tensor-first-entries-unscaled", "oracle-int-form", ORACLE, ": v * ga for (k, i)", ": v for (k, i)"),
+    ("entry-scale-without-d", "oracle-int-form", ORACLE, "s = lcm(d, *(v.denominator", "s = lcm(*(v.denominator"),
+    ("weight-view-over-s", "oracle-int-form", ORACLE, "d, s = self._d, self._s", "d, s = self._s, self._s"),
+    ("psi-view-over-d", "oracle-int-form", ORACLE, "Fraction(v, s) for key", "Fraction(v, d) for key"),
+    ("realize-verma-scale-without-2", "oracle-int-form", ORACLE, "d = lcm(2 * b, g)", "d = lcm(b, g)"),
 ]
 
 

@@ -431,6 +431,23 @@ def test_subcommand_imports_only_its_layer(argv, want_code, layer):
     assert {m for m in modules if m.split(".")[0] == "gl11kl"} == _BASE | layer
 
 
+def test_closed_stdout_exits_141_and_writes_nothing():
+    # the reader closes the pipe before the output is written: a large
+    # output fails in print, a small one only in the flush, and neither
+    # leaves a traceback or Python's "Exception ignored" line from its flush
+    # at exit; a closed pipe is none of the request outcomes 0, 1 and 2
+    src = str(Path(gl11kl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv in (["char", "V(1/4;1/2)", "--cutoff", "200"], ["fuse", "A(1;0)", "A(2;0)"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gl11kl", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b""), argv
+
+
 def test_numbers_take_ascii_digits_only(capsys):
     for argv in (
         ("fuse", "A(١;0)", "A(0;0)"),  # an Arabic-Indic one

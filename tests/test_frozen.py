@@ -76,7 +76,7 @@ def _field_values(rng: Random, cls) -> list:
     weights = [tuple(rng.choice((v, str(v))) for v in w) for w in module.weights]
     if rng.random() < 0.1:
         del weights[rng.randrange(len(weights))]
-    entries = (_entries(rng, getattr(module, f), module.dim) for f in cls.__slots__[2:])
+    entries = (_entries(rng, getattr(module, f), module.dim) for f in cls._fields[2:])
     return [tuple(parity), weights if rng.random() < 0.5 else tuple(weights), *entries]
 
 

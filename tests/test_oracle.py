@@ -1,6 +1,7 @@
 """Matrix realizations, tensor products and the decomposition oracle."""
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from random import Random
 
@@ -479,13 +480,84 @@ def _zero_block_by_fractions(m, n_bases, result) -> None:
     found += [(o.Verma(c, F(0)), v) for c, v in verma.items()]
     rest = {n: len(b) for n, b in n_bases.items()}
     for label, count in found:
-        for _, n_val in o.realize(label).weights:
+        for _, n_val in realize_by_fractions(label).weights:
             rest[n_val] = rest.get(n_val, 0) - count
     if any(a < 0 for a in rest.values()):
         raise OracleError("N-spectrum statistics infeasible on the E=0 block")
     found += [(o.Atypical(n), a) for n, a in rest.items() if a]
     for label, count in found:
         result[label] = result.get(label, 0) + count
+
+
+class Fields(namedtuple("Fields", "parity weights psi_p psi_m")):
+    """A module's four fields as the former constructor stored them: Fraction weights and entries."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.parity)
+
+
+def construct_by_fractions(parity, weights, psi_p, psi_m) -> Fields:
+    """The former ``Gl11MatrixModule`` constructor: its checks, texts and Fraction-valued fields."""
+    dim = len(parity)
+    if any(p not in (o.EVEN, o.ODD) for p in parity):
+        raise OracleError("parity entries must be 0 or 1")
+    if len(weights) != dim:
+        raise OracleError(f"weights has {len(weights)} entries, not dim = {dim}")
+    weights = tuple((F(e), F(n)) for e, n in weights)
+    maps = []
+    for name, entries in (("psi_p", psi_p), ("psi_m", psi_m)):
+        kept = {}
+        for (r, c), v in entries.items():
+            if not (0 <= r < dim and 0 <= c < dim):
+                raise OracleError(f"{name} entry ({r}, {c}) lies outside a {dim}-dim module")
+            v = F(v)
+            if v:
+                kept[r, c] = v
+        maps.append(kept)
+    return Fields(tuple(parity), weights, *maps)
+
+
+def realize_by_fractions(label) -> Fields:
+    """The former ``realize``: Fraction weights n +- 1/2 or n +- 1, and Fraction entries."""
+    zero, half, one = F(0), F(1, 2), F(1)
+    if isinstance(label, o.Verma):
+        n, e = label.n, label.e
+        psi_p = {(0, 1): e} if e else {}
+        return Fields((0, 1), ((e, n + half), (e, n - half)), psi_p, {(1, 0): one})
+    if isinstance(label, o.Atypical):
+        return Fields((0,), ((zero, label.n),), {}, {})
+    n = label.n
+    weights = ((zero, n), (zero, n + 1), (zero, n - 1), (zero, n))
+    return Fields((0, 1, 1, 0), weights, {(1, 0): one, (3, 2): one}, {(2, 0): one, (3, 1): -one})
+
+
+def tensor_by_fractions(a, b) -> Fields:
+    """The former ``tensor``: weights added as Fractions, and the Koszul sign on Fraction entries."""
+    bd = b.dim
+
+    def build(xa, xb):
+        out = {(k * bd + j, i * bd + j): v for (k, i), v in xa.items() for j in range(bd)}
+        for i, p in enumerate(a.parity):
+            for (l, j), v in xb.items():
+                key = (i * bd + l, i * bd + j)
+                v = -v if p == o.ODD else v
+                if key in out:
+                    v += out.pop(key)
+                    if not v:
+                        continue
+                out[key] = v
+        return out
+
+    parity = tuple((p + q) % 2 for p in a.parity for q in b.parity)
+    weights = tuple((ea + eb, na + nb) for ea, na in a.weights for eb, nb in b.weights)
+    return Fields(parity, weights, build(a.psi_p, b.psi_p), build(a.psi_m, b.psi_m))
+
+
+def _assert_views(m, want: Fields) -> None:
+    """m's fields are want's, value for value, with the types the former constructor stored."""
+    assert Fields(*m._values()) == want, (m, want)
+    _assert_as_constructed(m)
 
 
 def _outcome(fn, m):
@@ -628,9 +700,12 @@ def _assert_as_constructed(m) -> None:
         assert type(x) is dict and all(type(v) is F and v != 0 for v in x.values())
 
 
-def _assert_no_shared_dicts(modules) -> None:
-    """No two modules share a psi dict, and none is a module-level dict of the oracle."""
-    ids = [id(x) for m in modules for x in (m.psi_p, m.psi_m)]
+def _assert_no_shared_dicts(modules, names=("psi_p", "psi_m")) -> None:
+    """No two modules share a psi dict, and none is a module-level dict of the oracle.
+
+    The names are the views by default; ``("_p", "_q")`` reads the stored int maps.
+    """
+    ids = [id(getattr(m, name)) for m in modules for name in names]
     assert len(set(ids)) == len(ids)
     assert not set(ids) & {id(v) for v in vars(o).values() if isinstance(v, dict)}
 
@@ -682,6 +757,90 @@ def test_tensor_builds_what_the_constructor_builds():
     for m in products:
         _assert_as_constructed(m)
     _assert_no_shared_dicts([diagonal, *modules, *products])
+
+
+def _rescaled(m, mu) -> o.Gl11MatrixModule:
+    """m with psi+ times mu and psi- over mu, through the constructor: still a module when m is.
+
+    Its entry denominators need not divide the weights' denominator, so its
+    entry scale s can differ from its weight scale d, as no realized module's
+    or product's does.
+    """
+    return o.Gl11MatrixModule(
+        m.parity, m.weights, {k: v * mu for k, v in m.psi_p.items()}, {k: v / mu for k, v in m.psi_m.items()}
+    )
+
+
+def test_views_and_decompose_match_fraction_references():
+    # seeded products of one to three factors, each partial product built by
+    # realize and tensor on ints and by the former Fraction bodies: the same
+    # fields, and decompose gives the former decompose's labels
+    rng = Random(33)
+    kinds, modules = set(), []
+    for _ in range(60):
+        factors = [
+            rng.choice((o.Verma(_draws.rational(rng), rng.choice((F(0), _draws.rational(rng)))),
+                        o.Atypical(_draws.rational(rng)), o.Projective(F(rng.randint(-3, 3), rng.choice((1, 2, 3))))))
+            for _ in range(rng.randint(1, 3))
+        ]
+        module, want = o.realize(factors[0]), realize_by_fractions(factors[0])
+        _assert_views(module, want)
+        for label in factors[1:]:
+            factor, factor_want = o.realize(label), realize_by_fractions(label)
+            _assert_views(factor, factor_want)
+            modules.append(factor)
+            module, want = o.tensor(module, factor), tensor_by_fractions(want, factor_want)
+            _assert_views(module, want)
+        modules.append(module)
+        labels = o.decompose(module)
+        assert labels == decompose_by_fractions(want), factors
+        kinds.update(type(x) for x in labels)
+    assert kinds == {o.Verma, o.Atypical, o.Projective}
+    # the views are built apart, so the stored int maps are held apart too
+    _assert_no_shared_dicts(modules, ("_p", "_q"))
+
+
+def test_rescaled_modules_match_fraction_references():
+    # modules whose entry scale is not their weight scale, from the public
+    # constructor, alone and in products with realized modules on either side
+    rng = Random(34)
+    apart = 0
+    for _ in range(40):
+        label = rng.choice((o.Verma(_draws.rational(rng), _draws.rational(rng)), o.Projective(_draws.rational(rng))))
+        mu = rng.choice((F(1, 3), F(2, 5), F(-7), F(5, 4)))
+        m = _rescaled(o.realize(label), mu)
+        want = realize_by_fractions(label)
+        want = Fields(want.parity, want.weights, {k: v * mu for k, v in want.psi_p.items()},
+                      {k: v / mu for k, v in want.psi_m.items()})
+        _assert_views(m, want)
+        apart += m._s != m._d
+        other = rng.choice((o.Verma(_draws.rational(rng), _draws.rational(rng)), o.Atypical(_draws.rational(rng))))
+        o_m, o_want = o.realize(other), realize_by_fractions(other)
+        for a, b, a_want, b_want in ((m, o_m, want, o_want), (o_m, m, o_want, want), (m, m, want, want)):
+            product = o.tensor(a, b)
+            product_want = tensor_by_fractions(a_want, b_want)
+            _assert_views(product, product_want)
+            assert o.decompose(product) == decompose_by_fractions(product_want)
+    assert apart >= 20
+
+
+def test_constructor_matches_fraction_reference():
+    # the same fields, or the same error text, on the draws of the validate
+    # tests given as Fractions and as strings, and with a bad parity or key
+    draws = [m for family in _draw_families(Random(75)).values() for m in family[:100]]
+    for m in draws:
+        for convert in (F, str):
+            weights = [(convert(e), convert(n)) for e, n in m.weights]
+            psi_p, psi_m = ({k: convert(v) for k, v in x.items()} for x in (m.psi_p, m.psi_m))
+            cases = [(m.parity, weights, psi_p, psi_m), ((2, *m.parity[1:]), weights, psi_p, psi_m),
+                     (m.parity, weights[1:], psi_p, psi_m), (m.parity, weights, psi_p, {**psi_m, (0, m.dim): 1})]
+            for args in cases:
+                want = _outcome(lambda a: construct_by_fractions(*a), args)
+                got = _outcome(lambda a: o.Gl11MatrixModule(*a), args)
+                if isinstance(want, str):
+                    assert got == want, args
+                else:
+                    _assert_views(got, want)
 
 
 def _fin_triple(rng, kinds):
