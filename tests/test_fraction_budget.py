@@ -368,8 +368,7 @@ def test_label_views_reuse_the_fractions_given(fraction_builds):
 
 
 def test_realize_builds_no_fraction(fraction_builds):
-    # realize reads the label's numerators and denominators and stores ints;
-    # at c709fab it built n +- 1/2 for a Verma and n +- 1 for a Projective
+    # realize reads the label's numerators and denominators and stores ints
     rng = Random(4)
     labels = [o.Verma(rational(rng), e) for e in (Fraction(0), Fraction(1, 3), Fraction(-2))]
     labels += [o.fin_label_of(VermaV0(rational(rng), 0)), o.Atypical(rational(rng)), o.Projective(rational(rng))]
@@ -387,10 +386,9 @@ def _oracle_products():
 
 def test_oracle_tensor_and_decompose_budgets(fraction_ops):
     # tensor adds int weight keys and copies int entries, rescaled to the lcm
-    # of the factors' scales (at c709fab it made 32 and 96 Fraction operator
-    # calls on these two products); decompose checks the relations and takes
-    # its ranks on the stored ints, and builds Fractions only for the
-    # returned labels, with no arithmetic
+    # of the factors' scales; decompose checks the relations and takes its
+    # ranks on the stored ints, and builds Fractions only for the returned
+    # labels, with no arithmetic
     counts = []
     for step in _oracle_products():
         before = fraction_ops[0]
