@@ -5,9 +5,9 @@ the ratio ehat = e/k, so k itself is display metadata.  Atypical directions
 are indexed by the integer ell with ehat = ell; typical labels require a
 non-integral ehat.  ``parity_flip`` marks the parity-reversed partner; it is
 cosmetic except for contragredients of typical labels.  A label stores ints,
-n and ehat as numerator and denominator in lowest terms: its ``n`` and
-``ehat`` are exact Fraction views, the one a public constructor was given or
-one built on each read.  Equality and hash both read the stored ints.
+n and ehat as numerator and denominator in lowest terms, and nothing else:
+its ``n`` and ``ehat`` are exact Fraction views of them, built on each read.
+Equality and hash both read the stored ints.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class ModuleLabel(Frozen):
     equality also compares the kind.
     """
 
-    __slots__ = ("_np", "_nq", "_ep", "_eq", "parity_flip", "_n", "_ehat")
+    __slots__ = ("_np", "_nq", "_ep", "_eq", "parity_flip")
     _fields = ()  # each kind names its own
 
     def __eq__(self, other):
@@ -52,12 +52,7 @@ class ModuleLabel(Frozen):
     def __hash__(self):
         return hash((self._np, self._nq, self._ep, self._eq, self.parity_flip))
 
-    @property
-    def n(self) -> Fraction:
-        try:
-            return self._n  # the Fraction a public constructor was given
-        except AttributeError:  # built from ints
-            return Fraction(self._np, self._nq)
+    n = property(lambda self: Fraction(self._np, self._nq), doc="n as a Fraction, built on each read.")
 
 
 class TypicalV(ModuleLabel):
@@ -70,17 +65,9 @@ class TypicalV(ModuleLabel):
         n, ehat = _f(n), _f(ehat)
         if ehat.denominator == 1:
             raise ValueError("typical label requires ehat not an integer")
-        label = _new(cls, n.numerator, n.denominator, ehat.numerator, ehat.denominator, parity_flip)
-        _set(label, "_n", n)
-        _set(label, "_ehat", ehat)
-        return label
+        return _new(cls, n.numerator, n.denominator, ehat.numerator, ehat.denominator, parity_flip)
 
-    @property
-    def ehat(self) -> Fraction:
-        try:
-            return self._ehat
-        except AttributeError:
-            return Fraction(self._ep, self._eq)
+    ehat = property(lambda self: Fraction(self._ep, self._eq), doc="e/k as a Fraction, built on each read.")
 
 
 class _Integral(ModuleLabel):
@@ -92,9 +79,7 @@ class _Integral(ModuleLabel):
 
     def __new__(cls, n: Fraction, ell: int, parity_flip: bool = False):
         n = _f(n)
-        label = _new(cls, n.numerator, n.denominator, _int(ell), 1, parity_flip)
-        _set(label, "_n", n)
-        return label
+        return _new(cls, n.numerator, n.denominator, _int(ell), 1, parity_flip)
 
 
 class AtypicalA(_Integral):
@@ -147,7 +132,7 @@ def strip_parity(label: ModuleLabel) -> ModuleLabel:
 
 def ehat(label: ModuleLabel) -> Fraction:
     """The ratio e/k of the label, as an exact rational."""
-    return label.ehat if type(label) is TypicalV else Fraction(label._ep)
+    return Fraction(label._ep, label._eq)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ A module stores all of this on ints: each weight as the key (e d, n d)
 over one weight scale d, and psi+- times one entry scale s, a multiple of
 d.  Realizing, tensoring and checking build no Fraction, and decomposing
 builds only those of the labels it returns.  The Fraction-valued
-``weights``, ``psi_p`` and ``psi_m`` of a module are views, built when
-first read.
+``weights``, ``psi_p`` and ``psi_m`` of a module are views of its ints,
+built anew on each read and kept nowhere.
 
 Everything is independent of the label arithmetic in :mod:`gl11kl.fusion`,
 which is the point: it is the cross-check.
@@ -145,8 +145,9 @@ class Gl11MatrixModule(Frozen):
     d with the int key (e d, n d) of each basis vector in ``_keys``; and one
     entry scale s, a multiple of d, with ``_p = s psi+`` and ``_q = s psi-``
     as int entry maps of the nonzero entries.  ``weights``, ``psi_p`` and
-    ``psi_m`` are Fraction views of that form, built on first read and kept;
-    they are read-only.  d and s are common denominators, not always the
+    ``psi_m`` are Fraction views of that form, built anew on each read and
+    kept nowhere, so a write into a returned dict changes that copy only,
+    never the module.  d and s are common denominators, not always the
     least ones (a tensor product takes the lcm of its factors' scales, and
     its weight sums may need less), so the int form is not canonical:
     equality compares the fields, parity and the three views.  Their dicts
@@ -161,7 +162,7 @@ class Gl11MatrixModule(Frozen):
     Nothing marks a module as valid: :func:`decompose` checks every input.
     """
 
-    __slots__ = ("parity", "_d", "_keys", "_s", "_p", "_q", "_fractions")
+    __slots__ = ("parity", "_d", "_keys", "_s", "_p", "_q")
     _fields = ("parity", "weights", "psi_p", "psi_m")
     __hash__ = None
 
@@ -208,20 +209,12 @@ class Gl11MatrixModule(Frozen):
         _set(module, "_q", q)
         return module
 
-    def _views(self) -> tuple:
-        """(weights, psi_p, psi_m): the int form over d and s, as Fractions, built on first read and kept."""
-        try:
-            return self._fractions
-        except AttributeError:  # not read yet
-            d, s = self._d, self._s
-            weights = tuple((Fraction(e, d), Fraction(n, d)) for e, n in self._keys)
-            views = (weights, *({key: Fraction(v, s) for key, v in x.items()} for x in (self._p, self._q)))
-            object.__setattr__(self, "_fractions", views)
-            return views
-
-    weights = property(lambda self: self._views()[0], doc="Each basis vector's weight (e, n), as Fractions.")
-    psi_p = property(lambda self: self._views()[1], doc="The nonzero entries of psi+, as Fractions.")
-    psi_m = property(lambda self: self._views()[2], doc="The nonzero entries of psi-, as Fractions.")
+    weights = property(lambda self: tuple((Fraction(e, self._d), Fraction(n, self._d)) for e, n in self._keys),
+                       doc="Each basis vector's weight (e, n), as Fractions built on each read.")
+    psi_p = property(lambda self: {key: Fraction(v, self._s) for key, v in self._p.items()},
+                     doc="The nonzero entries of psi+, as Fractions built on each read.")
+    psi_m = property(lambda self: {key: Fraction(v, self._s) for key, v in self._q.items()},
+                     doc="The nonzero entries of psi-, as Fractions built on each read.")
 
     @property
     def dim(self) -> int:

@@ -17,6 +17,8 @@ canonical and equality structural.  Characters share one block per depth
 (``characters._universal_product``), hence read-only blocks; classes over
 one shared block compare by shifts alone.  Cuts and comparisons run on
 ints; ``terms``, ``min_q`` and the rest build Fractions when read.
+``terms`` is built on its first read and kept, as a read-only mapping, so
+it cannot drift from the classes that equality reads.
 """
 
 from __future__ import annotations
@@ -139,10 +141,10 @@ class JacobiSeries:
         return rows
 
     @property
-    def terms(self) -> dict:
-        """The coefficients keyed by (q, z, y) Fraction triples."""
+    def terms(self) -> Mapping[_Key, int]:
+        """The coefficients keyed by (q, z, y) Fraction triples, read-only: built on first read and kept."""
         if self._terms is None:
-            self._terms = {(q, z, y): c for _, _, _, _, y, q, z, c in self._rows()}
+            self._terms = MappingProxyType({(q, z, y): c for _, _, _, _, y, q, z, c in self._rows()})
         return self._terms
 
     @property

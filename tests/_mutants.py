@@ -50,6 +50,7 @@ SERIES = "src/gl11kl/series.py"
 LABELS = "src/gl11kl/labels.py"
 FROZEN = "src/gl11kl/frozen.py"
 CLI = "src/gl11kl/cli.py"
+DUALS = "tests/_dual_oracle.py"
 
 MUTANTS = [
     # followed the sign of m onto labels._sign, with the same edit
@@ -234,7 +235,6 @@ MUTANTS = [
     ("is-local-generator-over-q", "labels-carry-ints", EXT, "    q2 = 2 * ext._aq\n    for m", "    q2 = ext._aq\n    for m"),
     ("parse-ell-unchecked", "labels-carry-ints", LABELS, "    if cls is not TypicalV and ep % eq:\n", "    if False:\n"),
     ("render-over-one", "labels-carry-ints", LABELS, 'return f"{p}/{q}" if q != 1 else str(p)', 'return f"{p}/{q}"'),
-    ("view-rebuilds-given-fraction", "labels-carry-ints", LABELS, "return self._n  # the Fraction", "return Fraction(self._np, self._nq)  # the Fraction"),
     ("contragredient-typical-keeps-parity", "labels-carry-ints", LABELS, "not flip if kind is TypicalV else flip)", "flip)"),
     ("scale-skips-typical-ehat", "labels-carry-ints", FUSION, "lcm(2, a._nq, b._nq, a._eq, b._eq)", "lcm(2, a._nq, b._nq)"),
     ("z-window-check-dropped", "labels-carry-ints", CHARS, "    window = None if z_window is None else _window(z_window)\n", "    window = z_window and _window(z_window) if isinstance(label, (TypicalV, VermaV0)) else None\n"),
@@ -245,7 +245,14 @@ MUTANTS = [
     ("realize-atypical-shares-a-dict", "oracle-trusted-builder", ORACLE, "((0, a),), b, {}, {})", "((0, a),), b, *[{}] * 2)"),
     # an atypical's zero e is now an int key, and its Fraction type comes
     # from the weight view: the mutant reads a zero e there as the int 0
-    ("realize-atypical-int-weight", "oracle-trusted-builder", ORACLE, "tuple((Fraction(e, d), Fraction(n, d))", "tuple((e and Fraction(e, d), Fraction(n, d))"),
+    # (it followed the view, now built on each read, with the same edit)
+    (
+        "realize-atypical-int-weight",
+        "oracle-trusted-builder",
+        ORACLE,
+        "tuple((Fraction(e, self._d), Fraction(n, self._d))",
+        "tuple((e and Fraction(e, self._d), Fraction(n, self._d))",
+    ),
     # these two followed the sign onto labels._sign, with the same edits
     ("twice-eps2-total-sign", "oracle-trusted-builder", LABELS, "- _sign(ell + ell2)", "+ _sign(ell + ell2)"),
     (
@@ -271,9 +278,31 @@ MUTANTS = [
     ("tensor-koszul-sign-on-even", "oracle-int-form", ORACLE, "for l, j, v in odd if p else even:", "for l, j, v in even if p else odd:"),
     ("tensor-first-entries-unscaled", "oracle-int-form", ORACLE, ": v * ga for (k, i)", ": v for (k, i)"),
     ("entry-scale-without-d", "oracle-int-form", ORACLE, "s = lcm(d, *(v.denominator", "s = lcm(*(v.denominator"),
-    ("weight-view-over-s", "oracle-int-form", ORACLE, "d, s = self._d, self._s", "d, s = self._s, self._s"),
-    ("psi-view-over-d", "oracle-int-form", ORACLE, "Fraction(v, s) for key", "Fraction(v, d) for key"),
+    # these two followed the views, now built on each read, with the same
+    # edits: the weights over s, and both psi maps over d
+    ("weight-view-over-s", "oracle-int-form", ORACLE, "(Fraction(e, self._d), Fraction(n, self._d))", "(Fraction(e, self._s), Fraction(n, self._s))"),
+    (
+        "psi-view-over-d",
+        "oracle-int-form",
+        ORACLE,
+        "Fraction(v, self._s) for key, v in self._p.items()},\n"
+        '                     doc="The nonzero entries of psi+, as Fractions built on each read.")\n'
+        "    psi_m = property(lambda self: {key: Fraction(v, self._s)",
+        "Fraction(v, self._d) for key, v in self._p.items()},\n"
+        '                     doc="The nonzero entries of psi+, as Fractions built on each read.")\n'
+        "    psi_m = property(lambda self: {key: Fraction(v, self._d)",
+    ),
     ("realize-verma-scale-without-2", "oracle-int-form", ORACLE, "d = lcm(2 * b, g)", "d = lcm(b, g)"),
+    ("psi-p-view-over-d", "views-on-each-read", ORACLE, "Fraction(v, self._s) for key, v in self._p", "Fraction(v, self._d) for key, v in self._p"),
+    ("typical-ehat-view-drops-denominator", "views-on-each-read", LABELS, "lambda self: Fraction(self._ep, self._eq)", "lambda self: Fraction(self._ep)"),
+    ("n-view-drops-denominator", "views-on-each-read", LABELS, "lambda self: Fraction(self._np, self._nq)", "lambda self: Fraction(self._np)"),
+    ("sort-ehat-drops-denominator", "views-on-each-read", LABELS, "    return Fraction(label._ep, label._eq)\n", "    return Fraction(label._ep)\n"),
+    ("series-terms-writable", "views-on-each-read", SERIES, "self._terms = MappingProxyType({", "self._terms = dict({"),
+    # the tests' dual and coevaluations: a sign slip in either must show
+    ("dual-naive-transpose", "views-on-each-read", DUALS, "-(-1) ** parity[r] * v for", "-v for"),
+    ("coevaluation-signed", "views-on-each-read", DUALS, ": 1 for i in range(m.dim)}", ": (-1) ** m.parity[i] for i in range(m.dim)}"),
+    ("coevaluation-mirror-unsigned", "views-on-each-read", DUALS, "{i * m.dim + i: (-1) ** p for i, p", "{i * m.dim + i: 1 for i, p"),
+    ("contragredient-keeps-n", "views-on-each-read", LABELS, "_new(kind, -label._np, label._nq", "_new(kind, label._np, label._nq"),
 ]
 
 

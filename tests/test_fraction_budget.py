@@ -354,17 +354,30 @@ def test_label_stream_ops_read_no_fraction(fraction_reads):
         assert fraction_reads[0] == before, (fn.__name__, args)
 
 
-def test_label_views_reuse_the_fractions_given(fraction_builds):
-    # a label built from Fractions by its public constructor hands the same
-    # Fractions back, so the oracle's label conversion builds none
+#: the Fractions ``fin_label_of`` builds for a label of each kind at ell = 0:
+#: a label stores ints only, so each view it reads is built, n and a V's ehat
+FIN_LABEL_BUILDS = {TypicalV: 2, AtypicalA: 1, ProjectiveP: 1, VermaV0: 1}
+
+
+def test_fin_label_of_builds_the_views_it_reads(fraction_builds):
+    # the same count for a label from a public constructor, a parse or
+    # fusion, and parsing and fusing those labels build none
     rng = Random(3)
     labels = [_stream_label(rng, kind) for kind in "VAP" * 20]
     labels = [x if type(x) is TypicalV else type(x)(x.n, 0) for x in labels]
+    labels += [VermaV0(x.n, 0) for x in labels[:12]]
     before = fraction_builds[0]
-    for x in labels:
-        assert x.n is x.n and (type(x) is not TypicalV or x.ehat is x.ehat)
-        o.fin_label_of(x)
+    made = [parse_label(render_label(x)) for x in labels]
+    made += [y for a, b in zip(labels[:60], labels[1:60]) for y in fuse(a, b).labels()]
     assert fraction_builds[0] == before
+    kinds = set()
+    for x in labels + made:
+        if type(x) is TypicalV or x.ell == 0:
+            before = fraction_builds[0]
+            o.fin_label_of(x)
+            assert fraction_builds[0] - before == FIN_LABEL_BUILDS[type(x)], x
+            kinds.add(type(x))
+    assert kinds == set(FIN_LABEL_BUILDS)
 
 
 def test_realize_builds_no_fraction(fraction_builds):

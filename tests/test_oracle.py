@@ -688,6 +688,32 @@ def test_modules_are_unhashable_and_compare_by_fields():
     assert o.realize(o.Projective(1)) != m and m.__eq__(m.weights) is NotImplemented
 
 
+def test_a_write_into_a_view_leaves_the_module_as_it_was():
+    # each read builds fresh views, so a write into one changes that copy
+    # only: the module reads, prints, compares and rebuilds as before, and
+    # the rebuilt module validates and decomposes as the module does
+    p, v = o.realize(o.Projective(F(1, 3))), o.realize(o.Verma(F(1, 2), 1))
+    modules = [v, p, o.realize(o.Atypical(F(-2))), o.tensor(p, v), o.tensor(v, v)]
+    for m in modules:
+        before = (m.weights, m.psi_p, m.psi_m, repr(m), o.l0_top_matrix(m, 3), o.decompose(m))
+        for view in (m.psi_p, m.psi_m):
+            for key in view:
+                view[key] += 1
+            view[0, 0] = F(5)  # a key outside the weight steps
+        assert (m.weights, m.psi_p, m.psi_m, repr(m), o.l0_top_matrix(m, 3)) == before[:5]
+        copy = o.Gl11MatrixModule(m.parity, m.weights, m.psi_p, m.psi_m)
+        assert m == copy
+        copy.validate()
+        assert o.decompose(copy) == o.decompose(m) == before[5]
+    # the reproduction that drifted when the views were kept
+    m = o.realize(o.Verma(F(1, 2), 1))
+    m.psi_m[1, 0] = 2
+    copy = o.Gl11MatrixModule(m.parity, m.weights, m.psi_p, m.psi_m)
+    assert m.psi_m == {(1, 0): 1} and m == copy
+    copy.validate()
+    assert o.decompose(copy) == {o.Verma(F(1, 2), 1): 1}
+
+
 def _assert_as_constructed(m) -> None:
     """m equals the public constructor's module on its own data, field by field and type by type."""
     twin = o.Gl11MatrixModule(m.parity, m.weights, m.psi_p, m.psi_m)
@@ -700,12 +726,13 @@ def _assert_as_constructed(m) -> None:
         assert type(x) is dict and all(type(v) is F and v != 0 for v in x.values())
 
 
-def _assert_no_shared_dicts(modules, names=("psi_p", "psi_m")) -> None:
-    """No two modules share a psi dict, and none is a module-level dict of the oracle.
+def _assert_no_shared_dicts(modules) -> None:
+    """No two modules share a stored psi map, and none is a module-level dict of the oracle.
 
-    The names are the views by default; ``("_p", "_q")`` reads the stored int maps.
+    The stored int maps ``_p`` and ``_q`` are read: the views are built on
+    each read, and a dropped view's id may be handed to the next one.
     """
-    ids = [id(getattr(m, name)) for m in modules for name in names]
+    ids = [id(getattr(m, name)) for m in modules for name in ("_p", "_q")]
     assert len(set(ids)) == len(ids)
     assert not set(ids) & {id(v) for v in vars(o).values() if isinstance(v, dict)}
 
@@ -796,8 +823,7 @@ def test_views_and_decompose_match_fraction_references():
         assert labels == decompose_by_fractions(want), factors
         kinds.update(type(x) for x in labels)
     assert kinds == {o.Verma, o.Atypical, o.Projective}
-    # the views are built apart, so the stored int maps are held apart too
-    _assert_no_shared_dicts(modules, ("_p", "_q"))
+    _assert_no_shared_dicts(modules)
 
 
 def test_rescaled_modules_match_fraction_references():

@@ -136,9 +136,17 @@ def test_class_on_one_side_only():
 
 
 def test_terms_view_is_built_once():
-    s = ch.char_verma(F(1, 3), F(2, 5), 4)
+    # the kept view is read-only, so it cannot drift from the classes that
+    # equality reads: a write raises, and the series rebuilds from its terms
+    s, t = ch.char_verma(F(1, 3), F(2, 5), 4), ch.char_verma(F(1, 3), F(2, 5), 4)
     assert s.terms is s.terms
-    assert JacobiSeries(s.terms, s.q_cutoff) == s
+    key = next(iter(s.terms))
+    with pytest.raises(TypeError):
+        s.terms[key] = 99
+    with pytest.raises(TypeError):
+        del s.terms[key]
+    assert s.terms == t.terms and s == t
+    assert JacobiSeries(s.terms, s.q_cutoff) == s == t
 
 
 def test_reads_and_comparisons_never_build_terms(monkeypatch):
