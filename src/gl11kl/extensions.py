@@ -213,6 +213,11 @@ class WeightGrowth(Frozen):
 
     __slots__ = ("quadratic_coeff", "linear_coeff", "classification")
 
+    def __init__(self, quadratic_coeff: Fraction, linear_coeff: Fraction, classification: str):
+        object.__setattr__(self, "quadratic_coeff", quadratic_coeff)
+        object.__setattr__(self, "linear_coeff", linear_coeff)
+        object.__setattr__(self, "classification", classification)
+
 
 def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     """Delta(summand(m)) as an exact polynomial of degree <= 2 in m.

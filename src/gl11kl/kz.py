@@ -87,6 +87,11 @@ class SecondOrderOde(Frozen):
 
     __slots__ = ("a2", "a1", "a0")  # tuples of exact numbers, in the order of _GRID
 
+    def __init__(self, a2: tuple, a1: tuple, a0: tuple):
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a0", a0)
+
     def normalized(self) -> "SecondOrderOde":
         """Rescale so the leading coefficient is exactly z(1-z); a zero a2 raises ZeroDivisionError."""
         scales = [z * (1 - z) / a2 for (_, _, z), a2 in zip(_GRID, self.a2)]

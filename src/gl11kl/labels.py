@@ -41,7 +41,6 @@ class ModuleLabel(Frozen):
     """
 
     __slots__ = ("_np", "_nq", "_ep", "_eq", "parity_flip")
-    _fields = ()  # each kind names its own
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -168,6 +168,10 @@ class JacobiSeries:
             and self.q_cutoff == other.q_cutoff
         )
 
+    def __reduce__(self):
+        """Copy and pickle through the public constructor: the read-only blocks and terms do neither."""
+        return JacobiSeries, (dict(self.terms), self.q_cutoff)
+
     def __repr__(self):
         n = sum(len(value[3]) for value in self._classes.values())
         return f"JacobiSeries({n} terms, min_q={self.min_q()}, q_cutoff={self.q_cutoff})"

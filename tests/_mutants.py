@@ -303,6 +303,21 @@ MUTANTS = [
     ("coevaluation-signed", "views-on-each-read", DUALS, ": 1 for i in range(m.dim)}", ": (-1) ** m.parity[i] for i in range(m.dim)}"),
     ("coevaluation-mirror-unsigned", "views-on-each-read", DUALS, "{i * m.dim + i: (-1) ** p for i, p", "{i * m.dim + i: 1 for i, p"),
     ("contragredient-keeps-n", "views-on-each-read", LABELS, "_new(kind, -label._np, label._nq", "_new(kind, label._np, label._nq"),
+    # Frozen's one path, and the constructors it no longer writes
+    ("frozen-slotless-clears-fields", "one-frozen-path", FROZEN, 'if names and "_fields" not in cls.__dict__:', 'if "_fields" not in cls.__dict__:'),
+    ("frozen-eq-false", "one-frozen-path", FROZEN, "        return NotImplemented\n", "        return False\n"),
+    ("frozen-hash-drops-first-field", "one-frozen-path", FROZEN, "return hash(self._values())", "return hash(self._values()[1:])"),
+    (
+        "weight-growth-coefficients-swapped",
+        "one-frozen-path",
+        EXT,
+        'object.__setattr__(self, "quadratic_coeff", quadratic_coeff)\n'
+        '        object.__setattr__(self, "linear_coeff", linear_coeff)\n',
+        'object.__setattr__(self, "quadratic_coeff", linear_coeff)\n'
+        '        object.__setattr__(self, "linear_coeff", quadratic_coeff)\n',
+    ),
+    ("ode-a1-stored-as-a0", "one-frozen-path", KZ, 'object.__setattr__(self, "a1", a1)', 'object.__setattr__(self, "a1", a0)'),
+    ("cli-choices-unquoted", "one-frozen-path", CLI, "(choose from {', '.join(map(repr, action.choices))})", "(choose from {', '.join(map(str, action.choices))})"),
 ]
 
 

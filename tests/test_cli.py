@@ -49,7 +49,11 @@ def test_bad_label_exits_two(capsys):
 
 
 def test_unknown_subcommand_exits_two(capsys):
-    assert run(capsys, "frobnicate")[0] == 2
+    # the names quoted on every Python, though later argparse releases
+    # (3.13.13 among them) print them bare
+    names = "'fuse', 'kdec', 'char', 'induce', 'monodromy', 'local', 'oracle', 'kz'"
+    want = f"argument command: invalid choice: 'frobnicate' (choose from {names})"
+    assert run(capsys, "frobnicate") == (2, "", json.dumps({"error": want}) + "\n")
 
 
 def test_kdec(capsys):

@@ -167,6 +167,10 @@ class _Unknown(ModuleLabel):
 
     __slots__ = ("n", "parity_flip")
 
+    def __init__(self, n, parity_flip):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "parity_flip", parity_flip)
+
 
 def test_k_decompose_cases():
     assert k_decompose(VermaV0(0, 0)) == FormalSum(

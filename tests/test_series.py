@@ -1,5 +1,7 @@
 """The character result type, its windowed equality, and the test oracle's window rules."""
 
+import copy
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -147,6 +149,31 @@ def test_terms_view_is_built_once():
         del s.terms[key]
     assert s.terms == t.terms and s == t
     assert JacobiSeries(s.terms, s.q_cutoff) == s == t
+
+
+_PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, *(lambda x, p=p: pickle.loads(pickle.dumps(x, p)) for p in _PROTOCOLS)],
+    ids=["copy", "deepcopy", *(f"pickle{p}" for p in _PROTOCOLS)],
+)
+def test_characters_copy_and_pickle(round_trip):
+    # characters share read-only blocks, which neither copy nor pickle can
+    # take; a series goes through its public constructor instead
+    series = [
+        ch.char_verma(F(1, 3), F(1, 2), 3),
+        ch.char_atypical0(F(1, 4), 4, (-3, 3)),
+        *ch.char_induced_typical(F(1, 4), F(1, 2), 2, 1),
+        S({(F(1, 2), 0, 0): 3, (0, F(1, 3), F(-1, 2)): -1}),
+        S({}),
+        S({}, 2),
+    ]
+    for s in series:
+        again = round_trip(s)
+        assert type(again) is JacobiSeries and again == s and again.q_cutoff == s.q_cutoff
+        assert again.terms == s.terms and repr(again) == repr(s)
 
 
 def test_reads_and_comparisons_never_build_terms(monkeypatch):
