@@ -33,10 +33,10 @@ exact (value, d/dz) pair.
 Floating-point evaluation is double precision.  That the z = 1 constant
 meets ``tol`` down to 1e-15 is measured, not proved: at tol = 1e-15 its
 worst error on the report's x is 6.7e-16, while the worst-case rounding of
-its n-factor product, about 3n 2^-53 relative, is 8.0e-14 at the report's
-x = 3/4 (n = 239), above that ``tol``.  The ODE residual substitutes into
-the same coefficients as ``correlator_ode`` and the same gauge jet as the
-transform, on 0.1 <= z <= 0.9, |x| <= 50.
+its n-factor product, about 3n 2^-53 relative, is 7.7e-14 at the report's
+largest x, 7/10 (n = 230), above that ``tol``.  The ODE residual
+substitutes into the same coefficients as ``correlator_ode`` and the same
+gauge jet as the transform, on 0.1 <= z <= 0.9, |x| <= 50.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ at most one nonzero entry per column and tensor factor.  Products
 only; :func:`mat_rank` works on the small dense blocks between neighbouring
 weight spaces that :func:`decompose` slices out.
 
-A module stores all of this on ints: each weight as the key (e d, n d)
-over one weight scale d, and psi+- times one entry scale s, a multiple of
-d.  Realizing, tensoring and checking build no Fraction, and decomposing
-builds only those of the labels it returns.  The Fraction-valued
+A module stores all of this on ints over one scale d, a common
+denominator of its weights and entries: each weight as the key (e d, n d),
+and psi+- times d.  Realizing, tensoring and checking build no Fraction,
+and decomposing builds only those of the labels it returns.  The Fraction-valued
 ``weights``, ``psi_p`` and ``psi_m`` of a module are views of its ints,
 built anew on each read and kept nowhere.
 
@@ -141,15 +141,15 @@ class Gl11MatrixModule(Frozen):
     ``psi_m`` map (row, col) to the nonzero entries of psi+ and psi-.
 
     A module stores the integer form that :func:`decompose` and
-    :meth:`validate` read: ``parity`` as a tuple of 0/1; one weight scale
-    d with the int key (e d, n d) of each basis vector in ``_keys``; and one
-    entry scale s, a multiple of d, with ``_p = s psi+`` and ``_q = s psi-``
-    as int entry maps of the nonzero entries.  ``weights``, ``psi_p`` and
-    ``psi_m`` are Fraction views of that form, built anew on each read and
-    kept nowhere, so a write into a returned dict changes that copy only,
-    never the module.  d and s are common denominators, not always the
-    least ones (a tensor product takes the lcm of its factors' scales, and
-    its weight sums may need less), so the int form is not canonical:
+    :meth:`validate` read: ``parity`` as a tuple of 0/1; one scale d, a
+    common denominator of every weight and entry; the int key (e d, n d)
+    of each basis vector in ``_keys``; and ``_p = d psi+`` and
+    ``_q = d psi-`` as int entry maps of the nonzero entries.  ``weights``,
+    ``psi_p`` and ``psi_m`` are Fraction views of that form, built anew on
+    each read and kept nowhere, so a write into a returned dict changes
+    that copy only, never the module.  d is a common denominator, not
+    always the least one (a tensor product takes the lcm of its factors'
+    scales, and its sums may need less), so the int form is not canonical:
     equality compares the fields, parity and the three views.  Their dicts
     make modules unhashable.
 
@@ -157,12 +157,12 @@ class Gl11MatrixModule(Frozen):
     Fraction, drops zero entries, and raises :class:`OracleError` unless
     every parity is 0 or 1, ``weights`` has ``dim = len(parity)`` entries
     and every key lies in ``range(dim)``; it then scales to ints by the
-    least d and s.  It stores them through ``_trusted``, which
+    least d.  It stores them through ``_trusted``, which
     :func:`realize` and :func:`tensor` call with an int form they built.
     Nothing marks a module as valid: :func:`decompose` checks every input.
     """
 
-    __slots__ = ("parity", "_d", "_keys", "_s", "_p", "_q")
+    __slots__ = ("parity", "_d", "_keys", "_p", "_q")
     _fields = ("parity", "weights", "psi_p", "psi_m")
     __hash__ = None
 
@@ -183,37 +183,35 @@ class Gl11MatrixModule(Frozen):
                 if v:
                     kept[r, c] = v
             maps.append(kept)
-        d = lcm(*(x.denominator for w in weights for x in w))
-        s = lcm(d, *(v.denominator for x in maps for v in x.values()))
+        d = lcm(*(x.denominator for w in weights for x in w), *(v.denominator for x in maps for v in x.values()))
         keys = tuple((e.numerator * (d // e.denominator), n.numerator * (d // n.denominator)) for e, n in weights)
-        p, q = ({key: v.numerator * (s // v.denominator) for key, v in x.items()} for x in maps)
-        return cls._trusted(tuple(parity), d, keys, s, p, q)
+        p, q = ({key: v.numerator * (d // v.denominator) for key, v in x.items()} for x in maps)
+        return cls._trusted(tuple(parity), d, keys, p, q)
 
     @classmethod
-    def _trusted(cls, parity: tuple, d: int, keys: tuple, s: int, p: Entries, q: Entries) -> "Gl11MatrixModule":
+    def _trusted(cls, parity: tuple, d: int, keys: tuple, p: Entries, q: Entries) -> "Gl11MatrixModule":
         """Store an int form as given, without converting or checking.
 
         The caller guarantees: ``parity`` is a tuple of 0/1, d > 0 and
-        ``keys`` a tuple of ``len(parity)`` int pairs (e d, n d); s > 0 is a
-        multiple of d, and ``p`` and ``q`` are the nonzero entries of
-        s psi+ and s psi- as ints, in dicts of their own, shared with no
-        other module, whose keys lie in ``range(dim)``.
+        ``keys`` a tuple of ``len(parity)`` int pairs (e d, n d); ``p`` and
+        ``q`` are the nonzero entries of d psi+ and d psi- as ints, in
+        dicts of their own, shared with no other module, whose keys lie in
+        ``range(dim)``.
         """
         module = object.__new__(cls)
         _set = object.__setattr__
         _set(module, "parity", parity)
         _set(module, "_d", d)
         _set(module, "_keys", keys)
-        _set(module, "_s", s)
         _set(module, "_p", p)
         _set(module, "_q", q)
         return module
 
     weights = property(lambda self: tuple((Fraction(e, self._d), Fraction(n, self._d)) for e, n in self._keys),
                        doc="Each basis vector's weight (e, n), as Fractions built on each read.")
-    psi_p = property(lambda self: {key: Fraction(v, self._s) for key, v in self._p.items()},
+    psi_p = property(lambda self: {key: Fraction(v, self._d) for key, v in self._p.items()},
                      doc="The nonzero entries of psi+, as Fractions built on each read.")
-    psi_m = property(lambda self: {key: Fraction(v, self._s) for key, v in self._q.items()},
+    psi_m = property(lambda self: {key: Fraction(v, self._d) for key, v in self._q.items()},
                      doc="The nonzero entries of psi-, as Fractions built on each read.")
 
     @property
@@ -235,11 +233,11 @@ class Gl11MatrixModule(Frozen):
 def _relations(m: Gl11MatrixModule) -> tuple:
     """The checks of :meth:`Gl11MatrixModule.validate`, on the stored ints.
 
-    Weight (e, n) is the key (e d, n d), psi+- are p = s psi+ and q = s psi-,
-    and E = pq + qp reads e s^2 on the diagonal.  Returns
-    (d, keys, p, q, pq), keys in basis order, pq = p q.
+    Weight (e, n) is the key (e d, n d), psi+- are p = d psi+ and q = d psi-,
+    and E = pq + qp reads e d^2, the key's e d times d, on the diagonal.
+    Returns (d, keys, p, q, pq), keys in basis order, pq = p q.
     """
-    d, keys, s, p, q = m._d, m._keys, m._s, m._p, m._q
+    d, keys, p, q = m._d, m._keys, m._p, m._q
     for x, step in ((p, d), (q, -d)):
         for r, c in x:
             e, n = keys[c]
@@ -255,8 +253,7 @@ def _relations(m: Gl11MatrixModule) -> tuple:
     anti = dict(pq)
     for key, v in mul(q, p).items():
         anti[key] = anti.get(key, 0) + v
-    e_scale = (s // d) * s
-    if {key: v for key, v in anti.items() if v} != {(i, i): e * e_scale for i, (e, _) in enumerate(keys) if e}:
+    if {key: v for key, v in anti.items() if v} != {(i, i): e * d for i, (e, _) in enumerate(keys) if e}:
         raise OracleError("[psi+, psi-] does not act as E")
     return d, keys, p, q, pq
 
@@ -265,8 +262,8 @@ def realize(label: FinLabel) -> Gl11MatrixModule:
     """Standard matrix realization of a labelled module, built on ints.
 
     Basis conventions: Verma (v, psi- v) with psi- acting by coefficient 1;
-    Projective (v, psi+ v, psi- v, psi+ psi- v).  With n = a/b, both scales
-    are b, or lcm(2b, the denominator of e) for a Verma.
+    Projective (v, psi+ v, psi- v, psi+ psi- v).  With n = a/b, the scale
+    is b, or lcm(2b, the denominator of e) for a Verma.
     """
     a, b = label.n.numerator, label.n.denominator
     if isinstance(label, Verma):
@@ -274,13 +271,13 @@ def realize(label: FinLabel) -> Gl11MatrixModule:
         d = lcm(2 * b, g)
         e, h = c * (d // g), d // (2 * b)
         psi_p = {(0, 1): e} if e else {}  # no entry at e = 0
-        return Gl11MatrixModule._trusted((EVEN, ODD), d, ((e, (2 * a + b) * h), (e, (2 * a - b) * h)), d, psi_p, {(1, 0): d})
+        return Gl11MatrixModule._trusted((EVEN, ODD), d, ((e, (2 * a + b) * h), (e, (2 * a - b) * h)), psi_p, {(1, 0): d})
     if isinstance(label, Atypical):
-        return Gl11MatrixModule._trusted((EVEN,), b, ((0, a),), b, {}, {})
+        return Gl11MatrixModule._trusted((EVEN,), b, ((0, a),), {}, {})
     if isinstance(label, Projective):
         # basis v, psi+ v, psi- v, psi+ psi- v; note psi- psi+ v = -psi+ psi- v
         keys = ((0, a), (0, a + b), (0, a - b), (0, a))
-        return Gl11MatrixModule._trusted((EVEN, ODD, ODD, EVEN), b, keys, b, {(1, 0): b, (3, 2): b}, {(2, 0): b, (3, 1): -b})
+        return Gl11MatrixModule._trusted((EVEN, ODD, ODD, EVEN), b, keys, {(1, 0): b, (3, 2): b}, {(2, 0): b, (3, 1): -b})
     raise TypeError(f"unknown label {label!r}")
 
 
@@ -290,18 +287,17 @@ def tensor(a: Gl11MatrixModule, b: Gl11MatrixModule) -> Gl11MatrixModule:
     Basis vector v_i (x) w_j has index i * b.dim + j, and its weight is the
     sum of the weights of v_i and w_j.  For psi+- the second term carries
     the Koszul sign (-1)^{|v_i|}, so the identity factor is replaced by the
-    parity sign of the first tensor leg.  Keys are rescaled to the lcm of
-    the two weight scales and entries to the lcm of the two entry scales;
-    only nonzero entries of the factors are visited, and a sum that cancels
-    is dropped.
+    parity sign of the first tensor leg.  Keys and entries are rescaled to
+    the lcm of the two scales; only nonzero entries of the factors are
+    visited, and a sum that cancels is dropped.
     """
     bd = b.dim
-    d, s = lcm(a._d, b._d), lcm(a._s, b._s)
-    fa, fb, ga, gb = d // a._d, d // b._d, s // a._s, s // b._s
+    d = lcm(a._d, b._d)
+    fa, fb = d // a._d, d // b._d
 
     def build(xa: Entries, xb: Entries) -> Entries:
-        out = {(k * bd + j, i * bd + j): v * ga for (k, i), v in xa.items() for j in range(bd)}
-        even = [(l, j, v * gb) for (l, j), v in xb.items()]
+        out = {(k * bd + j, i * bd + j): v * fa for (k, i), v in xa.items() for j in range(bd)}
+        even = [(l, j, v * fb) for (l, j), v in xb.items()]
         odd = [(l, j, -v) for l, j, v in even]  # the Koszul sign
         for i, p in enumerate(a.parity):
             base = i * bd
@@ -318,7 +314,7 @@ def tensor(a: Gl11MatrixModule, b: Gl11MatrixModule) -> Gl11MatrixModule:
     parity = tuple((p + q) % 2 for p in a.parity for q in b.parity)
     b_keys = [(e * fb, n * fb) for e, n in b._keys]
     keys = tuple([(e * fa + eb, n * fa + nb) for e, n in a._keys for eb, nb in b_keys])
-    return Gl11MatrixModule._trusted(parity, d, keys, s, build(a._p, b._p), build(a._q, b._q))
+    return Gl11MatrixModule._trusted(parity, d, keys, build(a._p, b._p), build(a._q, b._q))
 
 
 def l0_top_matrix(m: Gl11MatrixModule, k) -> Entries:
@@ -364,7 +360,7 @@ def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
     The module is first held to every relation that
     :meth:`Gl11MatrixModule.validate` checks, and a failure raises
     :class:`OracleError` with validate's text.  The rest runs on that check's
-    integers: weights scaled by their common denominator d, psi+- by s.
+    integers: weights and psi+- scaled by the module's one scale d.
     Basis vectors are grouped by e and then by n.  On an e != 0 block psi-
     maps the Verma tops at n one-to-one into weight n - 1, so from the top
     down the N-spectrum pairs into (c + 1/2, c - 1/2).  On the e = 0 block

@@ -12,9 +12,13 @@ exactly once in its file, and runs the Tier-1 command there with ``-x -q``.
 It leaves out ``tests/test_mutants.py``, which checks that every mutant
 applies to the unmutated code: in a mutated copy it would fail on the
 mutant's own edit, whatever the other tests do.
-An unmutated copy runs first and must pass, so that a broken copy cannot
-count as a caught mutant.  The survivors are listed, and the exit status is
-1 if there is any, 2 if a mutant does not apply or the unmutated copy fails.
+An unmutated copy runs first, on its own, and must pass, so that a broken
+copy cannot count as a caught mutant.  The mutated copies then run in
+``os.cpu_count()`` worker threads, each driving its own pytest process in
+its own directory; their lines print in list order, and the seconds each
+line gives are wall time under that contention.  The survivors are listed,
+and the exit status is 1 if there is any, 2 if a mutant does not apply or
+the unmutated copy fails.
 
 Pytest does not collect this file: its name does not start with ``test_``.
 
@@ -35,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -143,7 +148,6 @@ MUTANTS = [
     ("equivalent-flat-true", "closed-form-extensions", EXT, "        return s == s2", "        return True"),
     # followed epsilon's sign onto the int helpers, and then onto _sign, with the same edit
     ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "_twice_epsilon2(ell, second) * half", "_sign(ell) * half"),
-    ("relations-e-scale-s", "oracle-on-ints", ORACLE, "e_scale = (s // d) * s", "e_scale = s"),
     # followed the step check onto the stored int maps, with the same edit
     ("relations-step-one", "oracle-on-ints", ORACLE, "((p, d), (q, -d))", "((p, 1), (q, -1))"),
     (
@@ -240,9 +244,10 @@ MUTANTS = [
     ("z-window-check-dropped", "labels-carry-ints", CHARS, "    window = None if z_window is None else _window(z_window)\n", "    window = z_window and _window(z_window) if isinstance(label, (TypicalV, VermaV0)) else None\n"),
     ("tensor-keeps-cancelled-sum", "oracle-trusted-builder", ORACLE, "                    if not v:\n                        continue\n", ""),
     ("realize-verma-keeps-zero-psi-p", "oracle-trusted-builder", ORACLE, "psi_p = {(0, 1): e} if e else {}", "psi_p = {(0, 1): e}"),
-    # these two followed realize onto the ints it stores, with the same edits
+    # these two followed realize onto the ints it stores, with the same
+    # edits, and the second then followed the trusted builder's one scale
     ("realize-projective-psi-m-sign", "oracle-trusted-builder", ORACLE, "(3, 1): -b}", "(3, 1): b}"),
-    ("realize-atypical-shares-a-dict", "oracle-trusted-builder", ORACLE, "((0, a),), b, {}, {})", "((0, a),), b, *[{}] * 2)"),
+    ("realize-atypical-shares-a-dict", "oracle-trusted-builder", ORACLE, "((0, a),), {}, {})", "((0, a),), *[{}] * 2)"),
     # an atypical's zero e is now an int key, and its Fraction type comes
     # from the weight view: the mutant reads a zero e there as the int 0
     # (it followed the view, now built on each read, with the same edit)
@@ -276,24 +281,9 @@ MUTANTS = [
     ("verma-factor-shift-flipped", "one-sign-owner", LABELS, "p + _sign(ell) * q, q, ell, 1)])", "p - _sign(ell) * q, q, ell, 1)])"),
     ("tensor-second-keys-unscaled", "oracle-int-form", ORACLE, "b_keys = [(e * fb, n * fb) for e, n in b._keys]", "b_keys = b._keys"),
     ("tensor-koszul-sign-on-even", "oracle-int-form", ORACLE, "for l, j, v in odd if p else even:", "for l, j, v in even if p else odd:"),
-    ("tensor-first-entries-unscaled", "oracle-int-form", ORACLE, ": v * ga for (k, i)", ": v for (k, i)"),
-    ("entry-scale-without-d", "oracle-int-form", ORACLE, "s = lcm(d, *(v.denominator", "s = lcm(*(v.denominator"),
-    # these two followed the views, now built on each read, with the same
-    # edits: the weights over s, and both psi maps over d
-    ("weight-view-over-s", "oracle-int-form", ORACLE, "(Fraction(e, self._d), Fraction(n, self._d))", "(Fraction(e, self._s), Fraction(n, self._s))"),
-    (
-        "psi-view-over-d",
-        "oracle-int-form",
-        ORACLE,
-        "Fraction(v, self._s) for key, v in self._p.items()},\n"
-        '                     doc="The nonzero entries of psi+, as Fractions built on each read.")\n'
-        "    psi_m = property(lambda self: {key: Fraction(v, self._s)",
-        "Fraction(v, self._d) for key, v in self._p.items()},\n"
-        '                     doc="The nonzero entries of psi+, as Fractions built on each read.")\n'
-        "    psi_m = property(lambda self: {key: Fraction(v, self._d)",
-    ),
+    # followed tensor's one factor pair, which scales keys and entries alike, with the same edit
+    ("tensor-first-entries-unscaled", "oracle-int-form", ORACLE, ": v * fa for (k, i)", ": v for (k, i)"),
     ("realize-verma-scale-without-2", "oracle-int-form", ORACLE, "d = lcm(2 * b, g)", "d = lcm(b, g)"),
-    ("psi-p-view-over-d", "views-on-each-read", ORACLE, "Fraction(v, self._s) for key, v in self._p", "Fraction(v, self._d) for key, v in self._p"),
     ("typical-ehat-view-drops-denominator", "views-on-each-read", LABELS, "lambda self: Fraction(self._ep, self._eq)", "lambda self: Fraction(self._ep)"),
     ("n-view-drops-denominator", "views-on-each-read", LABELS, "lambda self: Fraction(self._np, self._nq)", "lambda self: Fraction(self._np)"),
     ("sort-ehat-drops-denominator", "views-on-each-read", LABELS, "    return Fraction(label._ep, label._eq)\n", "    return Fraction(label._ep)\n"),
@@ -318,6 +308,18 @@ MUTANTS = [
     ),
     ("ode-a1-stored-as-a0", "one-frozen-path", KZ, 'object.__setattr__(self, "a1", a1)', 'object.__setattr__(self, "a1", a0)'),
     ("cli-choices-unquoted", "one-frozen-path", CLI, "(choose from {', '.join(map(repr, action.choices))})", "(choose from {', '.join(map(str, action.choices))})"),
+    # a module's one scale: E's diagonal, the constructor's lcm over weights
+    # and entries, and the factor that scales b's entries in tensor
+    ("relations-e-unscaled", "oracle-one-scale", ORACLE, "e * d for", "e for"),
+    (
+        "scale-without-entry-denominators",
+        "oracle-one-scale",
+        ORACLE,
+        ", *(v.denominator for x in maps for v in x.values()))",
+        ")",
+    ),
+    ("scale-without-weight-denominators", "oracle-one-scale", ORACLE, "lcm(*(x.denominator for w in weights for x in w), ", "lcm("),
+    ("tensor-second-entries-by-fa", "oracle-one-scale", ORACLE, "(l, j, v * fb) for", "(l, j, v * fa) for"),
 ]
 
 
@@ -373,14 +375,17 @@ def main(argv=None) -> int:
         if not passed:
             print(f"the unmutated copy fails Tier-1: {detail}")
             return 2
-        survivors = []
-        for mutant in chosen:
+
+        def timed(mutant: tuple) -> tuple[bool, str, float]:
             start = time.perf_counter()
-            passed, detail = _tier1(Path(tmp) / mutant[0])
-            took = time.perf_counter() - start
-            print(f"{'SURVIVED' if passed else 'caught  '} {mutant[0]} ({mutant[1]}, {took:.1f} s) {detail}", flush=True)
-            if passed:
-                survivors.append(mutant[0])
+            return (*_tier1(Path(tmp) / mutant[0]), time.perf_counter() - start)
+
+        survivors = []
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+            for mutant, (passed, detail, took) in zip(chosen, pool.map(timed, chosen)):
+                print(f"{'SURVIVED' if passed else 'caught  '} {mutant[0]} ({mutant[1]}, {took:.1f} s) {detail}", flush=True)
+                if passed:
+                    survivors.append(mutant[0])
     print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants caught")
     if survivors:
         print("survivors: " + ", ".join(survivors))

@@ -3,6 +3,7 @@
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -790,8 +791,8 @@ def _rescaled(m, mu) -> o.Gl11MatrixModule:
     """m with psi+ times mu and psi- over mu, through the constructor: still a module when m is.
 
     Its entry denominators need not divide the weights' denominator, so its
-    entry scale s can differ from its weight scale d, as no realized module's
-    or product's does.
+    one scale d can exceed the lcm of its weight denominators, as no realized
+    module's or product's does.
     """
     return o.Gl11MatrixModule(
         m.parity, m.weights, {k: v * mu for k, v in m.psi_p.items()}, {k: v / mu for k, v in m.psi_m.items()}
@@ -827,8 +828,9 @@ def test_views_and_decompose_match_fraction_references():
 
 
 def test_rescaled_modules_match_fraction_references():
-    # modules whose entry scale is not their weight scale, from the public
-    # constructor, alone and in products with realized modules on either side
+    # modules whose scale comes from their entries, not their weights, from
+    # the public constructor, alone and in products with realized modules on
+    # either side
     rng = Random(34)
     apart = 0
     for _ in range(40):
@@ -839,7 +841,7 @@ def test_rescaled_modules_match_fraction_references():
         want = Fields(want.parity, want.weights, {k: v * mu for k, v in want.psi_p.items()},
                       {k: v / mu for k, v in want.psi_m.items()})
         _assert_views(m, want)
-        apart += m._s != m._d
+        apart += m._d != lcm(*(x.denominator for w in m.weights for x in w))
         other = rng.choice((o.Verma(_draws.rational(rng), _draws.rational(rng)), o.Atypical(_draws.rational(rng))))
         o_m, o_want = o.realize(other), realize_by_fractions(other)
         for a, b, a_want, b_want in ((m, o_m, want, o_want), (o_m, m, o_want, want), (m, m, want, want)):
