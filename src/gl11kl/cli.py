@@ -1,10 +1,13 @@
 """Command-line front end with deterministic JSON output.
 
-Exit codes: 0 on success, 1 when the requested quantity is outside the
-implemented classification (a mathematical scope limit), 2 on usage errors,
-and 141 (128 + SIGPIPE, as a shell reports a process that a closed pipe
+Exit codes, all decided by ``main`` in one rule: a ``Gl11Error`` (the
+requested quantity is outside the implemented classification, a
+mathematical scope limit) exits 1, and a ``ValueError`` (a usage error: bad
+input, from argparse or from any check) exits 2, each with a JSON error on
+stderr; 141 (128 + SIGPIPE, as a shell reports a process that a closed pipe
 ended) when stdout is closed before the output is written, with nothing
-written to stderr.
+written to stderr; otherwise 0, or 1 for a printed report whose
+``all_pass`` is false (only ``kz verify`` reports one).
 All rational quantities are printed in exact p/q notation; only the
 kz-verification report contains floats.  Each subcommand imports the layer
 it runs only once its own arguments have passed their checks, so a fresh
@@ -33,7 +36,7 @@ _EXTENSIONS = {"sl21-neg-half": "SL21_MINUS_HALF", "sl21-level1": "SL21_LEVEL1"}
 def _ext_from_flag(text: str) -> tuple[extensions.ExtensionSpec, list[str]]:
     """The extension a flag names, with the admissibility warnings it raised."""
     if text not in _EXTENSIONS and not text.startswith("custom:"):
-        raise UsageError(f"unknown extension {text!r}")
+        raise ValueError(f"unknown extension {text!r}")
     from . import extensions
 
     if text in _EXTENSIONS:
@@ -48,7 +51,7 @@ def _ext_from_flag(text: str) -> tuple[extensions.ExtensionSpec, list[str]]:
             warnings.simplefilter("always")
             ext = extensions.ExtensionSpec.custom(a, int(ell))
     except ValueError as exc:
-        raise UsageError(f"bad custom extension {text!r}: {exc}") from exc
+        raise ValueError(f"bad custom extension {text!r}: {exc}") from exc
     return ext, [str(w.message) for w in caught]
 
 
@@ -64,12 +67,8 @@ def _with_ext(body):
     return handler
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError in place of printing usage text and exiting 2.
+    """Raises ValueError, which ``main`` maps to exit 2, in place of printing usage text and exiting.
 
     An unknown subcommand's error quotes each name, as argparse does on
     Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0; 3.13.13 prints the names
@@ -77,7 +76,7 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
     def _check_value(self, action, value):
         if action.choices is not None and value not in action.choices:
@@ -104,7 +103,7 @@ def _flag_rational(flag: str, text: str) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _flag_int(text: str) -> int:
@@ -120,7 +119,7 @@ def _parse_fin_label(text: str) -> oracle.FinLabel:
     body = text.strip(WHITESPACE)
     kind = body[:1].upper()
     if not (kind in "VAP" and body[1:2] == "(" and body.endswith(")")):
-        raise UsageError(f"cannot parse finite label {text!r}")
+        raise ValueError(f"cannot parse finite label {text!r}")
     args = [part.strip(WHITESPACE) for part in body[2:-1].split(";")]
     try:
         if kind == "V" and len(args) != 2:
@@ -129,7 +128,7 @@ def _parse_fin_label(text: str) -> oracle.FinLabel:
             raise ValueError(f"{kind} takes a single parameter")
         values = [parse_rational(arg) for arg in args]
     except ValueError as exc:
-        raise UsageError(f"cannot parse finite label {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse finite label {text!r}: {exc}") from exc
     from . import oracle
 
     return {"V": oracle.Verma, "A": oracle.Atypical, "P": oracle.Projective}[kind](*values)
@@ -152,13 +151,13 @@ def _cmd_char(args) -> dict:
     if args.z_window is not None:
         bounds = args.z_window.split(",")
         if len(bounds) != 2:
-            raise UsageError(f"--z-window takes lo,hi, got {args.z_window!r}")
+            raise ValueError(f"--z-window takes lo,hi, got {args.z_window!r}")
         window = tuple(_flag_rational("--z-window", bound) for bound in bounds)
     if isinstance(label, AtypicalA) and label.ell == 0 and window is None:
-        raise UsageError("atypical characters need --z-window lo,hi")
+        raise ValueError("atypical characters need --z-window lo,hi")
     cutoff = _flag_rational("--cutoff", args.cutoff)
     if cutoff > MAX_CHAR_CUTOFF:
-        raise UsageError(f"--cutoff must be at most {MAX_CHAR_CUTOFF}, got {args.cutoff}")
+        raise ValueError(f"--cutoff must be at most {MAX_CHAR_CUTOFF}, got {args.cutoff}")
     from . import characters
 
     terms = [
@@ -171,7 +170,7 @@ def _cmd_char(args) -> dict:
 @_with_ext
 def _cmd_induce(args, label, ext) -> dict:
     if args.m_range > MAX_INDUCE_M_RANGE:
-        raise UsageError(f"--m-range must be at most {MAX_INDUCE_M_RANGE}, got {args.m_range}")
+        raise ValueError(f"--m-range must be at most {MAX_INDUCE_M_RANGE}, got {args.m_range}")
     from . import extensions
 
     summands = zip(range(-args.m_range, args.m_range + 1), extensions.induce(label, ext, args.m_range))
@@ -184,7 +183,7 @@ def _cmd_monodromy(args, label, ext) -> dict:
 
     exponents = [(m, extensions.monodromy_exponent(label, ext.generator_of(m))) for m in (-2, -1, 1, 2)]
     rows = [{"m": m, "exponent": str(e), "integral": e.denominator == 1} for m, e in exponents]
-    return {"exponents": rows, "local": all(row["integral"] for row in rows if row["m"] in (-1, 1))}
+    return {"exponents": rows, "local": extensions.is_local(label, ext)}
 
 
 @_with_ext
@@ -212,7 +211,7 @@ def _cmd_oracle(args) -> dict:
 
 def _cmd_kz(args) -> dict:
     if args.action != "verify":
-        raise UsageError("the kz subcommand supports: verify")
+        raise ValueError("the kz subcommand supports: verify")
     from . import kz
 
     report = kz.verification_report(tol=args.tol)
@@ -261,7 +260,7 @@ def main(argv=None) -> int:
         payload = args.func(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
-    except (Gl11Error, UsageError, ValueError) as exc:
+    except (Gl11Error, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1 if isinstance(exc, Gl11Error) else 2
     try:
@@ -272,6 +271,4 @@ def main(argv=None) -> int:
         # it is pointed at devnull first, as the signal module's docs advise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
-    if args.command == "kz" and not payload.get("all_pass", True):
-        return 1
-    return 0
+    return 0 if payload.get("all_pass", True) else 1

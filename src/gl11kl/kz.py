@@ -324,10 +324,13 @@ def verification_report(tol: float = 1e-12) -> list[dict]:
     Each numeric entry states the threshold it was held to and the sample
     point of its worst error.  The z = 1 values are held to
     ``max(10 * tol, 1e-8)`` and the residuals to 1e-10.  ``tol`` also sizes
-    the z = 1 product, so a ``tol`` below its floor 1e-15 raises ValueError.
+    the z = 1 product, so a ``tol`` below its floor 1e-15 raises ValueError,
+    as does a ``tol`` whose threshold ``10 * tol`` is not a finite float.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    if 10 * tol == math.inf:
+        raise ValueError(f"tol {tol!r} is too large: its z = 1 threshold 10 * tol is not a finite float")
     derived = eliminate_to_second_order(build_first_order_system())
     exact = (
         ("elimination_matches_direct_coefficients", derived == correlator_ode().normalized()),

@@ -139,9 +139,6 @@ def ehat(label: ModuleLabel) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-_HALVES = {1: Fraction(1, 2), 0: Fraction(0), -1: Fraction(-1, 2)}  # t/2 by t, shared
-
-
 def _sign(x: int) -> int:
     """The sign of x, as -1, 0 or 1; it is 2 epsilon(x), which the fusion rules and monodromy read."""
     return (x > 0) - (x < 0)
@@ -153,18 +150,13 @@ def _twice_epsilon2(ell: int, ell2: int) -> int:
 
 
 def epsilon(ell: int) -> Fraction:
-    """The half-integer step function: 1/2, 0, -1/2 for ell >, =, < 0."""
-    return _HALVES[_sign(ell)]
+    """The half-integer step function: 1/2, 0, -1/2 for ell >, =, < 0, that is sign(ell)/2."""
+    return Fraction(_sign(ell), 2)
 
 
 def epsilon2(ell: int, ell2: int) -> Fraction:
-    """epsilon(l) + epsilon(l') - epsilon(l + l'), read off the three signs.
-
-    Twice the value, ``_twice_epsilon2``, lies in -1..1, where epsilon(t) =
-    t/2: so one of epsilon's shared constants comes back, and no Fraction
-    arithmetic is done.
-    """
-    return _HALVES[_twice_epsilon2(ell, ell2)]
+    """epsilon(l) + epsilon(l') - epsilon(l + l'), read off the three signs as ``_twice_epsilon2`` / 2."""
+    return Fraction(_twice_epsilon2(ell, ell2), 2)
 
 
 def delta(label: ModuleLabel) -> Fraction:

@@ -1,4 +1,4 @@
-"""Duals and coevaluations of the matrix oracle's modules: the tests' rigidity check.
+"""Duals, coevaluations and evaluations of the matrix oracle's modules: the tests' rigidity check.
 
 The dual M* of a module M has the dual basis e^i, of the parity of e_i and
 the negated weight, and each odd operator acts by
@@ -16,7 +16,15 @@ unsigned and the signed sums cannot both be killed.  (The negated dual,
 psi*_ij = -(-1)^{|i|} psi_ji, is isomorphic to this one and swaps the two
 signs.)
 
-Both are built from the package's public Fraction views and constructor
+The evaluations are the functionals that pair these: ev on M* (x) M sends
+e^i (x) e_j to delta_ij, and its mirror on M (x) M* sends e_i (x) e^j to
+(-1)^{|i|} delta_ij.  A functional f on a module is invariant when f psi = 0
+for psi+- and f vanishes off weight zero.  All four maps are even, so
+id (x) ev takes no Koszul sign (-1)^{|ev| |e_a|}, and each zig-zag,
+(id (x) ev)(coev (x) id) on M and its mirror on M*, is one sum over the
+middle index of the triple product.
+
+All are built from the package's public Fraction views and constructor
 only.  Pytest does not collect this file: its name does not start with
 ``test_``.
 """
@@ -54,3 +62,35 @@ def act(psi: dict, vector: dict) -> dict:
         if c in vector:
             out[r] = out.get(r, 0) + v * vector[c]
     return {r: v for r, v in out.items() if v}
+
+
+def evaluation(m: Gl11MatrixModule) -> dict:
+    """ev: e^i (x) e_j -> delta_ij on M* (x) M, as {basis index of the product: value}; zeros are left out."""
+    return {i * m.dim + j: 1 for i in range(m.dim) for j in range(m.dim) if i == j}
+
+
+def evaluation_mirror(m: Gl11MatrixModule) -> dict:
+    """e_i (x) e^j -> (-1)^{|i|} delta_ij on M (x) M*, as {basis index of the product: value}."""
+    return {i * m.dim + j: (-1) ** m.parity[i] for i in range(m.dim) for j in range(m.dim) if i == j}
+
+
+def coact(psi: dict, functional: dict) -> dict:
+    """The functional f psi, for f given as {index: value}: psi transposed applied to f."""
+    return act({(c, r): v for (r, c), v in psi.items()}, functional)
+
+
+def zigzag(unit: dict, counit: dict, dim: int) -> dict:
+    """(id (x) counit)(unit (x) id) on a module of dimension dim, as {(row, column): entry}.
+
+    unit is a vector of a product A (x) B and counit a functional on
+    B (x) A, each keyed by the product's basis index a * dim + b: the
+    composite sends e_k to the sum over a, b of unit[a, b] counit[b, k] e_a.
+    """
+    out: dict = {}
+    for x, u in unit.items():
+        a, b = divmod(x, dim)
+        for k in range(dim):
+            v = counit.get(b * dim + k, 0)
+            if v:
+                out[a, k] = out.get((a, k), 0) + u * v
+    return {key: v for key, v in out.items() if v}

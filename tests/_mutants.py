@@ -26,8 +26,9 @@ A mutant is (id, origin, file, old text, new text), where the origin names
 the change that first ran it by hand or added it here.  Mutants are added,
 never deleted or re-aimed to make the run pass; a survivor is a defect of
 the tests.  When the code a mutant edits moves, the mutant follows it with
-the same edit, and CHANGES.md says so.  CHANGES.md records the hand-run
-mutants whose code is gone.
+the same edit, and CHANGES.md says so.  A mutant whose code is gone is
+retired from the list, and CHANGES.md names it with the reason, as it
+records the hand-run mutants whose code is gone.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ MUTANTS = [
         "        pass\n",
     ),
     ("induce-range-short", "induction-by-rule-1", EXT, "range(-m_range, m_range + 1)", "range(-m_range, m_range)"),
-    ("cli-value-error-escapes", "induction-by-rule-1", CLI, "except (Gl11Error, UsageError, ValueError) as exc:", "except (Gl11Error, UsageError) as exc:"),
+    # followed main's one except clause, which UsageError left, with the same edit
+    ("cli-value-error-escapes", "induction-by-rule-1", CLI, "except (Gl11Error, ValueError) as exc:", "except Gl11Error as exc:"),
     ("digit-bound-raised", "induction-by-rule-1", LABELS, "MAX_DIGITS = 1000\n", "MAX_DIGITS = 1500\n"),
     ("spread-one-one-one", "fusion-on-keys", FUSION, "key: 2, (kind, n + d, second): 1}", "key: 1, (kind, n + d, second): 1}"),
     ("monodromy-kappa-negated", "fusion-on-keys", EXT, "    num = xp * (2 * cp", "    k2 = -k2\n    num = xp * (2 * cp"),
@@ -173,13 +175,8 @@ MUTANTS = [
     # followed the constructor's store into the helper both builders share,
     # and then into its call of the trusted builder, with the same edit
     ("oracle-parity-as-passed", "label-outputs-on-ints", ORACLE, "cls._trusted(tuple(parity), d", "cls._trusted(parity, d"),
-    (
-        "kz-verify-fail-exits-zero",
-        "label-outputs-on-ints",
-        CLI,
-        'payload.get("all_pass", True):\n        return 1',
-        'payload.get("all_pass", True):\n        return 0',
-    ),
+    # followed the verdict onto main's one return line, with the same edit
+    ("kz-verify-fail-exits-zero", "label-outputs-on-ints", CLI, 'payload.get("all_pass", True) else 1', 'payload.get("all_pass", True) else 0'),
     ("key-no-gcd", "int-class-keys", SERIES, "    g = math.gcd(q0, z0, y, den)\n", "    g = 1\n"),
     ("low-comparison-flipped", "int-class-keys", SERIES, "num * low[1] < low[0] * den", "num * low[1] > low[0] * den"),
     # followed its ceil into _z_span: the statement verma-window-floor edits
@@ -202,7 +199,6 @@ MUTANTS = [
     ),
     ("z-span-hi-ceil", "each-thing-once", CHARS, "(hi * den - z0 * t) // (t * den)", "-((z0 * t - hi * den) // (t * den))"),
     ("residual-without-r1-prime", "each-thing-once", KZ, "float(a2 * (r1.v * r1.v + r1.d))", "float(a2 * (r1.v * r1.v))"),
-    ("monodromy-local-reads-two", "each-thing-once", CLI, 'if row["m"] in (-1, 1)', 'if row["m"] in (-2, 2)'),
     (
         "kind-order-a-v-swapped",
         "one-owner-per-rule",
@@ -320,6 +316,23 @@ MUTANTS = [
     ),
     ("scale-without-weight-denominators", "oracle-one-scale", ORACLE, "lcm(*(x.denominator for w in weights for x in w), ", "lcm("),
     ("tensor-second-entries-by-fa", "oracle-one-scale", ORACLE, "(l, j, v * fb) for", "(l, j, v * fa) for"),
+    # the CLI's one exit rule, monodromy's verdict read from is_local,
+    # epsilon without its shared halves, and kz's bound on tol
+    ("all-pass-default-false", "one-owner-round-4", CLI, 'payload.get("all_pass", True)', 'payload.get("all_pass", False)'),
+    ("monodromy-local-negated", "one-owner-round-4", CLI, '{"exponents": rows, "local": extensions', '{"exponents": rows, "local": not extensions'),
+    ("epsilon-sign-flipped", "one-owner-round-4", LABELS, "Fraction(_sign(ell), 2)", "Fraction(-_sign(ell), 2)"),
+    ("epsilon2-over-one", "one-owner-round-4", LABELS, "Fraction(_twice_epsilon2(ell, ell2), 2)", "Fraction(_twice_epsilon2(ell, ell2), 1)"),
+    (
+        "kz-tol-threshold-unbounded",
+        "one-owner-round-4",
+        KZ,
+        '    if 10 * tol == math.inf:\n'
+        '        raise ValueError(f"tol {tol!r} is too large: its z = 1 threshold 10 * tol is not a finite float")\n',
+        "",
+    ),
+    # the tests' evaluations: a sign slip in either must show
+    ("evaluation-signed", "one-owner-round-4", DUALS, ": 1 for i in range(m.dim) for j", ": (-1) ** m.parity[i] for i in range(m.dim) for j"),
+    ("evaluation-mirror-unsigned", "one-owner-round-4", DUALS, ": (-1) ** m.parity[i] for i in range(m.dim) for j", ": 1 for i in range(m.dim) for j"),
 ]
 
 

@@ -179,7 +179,9 @@ def test_output_deterministic(capsys):
 
 
 def test_kz_verify_rejects_bad_tol(capsys):
-    for tol in ("0", "-1", "nan", "inf", "1e-300"):
+    # above about 1.8e307 the z = 1 threshold 10 * tol overflows to inf,
+    # which is not JSON and would pass every error
+    for tol in ("0", "-1", "nan", "inf", "1e-300", "1e308", "2e307"):
         start = time.perf_counter()
         code, out, err = run(capsys, "kz", "verify", "--tol", tol)
         assert time.perf_counter() - start < 1, tol
