@@ -29,7 +29,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import NotDeterminedError
-from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _int, ehat
+from .labels import AtypicalA, ModuleLabel, TypicalV, VermaV0, _int
 from .series import JacobiSeries, _canon, _cutoff, _key, _ratio, jacobi_equal_to_cutoff
 
 
@@ -43,7 +43,7 @@ def characters(label: ModuleLabel, q_cutoff, z_window: tuple | None = None) -> J
     q_cutoff = _cutoff(q_cutoff)
     window = None if z_window is None else _window(z_window)
     if isinstance(label, (TypicalV, VermaV0)):
-        series = char_verma(label.n, ehat(label), q_cutoff)
+        series = char_verma(label.n, label.ehat, q_cutoff)
         if z_window is None:
             return series
         ((key, (dq, dz, _, block)),) = series._classes.items()  # a Verma is one class

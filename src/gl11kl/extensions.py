@@ -9,9 +9,14 @@ for sl(2|1):
   A(m - eps(m); -2m).
 * ``SL21_LEVEL1``: generator steps (a, b) = (1/2, 1), summands A(eps(m); m).
 
-Induction is fusion rule 1 applied to the generator powers.  Induction,
-monodromy, locality and weight growth run on int keys or int pairs, and
-each function's docstring states its closed form.  The monodromy exponent
+The m-th summand is A(m step + eps(m b); m b), where the step a - eps(b) is
+a minus the step function of b: its n is m steps plus the step function of
+m b, and its ehat is m b.  Induction is fusion rule 1 applied to the
+generator powers, so the summands of an induction are the orbit of its
+base, which ``_orbit_rep`` names by its one summand with 0 <= ehat/b < 1,
+or with 0 <= n/a < 1 when b = 0.  Induction, monodromy, locality and
+weight growth run on int keys or int pairs, and each function's docstring
+states its closed form.  The monodromy exponent
 is affine in m modulo the integers, which ``is_local`` relies on and the
 additivity property test certifies.
 ``induced_equivalent`` and ``induced_projective_cover`` are library API like
@@ -39,8 +44,6 @@ from .labels import (
     _sign,
     _twice_epsilon2,
     delta,
-    ehat,
-    epsilon,
     is_simple,
     projective_cover,
     strip_parity,
@@ -50,29 +53,29 @@ from .labels import (
 class ExtensionSpec(Frozen):
     """A fusion group of atypical simple currents indexed by the integers.
 
-    The m = 1 generator is A(a; b).  The numerator and denominator of a are
-    also kept as ints, for the closed forms below.
+    The m = 1 generator is A(a; b).  An extension stores a as the ints
+    _ap/_aq in lowest terms, for the closed forms below, and ``a`` is an exact
+    Fraction view of them, built on each read.
     """
 
-    __slots__ = ("name", "a", "b", "_ap", "_aq")
+    __slots__ = ("name", "b", "_ap", "_aq")
+    _fields = ("name", "a", "b")
 
     def __init__(self, name: str, a: Fraction, b: int):
         a = _f(a)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", _int(b))
         object.__setattr__(self, "_ap", a.numerator)
         object.__setattr__(self, "_aq", a.denominator)
 
-    @property
-    def step(self) -> Fraction:
-        """a - eps(b): the n-offset per unit of m, up to the eps terms."""
-        return self.a - epsilon(self.b)
+    a = property(lambda self: Fraction(self._ap, self._aq), doc="a as a Fraction, built on each read.")
 
     def generator_of(self, m: int) -> AtypicalA:
         """The m-th summand: the m-th fusion power of the base generator.
 
-        That is A(m step + eps(m b); m b), with n = _numerator / 2q for a = p/q.
+        That is A(m (a - eps(b)) + eps(m b); m b), m steps of a minus the
+        step function of b plus the step function of m b, built as
+        n = _numerator / 2q for a = p/q.
         """
         m = _int(m)
         return _new(AtypicalA, _numerator(self, m), 2 * self._aq, m * self.b, 1)
@@ -125,7 +128,7 @@ def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
 def _monodromy(s: ModuleLabel, cp: int, cq: int, ell: int) -> tuple[int, int]:
     """The monodromy exponent of a simple s against c = A(cp/cq; l) as an unreduced (num, den) pair.
 
-    With x = ehat(s) it is x (c.n + l - kappa) + l (s.n - kappa), with
+    With x = s.ehat it is x (c.n + l - kappa) + l (s.n - kappa), with
     kappa = eps(l) for a typical s and eps2(s.ell, l) for an atypical one.
     With x = xp/xq, s.n = sp/sq and k2 = 2 kappa, the numerator of kappa
     (0 or +-1/2), the denominator is 2 xq cq sq; cp/cq need not be reduced.
@@ -178,25 +181,34 @@ def induce(s: ModuleLabel, ext: ExtensionSpec, m_range: int) -> list[ModuleLabel
     return _summands(s, ext, range(-m_range, m_range + 1))
 
 
+def _orbit_rep(s: ModuleLabel, ext: ExtensionSpec) -> ModuleLabel:
+    """The normal form of a simple's orbit: its one summand with 0 <= ehat/b < 1.
+
+    Summand m moves ehat by m b, and when b = 0 it moves n by m a, as
+    eps(0) = 0.  So m = -floor(ehat/b) picks the one summand in that window,
+    or m = -floor(n/a), for 0 <= n/a < 1, when b = 0; with a = b = 0 every
+    summand is s.  The floors are taken on the stored ints.
+    """
+    if ext.b:
+        m = -(s._ep // (s._eq * ext.b))
+    elif ext._ap:
+        m = -(s._np * ext._aq // (s._nq * ext._ap))
+    else:
+        return s
+    return _summands(s, ext, (m,))[0]
+
+
 def induced_equivalent(s: ModuleLabel, s2: ModuleLabel, ext: ExtensionSpec) -> bool:
     """Do two simples induce to the same module?
 
-    Equivalence means s2 = summand(m) for an integer m, and summand(m) moves
-    ehat by m b and, for b = 0, n by m step: so m is the ehat offset over b,
-    or the n offset over step, and with b = step = 0 every summand is s.
+    They do when s2 is a summand of the induction of s, that is when the two
+    share an orbit, which ``_orbit_rep`` names once.  Labels of different
+    kinds never compare equal.
     """
     s, s2 = strip_parity(s), strip_parity(s2)
     if not (is_simple(s) and is_simple(s2)):
         raise ValueError("induced equivalence applies to simple labels")
-    if type(s) is not type(s2):
-        return False
-    if ext.b:
-        m = (ehat(s2) - ehat(s)) / ext.b
-    elif ext.step:
-        m = (s2.n - s.n) / ext.step
-    else:
-        return s == s2
-    return m.denominator == 1 and _summands(s, ext, (int(m),))[0] == s2
+    return _orbit_rep(s, ext) == _orbit_rep(s2, ext)
 
 
 def induced_projective_cover(
@@ -222,7 +234,8 @@ class WeightGrowth(Frozen):
 def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     """Delta(summand(m)) as an exact polynomial of degree <= 2 in m.
 
-    With step = a - eps(b) and rate = step + b/2, the weights grow with
+    With step = a - eps(b), a minus the step function of b, and
+    rate = step + b/2, the weights grow with
     quad = b rate.  A typical base V(n;ehat) follows one polynomial for every
     m, with linear coefficient b n + ehat (rate + b/2).  An atypical base
     A(n;l) has weights quad m^2 + lin m + const + |l + m b|/2, lin =

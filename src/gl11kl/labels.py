@@ -52,6 +52,7 @@ class ModuleLabel(Frozen):
         return hash((self._np, self._nq, self._ep, self._eq, self.parity_flip))
 
     n = property(lambda self: Fraction(self._np, self._nq), doc="n as a Fraction, built on each read.")
+    ehat = property(lambda self: Fraction(self._ep, self._eq), doc="e/k as a Fraction, built on each read.")
 
 
 class TypicalV(ModuleLabel):
@@ -65,8 +66,6 @@ class TypicalV(ModuleLabel):
         if ehat.denominator == 1:
             raise ValueError("typical label requires ehat not an integer")
         return _new(cls, n.numerator, n.denominator, ehat.numerator, ehat.denominator, parity_flip)
-
-    ehat = property(lambda self: Fraction(self._ep, self._eq), doc="e/k as a Fraction, built on each read.")
 
 
 class _Integral(ModuleLabel):
@@ -127,11 +126,6 @@ def strip_parity(label: ModuleLabel) -> ModuleLabel:
     if not label.parity_flip:
         return label
     return _new(type(label), label._np, label._nq, label._ep, label._eq)
-
-
-def ehat(label: ModuleLabel) -> Fraction:
-    """The ratio e/k of the label, as an exact rational."""
-    return Fraction(label._ep, label._eq)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +377,7 @@ def _text(p: int, q: int) -> str:
 
 
 def label_sort_key(label: ModuleLabel):
-    return (_KIND_ORDER[type(label)], ehat(label), label.n, label.parity_flip)
+    return (_KIND_ORDER[type(label)], label.ehat, label.n, label.parity_flip)
 
 
 #: most digits per integer in a number; the widest output, a monodromy

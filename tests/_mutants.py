@@ -137,7 +137,6 @@ MUTANTS = [
         "def strip_parity(",
         "def _never_called():\n    return None\n\n\ndef strip_parity(",
     ),
-    ("equivalent-off-by-one", "src-keeps-what-runs", EXT, "_summands(s, ext, (int(m),))", "_summands(s, ext, (int(m) + 1,))"),
     ("monodromy-swap-dropped", "closed-form-extensions", EXT, "    if type(s) is AtypicalA and type(c) is TypicalV:\n        s, c = c, s\n", ""),
     # these two followed weight_growth onto ints, where one sign test picks
     # lin- or lin+: the first flips the half-b spread reported, the second
@@ -146,8 +145,6 @@ MUTANTS = [
     # its > mutant was equivalent.
     ("growth-half-b-sign", "closed-form-extensions", EXT, "lin_neg if b * (ell + 2 * b) <= 0 else lin_pos", "lin_pos if b * (ell + 2 * b) <= 0 else lin_neg"),
     ("growth-one-sign-strict", "closed-form-extensions", EXT, "if b * (ell + 2 * b) <= 0 else", "if b * (ell + 2 * b) < 0 else"),
-    ("equivalent-b0-solve", "closed-form-extensions", EXT, "m = (s2.n - s.n) / ext.step", "m = (s2.n - s.n) / (ext.step + 1)"),
-    ("equivalent-flat-true", "closed-form-extensions", EXT, "        return s == s2", "        return True"),
     # followed epsilon's sign onto the int helpers, and then onto _sign, with the same edit
     ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "_twice_epsilon2(ell, second) * half", "_sign(ell) * half"),
     # followed the step check onto the stored int maps, with the same edit
@@ -256,12 +253,14 @@ MUTANTS = [
     ),
     # these two followed the sign onto labels._sign, with the same edits
     ("twice-eps2-total-sign", "oracle-trusted-builder", LABELS, "- _sign(ell + ell2)", "+ _sign(ell + ell2)"),
+    # extensions no longer imports epsilon, so the mutant reads epsilon's
+    # own Fraction, Fraction(sign(l), 2), in place of the call
     (
         "monodromy-reads-epsilon-fraction",
         "oracle-trusted-builder",
         EXT,
         "k2 = _sign(ell) if type(s) is TypicalV",
-        "k2 = epsilon(ell).numerator if type(s) is TypicalV",
+        "k2 = Fraction(_sign(ell), 2).numerator if type(s) is TypicalV",
     ),
     (
         "atypical-window-checked-twice",
@@ -280,9 +279,13 @@ MUTANTS = [
     # followed tensor's one factor pair, which scales keys and entries alike, with the same edit
     ("tensor-first-entries-unscaled", "oracle-int-form", ORACLE, ": v * fa for (k, i)", ": v for (k, i)"),
     ("realize-verma-scale-without-2", "oracle-int-form", ORACLE, "d = lcm(2 * b, g)", "d = lcm(b, g)"),
+    # the ehat view moved from TypicalV up to ModuleLabel; this mutant
+    # followed it with the same edit
     ("typical-ehat-view-drops-denominator", "views-on-each-read", LABELS, "lambda self: Fraction(self._ep, self._eq)", "lambda self: Fraction(self._ep)"),
     ("n-view-drops-denominator", "views-on-each-read", LABELS, "lambda self: Fraction(self._np, self._nq)", "lambda self: Fraction(self._np)"),
-    ("sort-ehat-drops-denominator", "views-on-each-read", LABELS, "    return Fraction(label._ep, label._eq)\n", "    return Fraction(label._ep)\n"),
+    # labels.ehat() is gone: the sort key reads the view, and the mutant
+    # followed it there with the same edit
+    ("sort-ehat-drops-denominator", "views-on-each-read", LABELS, "type(label)], label.ehat, label.n", "type(label)], Fraction(label._ep), label.n"),
     ("series-terms-writable", "views-on-each-read", SERIES, "self._terms = MappingProxyType({", "self._terms = dict({"),
     # the tests' dual and coevaluations: a sign slip in either must show
     ("dual-naive-transpose", "views-on-each-read", DUALS, "-(-1) ** parity[r] * v for", "-v for"),
@@ -333,6 +336,14 @@ MUTANTS = [
     # the tests' evaluations: a sign slip in either must show
     ("evaluation-signed", "one-owner-round-4", DUALS, ": 1 for i in range(m.dim) for j", ": (-1) ** m.parity[i] for i in range(m.dim) for j"),
     ("evaluation-mirror-unsigned", "one-owner-round-4", DUALS, ": (-1) ** m.parity[i] for i in range(m.dim) for j", ": 1 for i in range(m.dim) for j"),
+    # an orbit's normal form: the floor's sign, the b = 0 branch, a
+    # representative one summand off the window, and the two Fraction views
+    ("orbit-b-floor-unsigned", "orbit-normal-form", EXT, "m = -(s._ep // (s._eq * ext.b))", "m = s._ep // (s._eq * ext.b)"),
+    ("orbit-b0-branch-dropped", "orbit-normal-form", EXT, "    elif ext._ap:\n", "    elif False:\n"),
+    ("orbit-b-window-shifted", "orbit-normal-form", EXT, "m = -(s._ep // (s._eq * ext.b))", "m = -(s._ep // (s._eq * ext.b)) + 1"),
+    ("orbit-b0-window-shifted", "orbit-normal-form", EXT, "m = -(s._np * ext._aq // (s._nq * ext._ap))", "m = -(s._np * ext._aq // (s._nq * ext._ap)) + 1"),
+    ("ehat-view-reads-n", "orbit-normal-form", LABELS, "ehat = property(lambda self: Fraction(self._ep, self._eq)", "ehat = property(lambda self: Fraction(self._np, self._nq)"),
+    ("extension-a-view-swapped", "orbit-normal-form", EXT, "lambda self: Fraction(self._ap, self._aq)", "lambda self: Fraction(self._aq, self._ap)"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Simple-current extensions: monodromy, locality, induction, weight growth."""
 
 import inspect
+import math
 import textwrap
 import warnings
 from fractions import Fraction
@@ -336,7 +337,7 @@ def weight_growth_by_fractions(s, ext):
     s = strip_parity(s)
     if not is_simple(s):
         raise ValueError("weight growth applies to simple labels")
-    b, step = ext.b, ext.step
+    b, step = ext.b, ext.a - epsilon(ext.b)
     half_b = Fraction(b, 2)
     rate = step + half_b
     quad = b * rate
@@ -585,6 +586,44 @@ def test_induced_equivalent_matches_two_branch_on_grid():
     assert found
 
 
+def _orbit_cases():
+    """(simple, extension) pairs: the grid's, and seeded draws over custom extensions.
+
+    The extensions are the grid's (named, b != 0, b = 0 with a != 0 and
+    with a = 0), one with a = 0 and b != 0, and seeded draws.
+    """
+    simples = [x for x in _grid_labels() if is_simple(x) and not x.parity_flip]
+    exts = _grid_extensions() + [ex.ExtensionSpec("custom", F(0), 2)]
+    cases = [(s, ext) for ext in exts for s in simples]
+    rng = Random(64)
+    for _ in range(300):
+        cases.append((_draws.simple(rng), _random_extension(rng)))
+    return cases
+
+
+def test_orbit_rep_is_the_summand_in_its_window():
+    # the m that puts the summand's ehat/b, or n/a when b = 0, in [0, 1),
+    # found here by Fraction floors; with a = b = 0 the orbit is s alone
+    seen = set()
+    for s, ext in _orbit_cases():
+        rep = ex._orbit_rep(s, ext)
+        assert ex._orbit_rep(rep, ext) == rep, (s, ext)
+        if ext.b:
+            m = -math.floor(s.ehat / ext.b)
+            assert 0 <= rep.ehat / ext.b < 1, (s, ext)
+        elif ext.a:
+            m = -math.floor(s.n / ext.a)
+            assert 0 <= rep.n / ext.a < 1, (s, ext)
+        else:
+            assert rep == s
+            seen.add("a = b = 0")
+            continue
+        assert rep == ex.induce(s, ext, abs(m))[abs(m) + m] == summand_by_fusion(s, ext, m), (s, ext)
+        seen.add("b != 0" if ext.b else "b = 0")
+        seen.add("m = 0" if m == 0 else "m != 0")
+    assert seen == {"a = b = 0", "b != 0", "b = 0", "m = 0", "m != 0"}
+
+
 def test_induce_matches_fusion_on_grid():
     # generator_of is checked against the former closed-form generator and
     # against fusing the unit with it; induce, which applies fusion's rule 1
@@ -728,6 +767,14 @@ def test_closed_forms_do_not_fuse(monkeypatch):
             ex.induced_equivalent(s, simples[0], ext)
             got = _outcome(ex.weight_growth, s, ext)
             assert not isinstance(got, tuple) or got[0] is Gl11Error
+
+
+def test_extension_stores_ints_and_views_a():
+    for ext in _grid_extensions():
+        stored = [getattr(ext, name) for name in type(ext).__slots__]
+        assert [type(v) for v in stored] == [str, int, int, int]
+        assert type(ext.a) is Fraction and (ext.a.numerator, ext.a.denominator) == (ext._ap, ext._aq)
+    assert ex.ExtensionSpec("x", F(2, 4), 1).a == F(1, 2)
 
 
 @pytest.mark.parametrize("bad", [F(3, 2), 2.9], ids=["3/2", "2.9"])

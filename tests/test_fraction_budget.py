@@ -162,6 +162,19 @@ def test_extension_monodromy_does_no_fraction_arithmetic(fraction_ops):
     assert fraction_ops[0] == 0
 
 
+def test_induced_equivalent_builds_and_computes_no_fraction(fraction_ops, fraction_builds):
+    # each side's orbit normal form is a floor on the stored ints and one
+    # summand by rule 1, and the two labels compare by their ints
+    simples = [x for x in _grid_labels() if type(x) in (TypicalV, AtypicalA)]
+    exts, built, found = _grid_extensions(), fraction_builds[0], 0
+    for ext in exts:
+        for s in simples:
+            for s2 in simples[::3]:
+                found += ex.induced_equivalent(s, s2, ext)
+    assert found
+    assert fraction_ops[0] == fraction_builds[0] - built == 0
+
+
 def test_induce_does_no_fraction_arithmetic(fraction_ops):
     # each summand is fusion rule 1 on int keys at one scale for the call; a
     # Fraction is constructed per coordinate of a returned label, and a base

@@ -127,7 +127,7 @@ def test_label_functions_match_the_fraction_forms():
         r = ref.like(x)
         _same(lb.strip_parity(x), ref.strip_parity(r))
         assert lb.delta(x) == ref.delta(r) and type(lb.delta(x)) is Fraction
-        assert lb.ehat(x) == F(ref._second(r)) and type(lb.ehat(x)) is Fraction
+        assert x.ehat == F(ref._second(r)) and type(x.ehat) is Fraction
         want = ref.contragredient(r)
         if want is not None:
             _same(lb.contragredient(x), want)
@@ -154,10 +154,9 @@ def test_generator_powers_match_the_fraction_form(m):
 def test_views_are_fractions_of_the_stored_ints():
     for x in _labels():
         assert type(x.n) is Fraction and (x.n.numerator, x.n.denominator) == (x._np, x._nq)
-        if type(x) is lb.TypicalV:
-            assert type(x.ehat) is Fraction and (x.ehat.numerator, x.ehat.denominator) == (x._ep, x._eq)
-        else:
-            assert type(x.ell) is int and (x._ep, x._eq) == (x.ell, 1)
+        assert type(x.ehat) is Fraction and (x.ehat.numerator, x.ehat.denominator) == (x._ep, x._eq)
+        if type(x) is not lb.TypicalV:
+            assert type(x.ell) is int and (x._ep, x._eq) == (x.ell, 1) and x.ehat == x.ell
     for n in GRID_NS:
         built = fusion._label((lb.TypicalV, 3 * n.numerator, 5), 6 * n.denominator)
         assert type(built.n) is Fraction and built.n == n / 2 and built.ehat == F(5, 6 * n.denominator)

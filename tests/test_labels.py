@@ -15,7 +15,6 @@ from gl11kl.labels import (
     VermaV0,
     contragredient,
     delta,
-    ehat,
     epsilon,
     epsilon2,
     k_decompose,
@@ -62,7 +61,16 @@ def test_delta_matches_fraction_formula_on_all_kinds():
                 shifted = label.n
                 if type(label) is ProjectiveP and label.ell != 0:
                     shifted -= 2 * epsilon(label.ell)
-                assert delta(label) == oracle.weight(shifted, ehat(label)), label
+                assert delta(label) == oracle.weight(shifted, label.ehat), label
+
+
+def test_sums_print_in_kind_ehat_n_parity_order():
+    # ehat compares as a rational, its denominator included, before n:
+    # V(1;1/3) comes before V(0;1/2)
+    labels = [TypicalV(0, F(1, 2), True), ProjectiveP(0, 0), TypicalV(0, F(1, 2)), VermaV0(0, 0)]
+    labels += [TypicalV(1, F(1, 3)), AtypicalA(0, 1), AtypicalA(F(1, 2), -1), TypicalV(-1, F(-3, 2))]
+    want = "A(1/2;-1) + A(0;1) + V(-1;-3/2) + V(1;1/3) + V(0;1/2) + PiV(0;1/2) + Verma0(0;0) + P(0;0)"
+    assert repr(FormalSum(labels)) == want
 
 
 def test_epsilon_values():
@@ -231,7 +239,7 @@ def test_render_parse_round_trip():
             )
         )
         assert parse_label(render_label(label)) == label
-        flipped = type(label)(label.n, ehat(label), parity_flip=True)
+        flipped = type(label)(label.n, label.ehat, parity_flip=True)
         assert render_label(flipped).startswith("Pi")
         assert parse_label(render_label(flipped)) == flipped
 

@@ -871,7 +871,7 @@ def test_constructor_matches_fraction_reference():
                     _assert_views(got, want)
 
 
-def _fin_triple(rng, kinds):
+def _fin_product(rng, kinds):
     """Labels of the given kinds ("V", "A", "P" at ell = 0) and their fusion."""
     while True:
         labels = []
@@ -885,7 +885,9 @@ def _fin_triple(rng, kinds):
             # an ehat sum of 0 puts a projective into the product
             i, j = [k for k, kind in enumerate(kinds) if kind == "V"][:2]
             labels[j] = TypicalV(labels[j].n, -labels[i].ehat)
-        total = fuse_formal(fuse(labels[0], labels[1]), FormalSum(labels[2]))
+        total = fuse(labels[0], labels[1])
+        for lbl in labels[2:]:
+            total = fuse_formal(total, FormalSum(lbl))
         try:
             return labels, {o.fin_label_of(lbl): mult for lbl, mult in total.items()}
         except ValueError:  # an ehat sum hit a nonzero integer: no finite shadow
@@ -895,7 +897,7 @@ def _fin_triple(rng, kinds):
 def test_decompose_triple_products_match_fusion():
     rng = Random(41)
     shapes = ["PPP"] + [rng.choice(("VVV", "VVA", "VAP", "AAP", "VVP", "APP", "VPP", "PPP")) for _ in range(30)]
-    cases = [_fin_triple(rng, kinds) for kinds in shapes]
+    cases = [_fin_product(rng, kinds) for kinds in shapes]
     # four-fold products: P(0)^4 (256 dims) and P(0)^3 V (128 dims)
     p = ProjectiveP(0, 0)
     for last in (p, TypicalV(_draws.rational(rng), _draws.nonintegral(rng))):
@@ -912,6 +914,22 @@ def test_decompose_triple_products_match_fusion():
             module = o.tensor(module, o.realize(o.fin_label_of(lbl)))
         module.validate()
         assert o.decompose(module) == want, labels
+
+
+def test_decompose_four_factor_products_match_fusion():
+    # seeded four-fold products of V, A(n;0) and P(n;0), from 16 to 256 dims
+    rng = Random(44)
+    shapes = ["PPPP", "VVVV", "AAAA"] + ["".join(rng.choice("VAP") for _ in range(4)) for _ in range(45)]
+    dims, kinds = set(), set()
+    for labels, want in [_fin_product(rng, shape) for shape in shapes]:
+        module = o.realize(o.fin_label_of(labels[0]))
+        for lbl in labels[1:]:
+            module = o.tensor(module, o.realize(o.fin_label_of(lbl)))
+        assert o.decompose(module) == want, labels
+        dims.add(module.dim)
+        kinds.update(map(type, want))
+    assert max(dims) == 256 and min(dims) == 1
+    assert kinds == {o.Verma, o.Atypical, o.Projective}
 
 
 def _direct_sum(parts: dict) -> o.Gl11MatrixModule:

@@ -11,7 +11,9 @@ are not checked.  An ``ALLOWED`` entry whose definition is gone or has come
 into use is stale, and fails too.
 
 The package also builds no code from text: nothing in it calls the builtins
-``exec``, ``eval`` or ``compile``, so what runs is what its files say.
+``exec``, ``eval`` or ``compile``, so what runs is what its files say.  And
+every name a module imports at its top level is read in that module, or
+re-exported through its ``__all__``.
 """
 
 import ast
@@ -93,3 +95,41 @@ def test_no_code_is_built_from_text():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval", "compile")
     ]
     assert calls == []
+
+
+def _unused_imports(source: str) -> list:
+    """The names source imports at its top level and neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(x, ast.Name) and x.id == "__all__" for x in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read | exported]
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import xml.dom\n"
+        "from math import gcd, lcm as least\n"
+        "from .x import y\n"
+        "__all__ = ['y']\n"
+        "def f(gcd=1):\n"
+        "    least = xml.dom\n"
+        "    return gcd\n"
+    )
+    assert _unused_imports(source) == ["os", "osp", "least"]
+
+
+def test_every_import_is_read_or_exported():
+    unused = {path.name: _unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
