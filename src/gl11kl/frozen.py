@@ -2,17 +2,16 @@
 
 A subclass names what it stores in ``__slots__`` and writes its own
 constructor, which sets each slot with ``object.__setattr__`` (converting
-or validating as it goes).  Its fields are its public slot names, in
-constructor order; a slot whose name starts with an underscore is not a
-field but a value the constructor derives.  A subclass that stores its
-fields in another form names them in ``_fields`` itself, and a subclass
-with ``__slots__ = ()`` keeps the fields it inherits.  Equality, hash,
-``repr`` and pickling all read ``_fields``: instances compare equal only to
-instances of the same class with equal fields, hash as the tuple of their
-fields (unless ``__hash__ = None``, as with a dict field), print as a
-dataclass would, refuse assignment and deletion, and copy and pickle
-through the constructor.  A subclass may write its own ``__eq__`` and
-``__hash__``, as labels do over the ints they store.
+or validating as it goes).  Its fields are its slot names, in constructor
+order.  A subclass that stores its fields in another form, or stores
+values it derives from them, names its fields in ``_fields`` itself, and
+a subclass with ``__slots__ = ()`` keeps the fields it inherits.
+Equality, hash, ``repr`` and pickling all read ``_fields``: instances
+compare equal only to instances of the same class with equal fields, hash
+as the tuple of their fields (unless ``__hash__ = None``, as with a dict
+field), print as a dataclass would, refuse assignment and deletion, and
+copy and pickle through the constructor.  A subclass may write its own
+``__eq__`` and ``__hash__``, as labels do over the ints they store.
 Unlike ``dataclasses``, which imports ``inspect``, this module imports
 nothing, so a fresh ``gl11kl`` process pays no start-up time for its value
 types.
@@ -26,9 +25,8 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = tuple(name for name in cls.__slots__ if name[0] != "_")
-        if names and "_fields" not in cls.__dict__:
-            cls._fields = names
+        if cls.__slots__ and "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -15,8 +15,11 @@ Nearly every entry is zero: a realized P(n) has 4 nonzero psi+- entries in
 32 slots, and in a tensor product of realized modules each odd operator has
 at most one nonzero entry per column and tensor factor.  Products
 (:func:`mul`), tensor products and the weight checks visit nonzero entries
-only; :func:`mat_rank` works on the small dense blocks between neighbouring
-weight spaces that :func:`decompose` slices out.
+only, and the relations check groups each odd operator by row once for all
+four of its products.  One fraction-free elimination takes every rank: on
+the small int blocks between neighbouring weight spaces that
+:func:`decompose` slices out, as they are, and through :func:`mat_rank`,
+which first scales rows of Fractions to ints.
 
 A module stores all of this on ints over one scale d, a common
 denominator of its weights and entries: each weight as the key (e d, n d),
@@ -49,31 +52,54 @@ _ZERO, _HALF = Fraction(0), Fraction(1, 2)
 # ---------------------------------------------------------------------------
 
 
-def mul(a: Entries, b: Entries) -> Entries:
-    """Product a b of two entry maps; zero sums are dropped."""
-    b_rows: dict[int, list] = {}
-    for (k, j), y in b.items():
-        b_rows.setdefault(k, []).append((j, y))
-    out: Entries = {}
+def _by_row(x: Entries) -> dict[int, list]:
+    """The entries of x grouped by row, ``{row: [(col, value), ...]}``."""
+    rows: dict[int, list] = {}
+    for (k, j), y in x.items():
+        rows.setdefault(k, []).append((j, y))
+    return rows
+
+
+def _add_product(out: Entries, a: Entries, b_rows: dict) -> Entries:
+    """Add a b into out in place and return out; b is given by row, zero sums stay."""
     for (i, k), x in a.items():
         for j, y in b_rows.get(k, ()):
             out[i, j] = out.get((i, j), 0) + x * y
-    return {key: v for key, v in out.items() if v}
+    return out
+
+
+def mul(a: Entries, b: Entries) -> Entries:
+    """Product a b of two entry maps; zero sums are dropped."""
+    return {key: v for key, v in _add_product({}, a, _by_row(b)).items() if v}
 
 
 def mat_rank(a: Matrix) -> int:
     """Rank over Q of a matrix of ints or Fractions, given as a sequence of rows.
 
-    Each row is scaled to ints by the lcm of its denominators, and the rows
-    below each pivot are eliminated without division; each reduced row is
-    divided by the gcd of its entries, which keeps the entries small.
+    Rows of unequal length raise ValueError.  Each row is scaled to ints by
+    the lcm of its denominators, and :func:`_rank` eliminates the result.
     """
     rows = []
     for row in a:
         scale = lcm(*(v.denominator for v in row))
         rows.append([v.numerator * (scale // v.denominator) for v in row])
+    if len(lengths := {len(row) for row in rows}) > 1:
+        raise ValueError(f"matrix rows must have one length, not {sorted(lengths)}")
+    return _rank(rows)
+
+
+def _rank(rows: list) -> int:
+    """Rank over Q of a list of int rows of one length, which it overwrites.
+
+    A block with at most one row or one column has rank 1 if any entry is
+    nonzero, else 0.  Otherwise the rows below each pivot are eliminated
+    without division; each reduced row is divided by the gcd of its
+    entries, which keeps the entries small.
+    """
+    if len(rows) < 2 or len(rows[0]) < 2:
+        return int(any(map(any, rows)))
     rank = 0
-    for col in range(len(rows[0]) if rows else 0):
+    for col in range(len(rows[0])):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
@@ -235,7 +261,10 @@ def _relations(m: Gl11MatrixModule) -> tuple:
 
     Weight (e, n) is the key (e d, n d), psi+- are p = d psi+ and q = d psi-,
     and E = pq + qp reads e d^2, the key's e d times d, on the diagonal.
-    Returns (d, keys, p, q, pq), keys in basis order, pq = p q.
+    p and q are each grouped by row once, and the four products p^2, q^2,
+    pq and qp read those groups; qp is added into a copy of pq in place.
+    Returns (d, keys, p, q, pq), keys in basis order, pq = p q with its
+    zero sums kept.
     """
     d, keys, p, q = m._d, m._keys, m._p, m._q
     for x, step in ((p, d), (q, -d)):
@@ -244,15 +273,14 @@ def _relations(m: Gl11MatrixModule) -> tuple:
             if keys[r] != (e, n + step):
                 raise OracleError("psi+- must map weight (e, n) into (e, n +- 1)")
     parity = m.parity
-    for name, x in (("psi+", p), ("psi-", q)):
+    p_rows, q_rows = _by_row(p), _by_row(q)
+    for name, x, x_rows in (("psi+", p, p_rows), ("psi-", q, q_rows)):
         if any(parity[i] == parity[j] for i, j in x):
             raise OracleError(f"{name} breaks the parity of the module")
-        if mul(x, x):
+        if any(_add_product({}, x, x_rows).values()):
             raise OracleError(f"{name} squared is not zero")
-    pq = mul(p, q)
-    anti = dict(pq)
-    for key, v in mul(q, p).items():
-        anti[key] = anti.get(key, 0) + v
+    pq = _add_product({}, p, q_rows)
+    anti = _add_product(dict(pq), q, p_rows)
     if {key: v for key, v in anti.items() if v} != {(i, i): e * d for i, (e, _) in enumerate(keys) if e}:
         raise OracleError("[psi+, psi-] does not act as E")
     return d, keys, p, q, pq
@@ -403,7 +431,7 @@ def _zero_block(d, n_bases, p, q, pq, tops) -> tuple[dict, dict]:
 
     def rank(x: Entries, n_to, n_from) -> int:
         cols = n_bases[n_from]
-        return mat_rank([[x.get((r, c), 0) for c in cols] for r in n_bases.get(n_to, ())])
+        return _rank([[x.get((r, c), 0) for c in cols] for r in n_bases.get(n_to, ())])
 
     proj = {n: r for n in n_bases if (r := rank(pq, n, n))}
     for n in n_bases:

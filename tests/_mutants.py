@@ -83,11 +83,13 @@ MUTANTS = [
     ("monodromy-kappa-negated", "fusion-on-keys", EXT, "    num = xp * (2 * cp", "    k2 = -k2\n    num = xp * (2 * cp"),
     # these two checks moved from validate's body into _relations, which
     # validate and decompose share; the mutants drop the same checks there
+    # (the square check then followed each operator's one row index, with
+    # the same edit)
     (
         "validate-no-psi-square",
         "oracle-weights",
         ORACLE,
-        '        if mul(x, x):\n            raise OracleError(f"{name} squared is not zero")\n',
+        '        if any(_add_product({}, x, x_rows).values()):\n            raise OracleError(f"{name} squared is not zero")\n',
         "",
     ),
     (
@@ -269,7 +271,6 @@ MUTANTS = [
         "return _atypical0(label._np, label._nq, q_cutoff, window)",
         "return char_atypical0(label.n, q_cutoff, z_window)",
     ),
-    ("derived-slot-as-field", "oracle-trusted-builder", FROZEN, 'names = tuple(name for name in cls.__slots__ if name[0] != "_")', "names = cls.__slots__"),
     ("sign-of-zero-is-one", "one-sign-owner", LABELS, "return (x > 0) - (x < 0)", "return (x >= 0) - (x < 0)"),
     ("delta-projective-shift-flipped", "one-sign-owner", LABELS, "a -= _sign(label.ell) * d", "a += _sign(label.ell) * d"),
     ("label-hash-drops-denominator", "one-sign-owner", LABELS, "hash((self._np, self._nq, self._ep", "hash((self._np, self._ep"),
@@ -292,8 +293,10 @@ MUTANTS = [
     ("coevaluation-signed", "views-on-each-read", DUALS, ": 1 for i in range(m.dim)}", ": (-1) ** m.parity[i] for i in range(m.dim)}"),
     ("coevaluation-mirror-unsigned", "views-on-each-read", DUALS, "{i * m.dim + i: (-1) ** p for i, p", "{i * m.dim + i: 1 for i, p"),
     ("contragredient-keeps-n", "views-on-each-read", LABELS, "_new(kind, -label._np, label._nq", "_new(kind, label._np, label._nq"),
-    # Frozen's one path, and the constructors it no longer writes
-    ("frozen-slotless-clears-fields", "one-frozen-path", FROZEN, 'if names and "_fields" not in cls.__dict__:', 'if "_fields" not in cls.__dict__:'),
+    # Frozen's one path, and the constructors it no longer writes (the first
+    # followed the derived fields, which no longer filter underscored slots,
+    # with the same edit)
+    ("frozen-slotless-clears-fields", "one-frozen-path", FROZEN, 'if cls.__slots__ and "_fields" not in cls.__dict__:', 'if "_fields" not in cls.__dict__:'),
     ("frozen-eq-false", "one-frozen-path", FROZEN, "        return NotImplemented\n", "        return False\n"),
     ("frozen-hash-drops-first-field", "one-frozen-path", FROZEN, "return hash(self._values())", "return hash(self._values()[1:])"),
     (
@@ -344,6 +347,10 @@ MUTANTS = [
     ("orbit-b0-window-shifted", "orbit-normal-form", EXT, "m = -(s._np * ext._aq // (s._nq * ext._ap))", "m = -(s._np * ext._aq // (s._nq * ext._ap)) + 1"),
     ("ehat-view-reads-n", "orbit-normal-form", LABELS, "ehat = property(lambda self: Fraction(self._ep, self._eq)", "ehat = property(lambda self: Fraction(self._np, self._nq)"),
     ("extension-a-view-swapped", "orbit-normal-form", EXT, "lambda self: Fraction(self._ap, self._aq)", "lambda self: Fraction(self._aq, self._ap)"),
+    # the int rank's one-row/one-column shortcut, and each operator's one row index
+    ("rank-shortcut-counts-rows", "one-row-index", ORACLE, "return int(any(map(any, rows)))", "return int(bool(rows))"),
+    ("psi-square-reads-q-rows", "one-row-index", ORACLE, '(("psi+", p, p_rows), ("psi-", q, q_rows))', '(("psi+", p, q_rows), ("psi-", q, q_rows))'),
+    ("anticommutator-drops-qp", "one-row-index", ORACLE, "anti = _add_product(dict(pq), q, p_rows)", "anti = dict(pq)"),
 ]
 
 

@@ -18,7 +18,6 @@ import pytest
 
 import _dataclass_twins as twins
 from gl11kl import extensions, kz, labels, oracle
-from gl11kl.frozen import Frozen
 
 CLASSES = (
     labels.TypicalV,
@@ -198,21 +197,3 @@ def test_copy_and_pickle_round_trips(round_trip):
         if error is None:
             assert type(again) is type(value) and again == value and repr(again) == repr(value)
             assert _outcome(hash, again) == _outcome(hash, value)
-
-
-def test_underscored_slots_are_derived_values_not_fields():
-    # no class in the package derives its fields past an underscored slot
-    # today (each one that stores another form names its _fields), so a
-    # small subclass holds the rule: the derived slot is stored, and is
-    # neither compared, hashed, printed nor passed to the constructor
-    class Scaled(Frozen):
-        __slots__ = ("x", "_twice")
-
-        def __init__(self, x):
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "_twice", 2 * x)
-
-    value = Scaled(3)
-    assert Scaled._fields == ("x",) and value._twice == 6
-    assert value == Scaled(3) and hash(value) == hash((3,))
-    assert repr(value).endswith(".Scaled(x=3)") and value.__reduce__() == (Scaled, (3,))

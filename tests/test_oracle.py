@@ -429,6 +429,58 @@ def rank_by_division(a) -> int:
     return rank
 
 
+def _rank_blocks(rng) -> dict:
+    """Seeded int blocks by shape: 0 rows or columns, 1 x k, k x 1, all-zero, proportional rows, huge entries."""
+
+    def small():
+        return rng.choice((0, 0, 1, -1, rng.randint(-9, 9)))
+
+    def huge():
+        return rng.choice((0, 1, -1)) * rng.randint(2**64, 2**80)
+
+    def block(rows, cols, entry):
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    def proportional(rows, cols, entry):
+        top = [entry() or 1 for _ in range(cols)]
+        return [[c * v for v in top] for c in rng.choices((-3, -1, 1, 2, 5), k=rows)]
+
+    sizes = [(rng.randint(2, 6), rng.randint(2, 6)) for _ in range(30)]
+    return {
+        "empty": [[], [[]], [[], [], []]],
+        "one row": [block(1, k, entry) for k in range(1, 7) for entry in (small, huge, int)],
+        "one column": [block(k, 1, entry) for k in range(1, 7) for entry in (small, huge, int)],
+        "all zero": [block(r, c, int) for r, c in sizes],
+        "proportional": [proportional(r, c, entry) for r, c in sizes for entry in (small, huge)],
+        "dense": [block(r, c, small) for r, c in sizes],
+        "huge": [block(r, c, huge) for r, c in sizes],
+    }
+
+
+def test_rank_matches_division_reference():
+    # the int elimination, and mat_rank on the same blocks as ints and as
+    # Fractions, against Gauss-Jordan elimination over Fraction
+    rng = Random(43)
+    ranks = set()
+    for kind, blocks in _rank_blocks(rng).items():
+        for block in blocks:
+            want = rank_by_division(block)
+            assert o._rank([list(row) for row in block]) == o.mat_rank(block) == want, (kind, block)
+            fractions = [[F(v, rng.randint(1, 9)) for v in row] for row in block]
+            assert o.mat_rank(fractions) == rank_by_division(fractions), (kind, fractions)
+            if kind == "proportional":
+                assert want == 1, block
+            ranks.add(want)
+    assert ranks == set(range(6))
+
+
+def test_mat_rank_rejects_ragged_rows():
+    for rows in ([[1], [2, 3]], [[1, 2], [3]], [[F(1, 2), 0], [F(1, 3)]]):
+        with pytest.raises(ValueError, match=re.escape("matrix rows must have one length, not [1, 2]")):
+            o.mat_rank(rows)
+    assert o.mat_rank([]) == o.mat_rank([[]]) == o.mat_rank([[], []]) == 0
+
+
 def decompose_by_fractions(m) -> dict:
     """The former ``decompose``: Fraction weights and ranks, and only the weight steps checked.
 
@@ -917,7 +969,8 @@ def test_decompose_triple_products_match_fusion():
 
 
 def test_decompose_four_factor_products_match_fusion():
-    # seeded four-fold products of V, A(n;0) and P(n;0), from 16 to 256 dims
+    # seeded four-fold products of V, A(n;0) and P(n;0), from 16 to 256 dims,
+    # against fusion and against Fraction weights and division ranks
     rng = Random(44)
     shapes = ["PPPP", "VVVV", "AAAA"] + ["".join(rng.choice("VAP") for _ in range(4)) for _ in range(45)]
     dims, kinds = set(), set()
@@ -925,7 +978,7 @@ def test_decompose_four_factor_products_match_fusion():
         module = o.realize(o.fin_label_of(labels[0]))
         for lbl in labels[1:]:
             module = o.tensor(module, o.realize(o.fin_label_of(lbl)))
-        assert o.decompose(module) == want, labels
+        assert o.decompose(module) == want == decompose_by_fractions(module), labels
         dims.add(module.dim)
         kinds.update(map(type, want))
     assert max(dims) == 256 and min(dims) == 1

@@ -28,6 +28,7 @@ PACKAGE = ROOT / "src" / "gl11kl"
 ALLOWED = {
     "characters.verify_induced_identity": "acceptance criterion 7 calls it",
     "oracle.l0_top_matrix": "acceptance criterion 4 calls it",
+    "oracle.mat_rank": "acceptance criterion 4 and the dense-invariant tests call it",
     "oracle.Gl11MatrixModule.validate": "the relations check for modules a caller builds",
     "extensions.induced_equivalent": "library API: when two simples induce to the same module",
     "extensions.induced_projective_cover": "library API: projective covers of local inductions",
