@@ -12,13 +12,19 @@ for sl(2|1):
 The m-th summand is A(m step + eps(m b); m b), where the step a - eps(b) is
 a minus the step function of b: its n is m steps plus the step function of
 m b, and its ehat is m b.  Induction is fusion rule 1 applied to the
-generator powers, so the summands of an induction are the orbit of its
-base, which ``_orbit_rep`` names by its one summand with 0 <= ehat/b < 1,
-or with 0 <= n/a < 1 when b = 0.  Induction, monodromy, locality and
-weight growth run on int keys or int pairs, and each function's docstring
-states its closed form.  The monodromy exponent
-is affine in m modulo the integers, which ``is_local`` relies on and the
-additivity property test certifies.
+generator powers, in closed form on int keys at the scale d of the call:
+summand m of a base at n d and second coordinate x (ell, or e d for a
+typical) sits at n d + r _numerator(m) - t d/2 and x + m b (times d for a
+typical), with r = d/2q for a = p/q and t the int sign term
+``fusion._translate`` reads, sign(m b) or 2 eps2(m b, ell).  Each summand
+is built from those ints, and its ehat's gcd is skipped where the
+denominator is 1, as for every atypical and projective summand.  So the
+summands of an induction are the orbit of its base, which ``_orbit_rep``
+names by its one summand with 0 <= ehat/b < 1, or with 0 <= n/a < 1 when
+b = 0.  Induction, monodromy, locality and weight growth run on int keys or
+int pairs, and each function's docstring states its closed form.  The
+monodromy exponent is affine in m modulo the integers, which ``is_local``
+relies on and the additivity property test certifies.
 ``induced_equivalent`` and ``induced_projective_cover`` are library API like
 ``induce`` and ``is_local``, though nothing in the package calls them: they
 state the paper's results on equivalent inductions and on projective covers.
@@ -32,7 +38,7 @@ from math import lcm
 
 from .errors import Gl11Error
 from .frozen import Frozen
-from .fusion import _RULE_ORDER, _checked, _key, _label, _rules, fuse
+from .fusion import _RULE_ORDER, _checked, _key, _translate, fuse
 from .labels import (
     _SIMPLE,
     AtypicalA,
@@ -112,17 +118,29 @@ def _numerator(ext: ExtensionSpec, m: int) -> int:
 
 
 def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
-    """fuse(base, ext.generator_of(m)).single() for each m in ms.
+    """fuse(base, ext.generator_of(m)).single() for each m in ms, by rule 1 in closed form.
 
     Base and every generator power have int keys at d = lcm(2q, the
-    denominators of base), for a = p/q, and rule 1 gives one key each.
+    denominators of base), for a = p/q: the m-th power is
+    (A, r _numerator(m), m b) with r = d/2q.  For a base key (kind, n, x)
+    summand m is (kind, n + r _numerator(m) - t d/2, x + m b s), where
+    ``fusion._translate`` takes the sign term t, sign(m b) for a typical
+    base and 2 eps2(m b, ell) for an atypical or projective one, and s is d
+    for a typical base, whose x is e d, and 1 otherwise.  The base key, d,
+    d/2 and r are taken once per call, and no rule dispatch or dict is
+    made per summand; each is built from its ints by ``_new``, which skips
+    ehat's gcd but for a typical base.
     """
     if type(base) not in _RULE_ORDER:
         _checked(base, ext.generator_of(ms[0]))  # raises as fuse does
     q2 = 2 * ext._aq
     d = lcm(q2, base._nq, base._eq)
-    key, r, b = _key(base, d), d // q2, ext.b
-    return [_label(*_rules(key, (AtypicalA, _numerator(ext, m) * r, m * b), d), d) for m in ms]
+    (kind, n, x), r, b, half = _key(base, d), d // q2, ext.b, d // 2
+    s = d if kind is TypicalV else 1
+    return [
+        _new(kind, _translate(kind, n + r * _numerator(ext, m), m * b, x, half), d, x + m * b * s, s)
+        for m in ms
+    ]
 
 
 def _monodromy(s: ModuleLabel, cp: int, cq: int, ell: int) -> tuple[int, int]:

@@ -84,11 +84,19 @@ def _rules(x: tuple, y: tuple, d: int) -> dict:
             return {(TypicalV, n + n2 + half, e): 1, (TypicalV, n + n2 - half, e): 1}
         ell = e // d
         return {(ProjectiveP, n + n2 + _sign(ell) * half, ell): 1}
-    if other is TypicalV:  # rule 1, translating a typical
-        out = (TypicalV, n + n2 - _sign(ell) * half, second + ell * d)
-    else:
-        out = (other, n + n2 - _twice_epsilon2(ell, second) * half, ell + second)
+    # rule 1 moves e d by ell d for a typical y, and ell' by ell otherwise
+    out = (other, _translate(other, n + n2, ell, second, half), second + ell * (d if other is TypicalV else 1))
     return {out: 1} if kind is AtypicalA else _spread(out, d)  # rule 1 or 2
+
+
+def _translate(kind, n: int, ell: int, second: int, half: int) -> int:
+    """Rule 1's n at the even scale d = 2 half, given n, the sum of the two factors' n d.
+
+    A(c;ell) times a key (kind, _, second) lowers it by eps(ell) d for a
+    typical, or by eps2(ell, second) d for an A or P at ell' = second; each
+    is the int sign term times half.  ``_rules`` and induction both call it.
+    """
+    return n - (_sign(ell) if kind is TypicalV else _twice_epsilon2(ell, second)) * half
 
 
 def _label(key: tuple, d: int) -> ModuleLabel:

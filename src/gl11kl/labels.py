@@ -98,23 +98,30 @@ class ProjectiveP(_Integral):
     __slots__ = ()
 
 
-_set, _object_new = object.__setattr__, object.__new__
+_object_new = object.__new__
+#: the slots' own setters, which write past ``Frozen.__setattr__`` with no name lookup
+_SET_NP, _SET_NQ, _SET_EP, _SET_EQ, _SET_FLIP = (ModuleLabel.__dict__[name].__set__ for name in ModuleLabel.__slots__)
 _SIMPLE = (TypicalV, AtypicalA)
 
 
 def _new(kind, np: int, nq: int, ep: int, eq: int, parity_flip=False) -> ModuleLabel:
     """The label of kind at n = np/nq and ehat = ep/eq, from ints with nq, eq > 0.
 
-    Both are reduced here, and no Fraction is built.  An integral kind's ehat
-    is ell over 1, and a typical's ehat is trusted not to be an integer.
+    Both are reduced here, and no Fraction is built: ehat's gcd is skipped
+    when eq == 1, as for every ell over 1, but an unreduced integral pair
+    such as 4/2 is reduced.  A typical's ehat is trusted not to be an
+    integer.  Each slot is written through its own descriptor.
     """
-    g, h = gcd(np, nq), gcd(ep, eq)
+    g = gcd(np, nq)
+    if eq != 1:
+        h = gcd(ep, eq)
+        ep, eq = ep // h, eq // h
     label = _object_new(kind)
-    _set(label, "_np", np // g)
-    _set(label, "_nq", nq // g)
-    _set(label, "_ep", ep // h)
-    _set(label, "_eq", eq // h)
-    _set(label, "parity_flip", parity_flip)
+    _SET_NP(label, np // g)
+    _SET_NQ(label, nq // g)
+    _SET_EP(label, ep)
+    _SET_EQ(label, eq)
+    _SET_FLIP(label, parity_flip)
     return label
 
 

@@ -147,8 +147,9 @@ MUTANTS = [
     # its > mutant was equivalent.
     ("growth-half-b-sign", "closed-form-extensions", EXT, "lin_neg if b * (ell + 2 * b) <= 0 else lin_pos", "lin_pos if b * (ell + 2 * b) <= 0 else lin_neg"),
     ("growth-one-sign-strict", "closed-form-extensions", EXT, "if b * (ell + 2 * b) <= 0 else", "if b * (ell + 2 * b) < 0 else"),
-    # followed epsilon's sign onto the int helpers, and then onto _sign, with the same edit
-    ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "_twice_epsilon2(ell, second) * half", "_sign(ell) * half"),
+    # followed epsilon's sign onto the int helpers, then onto _sign, and then
+    # into fusion._translate, which rule 1 and induction share, with the same edit
+    ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "else _twice_epsilon2(ell, second)) * half", "else _sign(ell)) * half"),
     # followed the step check onto the stored int maps, with the same edit
     ("relations-step-one", "oracle-on-ints", ORACLE, "((p, d), (q, -d))", "((p, 1), (q, -1))"),
     (
@@ -221,8 +222,10 @@ MUTANTS = [
     ("l0-psi-term-added", "one-owner-round-3", ORACLE, "out.get(key, 0) - v / k", "out.get(key, 0) + v / k"),
     ("fin-label-strips-unicode", "one-owner-round-3", CLI, "body = text.strip(WHITESPACE)", "body = text.strip()"),
     ("fin-label-parts-strip-unicode", "one-owner-round-3", CLI, "[part.strip(WHITESPACE) for part", "[part.strip() for part"),
-    ("label-n-unreduced", "labels-carry-ints", LABELS, "g, h = gcd(np, nq), gcd(ep, eq)", "g, h = 1, gcd(ep, eq)"),
-    ("label-ehat-unreduced", "labels-carry-ints", LABELS, "g, h = gcd(np, nq), gcd(ep, eq)", "g, h = gcd(np, nq), 1"),
+    # these two followed _new's two gcds apart, where ehat's is taken only
+    # when eq != 1, with the same edit
+    ("label-n-unreduced", "labels-carry-ints", LABELS, "g = gcd(np, nq)", "g = 1"),
+    ("label-ehat-unreduced", "labels-carry-ints", LABELS, "h = gcd(ep, eq)", "h = 1"),
     ("key-scale-off-by-one", "labels-carry-ints", FUSION, "n = x._np * (d // x._nq)", "n = x._np * (d // x._nq + 1)"),
     # these two followed the hash onto the tuple of stored ints, which
     # __eq__ also spells: so each old text starts at "hash(("
@@ -351,6 +354,16 @@ MUTANTS = [
     ("rank-shortcut-counts-rows", "one-row-index", ORACLE, "return int(any(map(any, rows)))", "return int(bool(rows))"),
     ("psi-square-reads-q-rows", "one-row-index", ORACLE, '(("psi+", p, p_rows), ("psi-", q, q_rows))', '(("psi+", p, q_rows), ("psi-", q, q_rows))'),
     ("anticommutator-drops-qp", "one-row-index", ORACLE, "anti = _add_product(dict(pq), q, p_rows)", "anti = dict(pq)"),
+    # labels built through the slot setters, and induction as rule 1 in
+    # closed form: the gcd skip keyed on the kind (an unreduced integral
+    # ehat such as 4/2 stays unreduced), the sign term read at m, the
+    # typical shift of d/2 flipped, the sign of b dropped from the step
+    # a - eps(b), and a typical base's scale s taken as 1
+    ("new-gcd-skip-by-kind", "slot-speed-labels", LABELS, "    if eq != 1:\n", "    if kind is TypicalV:\n"),
+    ("summand-eps-at-m", "slot-speed-labels", EXT, "m * b, x, half)", "m, x, half)"),
+    ("translate-typical-half-flipped", "slot-speed-labels", FUSION, "(_sign(ell) if kind is TypicalV", "(-_sign(ell) if kind is TypicalV"),
+    ("step-drops-sign-b", "slot-speed-labels", EXT, "_sign(ext.b) * (_sign(m) - m) * ext._aq", "(_sign(m) - m) * ext._aq"),
+    ("summand-typical-scale-one", "slot-speed-labels", EXT, "s = d if kind is TypicalV else 1", "s = 1"),
 ]
 
 

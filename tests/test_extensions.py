@@ -651,6 +651,19 @@ def test_induce_matches_fusion_on_grid():
                     assert got == window, (base, ext, r)
                     assert all(type(x.n) is Fraction and not x.parity_flip for x in got)
     assert raised
+    # seeded draws, as the orbit cases take them, with m_range up to 6: the
+    # closed form's branches for b < 0, b = 0, a = 0 and m < 0 each meet the
+    # fused reference, on simple and projective bases, parity flipped or not
+    rng, seen = Random(66), set()
+    for _ in range(300):
+        base, ext, r = _draws.simple_or_projective(rng), _random_extension(rng), rng.randint(0, 6)
+        if rng.random() < 0.3:
+            base = _flip(base)
+        got = ex.induce(base, ext, r)
+        assert got == [summand_by_fusion(base, ext, m) for m in range(-r, r + 1)], (base, ext, r)
+        assert all(type(x.n) is Fraction and not x.parity_flip for x in got)
+        seen.update(name for name, hit in (("b < 0", ext.b < 0), ("b = 0", ext.b == 0), ("a = 0", ext.a == 0), ("m < 0", r > 0)) if hit)
+    assert seen == {"b < 0", "b = 0", "a = 0", "m < 0"}
 
 
 def _far_classification(s, ext):

@@ -8,6 +8,7 @@ field values and types, ``repr``, rendering and pickle round trips.  A label
 hashes as the tuple of the ints it stores, which its equality compares.
 """
 
+import math
 import pickle
 import sys
 from fractions import Fraction
@@ -82,6 +83,35 @@ def test_int_keys_build_the_former_labels():
     assert len(keys) > 1000
     for key, d in keys:
         _same(fusion._label(key, d), ref.label(key, d))
+
+
+def test_new_stores_the_ints_a_gcd_reference_gives():
+    # _new takes ehat's gcd only when eq != 1: seeded ints with eq = 1, a
+    # typical eq > 1 and an unreduced integral pair (ell eq over eq, as
+    # parse_label passes 4/2) store both pairs over their gcds, and the label
+    # compares, hashes, prints and pickles like the public constructor's
+    rng = Random(94)
+    seen = set()
+    for _ in range(600):
+        kind, np, nq = rng.choice(KINDS), rng.randint(-99, 99), rng.randint(1, 36)
+        if kind is lb.TypicalV:
+            eq = rng.randint(2, 36)
+            ep = rng.randint(-99, 99) * eq + rng.randint(1, eq - 1)
+            seen.add("eq > 1")
+        else:
+            ell, eq = rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 7))
+            ep = ell * eq
+            seen.add("eq = 1" if eq == 1 else "integral eq > 1")
+        flip = rng.random() < 0.5
+        x = lb._new(kind, np, nq, ep, eq, flip)
+        g, h = math.gcd(np, nq), math.gcd(ep, eq)
+        assert (x._np, x._nq, x._ep, x._eq, x.parity_flip) == (np // g, nq // g, ep // h, eq // h, flip)
+        assert all(type(v) is int for v in (x._np, x._nq, x._ep, x._eq))
+        public = kind(F(np, nq), F(ep, eq) if kind is lb.TypicalV else ep // eq, flip)
+        assert x == public and hash(x) == hash(public) and repr(x) == repr(public)
+        assert pickle.loads(pickle.dumps(x)) == public
+        _same(x, ref.like(public))
+    assert seen == {"eq = 1", "eq > 1", "integral eq > 1"}
 
 
 def _texts(rng: Random) -> list:
