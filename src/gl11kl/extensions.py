@@ -11,20 +11,25 @@ for sl(2|1):
 
 The m-th summand is A(m step + eps(m b); m b), where the step a - eps(b) is
 a minus the step function of b: its n is m steps plus the step function of
-m b, and its ehat is m b.  Induction is fusion rule 1 applied to the
-generator powers, in closed form on int keys at the scale d of the call:
-summand m of a base at n d and second coordinate x (ell, or e d for a
-typical) sits at n d + r _numerator(m) - t d/2 and x + m b (times d for a
-typical), with r = d/2q for a = p/q and t the int sign term
-``fusion._translate`` reads, sign(m b) or 2 eps2(m b, ell).  Each summand
-is built from those ints, and its ehat's gcd is skipped where the
-denominator is 1, as for every atypical and projective summand.  So the
-summands of an induction are the orbit of its base, which ``_orbit_rep``
-names by its one summand with 0 <= ehat/b < 1, or with 0 <= n/a < 1 when
-b = 0.  Induction, monodromy, locality and weight growth run on int keys or
-int pairs, and each function's docstring states its closed form.  The
-monodromy exponent is affine in m modulo the integers, which ``is_local``
-relies on and the additivity property test certifies.
+m b, and its ehat is m b.  Fusion rule 1 applied to it cancels its own
+eps(m b), so induction is a translation along the generator orbit:
+
+* summand m of V(n; e) is V(n + m step; e + m b);
+* summand m of an A or P at (n; ell) is the same kind at
+  (n + m step + eps(ell + m b) - eps(ell); ell + m b).
+
+On ints, for a = p/q, ``_step`` is 2q step = 2p - sign(b) q.  At the scale d
+of the call a summand's key moves n d by m w, with w = ``_step`` d/2q, plus
+(sign(ell + m b) - sign(ell)) d/2 for an A or P base; the second coordinate
+moves by m b, times d for a typical, whose x is e d.  Each summand is built
+from those ints, and its ehat's gcd is skipped where the denominator is 1,
+as for every atypical and projective summand.  So the summands of an
+induction are the orbit of its base, which ``_orbit_rep`` names by its one
+summand with 0 <= ehat/b < 1, or with 0 <= n/a < 1 when b = 0.  Induction,
+monodromy, locality and weight growth run on int keys or int pairs, and each
+function's docstring states its closed form.  The monodromy exponent is
+affine in m modulo the integers, which ``is_local`` relies on and the
+additivity property test certifies.
 ``induced_equivalent`` and ``induced_projective_cover`` are library API like
 ``induce`` and ``is_local``, though nothing in the package calls them: they
 state the paper's results on equivalent inductions and on projective covers.
@@ -38,7 +43,7 @@ from math import lcm
 
 from .errors import Gl11Error
 from .frozen import Frozen
-from .fusion import _RULE_ORDER, _checked, _key, _translate, fuse
+from .fusion import _RULE_ORDER, _checked, _key, fuse
 from .labels import (
     _SIMPLE,
     AtypicalA,
@@ -80,11 +85,11 @@ class ExtensionSpec(Frozen):
         """The m-th summand: the m-th fusion power of the base generator.
 
         That is A(m (a - eps(b)) + eps(m b); m b), m steps of a minus the
-        step function of b plus the step function of m b, built as
-        n = _numerator / 2q for a = p/q.
+        step function of b plus the step function of m b: for a = p/q its
+        n is (m ``_step`` + sign(m b) q) / 2q.
         """
         m = _int(m)
-        return _new(AtypicalA, _numerator(self, m), 2 * self._aq, m * self.b, 1)
+        return _new(AtypicalA, m * _step(self) + _sign(m * self.b) * self._aq, 2 * self._aq, m * self.b, 1)
 
     @classmethod
     def custom(cls, a, b) -> "ExtensionSpec":
@@ -112,35 +117,33 @@ SL21_MINUS_HALF = ExtensionSpec("sl21-neg-half", Fraction(1, 2), -2)
 SL21_LEVEL1 = ExtensionSpec("sl21-level1", Fraction(1, 2), 1)
 
 
-def _numerator(ext: ExtensionSpec, m: int) -> int:
-    """2q n(generator_of(m)) for a = p/q: 2mp + sign(b)(sign(m) - m)q."""
-    return 2 * m * ext._ap + _sign(ext.b) * (_sign(m) - m) * ext._aq
+def _step(ext: ExtensionSpec) -> int:
+    """2q (a - eps(b)) for a = p/q: 2p - sign(b) q, the orbit's step in n at scale 2q."""
+    return 2 * ext._ap - _sign(ext.b) * ext._aq
 
 
 def _summands(base: ModuleLabel, ext: ExtensionSpec, ms) -> list:
-    """fuse(base, ext.generator_of(m)).single() for each m in ms, by rule 1 in closed form.
+    """fuse(base, ext.generator_of(m)).single() for each m in ms, as a translation along the orbit.
 
-    Base and every generator power have int keys at d = lcm(2q, the
-    denominators of base), for a = p/q: the m-th power is
-    (A, r _numerator(m), m b) with r = d/2q.  For a base key (kind, n, x)
-    summand m is (kind, n + r _numerator(m) - t d/2, x + m b s), where
-    ``fusion._translate`` takes the sign term t, sign(m b) for a typical
-    base and 2 eps2(m b, ell) for an atypical or projective one, and s is d
-    for a typical base, whose x is e d, and 1 otherwise.  The base key, d,
-    d/2 and r are taken once per call, and no rule dispatch or dict is
-    made per summand; each is built from its ints by ``_new``, which skips
-    ehat's gcd but for a typical base.
+    Rule 1 against the m-th generator power cancels its own eps(m b), so at
+    d = lcm(2q, the denominators of base), for a = p/q, and with
+    w = ``_step`` d/2q, a base key (kind, n, x) moves to
+    (TypicalV, n + m w, x + m b d) for a typical base, whose x is e d, and to
+    (kind, n + m w + (sign(x + m b) - sign(x)) d/2, x + m b) for an A or P
+    base at ell = x.  The base key, d, w and sign(x) are taken once per
+    call; per summand there is at most that one sign, and no rule dispatch
+    or generator is made.  Each is built from its ints by ``_new``, which
+    skips ehat's gcd but for a typical base.
     """
     if type(base) not in _RULE_ORDER:
         _checked(base, ext.generator_of(ms[0]))  # raises as fuse does
     q2 = 2 * ext._aq
     d = lcm(q2, base._nq, base._eq)
-    (kind, n, x), r, b, half = _key(base, d), d // q2, ext.b, d // 2
-    s = d if kind is TypicalV else 1
-    return [
-        _new(kind, _translate(kind, n + r * _numerator(ext, m), m * b, x, half), d, x + m * b * s, s)
-        for m in ms
-    ]
+    (kind, n, x), w, b = _key(base, d), _step(ext) * (d // q2), ext.b
+    if kind is TypicalV:
+        return [_new(kind, n + m * w, d, x + m * b * d, d) for m in ms]
+    half, t = d // 2, _sign(x)
+    return [_new(kind, n + m * w + (_sign(x + m * b) - t) * half, d, x + m * b, 1) for m in ms]
 
 
 def _monodromy(s: ModuleLabel, cp: int, cq: int, ell: int) -> tuple[int, int]:
@@ -149,7 +152,7 @@ def _monodromy(s: ModuleLabel, cp: int, cq: int, ell: int) -> tuple[int, int]:
     With x = s.ehat it is x (c.n + l - kappa) + l (s.n - kappa), with
     kappa = eps(l) for a typical s and eps2(s.ell, l) for an atypical one.
     With x = xp/xq, s.n = sp/sq and k2 = 2 kappa, the numerator of kappa
-    (0 or +-1/2), the denominator is 2 xq cq sq; cp/cq need not be reduced.
+    (0 or +-1/2), the denominator is 2 xq cq sq.
     """
     xp, xq, sp, sq = s._ep, s._eq, s._np, s._nq  # x = ell over 1 for an atypical s
     k2 = _sign(ell) if type(s) is TypicalV else _twice_epsilon2(xp, ell)
@@ -178,14 +181,14 @@ def is_local(s: ModuleLabel, ext: ExtensionSpec) -> bool:
     """Trivial monodromy against the whole extension.
 
     The exponent against generator_of(m) is affine in m modulo the integers,
-    so integrality at m = +-1 decides every m.  generator_of(m) is
-    A(_numerator / 2q; m b) for a = p/q, and no label of it is built.
+    so integrality at m = +-1 decides every m.  Those two generators are
+    A(+-a; +-b), as +-(a - eps(b)) + eps(+-b) = +-a, so for a = p/q they are
+    read as the ints (+-p, q, +-b), and no label of them is built.
     """
     if type(s) not in _SIMPLE:
         monodromy_exponent(s, ext.generator_of(1))  # raises
-    q2 = 2 * ext._aq
     for m in (1, -1):
-        num, den = _monodromy(s, _numerator(ext, m), q2, m * ext.b)
+        num, den = _monodromy(s, m * ext._ap, ext._aq, m * ext.b)
         if num % den:
             return False
     return True
@@ -269,14 +272,14 @@ def weight_growth(s: ModuleLabel, ext: ExtensionSpec) -> WeightGrowth:
     weights fall is ``spectral_flow_unbounded`` and an exactly flat
     direction is ``relaxed_flat``.
 
-    On ints, for a = p/q: r = 2q rate = 2p + (b - sign b) q, and lin, lin+-
+    On ints, for a = p/q: r = 2q rate = ``_step`` + b q, and lin, lin+-
     are taken at d = lcm(2q g, n.den), g = ehat.den for V and 1 for A; one
     Fraction is built per returned coefficient.
     """
     if not is_simple(s):
         raise ValueError("weight growth applies to simple labels")
-    b, p, q = ext.b, ext._ap, ext._aq
-    r = 2 * p + (b - _sign(b)) * q
+    b, q = ext.b, ext._aq
+    r = _step(ext) + b * q
     n, nq = s._np, s._nq
     if isinstance(s, TypicalV):
         e, g = s._ep, s._eq

@@ -84,19 +84,12 @@ def _rules(x: tuple, y: tuple, d: int) -> dict:
             return {(TypicalV, n + n2 + half, e): 1, (TypicalV, n + n2 - half, e): 1}
         ell = e // d
         return {(ProjectiveP, n + n2 + _sign(ell) * half, ell): 1}
-    # rule 1 moves e d by ell d for a typical y, and ell' by ell otherwise
-    out = (other, _translate(other, n + n2, ell, second, half), second + ell * (d if other is TypicalV else 1))
+    # rule 1: against a typical y, n d falls by eps(ell) d and e d moves by
+    # ell d; against an A or P, n d falls by eps2(ell, ell') d and ell' moves
+    # by ell.  t is the int sign term, 2 eps or 2 eps2, so t half is that fall
+    t = _sign(ell) if other is TypicalV else _twice_epsilon2(ell, second)
+    out = (other, n + n2 - t * half, second + ell * (d if other is TypicalV else 1))
     return {out: 1} if kind is AtypicalA else _spread(out, d)  # rule 1 or 2
-
-
-def _translate(kind, n: int, ell: int, second: int, half: int) -> int:
-    """Rule 1's n at the even scale d = 2 half, given n, the sum of the two factors' n d.
-
-    A(c;ell) times a key (kind, _, second) lowers it by eps(ell) d for a
-    typical, or by eps2(ell, second) d for an A or P at ell' = second; each
-    is the int sign term times half.  ``_rules`` and induction both call it.
-    """
-    return n - (_sign(ell) if kind is TypicalV else _twice_epsilon2(ell, second)) * half
 
 
 def _label(key: tuple, d: int) -> ModuleLabel:

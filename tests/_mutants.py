@@ -59,8 +59,10 @@ CLI = "src/gl11kl/cli.py"
 DUALS = "tests/_dual_oracle.py"
 
 MUTANTS = [
-    # followed the sign of m onto labels._sign, with the same edit
-    ("generator-numerator-plus-m", "induction-by-rule-1", EXT, "(_sign(m) - m)", "(_sign(m) + m)"),
+    # followed the sign of m onto labels._sign, and then the generator's
+    # numerator into generator_of, m _step + sign(m b) q: the same edit
+    # flips its sign term against its m term
+    ("generator-numerator-plus-m", "induction-by-rule-1", EXT, "m * _step(self) + _sign(m * self.b)", "m * _step(self) - _sign(m * self.b)"),
     # these two followed the label's denominators onto the ints it stores:
     # the scale still drops 2q, and a V's second coordinate is still not
     # divided by d
@@ -147,9 +149,9 @@ MUTANTS = [
     # its > mutant was equivalent.
     ("growth-half-b-sign", "closed-form-extensions", EXT, "lin_neg if b * (ell + 2 * b) <= 0 else lin_pos", "lin_pos if b * (ell + 2 * b) <= 0 else lin_neg"),
     ("growth-one-sign-strict", "closed-form-extensions", EXT, "if b * (ell + 2 * b) <= 0 else", "if b * (ell + 2 * b) < 0 else"),
-    # followed epsilon's sign onto the int helpers, then onto _sign, and then
-    # into fusion._translate, which rule 1 and induction share, with the same edit
-    ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "else _twice_epsilon2(ell, second)) * half", "else _sign(ell)) * half"),
+    # followed epsilon's sign onto the int helpers, then onto _sign, then
+    # into fusion._translate, and back into _rules' sign term t, with the same edit
+    ("rule1-eps2-as-eps", "three-fusion-rules", FUSION, "else _twice_epsilon2(ell, second)\n", "else _sign(ell)\n"),
     # followed the step check onto the stored int maps, with the same edit
     ("relations-step-one", "oracle-on-ints", ORACLE, "((p, d), (q, -d))", "((p, 1), (q, -1))"),
     (
@@ -166,8 +168,10 @@ MUTANTS = [
     ("growth-spread-b", "label-outputs-on-ints", EXT, "lin + abs(b) * h, lin - abs(b) * h", "lin + b * h, lin - b * h"),
     ("growth-atypical-scale-without-2", "label-outputs-on-ints", EXT, "d = lcm(2 * q, nq)", "d = lcm(q, nq)"),
     ("growth-typical-scale-without-2", "label-outputs-on-ints", EXT, "d = lcm(2 * q * g, nq)", "d = lcm(q * g, nq)"),
-    # followed the sign of b onto labels._sign, with the same edit
-    ("growth-rate-sign-b-flipped", "label-outputs-on-ints", EXT, "(b - _sign(b)) * q", "(b + _sign(b)) * q"),
+    # followed the sign of b onto labels._sign, and then into _step, which
+    # r now reads: the same fault, sign(b) q added where it is taken away,
+    # is made in weight_growth alone
+    ("growth-rate-sign-b-flipped", "label-outputs-on-ints", EXT, "r = _step(ext) + b * q", "r = _step(ext) + (b + 2 * _sign(b)) * q"),
     ("flow-negative-numerator", "label-outputs-on-ints", LABELS, "(2 * ell + 1) * q", "(2 * ell - 1) * q"),
     ("flow-positive-numerator", "label-outputs-on-ints", LABELS, "(1 - 2 * ell) * q - 2 * p", "(1 - 2 * ell) * q + 2 * p"),
     # followed the flowed label onto the int constructor, with the same edit
@@ -233,8 +237,10 @@ MUTANTS = [
     ("label-hash-inverse-negated", "labels-carry-ints", LABELS, "hash((self._np, self._nq", "hash((-self._np, self._nq"),
     ("label-eq-ignores-denominator", "labels-carry-ints", LABELS, "(self._np, self._nq, self._ep, self._eq, self.parity_flip) == (", "(self._np, self._ep, self._eq, self.parity_flip) == ("),
     ("is-local-reads-two", "labels-carry-ints", EXT, "    for m in (1, -1):\n", "    for m in (2, -2):\n"),
-    # followed the denominator of a onto the int the extension keeps
-    ("is-local-generator-over-q", "labels-carry-ints", EXT, "    q2 = 2 * ext._aq\n    for m", "    q2 = ext._aq\n    for m"),
+    # followed the denominator of a onto the int the extension keeps, and
+    # then onto the generators A(+-a; +-b) read as ints: the numerator over
+    # half its denominator is the generator's n doubled, as before
+    ("is-local-generator-over-q", "labels-carry-ints", EXT, "_monodromy(s, m * ext._ap, ext._aq", "_monodromy(s, 2 * m * ext._ap, ext._aq"),
     ("parse-ell-unchecked", "labels-carry-ints", LABELS, "    if cls is not TypicalV and ep % eq:\n", "    if False:\n"),
     ("render-over-one", "labels-carry-ints", LABELS, 'return f"{p}/{q}" if q != 1 else str(p)', 'return f"{p}/{q}"'),
     ("contragredient-typical-keeps-parity", "labels-carry-ints", LABELS, "not flip if kind is TypicalV else flip)", "flip)"),
@@ -358,12 +364,23 @@ MUTANTS = [
     # closed form: the gcd skip keyed on the kind (an unreduced integral
     # ehat such as 4/2 stays unreduced), the sign term read at m, the
     # typical shift of d/2 flipped, the sign of b dropped from the step
-    # a - eps(b), and a typical base's scale s taken as 1
+    # a - eps(b), and a typical base's scale s taken as 1.  When induction
+    # became a translation along the orbit, each followed its code with the
+    # same edit: the sign term into the A and P branch of _summands, the
+    # typical shift back into _rules' t, the step into _step, and the scale
+    # s into the V branch's ehat and its denominator
     ("new-gcd-skip-by-kind", "slot-speed-labels", LABELS, "    if eq != 1:\n", "    if kind is TypicalV:\n"),
-    ("summand-eps-at-m", "slot-speed-labels", EXT, "m * b, x, half)", "m, x, half)"),
-    ("translate-typical-half-flipped", "slot-speed-labels", FUSION, "(_sign(ell) if kind is TypicalV", "(-_sign(ell) if kind is TypicalV"),
-    ("step-drops-sign-b", "slot-speed-labels", EXT, "_sign(ext.b) * (_sign(m) - m) * ext._aq", "(_sign(m) - m) * ext._aq"),
-    ("summand-typical-scale-one", "slot-speed-labels", EXT, "s = d if kind is TypicalV else 1", "s = 1"),
+    ("summand-eps-at-m", "slot-speed-labels", EXT, "(_sign(x + m * b) - t)", "(_sign(x + m) - t)"),
+    ("translate-typical-half-flipped", "slot-speed-labels", FUSION, "t = _sign(ell) if other is TypicalV", "t = -_sign(ell) if other is TypicalV"),
+    ("step-drops-sign-b", "slot-speed-labels", EXT, "2 * ext._ap - _sign(ext.b) * ext._aq", "2 * ext._ap - ext._aq"),
+    ("summand-typical-scale-one", "slot-speed-labels", EXT, "x + m * b * d, d)", "x + m * b, 1)"),
+    # induction as a translation along the orbit: _step's sign(b) flipped,
+    # the base's sign t dropped, t taken per summand from x + m b (so the
+    # A and P correction is always 0), and the V branch's ehat without d
+    ("step-sign-b-flipped", "orbit-translation", EXT, "2 * ext._ap - _sign(ext.b) * ext._aq", "2 * ext._ap + _sign(ext.b) * ext._aq"),
+    ("summand-drops-t", "orbit-translation", EXT, "(_sign(x + m * b) - t) * half", "_sign(x + m * b) * half"),
+    ("summand-t-per-summand", "orbit-translation", EXT, "(_sign(x + m * b) - t) * half", "(_sign(x + m * b) - _sign(x + m * b)) * half"),
+    ("summand-typical-without-d", "orbit-translation", EXT, "x + m * b * d, d)", "x + m * b, d)"),
 ]
 
 

@@ -626,8 +626,9 @@ def test_orbit_rep_is_the_summand_in_its_window():
 
 def test_induce_matches_fusion_on_grid():
     # generator_of is checked against the former closed-form generator and
-    # against fusing the unit with it; induce, which applies fusion's rule 1
-    # to the generator keys, against fusing each summand
+    # against fusing the unit with it; induce, a translation along the
+    # generator orbit that shares no arithmetic with fusion, against fusing
+    # each summand
     unit = AtypicalA(0, 0)
     raised = 0
     for ext in _grid_extensions():
@@ -664,6 +665,34 @@ def test_induce_matches_fusion_on_grid():
         assert all(type(x.n) is Fraction and not x.parity_flip for x in got)
         seen.update(name for name, hit in (("b < 0", ext.b < 0), ("b = 0", ext.b == 0), ("a = 0", ext.a == 0), ("m < 0", r > 0)) if hit)
     assert seen == {"b < 0", "b = 0", "a = 0", "m < 0"}
+
+
+def test_induce_takes_no_sign_per_summand_but_the_moved_ell(monkeypatch):
+    # rule 1 against generator m cancels the generator's own eps(m b), so
+    # no summand takes sign(m b) or the generator's n: a V base takes no
+    # sign per summand, and an A or P base takes sign(ell + m b) once per
+    # summand.  Per call, the step takes sign(b) and an A or P base sign(ell)
+    calls = [0]
+    sign = ex._sign
+
+    def counted(x):
+        calls[0] += 1
+        return sign(x)
+
+    monkeypatch.setattr(ex, "_sign", counted)
+    for ext in _grid_extensions():
+        for base in _grid_labels():
+            if type(base) is VermaV0:
+                continue
+            for r in range(5):
+                before = calls[0]
+                out = ex.induce(base, ext, r)
+                taken = calls[0] - before
+                if type(base) is TypicalV:
+                    assert taken <= 1, (base, ext, r)
+                else:
+                    assert taken <= len(out) + 2, (base, ext, r)
+    assert calls[0]
 
 
 def _far_classification(s, ext):

@@ -176,9 +176,10 @@ def test_induced_equivalent_builds_and_computes_no_fraction(fraction_ops, fracti
 
 
 def test_induce_does_no_fraction_arithmetic(fraction_ops):
-    # each summand is fusion rule 1 on int keys at one scale for the call; a
-    # Fraction is constructed per coordinate of a returned label, and a base
-    # that is not V, A or P raises from fuse before any arithmetic
+    # each summand is the base's int key translated along the generator
+    # orbit at one scale for the call; a Fraction is constructed per
+    # coordinate of a returned label, and a base that is not V, A or P
+    # raises from fuse before any arithmetic
     labels = _grid_labels()
     outcomes = set()
     for ext in _grid_extensions():
