@@ -16,10 +16,11 @@ Nearly every entry is zero: a realized P(n) has 4 nonzero psi+- entries in
 at most one nonzero entry per column and tensor factor.  Products
 (:func:`mul`), tensor products and the weight checks visit nonzero entries
 only, and the relations check groups each odd operator by row once for all
-four of its products.  One fraction-free elimination takes every rank: on
-the small int blocks between neighbouring weight spaces that
-:func:`decompose` slices out, as they are, and through :func:`mat_rank`,
-which first scales rows of Fractions to ints.
+four of its products.  One fraction-free elimination over nonzero entries
+takes every rank: :func:`decompose` files the nonzero entries of its E = 0
+block by the pair of weight spaces they join, in one pass, and ranks each
+pair that holds an entry, without a zero cell; :func:`mat_rank` first
+scales rows of Fractions to ints and hands over their nonzero entries.
 
 A module stores all of this on ints over one scale d, a common
 denominator of its weights and entries: each weight as the key (e d, n d),
@@ -77,7 +78,8 @@ def mat_rank(a: Matrix) -> int:
     """Rank over Q of a matrix of ints or Fractions, given as a sequence of rows.
 
     Rows of unequal length raise ValueError.  Each row is scaled to ints by
-    the lcm of its denominators, and :func:`_rank` eliminates the result.
+    the lcm of its denominators, and :func:`_rank` eliminates the nonzero
+    entries of the result.
     """
     rows = []
     for row in a:
@@ -85,37 +87,37 @@ def mat_rank(a: Matrix) -> int:
         rows.append([v.numerator * (scale // v.denominator) for v in row])
     if len(lengths := {len(row) for row in rows}) > 1:
         raise ValueError(f"matrix rows must have one length, not {sorted(lengths)}")
-    return _rank(rows)
+    return _rank([{c: v for c, v in enumerate(row) if v} for row in rows])
 
 
 def _rank(rows: list) -> int:
-    """Rank over Q of a list of int rows of one length, which it overwrites.
+    """Rank over Q of int rows given as ``{col: value}`` maps of nonzero entries.
 
-    A block with at most one row or one column has rank 1 if any entry is
-    nonzero, else 0.  Otherwise the rows below each pivot are eliminated
-    without division; each reduced row is divided by the gcd of its
-    entries, which keeps the entries small.
+    Each pivot row is kept under its least column.  A row is reduced,
+    without division, by the pivot at its least column until that column
+    has no pivot, where the row becomes one, or the row is empty; each
+    reduced row drops its zeros and is divided by the gcd of its entries,
+    which keeps the entries small.  The rank is the number of pivots.  The
+    given rows may be read, kept or replaced, but are never written.
     """
-    if len(rows) < 2 or len(rows[0]) < 2:
-        return int(any(map(any, rows)))
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        pv = top[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                row = [pv * v - f * w for v, w in zip(rows[r], top)]
-                g = gcd(*row)
-                rows[r] = [v // g for v in row] if g > 1 else row
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            top = pivots.get(col)
+            if top is None:
+                pivots[col] = row
+                break
+            pv, f = top[col], row[col]
+            row = {c: pv * v for c, v in row.items()}
+            for c, w in top.items():
+                if v := row.get(c, 0) - f * w:
+                    row[c] = v
+                else:
+                    del row[c]
+            if (g := gcd(*row.values())) > 1:
+                row = {c: v // g for c, v in row.items()}
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,8 @@ def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
     maps the Verma tops at n one-to-one into weight n - 1, so from the top
     down the N-spectrum pairs into (c + 1/2, c - 1/2).  On the e = 0 block
     each rank is the rank of a small block between weight spaces: psi+ from
-    n to n+1, psi- from n to n-1, and the weight-n block of psi+ psi-.  The
+    n to n+1, psi- from n to n-1, and the weight-n block of psi+ psi-, each
+    taken on its nonzero entries alone, and 0 where it has none.  The
     Projective count at n is rank(psi+ psi- | N=n), and unless each psi+ rank
     is the sum those counts predict, :class:`OracleError` is raised; the
     Verma and Atypical counts are what the psi- ranks and the N-spectrum
@@ -413,36 +416,48 @@ def decompose(m: Gl11MatrixModule) -> dict[FinLabel, int]:
                     tops[e, top] = spectrum[top]
                     spectrum[top - d] -= spectrum[top]
         else:
-            proj, atyp = _zero_block(d, n_bases, p, q, pq, tops)
+            proj, atyp = _zero_block(d, keys, n_bases, p, q, pq, tops)
     result: dict[FinLabel, int] = {Projective(Fraction(n, d)): c for n, c in proj.items()}
     result.update((Verma(Fraction(2 * t - d, 2 * d), Fraction(e, d)), c) for (e, t), c in tops.items())
     result.update((Atypical(Fraction(n, d)), c) for n, c in atyp.items())
     return result
 
 
-def _zero_block(d, n_bases, p, q, pq, tops) -> tuple[dict, dict]:
+def _zero_block(d, keys, n_bases, p, q, pq, tops) -> tuple[dict, dict]:
     """Projective and Atypical counts by n key; Verma counts go into tops.
+
+    One pass over the nonzero E = 0 entries of pq, p and q files each under
+    (row n, column n), the weights read from keys: pq's at (n, n), p's at
+    (n + d, n) and q's at (n - d, n), so the three never share a pair.
+    Each pair's rows go to :func:`_rank` as ``{col: value}`` maps, and a
+    pair that holds no entry has rank 0 without a call.
 
     For a module (pq + qp = 0, q^2 = 0) the psi- rank at n is at least the
     Projective counts at n and n - 1, and the N-spectrum left after the
     Projectives and Vermas is the homology of psi-, so no count below can
     go negative.
     """
+    blocks: dict[tuple[int, int], dict] = {}
+    for x in (pq, p, q):
+        for (r, c), v in x.items():
+            e, n = keys[c]
+            if v and not e:
+                blocks.setdefault((keys[r][1], n), {}).setdefault(r, {})[c] = v
 
-    def rank(x: Entries, n_to, n_from) -> int:
-        cols = n_bases[n_from]
-        return _rank([[x.get((r, c), 0) for c in cols] for r in n_bases.get(n_to, ())])
+    def rank(n_to, n_from) -> int:
+        block = blocks.get((n_to, n_from))
+        return _rank(list(block.values())) if block else 0
 
-    proj = {n: r for n in n_bases if (r := rank(pq, n, n))}
+    proj = {n: r for n in n_bases if (r := rank(n, n))}
     for n in n_bases:
-        if rank(p, n + d, n) != proj.get(n, 0) + proj.get(n + d, 0):
+        if rank(n + d, n) != proj.get(n, 0) + proj.get(n + d, 0):
             raise OracleError("psi+ rank statistics infeasible on the E=0 block")
     rest = {n: len(b) for n, b in n_bases.items()}
     for n, c in proj.items():
         for k, share in ((n, 2), (n + d, 1), (n - d, 1)):
             rest[k] -= share * c
     for n in n_bases:
-        v = rank(q, n - d, n) - proj.get(n, 0) - proj.get(n - d, 0)
+        v = rank(n - d, n) - proj.get(n, 0) - proj.get(n - d, 0)
         if v:
             tops[0, n] = v
             rest[n] -= v

@@ -20,6 +20,13 @@ line gives are wall time under that contention.  The survivors are listed,
 and the exit status is 1 if there is any, 2 if a mutant does not apply or
 the unmutated copy fails.
 
+Each mutated copy's run is stopped after TIMEOUT_FACTOR times the unmutated
+copy's wall time, and never before TIMEOUT_FLOOR seconds: a mutant can make
+a loop that no longer ends, such as an elimination that never cancels its
+pivot's column.  A stopped run prints its own ``timeout`` line and counts as
+caught, as a hang fails a Tier-1 run; the total names how many were caught
+that way.
+
 Pytest does not collect this file: its name does not start with ``test_``.
 
 A mutant is (id, origin, file, old text, new text), where the origin names
@@ -36,6 +43,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -46,6 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "bench", "pyproject.toml")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py")
+TIMEOUT_FACTOR, TIMEOUT_FLOOR = 5, 60.0
 
 EXT = "src/gl11kl/extensions.py"
 FUSION = "src/gl11kl/fusion.py"
@@ -164,7 +173,10 @@ MUTANTS = [
     ("zero-block-p-share-one", "oracle-on-ints", ORACLE, "((n, 2), (n + d, 1), (n - d, 1))", "((n, 1), (n + d, 1), (n - d, 1))"),
     ("zero-block-verma-above", "oracle-on-ints", ORACLE, "            rest[n - d] -= v\n", "            rest[n + d] -= v\n"),
     ("typical-pair-step-one", "oracle-on-ints", ORACLE, "spectrum[top - d] -= spectrum[top]", "spectrum[top - 1] -= spectrum[top]"),
-    ("rank-no-pivot-scale", "oracle-on-ints", ORACLE, "[pv * v - f * w for v, w", "[v - f * w for v, w"),
+    # followed the pivot's scale onto the sparse reduction, with the same
+    # fault: the row is no longer multiplied by the pivot before the
+    # pivot's row is taken away
+    ("rank-no-pivot-scale", "oracle-on-ints", ORACLE, "row = {c: pv * v for c, v in row.items()}", "row = {c: v for c, v in row.items()}"),
     ("growth-spread-b", "label-outputs-on-ints", EXT, "lin + abs(b) * h, lin - abs(b) * h", "lin + b * h, lin - b * h"),
     ("growth-atypical-scale-without-2", "label-outputs-on-ints", EXT, "d = lcm(2 * q, nq)", "d = lcm(q, nq)"),
     ("growth-typical-scale-without-2", "label-outputs-on-ints", EXT, "d = lcm(2 * q * g, nq)", "d = lcm(q * g, nq)"),
@@ -356,8 +368,7 @@ MUTANTS = [
     ("orbit-b0-window-shifted", "orbit-normal-form", EXT, "m = -(s._np * ext._aq // (s._nq * ext._ap))", "m = -(s._np * ext._aq // (s._nq * ext._ap)) + 1"),
     ("ehat-view-reads-n", "orbit-normal-form", LABELS, "ehat = property(lambda self: Fraction(self._ep, self._eq)", "ehat = property(lambda self: Fraction(self._np, self._nq)"),
     ("extension-a-view-swapped", "orbit-normal-form", EXT, "lambda self: Fraction(self._ap, self._aq)", "lambda self: Fraction(self._aq, self._ap)"),
-    # the int rank's one-row/one-column shortcut, and each operator's one row index
-    ("rank-shortcut-counts-rows", "one-row-index", ORACLE, "return int(any(map(any, rows)))", "return int(bool(rows))"),
+    # each operator's one row index
     ("psi-square-reads-q-rows", "one-row-index", ORACLE, '(("psi+", p, p_rows), ("psi-", q, q_rows))', '(("psi+", p, q_rows), ("psi-", q, q_rows))'),
     ("anticommutator-drops-qp", "one-row-index", ORACLE, "anti = _add_product(dict(pq), q, p_rows)", "anti = dict(pq)"),
     # labels built through the slot setters, and induction as rule 1 in
@@ -381,6 +392,25 @@ MUTANTS = [
     ("summand-drops-t", "orbit-translation", EXT, "(_sign(x + m * b) - t) * half", "_sign(x + m * b) * half"),
     ("summand-t-per-summand", "orbit-translation", EXT, "(_sign(x + m * b) - t) * half", "(_sign(x + m * b) - _sign(x + m * b)) * half"),
     ("summand-typical-without-d", "orbit-translation", EXT, "x + m * b * d, d)", "x + m * b, d)"),
+    # the E = 0 block ranked sparsely: a bucket keyed by its row weight
+    # alone (pq's, p's and q's rows at one weight merge), a reduced row
+    # that keeps its zero entries, p's bucket read for q's rank, and the
+    # pivot added where it is taken away, which never cancels the pivot's
+    # column and so hangs until the runner's timeout
+    (
+        "zero-block-bucket-by-row",
+        "sparse-zero-block",
+        ORACLE,
+        "blocks.setdefault((keys[r][1], n), {}).setdefault(r, {})[c] = v\n\n"
+        "    def rank(n_to, n_from) -> int:\n"
+        "        block = blocks.get((n_to, n_from))\n",
+        "blocks.setdefault(keys[r][1], {}).setdefault(r, {})[c] = v\n\n"
+        "    def rank(n_to, n_from) -> int:\n"
+        "        block = blocks.get(n_to)\n",
+    ),
+    ("rank-row-keeps-zeros", "sparse-zero-block", ORACLE, "                    del row[c]\n", "                    row[c] = 0\n"),
+    ("psi-m-rank-reads-psi-p", "sparse-zero-block", ORACLE, "v = rank(n - d, n) - proj", "v = rank(n + d, n) - proj"),
+    ("rank-pivot-added", "sparse-zero-block", ORACLE, "if v := row.get(c, 0) - f * w:", "if v := row.get(c, 0) + f * w:"),
 ]
 
 
@@ -404,11 +434,22 @@ def _apply(dest: Path, mutant: tuple) -> None:
     path.write_text(text.replace(old, new))
 
 
-def _tier1(dest: Path) -> tuple[bool, str]:
-    """Did Tier-1 pass in dest, and the first failing test's line if not."""
+def _tier1(dest: Path, timeout: float | None = None) -> tuple[bool | None, str]:
+    """Did Tier-1 pass in dest, and the first failing test's line if not.
+
+    None in place of the verdict means the run was stopped after timeout
+    seconds, with every process it started.
+    """
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run([sys.executable, *TIER1], cwd=dest, env=env, capture_output=True, text=True)
-    lines = run.stdout.strip().splitlines() or [""]
+    with subprocess.Popen([sys.executable, *TIER1], cwd=dest, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True, start_new_session=True) as run:
+        try:
+            out, _ = run.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+            return None, f"stopped after {timeout:.0f} s"
+    lines = out.strip().splitlines() or [""]
     return run.returncode == 0, next((x for x in lines if x.startswith(("FAILED", "ERROR"))), lines[-1])
 
 
@@ -432,22 +473,26 @@ def main(argv=None) -> int:
         base = Path(tmp) / "unmutated"
         base.mkdir()
         _copy(base)
+        start = time.perf_counter()
         passed, detail = _tier1(base)
         if not passed:
             print(f"the unmutated copy fails Tier-1: {detail}")
             return 2
+        timeout = max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * (time.perf_counter() - start))
 
-        def timed(mutant: tuple) -> tuple[bool, str, float]:
+        def timed(mutant: tuple) -> tuple[bool | None, str, float]:
             start = time.perf_counter()
-            return (*_tier1(Path(tmp) / mutant[0]), time.perf_counter() - start)
+            return (*_tier1(Path(tmp) / mutant[0], timeout), time.perf_counter() - start)
 
-        survivors = []
+        survivors, hung = [], 0
         with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
             for mutant, (passed, detail, took) in zip(chosen, pool.map(timed, chosen)):
-                print(f"{'SURVIVED' if passed else 'caught  '} {mutant[0]} ({mutant[1]}, {took:.1f} s) {detail}", flush=True)
+                verdict = "SURVIVED" if passed else "timeout " if passed is None else "caught  "
+                print(f"{verdict} {mutant[0]} ({mutant[1]}, {took:.1f} s) {detail}", flush=True)
                 if passed:
                     survivors.append(mutant[0])
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants caught")
+                hung += passed is None
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants caught, {hung} of them by timeout")
     if survivors:
         print("survivors: " + ", ".join(survivors))
         return 1

@@ -457,21 +457,68 @@ def _rank_blocks(rng) -> dict:
     }
 
 
+def _sparse(block) -> list:
+    """A block's rows as the ``{col: value}`` maps of their nonzero entries, which ``o._rank`` takes."""
+    return [{c: v for c, v in enumerate(row) if v} for row in block]
+
+
+def _sparse_blocks(rng) -> dict:
+    """Seeded sparse int blocks up to 40 x 40: 1-3 nonzeros per column, duplicated rows, rows that reduce to zero."""
+
+    def small():
+        return rng.choice((1, -1, 2, -3, rng.randint(1, 9)))
+
+    def huge():
+        return rng.choice((1, -1)) * rng.randint(2**64, 2**80)
+
+    def permutation_like(rows, cols, entry):
+        block = [[0] * cols for _ in range(rows)]
+        for c in range(cols):
+            for r in rng.sample(range(rows), min(rows, rng.randint(1, 3))):
+                block[r][c] = entry()
+        return block
+
+    def duplicated(block):
+        return [list(row) for row in block + rng.choices(block, k=rng.randint(1, len(block)))]
+
+    def reducing(block):
+        # rows that are int combinations of two others, so that each reduces to zero
+        extra = []
+        for _ in range(rng.randint(1, len(block))):
+            a, b = rng.choice(block), rng.choice(block)
+            x, y = rng.choice((-2, -1, 1, 3)), rng.choice((-1, 1, 2))
+            extra.append([x * u + y * v for u, v in zip(a, b)])
+        rows = block + extra
+        rng.shuffle(rows)
+        return rows
+
+    sizes = [(40, 40), (40, 1), (1, 40)] + [(rng.randint(2, 40), rng.randint(2, 40)) for _ in range(9)]
+    base = [permutation_like(r, c, entry) for r, c in sizes for entry in (small, huge)]
+    return {
+        "permutation-like": base,
+        "duplicated rows": [duplicated(block) for block in base],
+        "rows reducing to zero": [reducing(block) for block in base],
+    }
+
+
 def test_rank_matches_division_reference():
-    # the int elimination, and mat_rank on the same blocks as ints and as
-    # Fractions, against Gauss-Jordan elimination over Fraction
+    # the sparse elimination on the nonzero entries of each block, and
+    # mat_rank on the same blocks as ints and as Fractions, against
+    # Gauss-Jordan elimination over Fraction
     rng = Random(43)
     ranks = set()
-    for kind, blocks in _rank_blocks(rng).items():
+    for kind, blocks in (_rank_blocks(rng) | _sparse_blocks(rng)).items():
         for block in blocks:
             want = rank_by_division(block)
-            assert o._rank([list(row) for row in block]) == o.mat_rank(block) == want, (kind, block)
+            assert o._rank(_sparse(block)) == o.mat_rank(block) == want, (kind, block)
             fractions = [[F(v, rng.randint(1, 9)) for v in row] for row in block]
             assert o.mat_rank(fractions) == rank_by_division(fractions), (kind, fractions)
             if kind == "proportional":
                 assert want == 1, block
+            if kind in ("duplicated rows", "rows reducing to zero"):
+                assert want < len(block), block
             ranks.add(want)
-    assert ranks == set(range(6))
+    assert set(range(6)) <= ranks and max(ranks) >= 30
 
 
 def test_mat_rank_rejects_ragged_rows():
@@ -983,6 +1030,53 @@ def test_decompose_four_factor_products_match_fusion():
         kinds.update(map(type, want))
     assert max(dims) == 256 and min(dims) == 1
     assert kinds == {o.Verma, o.Atypical, o.Projective}
+
+
+def test_decompose_five_factor_products_match_fusion():
+    # P(0)^5 (1,024 dims) and P P V V V (128 dims) against fusion
+    rng = Random(45)
+    p = ProjectiveP(0, 0)
+    total = FormalSum(p)
+    for _ in range(4):
+        total = fuse_formal(total, FormalSum(p))
+    cases = [([p] * 5, {o.fin_label_of(lbl): mult for lbl, mult in total.items()}), _fin_product(rng, "PPVVV")]
+    dims = []
+    for labels, want in cases:
+        module = o.realize(o.fin_label_of(labels[0]))
+        for lbl in labels[1:]:
+            module = o.tensor(module, o.realize(o.fin_label_of(lbl)))
+        assert o.decompose(module) == want, labels
+        dims.append(module.dim)
+    assert dims == [1024, 128]
+
+
+def test_decompose_ranks_only_the_nonzero_e0_entries(monkeypatch):
+    # the rank kernel receives exactly the nonzero E = 0 entries of psi+ psi-,
+    # psi+ and psi-, one call per weight-space pair that holds any, and no
+    # call for a pair that holds none
+    calls = []
+    rank = o._rank
+
+    def counted(rows):
+        calls.append(sum(map(len, rows)))
+        return rank(rows)
+
+    monkeypatch.setattr(o, "_rank", counted)
+    p = o.realize(o.Projective(0))
+    module = o.tensor(p, p)
+    for _ in range(2):
+        module = o.tensor(module, p)
+        calls.clear()
+        o.decompose(module)
+        w = module.weights
+        pairs, entries = set(), 0
+        for name, x in (("pq", o.mul(module.psi_p, module.psi_m)), ("p", module.psi_p), ("q", module.psi_m)):
+            for r, c in x:
+                if w[c][0] == 0:
+                    pairs.add((name, w[r][1], w[c][1]))
+                    entries += 1
+        assert sum(calls) == entries and len(calls) == len(pairs) and 0 not in calls, (module.dim, calls)
+    assert module.dim == 256 and entries == 2048
 
 
 def _direct_sum(parts: dict) -> o.Gl11MatrixModule:
